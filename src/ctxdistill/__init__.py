@@ -32,6 +32,7 @@ from .dataset import (
     classify_role,
     compute_stats,
     export_triples,
+    fault_facts,
     load_corpus,
     save_corpus,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -104,6 +105,20 @@ class UnitTree:
     ``unit_order`` is document order: files in input order, each file's
     units in preorder.  ``sources`` keeps the raw text per path so units
     can be re-rendered without touching the filesystem.
+
+    Two per-path tables are built once, with the tree, so queries never
+    rescan the whole tree or re-split a file:
+
+    - ``lines`` holds each file's source split into lines; unit text is a
+      slice of it.
+    - A leaf index holds each file's childless units (leaf segments, or
+      the bare file unit of an empty file) in document order with their
+      start lines.  Because the leaves of a file partition its lines, a
+      bisect finds the one leaf containing a line, and the units
+      containing that line are exactly the leaf and its ancestors.  The
+      innermost unit therefore wins, and on equal spans the later unit in
+      document order wins: a fragment spanning a whole comment-only file
+      beats its file unit.
     """
 
     instance_id: str
@@ -112,16 +127,39 @@ class UnitTree:
     unit_order: list[str]
     sources: dict[str, str]
     order_pos: dict[str, int] = field(default_factory=dict)
+    lines: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _leaf_starts: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    _leaves: dict[str, list[CodeUnit]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.order_pos:
             self.order_pos = {uid: i for i, uid in enumerate(self.unit_order)}
+        self.lines = {path: source.splitlines() for path, source in self.sources.items()}
+        self._leaves = {}
+        for uid in self.unit_order:
+            unit = self.index[uid]
+            if unit.is_leaf:
+                self._leaves.setdefault(unit.path, []).append(unit)
+        self._leaf_starts = {
+            path: [unit.span.start_line for unit in leaves] for path, leaves in self._leaves.items()
+        }
 
     def unit(self, unit_id: str) -> CodeUnit:
         try:
             return self.index[unit_id]
         except KeyError:
             raise UnknownUnitError(unit_id) from None
+
+    def innermost_unit(self, path: str, line: int) -> CodeUnit | None:
+        """The childless unit at ``path`` whose span contains ``line``."""
+        starts = self._leaf_starts.get(path)
+        if not starts:
+            return None
+        pos = bisect_right(starts, line) - 1
+        if pos < 0:
+            return None
+        unit = self._leaves[path][pos]
+        return unit if unit.span.contains_line(line) else None
 
 
 # --- decomposition -----------------------------------------------------
@@ -398,8 +436,7 @@ def leaf_segments(tree: UnitTree) -> list[CodeUnit]:
 def unit_text(tree: UnitTree, unit: CodeUnit | str) -> str:
     if isinstance(unit, str):
         unit = tree.unit(unit)
-    lines = tree.sources[unit.path].splitlines()
-    return _span_text(lines, unit.span)
+    return _span_text(tree.lines[unit.path], unit.span)
 
 
 def ancestors(tree: UnitTree, unit_id: str) -> list[str]:
@@ -437,24 +474,16 @@ def subtree_leaf_ids(tree: UnitTree, unit_id: str) -> frozenset[str]:
 
 def enclosing_unit(tree: UnitTree, path: str, line: int, level: Level | None = None) -> CodeUnit | None:
     """Smallest unit at ``path`` containing ``line``; optionally pinned to a level."""
-    best: CodeUnit | None = None
-    for uid in tree.unit_order:
-        unit = tree.index[uid]
-        if unit.path != path or not unit.span.contains_line(line):
-            continue
-        if level is not None and unit.level is not level:
-            continue
-        if best is None or best.span.contains(unit.span):
-            best = unit
-    return best
+    unit = tree.innermost_unit(path, line)
+    while unit is not None and level is not None and unit.level is not level:
+        unit = tree.index[unit.parent_id] if unit.parent_id is not None else None
+    return unit
 
 
 def enclosing_leaf(tree: UnitTree, path: str, line: int) -> CodeUnit | None:
     """The leaf segment containing ``line`` at ``path``, if any."""
-    for unit in leaf_segments(tree):
-        if unit.path == path and unit.span.contains_line(line):
-            return unit
-    return None
+    unit = tree.innermost_unit(path, line)
+    return unit if unit is not None and unit.level is not Level.FILE else None
 
 
 def segment_records(tree: UnitTree) -> list[dict]:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .code_model import CodeUnit, Level, SegmentKind, UnitTree, enclosing_unit, unit_text
 from .compressor import build_query
-from .instance import FaultLocation, Instance
+from .instance import FaultLocation
 from .priority import lex_identifiers
 
 ROLE_RULES_VERSION = "1"
@@ -265,29 +265,46 @@ def _fault_units(tree: UnitTree, faults: Iterable[FaultLocation]) -> list[CodeUn
     return units
 
 
-def classify_role(segment: CodeUnit, instance: Instance, tree: UnitTree) -> SemanticRole:
+@dataclass(frozen=True)
+class FaultFacts:
+    """What the code around an instance's fault locations calls, mentions
+    and defines; the same for every segment of the instance."""
+
+    calls: frozenset[str]
+    identifiers: frozenset[str]
+    defined: frozenset[str]
+
+
+def fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> FaultFacts:
+    """Facts over the function-level units enclosing the fault locations
+    (the innermost unit where a location has none)."""
+    texts = [unit_text(tree, u) for u in _fault_units(tree, faults)]
+    modules = [_parse_segment(t) for t in texts]
+    return FaultFacts(
+        calls=frozenset().union(*(_called_names(m) for m in modules)),
+        identifiers=frozenset().union(*(lex_identifiers(t) for t in texts)),
+        defined=frozenset().union(*(_defined_names(m) for m in modules)),
+    )
+
+
+def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> SemanticRole:
     """First matching rule wins: schema-shaped content, then definitions the
-    fault code references, then call-graph neighbours, else generic."""
+    fault code references, then call-graph neighbours, else generic.
+
+    ``facts`` come from :func:`fault_facts`, computed once per instance and
+    shared by all of its segments."""
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
-    text = unit_text(tree, segment)
-    module = _parse_segment(text)
+    module = _parse_segment(unit_text(tree, segment))
     if _declaration_ratio(module) >= 0.5:
         return SemanticRole.SCHEMA
 
-    fault_units = _fault_units(tree, instance.fault_locations)
-    fault_texts = [unit_text(tree, u) for u in fault_units]
-    fault_modules = [_parse_segment(t) for t in fault_texts]
-    fault_calls = frozenset().union(*(_called_names(m) for m in fault_modules)) if fault_modules else frozenset()
-    fault_ids = frozenset().union(*(lex_identifiers(t) for t in fault_texts)) if fault_texts else frozenset()
-    fault_defs = frozenset().union(*(_defined_names(m) for m in fault_modules)) if fault_modules else frozenset()
-
     defined = _defined_names(module)
     # calls are handled by the call-chain rule, not the definition rule
-    if defined & (fault_ids - fault_calls):
+    if defined & (facts.identifiers - facts.calls):
         return SemanticRole.DEFINITION
 
-    if _called_names(module) & fault_defs or defined & fault_calls:
+    if _called_names(module) & facts.defined or defined & facts.calls:
         return SemanticRole.CALL_CHAIN
 
     return SemanticRole.GENERIC_UTILITY

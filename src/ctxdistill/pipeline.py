@@ -20,6 +20,7 @@ from .dataset import (
     DistilledInstance,
     SegmentRecord,
     classify_role,
+    fault_facts,
 )
 from .ga_search import GAResult, retained_leaf_ids, run_ga, GenomeSpace
 from .hdd import MinimizationResult, minimize
@@ -151,6 +152,7 @@ def distill_instance(
         ga_trace.close()
         hdd_trace.close()
 
+    facts = fault_facts(tree, instance.fault_locations)
     segments = []
     for seg in leaf_segments(tree):
         segments.append(
@@ -162,7 +164,7 @@ def distill_instance(
                 end_line=seg.span.end_line,
                 line_count=seg.source_line_count,
                 text=unit_text(tree, seg),
-                role=classify_role(seg, instance, tree).value,
+                role=classify_role(seg, tree, facts).value,
             )
         )
 

@@ -11,6 +11,7 @@ import json
 import keyword
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -44,9 +45,17 @@ class PatchInfo:
 
 @dataclass
 class CoverageReport:
-    """Covered line numbers per repo-relative path."""
+    """Covered line numbers per repo-relative path.
+
+    ``sorted_lines`` holds the same numbers as ascending lists, so the
+    covered lines inside a span are counted by bisection.
+    """
 
     lines: dict[str, frozenset[int]] = field(default_factory=dict)
+    sorted_lines: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.sorted_lines = {path: sorted(nums) for path, nums in self.lines.items()}
 
     @classmethod
     def empty(cls) -> "CoverageReport":
@@ -144,10 +153,10 @@ def sym_score(text: str, patch_identifiers: frozenset[str] | set[str]) -> float:
 
 
 def covered_line_count(unit: CodeUnit, coverage: CoverageReport) -> int:
-    lines = coverage.lines.get(unit.path)
+    lines = coverage.sorted_lines.get(unit.path)
     if not lines:
         return 0
-    return sum(1 for n in lines if unit.span.contains_line(n))
+    return bisect_right(lines, unit.span.end_line) - bisect_left(lines, unit.span.start_line)
 
 
 def priority(

@@ -19,6 +19,7 @@ from ctxdistill.dataset import (
     compute_stats,
     compute_weights,
     export_triples,
+    fault_facts,
     load_corpus,
     save_corpus,
     write_triples,
@@ -100,13 +101,13 @@ def test_classify_class_header_is_schema():
     header = next(
         s for s in leaf_segments(tree) if s.kind is SegmentKind.CLASS_HEADER
     )
-    assert classify_role(header, instance, tree) is SemanticRole.SCHEMA
+    assert classify_role(header, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
 
 
 def test_classify_declaration_block_is_schema():
     tree, instance, segs = _role_fixture()
     top = next(s for s in leaf_segments(tree) if s.kind is SegmentKind.FILE)
-    assert classify_role(top, instance, tree) is SemanticRole.SCHEMA
+    assert classify_role(top, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
 
 
 def _leaf_containing(tree, needle):
@@ -118,13 +119,13 @@ def _leaf_containing(tree, needle):
 def test_classify_called_function_is_call_chain():
     tree, instance, _ = _role_fixture()
     download = _leaf_containing(tree, "def download")
-    assert classify_role(download, instance, tree) is SemanticRole.CALL_CHAIN
+    assert classify_role(download, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.CALL_CHAIN
 
 
 def test_classify_unrelated_helper_is_generic():
     tree, instance, _ = _role_fixture()
     tidy = _leaf_containing(tree, "def tidy")
-    assert classify_role(tidy, instance, tree) is SemanticRole.GENERIC_UTILITY
+    assert classify_role(tidy, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.GENERIC_UTILITY
 
 
 def test_classify_definition_referenced_by_fault():
@@ -144,15 +145,16 @@ def test_classify_definition_referenced_by_fault():
     )
     frag = next(s for s in leaf_segments(tree) if s.kind is SegmentKind.FILE)
     # the fragment defines THRESHOLD, which check() references (not calls)
-    assert classify_role(frag, instance, tree) is SemanticRole.DEFINITION
+    assert classify_role(frag, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.DEFINITION
 
 
 def test_classify_role_total_and_deterministic():
     rng = random.Random(3)
     tree, instance, _ = _role_fixture()
+    facts = fault_facts(tree, instance.fault_locations)
     for seg in leaf_segments(tree):
-        first = classify_role(seg, instance, tree)
-        second = classify_role(seg, instance, tree)
+        first = classify_role(seg, tree, facts)
+        second = classify_role(seg, tree, facts)
         assert first is second
         assert isinstance(first, SemanticRole)
 
