@@ -118,19 +118,6 @@ def _cmd_segment(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _distill_one(instance_path: str, args, config: RunConfig) -> tuple[str, bool, bool]:
-    instance = load_instance(instance_path)
-    trace_dir = None if args.no_trace else Path(config.paths.traces)
-    outcome = distill_instance(
-        instance,
-        config,
-        oracle_kind=args.oracle,
-        use_ga=not args.no_ga,
-        trace_dir=trace_dir,
-    )
-    return instance.instance_id, outcome.record.status == "minimized", outcome.budget_exhausted
-
-
 def _cmd_distill(args, config: RunConfig) -> int:
     if bool(args.instance) == bool(args.batch):
         print("distill needs exactly one of INSTANCE or --batch", file=sys.stderr)

@@ -111,8 +111,6 @@ def verdict_cache_key(instance_id: str, included_leaf_ids: Iterable[str]) -> str
 
 
 class Oracle(Protocol):
-    concurrent_safe: bool
-
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict: ...
 
 
@@ -120,8 +118,6 @@ class MockOracle:
     """Deterministic test double: sufficient iff the required leaves are
     all included and no distractor leaf is.  Monotone when there are no
     distractors.  Safe for concurrent use."""
-
-    concurrent_safe = True
 
     def __init__(
         self,
@@ -330,8 +326,6 @@ class LLMOracle:
     test outcomes.  Each sample runs against a fresh scratch copy of the
     repository; a patch that fails to apply or a test run that times out
     counts as a failing sample."""
-
-    concurrent_safe = True  # every sample gets its own scratch repo copy
 
     def __init__(
         self,
