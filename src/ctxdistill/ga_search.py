@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .code_model import Level, UnitTree
 from .oracle import OracleBudgetExhausted, OracleSession, OracleVerdict
@@ -131,17 +131,24 @@ def repair(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> Genome:
     return Genome(tuple(bits))
 
 
+def _kept_leaves(genome: Genome, space: GenomeSpace) -> Iterator[str]:
+    """Leaves kept by a genome, in document order: all governing
+    file/function bits are on."""
+    bits = genome.bits
+    for leaf_id, governors in zip(space.leaf_ids, space.leaf_governors):
+        if all(bits[g] for g in governors):
+            yield leaf_id
+
+
 def retained_leaf_ids(genome: Genome, space: GenomeSpace) -> frozenset[str]:
-    """Leaves kept by a genome: all governing file/function bits are on."""
-    return frozenset(
-        leaf_id
-        for leaf_id, governors in zip(space.leaf_ids, space.leaf_governors)
-        if all(genome.bits[g] for g in governors)
-    )
+    return frozenset(_kept_leaves(genome, space))
 
 
 def fitness(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> float:
-    return sum(phi.get(leaf_id, 0.0) for leaf_id in retained_leaf_ids(genome, space))
+    """Summed priority of the kept leaves.  The sum runs in document
+    order: float addition is not associative, so summing in set order
+    would make the value, and the GA's ranking, depend on the hash seed."""
+    return sum(phi.get(leaf_id, 0.0) for leaf_id in _kept_leaves(genome, space))
 
 
 def init_population(

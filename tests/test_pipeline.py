@@ -1,6 +1,10 @@
 """End-to-end distillation pipeline tests (mock oracle)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,77 @@ def test_distill_budget_exhausted_flag(tmp_path):
     outcome = distill_instance(instance, _config(budget=2))
     assert outcome.budget_exhausted
     assert outcome.record.status == STATUS_UNMINIMIZED
+
+
+# Distills one instance and prints what must not depend on hash order:
+# the retained leaves, the oracle-call count and every GA fitness value.
+HASH_SEED_PROBE = """
+import json, sys
+from pathlib import Path
+from ctxdistill.config import RunConfig
+from ctxdistill.ga_search import GAConfig
+from ctxdistill.instance import load_instance
+from ctxdistill.pipeline import distill_instance
+instance = load_instance(sys.argv[1])
+config = RunConfig(ga=GAConfig(population_size=10, max_generations=10, rng_seed=2))
+record = distill_instance(instance, config, trace_dir=sys.argv[2]).record
+trace = Path(sys.argv[2]) / (instance.instance_id + ".ga.jsonl")
+print(json.dumps({
+    "retained": sorted(record.minimal_leaf_ids),
+    "oracle_calls": record.oracle_calls,
+    "fitness": [json.loads(line)["fitness"].hex() for line in trace.read_text().splitlines()],
+}))
+"""
+
+
+def test_distill_does_not_depend_on_hash_seed(tmp_path):
+    """Priorities are floats, so a sum over a set changes with the set's
+    iteration order.  Two interpreters with different hash seeds must
+    still score, search and minimize identically."""
+    files = {
+        f"pkg/m{i}.py": "\n".join(
+            f"def fn{i}_{j}(arg_{j}, shared_{(i * j) % 5}):\n"
+            f"    value_{j} = arg_{j} * {j + 1} + shared_{(i + j) % 5}\n"
+            f"    return helper_{(i + 2 * j) % 7}(value_{j})\n"
+            for j in range(6)
+        )
+        for i in range(4)
+    }
+    patch = tmp_path / "gold.diff"
+    patch.write_text(
+        "--- a/pkg/m1.py\n+++ b/pkg/m1.py\n@@ -2,1 +2,1 @@\n"
+        "-    value_0 = arg_0 * 1 + shared_1\n+    value_0 = arg_0 * 2 + shared_1 + helper_3\n",
+        encoding="utf-8",
+    )
+    coverage = tmp_path / "coverage.json"
+    coverage.write_text(
+        json.dumps({"files": {f"pkg/m{i}.py": list(range(1, 4 * i + 9, 1 + i)) for i in range(4)}}),
+        encoding="utf-8",
+    )
+    instance_path = write_instance(
+        tmp_path / "inst.json",
+        tmp_path / "repo",
+        files,
+        instance_id="inst-hash",
+        fault_locations=[{"path": "pkg/m1.py", "line": 2}],
+        mock_required=[{"path": "pkg/m1.py", "line": 2}, {"path": "pkg/m3.py", "line": 6}],
+        mock_distractors=[{"path": "pkg/m2.py", "line": 2}],
+        gold_patch_path=str(patch),
+        coverage_report_path=str(coverage),
+    )
+    tests_dir = Path(__file__).resolve().parent
+    pythonpath = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE, str(instance_path), str(tmp_path / f"trace{hash_seed}")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["retained"] and outputs[0]["fitness"]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
