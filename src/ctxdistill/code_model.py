@@ -152,10 +152,7 @@ class UnitTree:
 
     def innermost_unit(self, path: str, line: int) -> CodeUnit | None:
         """The childless unit at ``path`` whose span contains ``line``."""
-        starts = self._leaf_starts.get(path)
-        if not starts:
-            return None
-        pos = bisect_right(starts, line) - 1
+        pos = bisect_right(self._leaf_starts.get(path, []), line) - 1
         if pos < 0:
             return None
         unit = self._leaves[path][pos]

@@ -153,9 +153,7 @@ def sym_score(text: str, patch_identifiers: frozenset[str] | set[str]) -> float:
 
 
 def covered_line_count(unit: CodeUnit, coverage: CoverageReport) -> int:
-    lines = coverage.sorted_lines.get(unit.path)
-    if not lines:
-        return 0
+    lines = coverage.sorted_lines.get(unit.path, [])
     return bisect_right(lines, unit.span.end_line) - bisect_left(lines, unit.span.start_line)
 
 
