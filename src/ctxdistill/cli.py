@@ -8,6 +8,7 @@ result, 4 external service failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +24,9 @@ from .compressor import (
 from .config import ConfigError, RunConfig, load_run_config
 from .dataset import (
     ZeroPositivesError,
+    append_corpus,
     compute_stats,
     load_corpus,
-    save_corpus,
     write_triples,
 )
 from .instance import InstanceError, build_instance_tree, load_instance
@@ -94,16 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config, args.overrides, args.seed)
     if args.parallelism is not None:
-        if args.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        config = RunConfig(
-            weights=config.weights,
-            ga=config.ga,
-            oracle=config.oracle,
-            compression=config.compression,
-            parallelism=args.parallelism,
-            paths=config.paths,
-        )
+        config = dataclasses.replace(config, parallelism=args.parallelism)
     return config
 
 
@@ -133,61 +125,24 @@ def _cmd_distill(args, config: RunConfig) -> int:
     else:
         paths = [args.instance]
 
-    # records append in instance order regardless of completion order
-    results: list[tuple[str, bool, bool]] = []
-    records = []
+    instances = [load_instance(p) for p in paths]
+    trace_dir = None if args.no_trace else Path(config.paths.traces)
+
+    def run(instance):
+        return distill_instance(
+            instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
+        )
+
+    # map yields in input order, so records append in instance order
     budget_hit = False
-    if config.parallelism > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = []
-            for p in paths:
-                instance = load_instance(p)
-                trace_dir = None if args.no_trace else Path(config.paths.traces)
-                futures.append(
-                    pool.submit(
-                        distill_instance,
-                        instance,
-                        config,
-                        oracle_kind=args.oracle,
-                        use_ga=not args.no_ga,
-                        trace_dir=trace_dir,
-                    )
-                )
-            for p, fut in zip(paths, futures):
-                outcome = fut.result()
-                records.append(outcome.record)
-                results.append(
-                    (outcome.record.instance_id, outcome.record.status == "minimized", outcome.budget_exhausted)
-                )
-                budget_hit = budget_hit or outcome.budget_exhausted
-    else:
-        for p in paths:
-            instance = load_instance(p)
-            trace_dir = None if args.no_trace else Path(config.paths.traces)
-            outcome = distill_instance(
-                instance,
-                config,
-                oracle_kind=args.oracle,
-                use_ga=not args.no_ga,
-                trace_dir=trace_dir,
-            )
-            records.append(outcome.record)
-            results.append(
-                (outcome.record.instance_id, outcome.record.status == "minimized", outcome.budget_exhausted)
-            )
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        for outcome in pool.map(run, instances):
+            append_corpus(outcome.record, args.out)
+            status = outcome.record.status
+            if outcome.budget_exhausted:
+                status += " (budget exhausted)"
+            print(f"{outcome.record.instance_id}: {status}")
             budget_hit = budget_hit or outcome.budget_exhausted
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-
-    for instance_id, minimized, exhausted in results:
-        status = "minimized" if minimized else "unminimized"
-        if exhausted:
-            status += " (budget exhausted)"
-        print(f"{instance_id}: {status}")
     return EXIT_PARTIAL if budget_hit else EXIT_OK
 
 

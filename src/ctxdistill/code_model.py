@@ -17,10 +17,25 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
+
+
+# str.splitlines also breaks at these; ast counts only \n, \r\n and \r
+_EXTRA_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def split_lines(text: str, keepends: bool = False) -> list[str]:
+    """Split ``text`` into lines the way ``ast`` numbers them: only at
+    ``\\n``, ``\\r\\n`` and ``\\r``, so a form feed stays inside its line."""
+    if not any(ch in text for ch in _EXTRA_BREAKS):
+        return text.splitlines(keepends)
+    lines = _LINE_RE.findall(text)
+    return lines if keepends else [line.rstrip("\r\n") for line in lines]
 
 
 class Level(str, Enum):
@@ -134,7 +149,7 @@ class UnitTree:
     def __post_init__(self) -> None:
         if not self.order_pos:
             self.order_pos = {uid: i for i, uid in enumerate(self.unit_order)}
-        self.lines = {path: source.splitlines() for path, source in self.sources.items()}
+        self.lines = {path: split_lines(source) for path, source in self.sources.items()}
         self._leaves = {}
         for uid in self.unit_order:
             unit = self.index[uid]
@@ -358,7 +373,7 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
     if source == "":
         return [_make_unit(path, [], Level.FILE, None, Span(1, 1), line_count=0)]
 
-    lines = source.splitlines()
+    lines = split_lines(source)
     total = len(lines)
     file_span = Span(1, total)
 

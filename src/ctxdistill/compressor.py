@@ -86,9 +86,14 @@ class ScoredSegment:
 
 
 class SegmentScorer(Protocol):
+    """Scores ``(unit, text)`` pairs; ``text`` is the unit's text or one
+    window of it."""
+
     max_batch_size: int
 
-    def score_batch(self, query: StructuredQuery, segments: Sequence[str]) -> list[float]: ...
+    def score_batch(
+        self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
+    ) -> list[float]: ...
 
 
 # --- heuristic scorer ----------------------------------------------------
@@ -135,11 +140,8 @@ class HeuristicScorer:
     def __init__(self, tree: UnitTree):
         self.tree = tree
 
-    def score_batch(self, query: StructuredQuery, segments: Sequence[str]) -> list[float]:
-        return [heuristic_score(query, text) for text in segments]
-
-    def score_units(
-        self, query: StructuredQuery, items: Sequence[tuple[CodeUnit | None, str]]
+    def score_batch(
+        self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
     ) -> list[float]:
         return [
             heuristic_score(query, text, unit=unit, tree=self.tree) for unit, text in items
@@ -174,18 +176,20 @@ class RemoteScorer:
         except Exception as exc:  # noqa: BLE001
             raise ScorerUnavailableError(f"scorer endpoint unreachable: {exc}") from exc
 
-    def score_batch(self, query: StructuredQuery, segments: Sequence[str]) -> list[float]:
+    def score_batch(
+        self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
+    ) -> list[float]:
         try:
             response = self.http.post(
                 f"{self.base_url}/score",
-                json={"query": query.rendered, "segments": list(segments)},
+                json={"query": query.rendered, "segments": [text for _, text in items]},
                 timeout=self.timeout,
             )
             response.raise_for_status()
             scores = response.json()["scores"]
         except Exception as exc:  # noqa: BLE001
             raise ScorerError(f"scoring batch failed: {exc}") from exc
-        if len(scores) != len(segments):
+        if len(scores) != len(items):
             raise ScorerError("scorer returned a mismatched number of scores")
         return [float(s) for s in scores]
 
@@ -253,14 +257,10 @@ def score_segments(
     for offset in range(0, len(pieces), batch_size):
         batch = pieces[offset : offset + batch_size]
         items = [(unit, text) for _, unit, text in batch]
-        texts = [text for _, text in items]
         scores: list[float] | None = None
         for attempt in range(2):
             try:
-                if hasattr(scorer, "score_units"):
-                    scores = scorer.score_units(query, items)
-                else:
-                    scores = scorer.score_batch(query, texts)
+                scores = scorer.score_batch(query, items)
                 break
             except ScorerError as exc:
                 if attempt == 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .code_model import Level, UnitTree
@@ -218,6 +218,24 @@ class GAResult:
     generation_found: int | None
     generations_run: int
     budget_exhausted: bool = False
+    retained_leaf_ids: frozenset[str] | None = None
+
+
+def _trace_candidate(
+    trace: TraceWriter | None, generation: int, genome: Genome, verdict: OracleVerdict
+) -> None:
+    if trace:
+        trace(
+            {
+                "generation": generation,
+                "genome_hash": genome.hash(),
+                "fitness": genome.fitness,
+                "sufficient": verdict.sufficient,
+                "passes": verdict.passes,
+                "samples": verdict.samples,
+                "cache_hit": verdict.cache_hit,
+            }
+        )
 
 
 def run_ga(
@@ -240,21 +258,10 @@ def run_ga(
             verdict = session.evaluate(frozenset())
         except OracleBudgetExhausted:
             return GAResult(None, None, 0, budget_exhausted=True)
-        empty = Genome(())
-        if trace:
-            trace(
-                {
-                    "generation": 0,
-                    "genome_hash": empty.hash(),
-                    "fitness": 0.0,
-                    "sufficient": verdict.sufficient,
-                    "passes": verdict.passes,
-                    "samples": verdict.samples,
-                    "cache_hit": verdict.cache_hit,
-                }
-            )
+        empty = Genome((), fitness=0.0)
+        _trace_candidate(trace, 0, empty, verdict)
         if verdict.sufficient:
-            return GAResult(empty, 0, 1)
+            return GAResult(empty, 0, 1, retained_leaf_ids=frozenset())
         return GAResult(None, None, 1)
 
     population = init_population(space, phi, patch, config, rng)
@@ -269,26 +276,16 @@ def run_ga(
         for idx in ordered:
             genome = population[idx]
             assert is_upward_consistent(genome, space) and any(genome.bits)
+            kept = retained_leaf_ids(genome, space)
             try:
-                verdict = session.evaluate(retained_leaf_ids(genome, space))
+                verdict = session.evaluate(kept)
             except OracleBudgetExhausted:
                 return GAResult(None, None, generation + 1, budget_exhausted=True)
-            if trace:
-                trace(
-                    {
-                        "generation": generation,
-                        "genome_hash": genome.hash(),
-                        "fitness": genome.fitness,
-                        "sufficient": verdict.sufficient,
-                        "passes": verdict.passes,
-                        "samples": verdict.samples,
-                        "cache_hit": verdict.cache_hit,
-                    }
-                )
+            _trace_candidate(trace, generation, genome, verdict)
             if on_candidate:
                 on_candidate(genome, verdict)
             if verdict.sufficient:
-                return GAResult(genome, generation, generation + 1)
+                return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
 
         if generation == config.max_generations - 1:
             break

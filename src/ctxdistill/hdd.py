@@ -48,6 +48,30 @@ def _chunks(units: list[str], n: int) -> list[list[str]]:
     return [units[bounds[i] : bounds[i + 1]] for i in range(n)]
 
 
+def _probe(
+    session: OracleSession,
+    candidate: frozenset[str],
+    trace: TraceWriter | None,
+    pass_level: str,
+    step: int,
+    removed_count: int,
+    fresh: bool = False,
+) -> bool:
+    """Evaluate one candidate, write its trace record, return sufficiency."""
+    sufficient = session.evaluate(candidate, fresh=fresh).sufficient
+    if trace:
+        trace(
+            {
+                "pass_level": pass_level,
+                "step": step,
+                "candidate_hash": verdict_cache_key(session.instance_id, candidate),
+                "removed_count": removed_count,
+                "sufficient": sufficient,
+            }
+        )
+    return sufficient
+
+
 def ddmin_level(
     retained: frozenset[str],
     level: Level,
@@ -62,22 +86,10 @@ def ddmin_level(
     Terminates when no single remaining unit of the level can be dropped
     without the oracle rejecting the result.
     """
-    if not verified:
-        verdict = session.evaluate(retained)
-        if trace:
-            trace(
-                {
-                    "pass_level": "verify",
-                    "step": 0,
-                    "candidate_hash": verdict_cache_key(session.instance_id, retained),
-                    "removed_count": 0,
-                    "sufficient": verdict.sufficient,
-                }
-            )
-        if not verdict.sufficient:
-            raise InsufficientContextError(
-                f"initial context rejected before {level.value}-level reduction"
-            )
+    if not verified and not _probe(session, retained, trace, "verify", 0, 0):
+        raise InsufficientContextError(
+            f"initial context rejected before {level.value}-level reduction"
+        )
 
     # ascending priority, document order on ties: low-value units go first
     order_pos = tree.order_pos
@@ -97,19 +109,11 @@ def ddmin_level(
                 *(subtree_leaf_ids(tree, uid) for uid in chunk)
             )
             candidate = retained - dropped
-            verdict = session.evaluate(candidate)
-            if trace:
-                trace(
-                    {
-                        "pass_level": level.value,
-                        "step": step,
-                        "candidate_hash": verdict_cache_key(session.instance_id, candidate),
-                        "removed_count": len(retained) - len(candidate),
-                        "sufficient": verdict.sufficient,
-                    }
-                )
+            sufficient = _probe(
+                session, candidate, trace, level.value, step, len(retained) - len(candidate)
+            )
             step += 1
-            if verdict.sufficient:
+            if sufficient:
                 retained = candidate
                 chunk_set = set(chunk)
                 units = [uid for uid in units if uid not in chunk_set]
@@ -141,24 +145,12 @@ def minimize(
     certified = False
 
     try:
-        verdict = session.evaluate(retained)
-        if trace:
-            trace(
-                {
-                    "pass_level": "verify",
-                    "step": 0,
-                    "candidate_hash": verdict_cache_key(session.instance_id, retained),
-                    "removed_count": 0,
-                    "sufficient": verdict.sufficient,
-                }
-            )
-        if not verdict.sufficient:
-            raise InsufficientContextError("minimize requires a sufficient starting context")
-
+        # the first pass verifies the starting context
         for level in PASS_LEVELS:
             before = len(retained)
+            verified = level is not PASS_LEVELS[0]
             retained = ddmin_level(
-                retained, level, tree, session, phi, trace=trace, verified=True
+                retained, level, tree, session, phi, trace=trace, verified=verified
             )
             per_level_removed[level.value] = before - len(retained)
 
@@ -167,19 +159,7 @@ def minimize(
         certified = True
         order_pos = tree.order_pos
         for step, leaf_id in enumerate(sorted(retained, key=lambda uid: order_pos[uid])):
-            candidate = retained - {leaf_id}
-            verdict = session.evaluate(candidate, fresh=True)
-            if trace:
-                trace(
-                    {
-                        "pass_level": "certify",
-                        "step": step,
-                        "candidate_hash": verdict_cache_key(session.instance_id, candidate),
-                        "removed_count": 1,
-                        "sufficient": verdict.sufficient,
-                    }
-                )
-            if verdict.sufficient:
+            if _probe(session, retained - {leaf_id}, trace, "certify", step, 1, fresh=True):
                 certified = False
     except OracleBudgetExhausted:
         certified = False

@@ -26,6 +26,8 @@ from threading import Lock
 from typing import Callable, Iterable, Protocol
 
 from .code_model import UnitTree, upward_closure
+from .compressor import build_query
+from .priority import PatchFormatError, parse_diff
 from .render import render
 
 ENV_LLM_URL = "OCD_LLM_URL"
@@ -176,73 +178,30 @@ class OracleSession:
 # --- unified diff application ------------------------------------------
 
 
-@dataclass
-class _Hunk:
-    old_start: int
-    old_len: int
-    lines: list[str] = field(default_factory=list)
-
-
-_HUNK_HDR = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-
-
-def _parse_patch_files(patch_text: str) -> list[tuple[str | None, str | None, list[_Hunk]]]:
-    files: list[tuple[str | None, str | None, list[_Hunk]]] = []
-    old_path: str | None = None
-    new_path: str | None = None
-    hunks: list[_Hunk] = []
-
-    def flush() -> None:
-        nonlocal old_path, new_path, hunks
-        if hunks:
-            files.append((old_path, new_path, hunks))
-        old_path, new_path, hunks = None, None, []
-
-    def clean(raw: str) -> str | None:
-        raw = raw.split("\t")[0].strip()
-        if raw == "/dev/null":
-            return None
-        if raw.startswith(("a/", "b/")):
-            raw = raw[2:]
-        return raw
-
-    for line in patch_text.splitlines():
-        if line.startswith("--- "):
-            if hunks:
-                flush()
-            old_path = clean(line[4:])
-        elif line.startswith("+++ "):
-            new_path = clean(line[4:])
-        elif line.startswith("@@"):
-            m = _HUNK_HDR.match(line)
-            if not m:
-                raise PatchApplyError(f"malformed hunk header: {line}")
-            old_start = int(m.group(1))
-            old_len = int(m.group(2)) if m.group(2) is not None else 1
-            hunks.append(_Hunk(old_start, old_len))
-        elif hunks and line.startswith((" ", "+", "-")):
-            hunks[-1].lines.append(line)
-        elif hunks and line == "":
-            hunks[-1].lines.append(" ")  # blank context line with stripped prefix
-    flush()
-    if not files:
-        raise PatchApplyError("patch contains no file hunks")
-    return files
-
-
 def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     """Apply a unified diff under ``root``; returns the touched paths.
 
     Context lines are matched exactly; any mismatch raises
-    ``PatchApplyError``.
+    ``PatchApplyError``, and so does a path that resolves outside
+    ``root`` (checked before anything is written).
     """
     root = Path(root)
-    touched: list[str] = []
-    for old_path, new_path, hunks in _parse_patch_files(patch_text):
-        target_rel = new_path or old_path
-        if target_rel is None:
+    try:
+        sections = [s for s in parse_diff(patch_text) if s.hunks]
+    except PatchFormatError as exc:
+        raise PatchApplyError(str(exc)) from exc
+    inside = root.resolve()
+    for section in sections:
+        if section.old_path is None and section.new_path is None:
             raise PatchApplyError("patch entry with no usable path")
-        source_rel = old_path
+        for rel in (section.old_path, section.new_path):
+            if rel is not None and not (root / rel).resolve().is_relative_to(inside):
+                raise PatchApplyError(f"patch path escapes the repository: {rel}")
+
+    touched: list[str] = []
+    for section in sections:
+        source_rel, new_path = section.old_path, section.new_path
+        target_rel = new_path or source_rel
         old_lines: list[str] = []
         if source_rel is not None:
             source_file = root / source_rel
@@ -252,7 +211,7 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
 
         out: list[str] = []
         pos = 0
-        for hunk in hunks:
+        for hunk in section.hunks:
             # with a zero-length old side the start names the line *after*
             # which to insert; otherwise it is the first affected line
             anchor = hunk.old_start if hunk.old_len == 0 else hunk.old_start - 1
@@ -317,7 +276,7 @@ def _default_transport(url: str, payload: dict, headers: dict, timeout: int) -> 
 REPAIR_PROMPT = (
     "You are fixing a bug in a repository. Read the issue, the fault "
     "locations, and the code context, then reply with a unified diff "
-    "patch inside a ```diff fence.\n\n{query}\n\nCODE CONTEXT:\n{context}\n"
+    "patch inside a ```diff fence.\n\n{query}\nCODE CONTEXT:\n{context}\n"
 )
 
 
@@ -354,6 +313,7 @@ class LLMOracle:
             )
         if instance.test_command is None:
             raise ValueError("instance has no test_command; required for the LLM oracle")
+        self.query = build_query(instance.issue_text, instance.fault_locations).rendered
 
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict:
         rendered = render(self.tree, upward_closure(self.tree, included_leaf_ids))
@@ -361,19 +321,11 @@ class LLMOracle:
 
     def evaluate_rendered(self, rendered_context: str) -> OracleVerdict:
         """Evaluate an already rendered context text."""
-        query = self._build_query_text()
-        prompt = REPAIR_PROMPT.format(query=query, context=rendered_context)
+        prompt = REPAIR_PROMPT.format(query=self.query, context=rendered_context)
         completions = self._request_completions(prompt)
         outcomes = [self._run_sample(i, c) for i, c in enumerate(completions)]
         passes = sum(1 for o in outcomes if o.test_exit_status == 0)
         return make_verdict(passes, len(outcomes), self.config.pass_threshold, outcomes)
-
-    def _build_query_text(self) -> str:
-        lines = [f"ISSUE:\n{self.instance.issue_text}\n", "FAULT LOCATIONS:"]
-        for fl in self.instance.fault_locations:
-            suffix = f" [{fl.symbol}]" if fl.symbol else ""
-            lines.append(f"- {fl.path}:{fl.line}{suffix}")
-        return "\n".join(lines)
 
     def _request_completions(self, prompt: str) -> list[str]:
         payload = {

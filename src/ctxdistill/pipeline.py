@@ -22,7 +22,7 @@ from .dataset import (
     classify_role,
     fault_facts,
 )
-from .ga_search import GAResult, retained_leaf_ids, run_ga, GenomeSpace
+from .ga_search import GAResult, run_ga
 from .hdd import MinimizationResult, minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
 from .oracle import (
@@ -134,8 +134,7 @@ def distill_instance(
         if use_ga:
             ga_result = run_ga(tree, phi, patch, session, config.ga, trace=ga_trace)
             budget_exhausted = ga_result.budget_exhausted
-            if ga_result.genome is not None:
-                start_leaves = retained_leaf_ids(ga_result.genome, GenomeSpace(tree))
+            start_leaves = ga_result.retained_leaf_ids
         else:
             all_leaves = frozenset(seg.id for seg in leaf_segments(tree))
             try:

@@ -14,13 +14,12 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .code_model import CodeUnit, UnitTree, unit_text
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = frozenset(keyword.kwlist)
-_HUNK_RE = re.compile(r"^@@ -\d+(,\d+)? \+\d+(,\d+)? @@")
+_HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+\d+(?:,\d+)? @@")
 
 
 class PatchFormatError(ValueError):
@@ -98,51 +97,97 @@ def lex_identifiers(text: str) -> frozenset[str]:
     return frozenset(m.group(0) for m in _IDENT_RE.finditer(text)) - _KEYWORDS
 
 
-def _strip_diff_prefix(path: str) -> str:
+@dataclass
+class Hunk:
+    """One ``@@`` hunk: its old-side start and length, and its body lines,
+    each prefixed with ``" "``, ``"+"`` or ``"-"``."""
+
+    old_start: int
+    old_len: int
+    lines: list[str] = field(default_factory=list)
+
+
+@dataclass
+class FilePatch:
+    """One file's section of a unified diff.
+
+    ``old_path`` and ``new_path`` come from the ``---`` and ``+++`` lines
+    and are ``None`` for ``/dev/null``.  ``named`` lists every path the
+    section's header lines name, ``diff --git`` included.
+    """
+
+    old_path: str | None = None
+    new_path: str | None = None
+    named: list[str] = field(default_factory=list)
+    hunks: list[Hunk] = field(default_factory=list)
+
+
+def _clean_path(raw: str) -> str | None:
+    path = raw.split("\t")[0].strip()
     if path.startswith(("a/", "b/")):
-        return path[2:]
-    return path
+        path = path[2:]
+    return path if path and path != "/dev/null" else None
+
+
+def parse_diff(patch_text: str) -> list[FilePatch]:
+    """Split a unified diff into per-file sections with their hunks.
+
+    A section starts at ``diff --git`` and at any ``---``/``+++`` line
+    that follows a hunk.  A hunk body ends at the first line that is not
+    context, an edit, blank or a ``\\`` note; later lines up to the next
+    header are ignored.
+    """
+    sections: list[FilePatch] = []
+    hunk: Hunk | None = None
+
+    def section(new: bool = False) -> FilePatch:
+        if new or not sections or sections[-1].hunks:
+            sections.append(FilePatch())
+        return sections[-1]
+
+    for lineno, line in enumerate(patch_text.splitlines(), start=1):
+        if line.startswith("diff --git "):
+            hunk = None
+            current = section(new=True)
+            current.named.extend(p for p in map(_clean_path, line.split()[2:4]) if p)
+        elif line.startswith(("--- ", "+++ ")):
+            hunk = None
+            current = section()
+            path = _clean_path(line[4:])
+            if line[0] == "-":
+                current.old_path = path
+            else:
+                current.new_path = path
+            if path:
+                current.named.append(path)
+        elif line.startswith("@@"):
+            m = _HUNK_RE.match(line)
+            if not m:
+                raise PatchFormatError("malformed hunk header", lineno)
+            hunk = Hunk(int(m.group(1)), int(m.group(2)) if m.group(2) is not None else 1)
+            section().hunks.append(hunk)
+        elif hunk is not None:
+            if line.startswith((" ", "+", "-")):
+                hunk.lines.append(line)
+            elif not line:
+                hunk.lines.append(" ")  # blank context line with its prefix stripped
+            elif not line.startswith("\\"):
+                hunk = None
+
+    if not any(s.hunks for s in sections):
+        raise PatchFormatError("no hunks found in patch text")
+    return sections
 
 
 def parse_patch(patch_text: str) -> PatchInfo:
     """Extract touched files and changed-line identifiers from a unified diff."""
-    files: set[str] = set()
+    sections = parse_diff(patch_text)
     identifiers: set[str] = set()
-    in_hunk = False
-    saw_hunk = False
-
-    for lineno, line in enumerate(patch_text.splitlines(), start=1):
-        if line.startswith("diff --git "):
-            in_hunk = False
-            parts = line.split()
-            for part in parts[2:4]:
-                path = _strip_diff_prefix(part)
-                if path != "/dev/null":
-                    files.add(path)
-            continue
-        if line.startswith("--- ") or line.startswith("+++ "):
-            in_hunk = False
-            path = line[4:].split("\t")[0].strip()
-            path = _strip_diff_prefix(path)
-            if path and path != "/dev/null":
-                files.add(path)
-            continue
-        if line.startswith("@@"):
-            if not _HUNK_RE.match(line):
-                raise PatchFormatError("malformed hunk header", lineno)
-            in_hunk = True
-            saw_hunk = True
-            continue
-        if in_hunk:
-            if line.startswith(("+", "-")):
+    for hunk in (h for s in sections for h in s.hunks):
+        for line in hunk.lines:
+            if line[0] in "+-":
                 identifiers.update(lex_identifiers(line[1:]))
-            elif line and not line.startswith((" ", "\\")):
-                # a non-prefixed line ends the hunk (e.g. next file header)
-                in_hunk = False
-
-    if not saw_hunk:
-        raise PatchFormatError("no hunks found in patch text")
-    return PatchInfo(frozenset(files), frozenset(identifiers))
+    return PatchInfo(frozenset(p for s in sections for p in s.named), frozenset(identifiers))
 
 
 def sym_score(text: str, patch_identifiers: frozenset[str] | set[str]) -> float:
@@ -178,11 +223,9 @@ def priority_map(
     patch: PatchInfo,
     coverage: CoverageReport,
     weights: PriorityWeights,
-    unit_ids: Iterable[str] | None = None,
 ) -> dict[str, float]:
-    """Priority for every unit in the tree (or a chosen subset)."""
-    ids = list(unit_ids) if unit_ids is not None else list(tree.unit_order)
+    """Priority for every unit in the tree."""
     return {
         uid: priority(tree.unit(uid), unit_text(tree, uid), patch, coverage, weights)
-        for uid in ids
+        for uid in tree.unit_order
     }

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .code_model import CodeUnit, Level, UnitTree, subtree_leaf_ids
+from .code_model import CodeUnit, UnitTree, split_lines, subtree_leaf_ids
 from .tokens import TokenCounter, get_counter
 
 PLACEHOLDER_RE = re.compile(r"^(\s*)# \.\.\. (\d+) lines omitted$")
@@ -132,7 +132,7 @@ def render(
     for file_unit in tree.files:
         if file_unit.id not in included_set:
             continue
-        lines = tree.sources[file_unit.path].splitlines(keepends=True)
+        lines = split_lines(tree.sources[file_unit.path], keepends=True)
         out: list[str] = []
         _emit(tree, file_unit, included_set, lines, out)
         per_file.append(RenderedFile(file_unit.path, "".join(out)))

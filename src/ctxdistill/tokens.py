@@ -1,8 +1,8 @@
 """Token counting for budgets and compression metrics.
 
 The default counter is a deterministic byte-length approximation
-(ceil(bytes/4)) so budgets are reproducible offline; exact tokenizers for
-a particular downstream model can be registered as adapters.
+(ceil(bytes/4)) so budgets are reproducible offline; counters are looked
+up by name in a fixed registry.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ _REGISTRY: dict[str, TokenCounter] = {
     "bytes4": bytes4_counter,
     "whitespace": whitespace_counter,
 }
-
-
-def register_counter(name: str, counter: TokenCounter) -> None:
-    _REGISTRY[name] = counter
 
 
 def get_counter(name: str = "bytes4") -> TokenCounter:

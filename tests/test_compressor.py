@@ -98,12 +98,12 @@ class StubScorer:
         self.fail_times = fail_times
         self.batches = []
 
-    def score_batch(self, query, segments):
+    def score_batch(self, query, items):
         if self.fail_times > 0:
             self.fail_times -= 1
             raise ScorerError("boom")
-        self.batches.append(list(segments))
-        return [self.mapping.get(text, self.default) for text in segments]
+        self.batches.append([text for _, text in items])
+        return [self.mapping.get(text, self.default) for _, text in items]
 
 
 def _segments(tree):
@@ -137,9 +137,9 @@ def test_score_segments_windows_long_segment_max_aggregation():
         def __init__(self):
             self.calls = 0
 
-        def score_batch(self, query, texts):
+        def score_batch(self, query, items):
             out = []
-            for text in texts:
+            for _, text in items:
                 self.calls += 1
                 out.append(0.9 if "value_42" in text else 0.2)
             return out
@@ -344,7 +344,7 @@ def test_remote_scorer_wire_contract():
     scorer = RemoteScorer(base_url="http://scorer.local", http=http)
     assert scorer.max_batch_size == 2
     query = build_query("issue text", [FaultLocation("a.py", 1)])
-    out = scorer.score_batch(query, ["seg one", "seg two"])
+    out = scorer.score_batch(query, [(None, "seg one"), (None, "seg two")])
     assert out == [0.25, 0.25]
     url, payload = http.posts[0]
     assert url.endswith("/score")
@@ -363,4 +363,4 @@ def test_remote_scorer_mismatched_scores_is_error():
     http = _StubHTTP(scores=lambda segs: [0.5])
     scorer = RemoteScorer(base_url="http://scorer.local", http=http)
     with pytest.raises(ScorerError):
-        scorer.score_batch(build_query("q", []), ["a", "b"])
+        scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
