@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](args, config)
-    except (ConfigError, InstanceError, PatchFormatError) as exc:
+    except (ConfigError, InstanceError, PatchFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroPositivesError as exc:
@@ -211,9 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OracleEndpointError, ScorerUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXTERNAL
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

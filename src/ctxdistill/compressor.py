@@ -252,7 +252,7 @@ def score_segments(
             for window in split_windows(text, window_cfg, counter):
                 pieces.append((idx, unit, window))
 
-    batch_size = max(1, getattr(scorer, "max_batch_size", 32))
+    batch_size = max(1, scorer.max_batch_size)
     piece_scores: list[float] = []
     for offset in range(0, len(pieces), batch_size):
         batch = pieces[offset : offset + batch_size]

@@ -154,11 +154,4 @@ def load_run_config(
         parallelism = int(parallelism)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"parallelism must be an integer: {parallelism!r}") from exc
-    return RunConfig(
-        weights=built["weights"],
-        ga=built["ga"],
-        oracle=built["oracle"],
-        compression=built["compression"],
-        parallelism=parallelism,
-        paths=built["paths"],
-    )
+    return RunConfig(parallelism=parallelism, **built)

@@ -103,8 +103,6 @@ def ddmin_level(
         n = min(n, len(units))
         reduced = False
         for chunk in _chunks(units, n):
-            if not chunk:
-                continue
             dropped = frozenset().union(
                 *(subtree_leaf_ids(tree, uid) for uid in chunk)
             )

@@ -20,7 +20,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from threading import Lock
 from typing import Callable, Iterable, Protocol
@@ -317,11 +317,7 @@ class LLMOracle:
 
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict:
         rendered = render(self.tree, upward_closure(self.tree, included_leaf_ids))
-        return self.evaluate_rendered(rendered.dump_text())
-
-    def evaluate_rendered(self, rendered_context: str) -> OracleVerdict:
-        """Evaluate an already rendered context text."""
-        prompt = REPAIR_PROMPT.format(query=self.query, context=rendered_context)
+        prompt = REPAIR_PROMPT.format(query=self.query, context=rendered.dump_text())
         completions = self._request_completions(prompt)
         outcomes = [self._run_sample(i, c) for i, c in enumerate(completions)]
         passes = sum(1 for o in outcomes if o.test_exit_status == 0)

@@ -139,33 +139,30 @@ def parse_diff(patch_text: str) -> list[FilePatch]:
     """
     sections: list[FilePatch] = []
     hunk: Hunk | None = None
-
-    def section(new: bool = False) -> FilePatch:
-        if new or not sections or sections[-1].hunks:
-            sections.append(FilePatch())
-        return sections[-1]
-
     for lineno, line in enumerate(patch_text.splitlines(), start=1):
         if line.startswith("diff --git "):
             hunk = None
-            current = section(new=True)
-            current.named.extend(p for p in map(_clean_path, line.split()[2:4]) if p)
+            sections.append(FilePatch())
+            sections[-1].named.extend(p for p in map(_clean_path, line.split()[2:4]) if p)
         elif line.startswith(("--- ", "+++ ")):
             hunk = None
-            current = section()
+            if not sections or sections[-1].hunks:
+                sections.append(FilePatch())
             path = _clean_path(line[4:])
             if line[0] == "-":
-                current.old_path = path
+                sections[-1].old_path = path
             else:
-                current.new_path = path
+                sections[-1].new_path = path
             if path:
-                current.named.append(path)
+                sections[-1].named.append(path)
         elif line.startswith("@@"):
             m = _HUNK_RE.match(line)
             if not m:
                 raise PatchFormatError("malformed hunk header", lineno)
             hunk = Hunk(int(m.group(1)), int(m.group(2)) if m.group(2) is not None else 1)
-            section().hunks.append(hunk)
+            if not sections:
+                sections.append(FilePatch())
+            sections[-1].hunks.append(hunk)
         elif hunk is not None:
             if line.startswith((" ", "+", "-")):
                 hunk.lines.append(line)

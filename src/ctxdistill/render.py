@@ -100,20 +100,16 @@ def _emit(
             i += 1
             continue
         # maximal run of excluded siblings becomes one placeholder
-        run_start = child.span.start_line
-        run_end = child.span.end_line
-        omitted_lines = sum(
-            tree.index[lid].source_line_count for lid in subtree_leaf_ids(tree, child.id)
-        )
-        i += 1
+        run_start = i
         while i < len(children) and children[i].id not in included:
-            run_end = children[i].span.end_line
-            omitted_lines += sum(
-                tree.index[lid].source_line_count
-                for lid in subtree_leaf_ids(tree, children[i].id)
-            )
             i += 1
-        indent = _indent_of(lines, run_start, run_end)
+        run = children[run_start:i]
+        omitted_lines = sum(
+            tree.index[lid].source_line_count
+            for sibling in run
+            for lid in subtree_leaf_ids(tree, sibling.id)
+        )
+        indent = _indent_of(lines, run[0].span.start_line, run[-1].span.end_line)
         out.append(placeholder_line(indent, omitted_lines))
 
 

@@ -95,6 +95,51 @@ def test_distill_batch_mode(tmp_path, monkeypatch):
     assert [r["instance_id"] for r in records] == ["batch-0", "batch-1", "batch-2"]
 
 
+def _batch(tmp_path, n=4):
+    batch = tmp_path / "batch"
+    for i in range(n):
+        required = [{"path": "pkg/core.py", "line": 2 + 4 * (i % 3)}, {"path": "pkg/util.py", "line": 2}]
+        write_instance(
+            batch / f"inst{i}.json",
+            tmp_path / f"repo{i}",
+            FILES,
+            instance_id=f"batch-{i}",
+            fault_locations=[{"path": "pkg/core.py", "line": 2}],
+            mock_required=required[: 1 + i % 2],
+        )
+    return batch
+
+
+def test_distill_batch_output_does_not_depend_on_parallelism(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path)
+    outputs = []
+    for workers in (1, 2):
+        corpus = tmp_path / f"corpus{workers}.jsonl"
+        args = ["--seed", 5, "--parallelism", workers, "distill", "--batch", batch, "--out", corpus]
+        assert _run(args) == EXIT_OK
+        outputs.append((corpus.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].splitlines() == [f"batch-{i}: minimized" for i in range(4)]
+
+
+def test_distill_parallelism_zero_exits_2(tmp_path, instance_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--parallelism", 0, "distill", instance_path, "--out", corpus]) == EXIT_USAGE
+    assert "parallelism" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+def test_distill_batch_with_malformed_instance_exits_2_before_distilling(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=2)
+    (batch / "inst1.json").write_text("{not json", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--parallelism", 2, "distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
+    assert not corpus.exists()
+    assert not (tmp_path / "traces").exists()
+
+
 def test_distill_requires_instance_xor_batch(tmp_path, instance_path):
     assert _run(["distill", instance_path, "--batch", tmp_path, "--out", tmp_path / "c.jsonl"]) == EXIT_USAGE
     assert _run(["distill", "--out", tmp_path / "c.jsonl"]) == EXIT_USAGE

@@ -1,8 +1,11 @@
 """Decomposition and tree-query tests."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctxdistill.code_model import (
     Level,
@@ -14,10 +17,13 @@ from ctxdistill.code_model import (
     enclosing_leaf,
     enclosing_unit,
     leaf_segments,
+    split_lines,
     subtree_leaf_ids,
     unit_text,
     upward_closure,
 )
+
+from ctxdistill.render import render_full
 
 from fixtures import (
     BROKEN_SOURCE,
@@ -217,3 +223,28 @@ def test_subtree_leaf_ids():
     )
     leaf = leaf_segments(tree)[0]
     assert subtree_leaf_ids(tree, leaf.id) == frozenset({leaf.id})
+
+
+FORM_FEED_SOURCE = "def a():\n    x = 1\n\x0c\n    return x\n\ndef b():\n    return 2\n"
+
+
+def test_form_feed_does_not_shift_spans():
+    tree = build_tree("t", [("m.py", FORM_FEED_SOURCE)])
+    a, b = leaf_segments(tree)
+    assert (a.span.start_line, a.span.end_line) == (1, 4)
+    assert unit_text(tree, a).endswith("    return x")
+    assert unit_text(tree, b).lstrip("\n").startswith("def b")
+    assert "return x" not in unit_text(tree, b)
+    text = render_full(tree).per_file[0].text
+    assert text == FORM_FEED_SOURCE
+
+
+@given(st.text(alphabet="ab \n\r\x0c\x0b\x1c\x85\u2028", max_size=30))
+def test_split_lines_breaks_only_where_ast_does(text):
+    kept = split_lines(text, keepends=True)
+    assert "".join(kept) == text
+    expected = re.split(r"\r\n|\r|\n", text)
+    if expected[-1] == "":
+        expected.pop()
+    assert split_lines(text) == expected
+    assert [line.rstrip("\r\n") for line in kept] == expected

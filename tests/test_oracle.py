@@ -3,12 +3,15 @@ unified-diff application, and the LLM-backed path via a stub endpoint."""
 
 import difflib
 import math
+import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxdistill.instance import FaultLocation, Instance
-from ctxdistill.code_model import build_tree, leaf_segments
+from ctxdistill.code_model import build_tree, leaf_segments, upward_closure
 from ctxdistill.oracle import (
     LLMOracle,
     MockOracle,
@@ -23,6 +26,8 @@ from ctxdistill.oracle import (
     required_passes,
     verdict_cache_key,
 )
+
+from ctxdistill.render import render
 
 from fixtures import write_repo
 
@@ -151,6 +156,72 @@ def test_apply_patch_missing_target(tmp_path):
         apply_patch_text(tmp_path, patch)
 
 
+_file_lines = st.lists(
+    st.sampled_from(["x = 1", "y = 2", "", "def f():", "    return x", "    pass", "# note"]),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.tuples(_file_lines, _file_lines), min_size=1, max_size=3),
+    st.integers(0, 3),
+)
+def test_apply_patch_roundtrips_difflib_diffs(tmp_path_factory, pairs, context):
+    root = tmp_path_factory.mktemp("repo")
+    files = {
+        f"pkg/m{i}.py": ("".join(l + "\n" for l in old), "".join(l + "\n" for l in new))
+        for i, (old, new) in enumerate(pairs)
+    }
+    write_repo(root, {path: old for path, (old, _) in files.items()})
+    patch = "".join(
+        "".join(
+            difflib.unified_diff(
+                old.splitlines(keepends=True),
+                new.splitlines(keepends=True),
+                fromfile=f"a/{path}",
+                tofile=f"b/{path}",
+                n=context,
+            )
+        )
+        for path, (old, new) in files.items()
+    )
+    changed = [path for path, (old, new) in files.items() if old != new]
+    if not changed:
+        with pytest.raises(PatchApplyError):
+            apply_patch_text(root, patch)
+        return
+    assert apply_patch_text(root, patch) == changed
+    for path, (_, new) in files.items():
+        assert (root / path).read_text() == new
+
+
+@pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink"])
+def test_apply_patch_rejects_paths_outside_root(tmp_path, escape):
+    root = tmp_path / "root"
+    write_repo(root, {"a.py": "x = 1\n"})
+    outside = tmp_path / "outside"
+    target = {
+        "dotdot": "b/../outside/pwned.txt",
+        "absolute": str(outside / "pwned.txt"),
+        "symlink": "b/link/pwned.txt",
+    }[escape]
+    if escape == "symlink":
+        outside.mkdir()
+        os.symlink(outside, root / "link")
+    # an in-root section first: nothing at all may be written
+    patch = _diff("x = 1\n", "x = 2\n", "a.py") + (
+        f"--- /dev/null\n+++ {target}\n@@ -0,0 +1 @@\n+pwned\n"
+    )
+    with pytest.raises(PatchApplyError, match="escapes"):
+        apply_patch_text(root, patch)
+    assert not (outside / "pwned.txt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["outside", "root"] if escape == "symlink" else ["root"]
+    )
+    assert (root / "a.py").read_text() == "x = 1\n"
+
+
 def test_extract_patch_variants():
     fenced = "Here you go:\n```diff\n--- a/x.py\n+++ b/x.py\n@@ -1,1 +1,1 @@\n-a\n+b\n```\nDone."
     assert extract_patch(fenced).startswith("--- a/x.py")
@@ -260,3 +331,47 @@ def test_llm_oracle_requires_endpoint(tmp_path, monkeypatch):
     tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])
     with pytest.raises(OracleEndpointError):
         LLMOracle(instance, tree)
+
+
+# the prompt template and query text the oracle used before it rendered
+# its query with compressor.build_query, kept here as the reference
+OLD_REPAIR_PROMPT = (
+    "You are fixing a bug in a repository. Read the issue, the fault "
+    "locations, and the code context, then reply with a unified diff "
+    "patch inside a ```diff fence.\n\n{query}\n\nCODE CONTEXT:\n{context}\n"
+)
+
+
+def _old_query_text(instance) -> str:
+    lines = [f"ISSUE:\n{instance.issue_text}\n", "FAULT LOCATIONS:"]
+    for fl in instance.fault_locations:
+        suffix = f" [{fl.symbol}]" if fl.symbol else ""
+        lines.append(f"- {fl.path}:{fl.line}{suffix}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [[], [FaultLocation("mod.py", 2)], [FaultLocation("mod.py", 1, "add"), FaultLocation("check.py", 3)]],
+)
+def test_llm_oracle_prompt_matches_old_template(tmp_path, faults):
+    instance = _instance(tmp_path)
+    instance.fault_locations = faults
+    tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])
+    prompts = []
+
+    def transport(url, payload, headers, timeout):
+        prompts.append(payload["messages"][0]["content"])
+        return {"choices": [{"message": {"content": "no patch"}}]}
+
+    oracle = LLMOracle(
+        instance,
+        tree,
+        OracleConfig(samples_n=1, timeout_seconds=60),
+        endpoint="http://stub.local/v1/chat",
+        transport=transport,
+    )
+    leaves = frozenset(s.id for s in leaf_segments(tree))
+    oracle.evaluate(leaves)
+    context = render(tree, upward_closure(tree, leaves)).dump_text()
+    assert prompts == [OLD_REPAIR_PROMPT.format(query=_old_query_text(instance), context=context)]

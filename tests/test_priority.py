@@ -2,8 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxdistill.code_model import build_tree, leaf_segments, unit_text
 from ctxdistill.priority import (
@@ -12,6 +15,7 @@ from ctxdistill.priority import (
     PatchInfo,
     PriorityWeights,
     lex_identifiers,
+    parse_diff,
     parse_patch,
     priority,
     priority_map,
@@ -171,3 +175,105 @@ def test_coverage_json_roundtrip(tmp_path):
     assert cov.lines == {"a.py": frozenset({1, 2, 9})}
     with pytest.raises(ValueError):
         CoverageReport.from_json({"files": {"a.py": [0]}})
+
+
+# --- one parser, same answers as the parser it replaced ------------------------
+
+_REF_HUNK_RE = re.compile(r"^@@ -\d+(,\d+)? \+\d+(,\d+)? @@")
+
+
+def _ref_strip_diff_prefix(path: str) -> str:
+    if path.startswith(("a/", "b/")):
+        return path[2:]
+    return path
+
+
+def reference_parse_patch(patch_text: str) -> PatchInfo:
+    """The line-by-line parser ``parse_patch`` used before it was built on
+    ``parse_diff``, kept verbatim as the reference."""
+    files: set[str] = set()
+    identifiers: set[str] = set()
+    in_hunk = False
+    saw_hunk = False
+
+    for lineno, line in enumerate(patch_text.splitlines(), start=1):
+        if line.startswith("diff --git "):
+            in_hunk = False
+            parts = line.split()
+            for part in parts[2:4]:
+                path = _ref_strip_diff_prefix(part)
+                if path != "/dev/null":
+                    files.add(path)
+            continue
+        if line.startswith("--- ") or line.startswith("+++ "):
+            in_hunk = False
+            path = line[4:].split("\t")[0].strip()
+            path = _ref_strip_diff_prefix(path)
+            if path and path != "/dev/null":
+                files.add(path)
+            continue
+        if line.startswith("@@"):
+            if not _REF_HUNK_RE.match(line):
+                raise PatchFormatError("malformed hunk header", lineno)
+            in_hunk = True
+            saw_hunk = True
+            continue
+        if in_hunk:
+            if line.startswith(("+", "-")):
+                identifiers.update(lex_identifiers(line[1:]))
+            elif line and not line.startswith((" ", "\\")):
+                in_hunk = False
+
+    if not saw_hunk:
+        raise PatchFormatError("no hunks found in patch text")
+    return PatchInfo(frozenset(files), frozenset(identifiers))
+
+
+_paths = st.sampled_from(["x.py", "a/x.py", "b/y.py", "pkg/z.py", "/dev/null", "a//dev/null", ""])
+_diff_lines = st.one_of(
+    st.builds(lambda a, b: f"diff --git {a} {b}".rstrip(), _paths, _paths),
+    st.just("diff --git a/only.py"),
+    st.builds(lambda p, tab: f"--- {p}{tab}", _paths, st.sampled_from(["", "\t2024-01-01 10:00"])),
+    st.builds(lambda p, tab: f"+++ {p}{tab}", _paths, st.sampled_from(["", "\t2024-01-01 10:00"])),
+    st.sampled_from(
+        [
+            "@@ -1,2 +1,3 @@",
+            "@@ -4 +4 @@ def helper(value):",
+            "@@ -0,0 +1 @@",
+            "@@ -3,0 +4,2 @@",
+            "@@ nonsense @@",
+            "@@ -x +1 @@",
+            "@@@ -1 +1 @@@",
+        ]
+    ),
+    st.builds(
+        lambda tag, text: tag + text,
+        st.sampled_from([" ", "+", "-"]),
+        st.one_of(
+            st.sampled_from(["", "-- comment", "+ plus", "if load:"]),
+            st.builds("value_{} = fetch(size)".format, st.integers(0, 99)),
+        ),
+    ),
+    st.sampled_from(["", "\\ No newline at end of file", "index 1a2b..3c4d 100644", "garbage line"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_diff_lines, max_size=14), st.booleans())
+def test_parse_patch_matches_reference_parser(lines, trailing_newline):
+    text = "\n".join(lines) + ("\n" if trailing_newline else "")
+    try:
+        expected = reference_parse_patch(text)
+    except PatchFormatError as exc:
+        with pytest.raises(PatchFormatError) as err:
+            parse_patch(text)
+        assert err.value.line_number == exc.line_number
+    else:
+        assert parse_patch(text) == expected
+
+
+def test_parse_patch_keeps_every_repeated_header_path():
+    text = "--- a/x.py\n+++ b/y.py\n+++ b/z.py\n@@ -1 +1 @@\n-old\n+new\n"
+    assert parse_patch(text).files == frozenset({"x.py", "y.py", "z.py"})
+    sections = parse_diff(text)
+    assert [(s.old_path, s.new_path) for s in sections] == [("x.py", "z.py")]
