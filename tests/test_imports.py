@@ -23,27 +23,9 @@ def _imported_names(module: ast.Module) -> dict[str, int]:
     return names
 
 
-def _referenced_names(module: ast.Module) -> set[str]:
-    names = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
-    # quoted annotations such as -> "PatchInfo" name things too
-    for node in ast.walk(module):
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for ann in annotations:
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                inner = ast.parse(ann.value, mode="eval")
-                names.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
-    return names
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     module = ast.parse(path.read_text(encoding="utf-8"))
-    used = _referenced_names(module)
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported_names(module).items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
