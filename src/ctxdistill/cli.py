@@ -133,10 +133,12 @@ def _cmd_distill(args, config: RunConfig) -> int:
             instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
         )
 
-    # map yields in input order, so records append in instance order
+    # map yields in input order, so records append in instance order; a
+    # serial run stays on this thread, so Ctrl-C or an error stops it at once
     budget_hit = False
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        for outcome in pool.map(run, instances):
+        serial = config.parallelism == 1 or len(instances) == 1
+        for outcome in (map if serial else pool.map)(run, instances):
             append_corpus(outcome.record, args.out)
             status = outcome.record.status
             if outcome.budget_exhausted:

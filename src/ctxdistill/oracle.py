@@ -25,7 +25,7 @@ from pathlib import Path
 from threading import Lock
 from typing import Callable, Iterable, Protocol
 
-from .code_model import UnitTree, upward_closure
+from .code_model import UnitTree, split_lines, upward_closure
 from .compressor import build_query
 from .priority import PatchFormatError, parse_diff
 from .render import render
@@ -183,7 +183,7 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
 
     Context lines are matched exactly; any mismatch raises
     ``PatchApplyError``, and so does a path that resolves outside
-    ``root`` (checked before anything is written).
+    ``root`` or names a directory (checked before anything is written).
     """
     root = Path(root)
     try:
@@ -194,9 +194,11 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     for section in sections:
         if section.old_path is None and section.new_path is None:
             raise PatchApplyError("patch entry with no usable path")
-        for rel in (section.old_path, section.new_path):
-            if rel is not None and not (root / rel).resolve().is_relative_to(inside):
+        for rel in filter(None, (section.old_path, section.new_path)):
+            if not (root / rel).resolve().is_relative_to(inside):
                 raise PatchApplyError(f"patch path escapes the repository: {rel}")
+            if (root / rel).exists() and not (root / rel).is_file():
+                raise PatchApplyError(f"patch path is not a regular file: {rel}")
 
     touched: list[str] = []
     for section in sections:
@@ -207,7 +209,7 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
             source_file = root / source_rel
             if not source_file.exists():
                 raise PatchApplyError(f"patch target missing: {source_rel}")
-            old_lines = source_file.read_text(encoding="utf-8").splitlines()
+            old_lines = split_lines(source_file.read_text(encoding="utf-8"))
 
         out: list[str] = []
         pos = 0

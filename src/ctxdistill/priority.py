@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .code_model import CodeUnit, UnitTree, unit_text
+from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -139,7 +139,7 @@ def parse_diff(patch_text: str) -> list[FilePatch]:
     """
     sections: list[FilePatch] = []
     hunk: Hunk | None = None
-    for lineno, line in enumerate(patch_text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(patch_text), start=1):
         if line.startswith("diff --git "):
             hunk = None
             sections.append(FilePatch())

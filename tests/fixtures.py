@@ -22,6 +22,10 @@ class Shape(Base):
         return 2 * (self.w + self.h)
 """
 
+# the form feed (line 3) is a line break for str.splitlines but not for ast
+FORM_FEED_SOURCE = "def a():\n    x = 1\n\x0c\n    return x\n\ndef b():\n    return 2\n"
+
+
 MULTI_BLOCK_SOURCE = """\
 import os
 import sys

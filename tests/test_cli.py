@@ -2,9 +2,11 @@
 
 import json
 import os
+import threading
 
 import pytest
 
+from ctxdistill import cli
 from ctxdistill.cli import EXIT_EXTERNAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 
 from fixtures import module_with_functions, write_instance
@@ -121,6 +123,23 @@ def test_distill_batch_output_does_not_depend_on_parallelism(tmp_path, monkeypat
         outputs.append((corpus.read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].splitlines() == [f"batch-{i}: minimized" for i in range(4)]
+
+
+def test_distill_serial_batch_stops_at_the_first_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=2)
+    started = []
+
+    def failing_distill(instance, *args, **kwargs):
+        started.append((instance.instance_id, threading.current_thread() is threading.main_thread()))
+        raise RuntimeError("distill failed")
+
+    monkeypatch.setattr(cli, "distill_instance", failing_distill)
+    corpus = tmp_path / "corpus.jsonl"
+    with pytest.raises(RuntimeError, match="distill failed"):
+        _run(["--parallelism", 1, "distill", "--batch", batch, "--out", corpus])
+    assert started == [("batch-0", True)]
+    assert not corpus.exists()
 
 
 def test_distill_parallelism_zero_exits_2(tmp_path, instance_path, capsys):

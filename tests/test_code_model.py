@@ -28,6 +28,7 @@ from ctxdistill.render import render_full
 from fixtures import (
     BROKEN_SOURCE,
     CLASS_SOURCE,
+    FORM_FEED_SOURCE,
     MULTI_BLOCK_SOURCE,
     NESTED_SOURCE,
     random_module,
@@ -223,9 +224,6 @@ def test_subtree_leaf_ids():
     )
     leaf = leaf_segments(tree)[0]
     assert subtree_leaf_ids(tree, leaf.id) == frozenset({leaf.id})
-
-
-FORM_FEED_SOURCE = "def a():\n    x = 1\n\x0c\n    return x\n\ndef b():\n    return 2\n"
 
 
 def test_form_feed_does_not_shift_spans():

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdistill.instance import FaultLocation, Instance
-from ctxdistill.code_model import build_tree, leaf_segments, upward_closure
+from ctxdistill.code_model import build_tree, leaf_segments, split_lines, upward_closure
 from ctxdistill.oracle import (
     LLMOracle,
     MockOracle,
@@ -29,7 +29,7 @@ from ctxdistill.oracle import (
 
 from ctxdistill.render import render
 
-from fixtures import write_repo
+from fixtures import FORM_FEED_SOURCE, write_repo
 
 
 def test_mock_oracle_superset_rule():
@@ -196,7 +196,7 @@ def test_apply_patch_roundtrips_difflib_diffs(tmp_path_factory, pairs, context):
         assert (root / path).read_text() == new
 
 
-@pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink"])
+@pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink", "directory"])
 def test_apply_patch_rejects_paths_outside_root(tmp_path, escape):
     root = tmp_path / "root"
     write_repo(root, {"a.py": "x = 1\n"})
@@ -205,21 +205,44 @@ def test_apply_patch_rejects_paths_outside_root(tmp_path, escape):
         "dotdot": "b/../outside/pwned.txt",
         "absolute": str(outside / "pwned.txt"),
         "symlink": "b/link/pwned.txt",
+        "directory": "b/pkg",
     }[escape]
     if escape == "symlink":
         outside.mkdir()
         os.symlink(outside, root / "link")
+    if escape == "directory":
+        (root / "pkg").mkdir()
     # an in-root section first: nothing at all may be written
     patch = _diff("x = 1\n", "x = 2\n", "a.py") + (
         f"--- /dev/null\n+++ {target}\n@@ -0,0 +1 @@\n+pwned\n"
     )
-    with pytest.raises(PatchApplyError, match="escapes"):
+    reason = "not a regular file" if escape == "directory" else "escapes"
+    with pytest.raises(PatchApplyError, match=reason):
         apply_patch_text(root, patch)
     assert not (outside / "pwned.txt").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["outside", "root"] if escape == "symlink" else ["root"]
     )
     assert (root / "a.py").read_text() == "x = 1\n"
+
+
+def test_apply_patch_keeps_form_feed_lines(tmp_path):
+    # the form feed is part of line 3, as ast counts lines; both hunks sit
+    # below it, and the first also carries it as a context line
+    write_repo(tmp_path, {"m.py": FORM_FEED_SOURCE})
+    new = FORM_FEED_SOURCE.replace("x = 1", "x = 2").replace("return 2", "return 3")
+    patch = "".join(
+        difflib.unified_diff(
+            split_lines(FORM_FEED_SOURCE, keepends=True),
+            split_lines(new, keepends=True),
+            fromfile="a/m.py",
+            tofile="b/m.py",
+            n=1,
+        )
+    )
+    assert "@@ -6,2 +6,2 @@" in patch
+    assert apply_patch_text(tmp_path, patch) == ["m.py"]
+    assert (tmp_path / "m.py").read_bytes() == new.encode()
 
 
 def test_extract_patch_variants():
