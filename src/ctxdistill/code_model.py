@@ -24,16 +24,12 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 
-# str.splitlines also breaks at these; ast counts only \n, \r\n and \r
-_EXTRA_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def split_lines(text: str, keepends: bool = False) -> list[str]:
     """Split ``text`` into lines the way ``ast`` numbers them: only at
     ``\\n``, ``\\r\\n`` and ``\\r``, so a form feed stays inside its line."""
-    if not any(ch in text for ch in _EXTRA_BREAKS):
-        return text.splitlines(keepends)
     lines = _LINE_RE.findall(text)
     return lines if keepends else [line.rstrip("\r\n") for line in lines]
 
