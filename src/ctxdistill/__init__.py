@@ -29,12 +29,12 @@ from .dataset import (
     DistilledInstance,
     SemanticRole,
     TrainingTriple,
+    append_corpus,
     classify_role,
     compute_stats,
     export_triples,
     fault_facts,
     load_corpus,
-    save_corpus,
 )
 from .ga_search import GAConfig, Genome, GenomeSpace, run_ga
 from .hdd import MinimizationResult, ddmin_level, minimize

@@ -33,7 +33,6 @@ from .instance import InstanceError, build_instance_tree, load_instance
 from .oracle import OracleEndpointError
 from .pipeline import distill_instance
 from .priority import PatchFormatError
-from .tokens import get_counter
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,15 +155,7 @@ def _cmd_compress(args, config: RunConfig) -> int:
     instance = load_instance(args.instance)
     tree = build_instance_tree(instance)
     scorer = HeuristicScorer(tree) if args.scorer == "heuristic" else RemoteScorer()
-    counter = get_counter(config.compression.token_counter)
-    result = compress(
-        instance,
-        tree,
-        scorer,
-        rate,
-        window_cfg=config.compression.window_config(),
-        counter=counter,
-    )
+    result = compress(instance, tree, scorer, rate, window_cfg=config.compression.window_config())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(result.rendered.dump_text(), encoding="utf-8")

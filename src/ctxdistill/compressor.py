@@ -21,7 +21,7 @@ from .code_model import CodeUnit, Level, UnitTree, enclosing_unit, leaf_segments
 from .instance import FaultLocation, Instance
 from .priority import lex_identifiers
 from .render import RenderedContext, render, render_full
-from .tokens import TokenCounter, get_counter
+from .tokens import count_tokens
 
 log = logging.getLogger(__name__)
 
@@ -197,13 +197,13 @@ class RemoteScorer:
 # --- sliding-window scoring ----------------------------------------------
 
 
-def split_windows(text: str, cfg: WindowConfig, counter: TokenCounter) -> list[str]:
+def split_windows(text: str, cfg: WindowConfig) -> list[str]:
     """Overlapping line-aligned windows of roughly ``window_tokens`` each,
     advancing by roughly ``stride_tokens``."""
     lines = text.splitlines(keepends=True)
     if not lines:
         return [text]
-    costs = [counter(line) for line in lines]
+    costs = [count_tokens(line) for line in lines]
     windows: list[str] = []
     start = 0
     while start < len(lines):
@@ -233,23 +233,21 @@ def score_segments(
     segments: Sequence[tuple[CodeUnit, str]],
     scorer: SegmentScorer,
     window_cfg: WindowConfig | None = None,
-    counter: TokenCounter | None = None,
     tiebreak: Callable[[CodeUnit, str], float] | None = None,
 ) -> list[ScoredSegment]:
     """Score each segment, windowing the ones longer than the scorer
     window and taking the max over window scores."""
     window_cfg = window_cfg or WindowConfig()
-    counter = counter or get_counter()
 
     pieces: list[tuple[int, CodeUnit, str]] = []
     token_costs: list[int] = []
     for idx, (unit, text) in enumerate(segments):
-        cost = counter(text)
+        cost = count_tokens(text)
         token_costs.append(cost)
         if cost <= window_cfg.window_tokens:
             pieces.append((idx, unit, text))
         else:
-            for window in split_windows(text, window_cfg, counter):
+            for window in split_windows(text, window_cfg):
                 pieces.append((idx, unit, window))
 
     batch_size = max(1, scorer.max_batch_size)
@@ -346,13 +344,11 @@ def compress(
     scorer: SegmentScorer,
     rate: float,
     window_cfg: WindowConfig | None = None,
-    counter: TokenCounter | None = None,
 ) -> CompressionResult:
     """Full pipeline: query -> scores -> greedy selection -> rendering."""
-    counter = counter or get_counter()
     start = time.perf_counter()
 
-    initial = render_full(tree, counter)
+    initial = render_full(tree)
     budget = CompressionBudget.from_rate(initial.total_tokens, rate)
     query = build_query(instance.issue_text, instance.fault_locations)
 
@@ -362,11 +358,10 @@ def compress(
         segments,
         scorer,
         window_cfg=window_cfg,
-        counter=counter,
         tiebreak=lambda unit, text: heuristic_score(query, text, unit=unit, tree=tree),
     )
     chosen = select_greedy(scored, budget)
-    rendered = render(tree, upward_closure(tree, chosen), counter)
+    rendered = render(tree, upward_closure(tree, chosen))
     latency = time.perf_counter() - start
 
     compressed_tokens = rendered.total_tokens

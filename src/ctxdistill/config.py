@@ -14,7 +14,6 @@ from .compressor import WindowConfig
 from .ga_search import GAConfig
 from .oracle import OracleConfig
 from .priority import PriorityWeights
-from .tokens import get_counter
 
 
 class ConfigError(ValueError):
@@ -26,12 +25,10 @@ class CompressionConfig:
     rate: float = 5.0
     window_tokens: int = 512
     stride_tokens: int = 256
-    token_counter: str = "bytes4"
 
     def __post_init__(self) -> None:
         if self.rate <= 1:
             raise ConfigError("compression rate must be > 1")
-        get_counter(self.token_counter)  # validates the name
 
     def window_config(self) -> WindowConfig:
         return WindowConfig(self.window_tokens, self.stride_tokens)
@@ -39,9 +36,7 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class PathsConfig:
-    corpus: str = "corpus.jsonl"
     traces: str = "traces"
-    output: str = "out"
 
 
 @dataclass(frozen=True)

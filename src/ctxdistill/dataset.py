@@ -29,6 +29,10 @@ STATUS_UNMINIMIZED = "unminimized"
 
 SIZE_BUCKETS = ("1-20", "21-50", "51-100", "101-200", "200+")
 
+# per-role weights are clamped to this range
+ROLE_WEIGHT_MIN = 0.5
+ROLE_WEIGHT_MAX = 3.0
+
 
 class CorpusFormatError(ValueError):
     pass
@@ -150,12 +154,6 @@ class TrainingTriple:
             "instance_id": self.instance_id,
             "segment_id": self.segment_id,
         }
-
-
-@dataclass(frozen=True)
-class WeightingConfig:
-    role_weight_min: float = 0.5
-    role_weight_max: float = 3.0
 
 
 @dataclass
@@ -313,14 +311,6 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
 # --- persistence ------------------------------------------------------------
 
 
-def save_corpus(corpus: Iterable[DistilledInstance], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in corpus:
-            fh.write(json.dumps(inst.to_json(), sort_keys=True) + "\n")
-
-
 def append_corpus(instance: DistilledInstance, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -356,12 +346,9 @@ def _exportable(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
     ]
 
 
-def compute_weights(
-    corpus: list[DistilledInstance], cfg: WeightingConfig | None = None
-) -> tuple[float, dict[str, float]]:
+def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, float]]:
     """Positive class weight (imbalance ratio) and per-role weights
     (mean density over role density, clamped)."""
-    cfg = cfg or WeightingConfig()
     instances = _exportable(corpus)
     segments = sum(len(inst.context_segments) for inst in instances)
     positives = sum(len(inst.minimal_leaf_ids) for inst in instances)
@@ -381,17 +368,15 @@ def compute_weights(
     role_weights: dict[str, float] = {}
     for role, count in role_segments.items():
         density = role_positives.get(role, 0) / count
-        raw = (mean_density / density) if density > 0 else cfg.role_weight_max
-        role_weights[role] = min(cfg.role_weight_max, max(cfg.role_weight_min, raw))
+        raw = (mean_density / density) if density > 0 else ROLE_WEIGHT_MAX
+        role_weights[role] = min(ROLE_WEIGHT_MAX, max(ROLE_WEIGHT_MIN, raw))
     return class_weight_positive, role_weights
 
 
-def export_triples(
-    corpus: list[DistilledInstance], cfg: WeightingConfig | None = None
-) -> Iterator[TrainingTriple]:
+def export_triples(corpus: list[DistilledInstance]) -> Iterator[TrainingTriple]:
     """One weighted triple per (instance, segment); unminimized instances
     are skipped."""
-    class_weight_positive, role_weights = compute_weights(corpus, cfg)
+    class_weight_positive, role_weights = compute_weights(corpus)
     for inst in _exportable(corpus):
         query = build_query(inst.issue_text, inst.fault_locations).rendered
         for seg in inst.context_segments:
@@ -408,19 +393,15 @@ def export_triples(
             )
 
 
-def write_triples(
-    corpus: list[DistilledInstance],
-    path: str | Path,
-    cfg: WeightingConfig | None = None,
-) -> int:
+def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
     """Write triples JSONL plus a ``.meta.json`` sidecar recording the
     weighting used; returns the triple count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    class_weight_positive, role_weights = compute_weights(corpus, cfg)
+    class_weight_positive, role_weights = compute_weights(corpus)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for triple in export_triples(corpus, cfg):
+        for triple in export_triples(corpus):
             fh.write(json.dumps(triple.to_json(), sort_keys=True) + "\n")
             count += 1
     meta = {

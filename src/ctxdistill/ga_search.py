@@ -16,6 +16,7 @@ from .code_model import Level, UnitTree
 from .oracle import OracleBudgetExhausted, OracleSession, OracleVerdict
 from .priority import PatchInfo
 
+# a trace sink takes one JSON-serializable record per evaluated candidate
 TraceWriter = Callable[[dict], None]
 
 

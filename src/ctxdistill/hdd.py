@@ -11,12 +11,10 @@ remaining leaf with a fresh oracle evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .code_model import Level, UnitTree, subtree_leaf_ids
+from .ga_search import TraceWriter
 from .oracle import OracleBudgetExhausted, OracleSession, verdict_cache_key
-
-TraceWriter = Callable[[dict], None]
 
 PASS_LEVELS = (Level.FILE, Level.FUNCTION, Level.BLOCK)
 
@@ -31,6 +29,7 @@ class MinimizationResult:
     oracle_calls: int
     per_level_removed: dict[str, int]
     one_minimal_certified: bool
+    budget_exhausted: bool
 
 
 def _level_units(tree: UnitTree, level: Level, retained: frozenset[str]) -> list[str]:
@@ -135,12 +134,13 @@ def minimize(
     """File, function, then block reduction plus a certification sweep.
 
     If the oracle budget runs out mid-pass the best retained set so far
-    is returned uncertified.
+    is returned uncertified, with ``budget_exhausted`` set.
     """
     retained = frozenset(initial_leaf_ids)
     calls_before = session.invocations
     per_level_removed: dict[str, int] = {}
     certified = False
+    budget_exhausted = False
 
     try:
         # the first pass verifies the starting context
@@ -161,10 +161,12 @@ def minimize(
                 certified = False
     except OracleBudgetExhausted:
         certified = False
+        budget_exhausted = True
 
     return MinimizationResult(
         retained_leaf_ids=retained,
         oracle_calls=session.invocations - calls_before,
         per_level_removed=per_level_removed,
         one_minimal_certified=certified,
+        budget_exhausted=budget_exhausted,
     )

@@ -8,9 +8,9 @@ directly and, when sufficient, handed straight to minimization.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 from .code_model import UnitTree, leaf_segments, unit_text
 from .config import RunConfig
@@ -22,8 +22,8 @@ from .dataset import (
     classify_role,
     fault_facts,
 )
-from .ga_search import GAResult, run_ga
-from .hdd import MinimizationResult, minimize
+from .ga_search import GAResult, TraceWriter, run_ga
+from .hdd import minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
 from .oracle import (
     LLMOracle,
@@ -39,24 +39,17 @@ from .priority import CoverageReport, PatchInfo, parse_patch, priority_map
 class DistillOutcome:
     record: DistilledInstance
     ga: GAResult | None
-    minimization: MinimizationResult | None
     budget_exhausted: bool
 
 
-class _TraceFile:
-    def __init__(self, path: Path | None):
-        self._fh: IO[str] | None = None
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(path, "w", encoding="utf-8")
-
-    def __call__(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+def _open_trace(stack: ExitStack, trace_dir: Path | None, name: str) -> TraceWriter | None:
+    """A JSONL writer for ``trace_dir / name``, closed with ``stack``;
+    ``None`` when tracing is off."""
+    if trace_dir is None:
+        return None
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    fh = stack.enter_context(open(trace_dir / name, "w", encoding="utf-8"))
+    return lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def build_mock_oracle(instance: Instance, tree: UnitTree) -> MockOracle:
@@ -124,13 +117,13 @@ def distill_instance(
         else:
             raise ValueError(f"unknown oracle kind: {oracle_kind}")
     session = OracleSession(oracle, instance.instance_id, config.oracle)
-    ga_trace = _TraceFile(trace_dir / f"{instance.instance_id}.ga.jsonl" if trace_dir else None)
-    hdd_trace = _TraceFile(trace_dir / f"{instance.instance_id}.hdd.jsonl" if trace_dir else None)
 
     ga_result: GAResult | None = None
     start_leaves: frozenset[str] | None = None
     budget_exhausted = False
-    try:
+    with ExitStack() as traces:
+        ga_trace = _open_trace(traces, trace_dir, f"{instance.instance_id}.ga.jsonl")
+        hdd_trace = _open_trace(traces, trace_dir, f"{instance.instance_id}.hdd.jsonl")
         if use_ga:
             ga_result = run_ga(tree, phi, patch, session, config.ga, trace=ga_trace)
             budget_exhausted = ga_result.budget_exhausted
@@ -144,12 +137,10 @@ def distill_instance(
             except OracleBudgetExhausted:
                 budget_exhausted = True
 
-        min_result: MinimizationResult | None = None
+        min_result = None
         if start_leaves is not None:
             min_result = minimize(start_leaves, tree, session, phi, trace=hdd_trace)
-    finally:
-        ga_trace.close()
-        hdd_trace.close()
+            budget_exhausted = budget_exhausted or min_result.budget_exhausted
 
     facts = fault_facts(tree, instance.fault_locations)
     segments = []
@@ -183,9 +174,4 @@ def distill_instance(
         },
         status=STATUS_MINIMIZED if minimized else STATUS_UNMINIMIZED,
     )
-    return DistillOutcome(
-        record=record,
-        ga=ga_result,
-        minimization=min_result,
-        budget_exhausted=budget_exhausted,
-    )
+    return DistillOutcome(record=record, ga=ga_result, budget_exhausted=budget_exhausted)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .code_model import CodeUnit, UnitTree, split_lines, subtree_leaf_ids
-from .tokens import TokenCounter, get_counter
+from .tokens import count_tokens
 
 PLACEHOLDER_RE = re.compile(r"^(\s*)# \.\.\. (\d+) lines omitted$")
 
@@ -113,15 +113,10 @@ def _emit(
         out.append(placeholder_line(indent, omitted_lines))
 
 
-def render(
-    tree: UnitTree,
-    included: Iterable[str],
-    counter: TokenCounter | None = None,
-) -> RenderedContext:
+def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
     """Render the context selected by an upward-closed inclusion set."""
     included_set = frozenset(included)
     _check_closed(tree, included_set)
-    counter = counter or get_counter()
 
     per_file: list[RenderedFile] = []
     leaf_ids: set[str] = set()
@@ -137,10 +132,10 @@ def render(
         )
 
     rendered = RenderedContext(per_file, 0, frozenset(leaf_ids))
-    rendered.total_tokens = counter(rendered.dump_text())
+    rendered.total_tokens = count_tokens(rendered.dump_text())
     return rendered
 
 
-def render_full(tree: UnitTree, counter: TokenCounter | None = None) -> RenderedContext:
+def render_full(tree: UnitTree) -> RenderedContext:
     """Render with every unit included (the uncompressed context)."""
-    return render(tree, tree.unit_order, counter)
+    return render(tree, tree.unit_order)

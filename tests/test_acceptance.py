@@ -5,7 +5,6 @@ the FAIL line.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
-import itertools
 import json
 import math
 import random
@@ -25,7 +24,6 @@ from ctxdistill.code_model import (
     upward_closure,
 )
 from ctxdistill.compressor import CompressionBudget, ScoredSegment, select_greedy
-from ctxdistill.config import RunConfig
 from ctxdistill.dataset import (
     DistilledInstance,
     SegmentRecord,
@@ -43,11 +41,9 @@ from ctxdistill.ga_search import (
     run_ga,
 )
 from ctxdistill.hdd import minimize
-from ctxdistill.instance import FaultLocation
 from ctxdistill.oracle import MockOracle, OracleConfig, OracleSession
 from ctxdistill.priority import CoverageReport, PatchInfo, PriorityWeights, priority
 from ctxdistill.render import PLACEHOLDER_RE, render, render_full
-from ctxdistill.tokens import get_counter
 
 from fixtures import (
     BROKEN_SOURCE,

@@ -1,7 +1,6 @@
 """CLI integration tests: commands, exit codes, file outputs."""
 
 import json
-import os
 import threading
 
 import pytest
@@ -180,6 +179,17 @@ def test_distill_budget_exhaustion_exits_3(tmp_path, monkeypatch):
     assert code == EXIT_PARTIAL
     records = [json.loads(line) for line in corpus.read_text().splitlines()]
     assert records[0]["status"] == "unminimized"
+
+
+@pytest.mark.parametrize("search", [[], ["--no-ga"]])
+def test_distill_budget_exhausted_in_phase2_exits_3(tmp_path, instance_path, capsys, search):
+    corpus = tmp_path / "corpus.jsonl"
+    args = ["--no-trace", "--set", "oracle.eval_budget=3", "distill", instance_path, *search, "--out", corpus]
+    assert _run(args) == EXIT_PARTIAL
+    assert capsys.readouterr().out == "inst-0: minimized (budget exhausted)\n"
+    record = json.loads(corpus.read_text())
+    assert len(record["minimal_leaf_ids"]) == 5
+    assert not record["one_minimal_certified"]
 
 
 def test_compress_writes_output_and_stats(tmp_path, instance_path):

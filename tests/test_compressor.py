@@ -1,6 +1,5 @@
 """Query building, scoring, windowing, greedy selection, and compression."""
 
-import math
 import random
 
 import pytest
@@ -22,7 +21,7 @@ from ctxdistill.compressor import (
     split_windows,
 )
 from ctxdistill.instance import FaultLocation, Instance
-from ctxdistill.tokens import get_counter
+from ctxdistill.tokens import count_tokens
 
 from fixtures import module_with_functions, write_repo
 
@@ -117,9 +116,8 @@ def test_score_segments_whole_and_clamped():
     scored = score_segments(build_query("q", []), segments, scorer)
     assert len(scored) == len(segments)
     assert all(s.score == 1.0 for s in scored)
-    counter = get_counter()
     for (unit, text), s in zip(segments, scored):
-        assert s.token_cost == counter(text)
+        assert s.token_cost == count_tokens(text)
         assert s.unit_id == unit.id
 
 
@@ -128,7 +126,6 @@ def test_score_segments_windows_long_segment_max_aggregation():
     source = "def big(x):\n" + body_lines + "    return x\n"
     tree = build_tree("t", [("m.py", source)])
     segments = _segments(tree)
-    counter = get_counter()
     cfg = WindowConfig(window_tokens=120, stride_tokens=60)
 
     class WindowScorer:
@@ -145,7 +142,7 @@ def test_score_segments_windows_long_segment_max_aggregation():
             return out
 
     scorer = WindowScorer()
-    scored = score_segments(build_query("q", []), segments, scorer, window_cfg=cfg, counter=counter)
+    scored = score_segments(build_query("q", []), segments, scorer, window_cfg=cfg)
     big = max(scored, key=lambda s: s.token_cost)
     assert big.token_cost > cfg.window_tokens
     assert scorer.calls > len(segments)  # long segment was windowed
@@ -168,10 +165,9 @@ def test_score_segments_retries_then_zeroes():
 
 
 def test_split_windows_covers_text():
-    counter = get_counter()
     text = "".join(f"line_{i} = {i}\n" for i in range(50))
     cfg = WindowConfig(window_tokens=40, stride_tokens=20)
-    windows = split_windows(text, cfg, counter)
+    windows = split_windows(text, cfg)
     assert len(windows) > 1
     assert all(w for w in windows)
     # every line appears in at least one window

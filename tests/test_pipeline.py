@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from ctxdistill import ga_search, hdd
 from ctxdistill.code_model import build_tree, leaf_segments
-from ctxdistill.config import RunConfig, load_run_config
+from ctxdistill.config import RunConfig
 from ctxdistill.dataset import STATUS_MINIMIZED, STATUS_UNMINIMIZED
 from ctxdistill.ga_search import GAConfig
 from ctxdistill.instance import load_instance
@@ -173,6 +174,56 @@ def test_distill_budget_exhausted_flag(tmp_path):
     outcome = distill_instance(instance, _config(budget=2))
     assert outcome.budget_exhausted
     assert outcome.record.status == STATUS_UNMINIMIZED
+
+
+@pytest.mark.parametrize("use_ga", [True, False])
+def test_distill_reports_budget_exhausted_in_phase2(tmp_path, use_ga):
+    """The start context is accepted in one call, so the budget of three
+    runs out during ddmin, not during the search."""
+    instance_path = write_instance(
+        tmp_path / "inst.json",
+        tmp_path / "repo",
+        FILES,
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+    )
+    instance = load_instance(instance_path)
+    outcome = distill_instance(instance, _config(budget=3), use_ga=use_ga)
+    assert outcome.budget_exhausted
+    assert outcome.record.status == STATUS_MINIMIZED
+    assert outcome.record.oracle_calls == 3
+    assert not outcome.record.one_minimal_certified
+
+
+def test_distill_without_trace_dir_builds_no_trace_records(tmp_path, monkeypatch):
+    """With tracing off, no candidate hash is computed just to be traced."""
+    instance_path = write_instance(
+        tmp_path / "inst.json",
+        tmp_path / "repo",
+        FILES,
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+        mock_distractors=[{"path": "pkg/util.py", "line": 2}],
+    )
+    instance = load_instance(instance_path)
+    calls = {"verdict_cache_key": 0, "genome_hash": 0}
+    cache_key = hdd.verdict_cache_key
+    genome_hash = ga_search.Genome.hash
+
+    def counting_cache_key(*args):
+        calls["verdict_cache_key"] += 1
+        return cache_key(*args)
+
+    def counting_genome_hash(genome):
+        calls["genome_hash"] += 1
+        return genome_hash(genome)
+
+    monkeypatch.setattr(hdd, "verdict_cache_key", counting_cache_key)
+    monkeypatch.setattr(ga_search.Genome, "hash", counting_genome_hash)
+    outcome = distill_instance(instance, _config(seed=3), trace_dir=None)
+    assert outcome.record.status == STATUS_MINIMIZED
+    assert outcome.record.provenance["ga_generations"] >= 1
+    assert calls == {"verdict_cache_key": 0, "genome_hash": 0}
 
 
 # Distills one instance and prints what must not depend on hash order:

@@ -1,6 +1,5 @@
 """Patch parsing and priority-score tests."""
 
-import math
 import random
 import re
 

@@ -1,7 +1,6 @@
 """Rendering tests: identity, placeholders, conservation."""
 
 import random
-import re
 
 import pytest
 
