@@ -347,7 +347,8 @@ def _exportable(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
 
 
 def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, float]]:
-    """Positive class weight (imbalance ratio) and per-role weights
+    """Positive class weight (imbalance ratio; 1.0 when there is no
+    negative segment, so no imbalance to correct) and per-role weights
     (mean density over role density, clamped)."""
     instances = _exportable(corpus)
     segments = sum(len(inst.context_segments) for inst in instances)
@@ -355,7 +356,7 @@ def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, f
     if positives == 0:
         raise ZeroPositivesError("corpus has no positive segments; weights are undefined")
     negatives = segments - positives
-    class_weight_positive = negatives / positives
+    class_weight_positive = negatives / positives if negatives else 1.0
 
     mean_density = positives / segments
     role_segments: dict[str, int] = {}

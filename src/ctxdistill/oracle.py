@@ -17,6 +17,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -75,6 +76,7 @@ class SampleOutcome:
     test_exit_status: int | None
     duration_seconds: float
     timed_out: bool = False
+    reused: bool = False
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,9 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     Context lines are matched exactly; any mismatch raises
     ``PatchApplyError``, and so does a path that resolves outside
     ``root`` or names a directory (checked before anything is written).
+    A file ends without a newline when a ``\\ No newline at end of file``
+    marker ends its last hunk's new side; a tail no hunk reaches keeps
+    the source's final newline or its lack.
     """
     root = Path(root)
     try:
@@ -205,11 +210,15 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
         source_rel, new_path = section.old_path, section.new_path
         target_rel = new_path or source_rel
         old_lines: list[str] = []
+        # an untouched tail keeps the source's final newline (or its lack)
+        final_newline = True
         if source_rel is not None:
             source_file = root / source_rel
             if not source_file.exists():
                 raise PatchApplyError(f"patch target missing: {source_rel}")
-            old_lines = split_lines(source_file.read_text(encoding="utf-8"))
+            source_text = source_file.read_text(encoding="utf-8")
+            old_lines = split_lines(source_text)
+            final_newline = not old_lines or source_text.endswith(("\n", "\r"))
 
         out: list[str] = []
         pos = 0
@@ -238,6 +247,8 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
                     pos += 1
                 elif tag == "+":
                     out.append(text)
+            if pos == len(old_lines):
+                final_newline = not hunk.new_missing_newline
         out.extend(old_lines[pos:])
 
         if new_path is None:
@@ -245,7 +256,8 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
         else:
             target = root / target_rel
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text("\n".join(out) + ("\n" if out else ""), encoding="utf-8")
+            content = "\n".join(out) + ("\n" if out and final_newline else "")
+            target.write_text(content, encoding="utf-8")
         touched.append(target_rel)
     return touched
 
@@ -284,9 +296,17 @@ REPAIR_PROMPT = (
 
 class LLMOracle:
     """Samples n repair patches per evaluation and majority-votes on
-    test outcomes.  Each sample runs against a fresh scratch copy of the
+    test outcomes.  A patch is tested on a fresh scratch copy of the
     repository; a patch that fails to apply or a test run that times out
-    counts as a failing sample."""
+    counts as a failing sample.
+
+    An oracle belongs to one instance, so its repository and test command
+    are fixed, and a deterministic test gives each patch text one
+    outcome.  So each distinct patch is tested once per oracle: a later
+    sample with the same patch reuses that outcome (``reused=True``) and
+    still counts once in the vote.  Timed-out runs are not reused.
+    ``OracleConfig.cache_enabled=False`` turns this off along with the
+    verdict cache, for tests that are flaky."""
 
     def __init__(
         self,
@@ -316,12 +336,14 @@ class LLMOracle:
         if instance.test_command is None:
             raise ValueError("instance has no test_command; required for the LLM oracle")
         self.query = build_query(instance.issue_text, instance.fault_locations).rendered
+        self._outcomes: dict[str, SampleOutcome] = {}
+        self._lock = Lock()
 
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict:
         rendered = render(self.tree, upward_closure(self.tree, included_leaf_ids))
         prompt = REPAIR_PROMPT.format(query=self.query, context=rendered.dump_text())
         completions = self._request_completions(prompt)
-        outcomes = [self._run_sample(i, c) for i, c in enumerate(completions)]
+        outcomes = [self._run_sample(c) for c in completions]
         passes = sum(1 for o in outcomes if o.test_exit_status == 0)
         return make_verdict(passes, len(outcomes), self.config.pass_threshold, outcomes)
 
@@ -347,41 +369,67 @@ class LLMOracle:
                     time.sleep(self.retry_sleep * (2**attempt))
         raise OracleEndpointError(f"LLM endpoint unreachable after 3 attempts: {last_error}")
 
-    def _run_sample(self, sample_index: int, completion: str) -> SampleOutcome:
+    def _run_sample(self, completion: str) -> SampleOutcome:
         start = time.perf_counter()
         patch = extract_patch(completion)
         if patch is None:
             return SampleOutcome(None, False, None, time.perf_counter() - start)
+        if not self.config.cache_enabled:
+            return self._test_patch(patch, start)
+        with self._lock:
+            known = self._outcomes.get(patch)
+        if known is not None:
+            return replace(known, duration_seconds=time.perf_counter() - start, reused=True)
+        outcome = self._test_patch(patch, start)
+        if not outcome.timed_out:
+            with self._lock:
+                self._outcomes[patch] = outcome
+        return outcome
+
+    def _test_patch(self, patch: str, start: float) -> SampleOutcome:
+        """Apply ``patch`` to a scratch copy of the repository and run the
+        test command there; on timeout, kill the command's whole process
+        group."""
         with tempfile.TemporaryDirectory(prefix="ctxdistill-oracle-") as scratch:
             repo_copy = Path(scratch) / "repo"
             shutil.copytree(self.instance.repo_root, repo_copy)
             try:
                 apply_patch_text(repo_copy, patch)
-            except PatchApplyError:
+            except PatchApplyError as exc:
+                self._write_log(patch, f"patch not applied: {exc}\n")
                 return SampleOutcome(patch, False, None, time.perf_counter() - start)
-            try:
-                proc = subprocess.run(
-                    self.instance.test_command,
-                    shell=True,
-                    cwd=repo_copy,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.config.timeout_seconds,
-                )
-            except subprocess.TimeoutExpired:
-                return SampleOutcome(
-                    patch, True, None, time.perf_counter() - start, timed_out=True
-                )
-            self._write_log(sample_index, proc)
-            return SampleOutcome(patch, True, proc.returncode, time.perf_counter() - start)
+            with subprocess.Popen(
+                self.instance.test_command,
+                shell=True,
+                cwd=repo_copy,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+            ) as proc:
+                try:
+                    stdout, stderr = proc.communicate(timeout=self.config.timeout_seconds)
+                    status = proc.returncode
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    stdout, stderr = proc.communicate()
+                    status = None
+        head = (
+            f"exit status: {status}"
+            if status is not None
+            else f"timed out after {self.config.timeout_seconds} s"
+        )
+        self._write_log(patch, f"{head}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n")
+        return SampleOutcome(
+            patch, True, status, time.perf_counter() - start, timed_out=status is None
+        )
 
-    def _write_log(self, sample_index: int, proc: subprocess.CompletedProcess) -> None:
+    def _write_log(self, patch: str, text: str) -> None:
+        """One log per distinct patch, named by the patch's SHA-1."""
         if self.log_dir is None:
             return
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        log = self.log_dir / f"{self.instance.instance_id}.sample{sample_index}.log"
-        log.write_text(
-            f"exit status: {proc.returncode}\n--- stdout ---\n{proc.stdout}\n"
-            f"--- stderr ---\n{proc.stderr}\n",
-            encoding="utf-8",
+        digest = hashlib.sha1(patch.encode("utf-8")).hexdigest()[:12]
+        (self.log_dir / f"{self.instance.instance_id}.{digest}.log").write_text(
+            text, encoding="utf-8"
         )

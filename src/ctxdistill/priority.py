@@ -99,12 +99,15 @@ def lex_identifiers(text: str) -> frozenset[str]:
 
 @dataclass
 class Hunk:
-    """One ``@@`` hunk: its old-side start and length, and its body lines,
-    each prefixed with ``" "``, ``"+"`` or ``"-"``."""
+    """One ``@@`` hunk: its old-side start and length, its body lines,
+    each prefixed with ``" "``, ``"+"`` or ``"-"``, and whether a
+    ``\\ No newline at end of file`` marker ends its old or new side."""
 
     old_start: int
     old_len: int
     lines: list[str] = field(default_factory=list)
+    old_missing_newline: bool = False
+    new_missing_newline: bool = False
 
 
 @dataclass
@@ -168,7 +171,12 @@ def parse_diff(patch_text: str) -> list[FilePatch]:
                 hunk.lines.append(line)
             elif not line:
                 hunk.lines.append(" ")  # blank context line with its prefix stripped
-            elif not line.startswith("\\"):
+            elif line.startswith("\\"):
+                # the marker applies to the body line before it
+                tag = hunk.lines[-1][0] if hunk.lines else ""
+                hunk.old_missing_newline |= tag in (" ", "-")
+                hunk.new_missing_newline |= tag in (" ", "+")
+            else:
                 hunk = None
 
     if not any(s.hunks for s in sections):

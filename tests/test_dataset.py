@@ -219,6 +219,19 @@ def test_class_weight_balanced_corpus_is_one():
     assert class_w == 1.0
 
 
+def test_class_weight_without_negatives_is_one(tmp_path):
+    # every exported segment is positive: no imbalance, so no down-weighting
+    corpus = [_instance("i1", 3, 3)]
+    class_w, _ = compute_weights(corpus)
+    assert class_w == 1.0
+    out = tmp_path / "triples.jsonl"
+    assert write_triples(corpus, out) == 3
+    weights = [json.loads(line)["weight"] for line in out.read_text().splitlines()]
+    assert weights == [1.0, 1.0, 1.0]
+    meta = json.loads((tmp_path / "triples.jsonl.meta.json").read_text())
+    assert meta["class_weight_positive"] == 1.0
+
+
 def test_role_weight_neutral_when_density_equals_mean():
     corpus = [_instance("i1", 10, 2)]
     _, role_w = compute_weights(corpus)

@@ -2,9 +2,12 @@
 unified-diff application, and the LLM-backed path via a stub endpoint."""
 
 import difflib
+import hashlib
 import math
 import os
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +30,7 @@ from ctxdistill.oracle import (
     verdict_cache_key,
 )
 
+from ctxdistill.priority import parse_diff
 from ctxdistill.render import render
 
 from fixtures import FORM_FEED_SOURCE, write_repo
@@ -112,13 +116,17 @@ def test_session_budget_exhaustion():
 # --- unified diff application ----------------------------------------------
 
 
-def _diff(old: str, new: str, path: str) -> str:
+def _diff(old: str, new: str, path: str, context: int = 3) -> str:
+    """difflib's unified diff, with git's marker after a last line that
+    has no newline."""
     return "".join(
-        difflib.unified_diff(
+        line if line.endswith("\n") else line + "\n\\ No newline at end of file\n"
+        for line in difflib.unified_diff(
             old.splitlines(keepends=True),
             new.splitlines(keepends=True),
             fromfile=f"a/{path}",
             tofile=f"b/{path}",
+            n=context,
         )
     )
 
@@ -160,32 +168,24 @@ _file_lines = st.lists(
     st.sampled_from(["x = 1", "y = 2", "", "def f():", "    return x", "    pass", "# note"]),
     max_size=12,
 )
+# a file's lines, and whether its last line ends with a newline
+_file_text = st.builds(
+    lambda lines, eol: "\n".join(lines) + ("\n" if lines and eol else ""),
+    _file_lines,
+    st.booleans(),
+)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    st.lists(st.tuples(_file_lines, _file_lines), min_size=1, max_size=3),
+    st.lists(st.tuples(_file_text, _file_text), min_size=1, max_size=3),
     st.integers(0, 3),
 )
 def test_apply_patch_roundtrips_difflib_diffs(tmp_path_factory, pairs, context):
     root = tmp_path_factory.mktemp("repo")
-    files = {
-        f"pkg/m{i}.py": ("".join(l + "\n" for l in old), "".join(l + "\n" for l in new))
-        for i, (old, new) in enumerate(pairs)
-    }
+    files = {f"pkg/m{i}.py": pair for i, pair in enumerate(pairs)}
     write_repo(root, {path: old for path, (old, _) in files.items()})
-    patch = "".join(
-        "".join(
-            difflib.unified_diff(
-                old.splitlines(keepends=True),
-                new.splitlines(keepends=True),
-                fromfile=f"a/{path}",
-                tofile=f"b/{path}",
-                n=context,
-            )
-        )
-        for path, (old, new) in files.items()
-    )
+    patch = "".join(_diff(old, new, path, context) for path, (old, new) in files.items())
     changed = [path for path, (old, new) in files.items() if old != new]
     if not changed:
         with pytest.raises(PatchApplyError):
@@ -193,7 +193,29 @@ def test_apply_patch_roundtrips_difflib_diffs(tmp_path_factory, pairs, context):
         return
     assert apply_patch_text(root, patch) == changed
     for path, (_, new) in files.items():
-        assert (root / path).read_text() == new
+        assert (root / path).read_bytes() == new.encode()
+
+
+_NO_EOL = "\\ No newline at end of file\n"
+
+
+@pytest.mark.parametrize(
+    "old, body, new, markers",
+    [
+        ("a = 1\nb = 2\n", " a = 1\n-b = 2\n+b = 3\n" + _NO_EOL, "a = 1\nb = 3", (False, True)),
+        ("a = 1\nb = 2", " a = 1\n-b = 2\n" + _NO_EOL + "+b = 3\n", "a = 1\nb = 3\n", (True, False)),
+        ("a = 1\nb = 2", "-a = 1\n+a = 0\n b = 2\n" + _NO_EOL, "a = 0\nb = 2", (True, True)),
+        ("a = 1\nb = 2\nc = 3", "-a = 1\n+a = 0\n b = 2\n", "a = 0\nb = 2\nc = 3", (False, False)),
+    ],
+    ids=["remove", "add", "context", "untouched-tail"],
+)
+def test_apply_patch_honours_no_newline_marker(tmp_path, old, body, new, markers):
+    write_repo(tmp_path, {"m.py": old})
+    patch = "--- a/m.py\n+++ b/m.py\n@@ -1,2 +1,2 @@\n" + body
+    hunk = parse_diff(patch)[0].hunks[0]
+    assert (hunk.old_missing_newline, hunk.new_missing_newline) == markers
+    assert apply_patch_text(tmp_path, patch) == ["m.py"]
+    assert (tmp_path / "m.py").read_bytes() == new.encode()
 
 
 @pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink", "directory"])
@@ -398,3 +420,130 @@ def test_llm_oracle_prompt_matches_old_template(tmp_path, faults):
     oracle.evaluate(leaves)
     context = render(tree, upward_closure(tree, leaves)).dump_text()
     assert prompts == [OLD_REPAIR_PROMPT.format(query=_old_query_text(instance), context=context)]
+
+
+# --- LLM oracle sandbox: one test run per distinct patch ----------------------
+
+
+BAD_NEW = "def add(a, b):\n    return a * b\n"
+
+
+def _counting_oracle(tmp_path, completions, test_command=None, log_dir=None, **config):
+    """An LLM oracle whose test command appends a line to ``runs.txt``
+    (outside the repository) on every run."""
+    instance = _instance(tmp_path)
+    instance.test_command = test_command or f"echo run >> {tmp_path / 'runs.txt'}; python3 check.py"
+    tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])
+    oracle = LLMOracle(
+        instance,
+        tree,
+        OracleConfig(**{"samples_n": len(completions), "timeout_seconds": 60, **config}),
+        endpoint="http://stub.local/v1/chat",
+        transport=_transport_returning(completions),
+        log_dir=log_dir,
+    )
+    return oracle, frozenset(s.id for s in leaf_segments(tree))
+
+
+def _runs(tmp_path) -> int:
+    runs = tmp_path / "runs.txt"
+    return len(runs.read_text().splitlines()) if runs.exists() else 0
+
+
+MIXED = [
+    _completion(_diff(GOOD_OLD, GOOD_NEW, "mod.py")),
+    _completion(_diff(GOOD_OLD, GOOD_NEW, "mod.py")),
+    _completion(_diff(GOOD_OLD, BAD_NEW, "mod.py")),
+    "no patch",
+]
+
+
+def test_llm_oracle_tests_each_distinct_patch_once(tmp_path):
+    oracle, leaves = _counting_oracle(tmp_path, MIXED)
+    first = oracle.evaluate(leaves)
+    second = oracle.evaluate(leaves)
+    for verdict in (first, second):
+        assert (verdict.sufficient, verdict.passes, verdict.samples) == (True, 2, 4)
+        assert [o.applied for o in verdict.per_sample] == [True, True, True, False]
+        assert [o.test_exit_status for o in verdict.per_sample] == [0, 0, 1, None]
+    assert _runs(tmp_path) == 2
+    assert [o.reused for o in first.per_sample] == [False, True, False, False]
+    assert [o.reused for o in second.per_sample] == [True, True, True, False]
+
+
+def test_llm_oracle_reuses_apply_failures(tmp_path):
+    unappliable = _completion(_diff("x = 1\n", "x = 2\n", "mod.py"))
+    oracle, leaves = _counting_oracle(tmp_path, [unappliable])
+    first, second = oracle.evaluate(leaves), oracle.evaluate(leaves)
+    assert [(o.applied, o.reused) for o in first.per_sample + second.per_sample] == [
+        (False, False),
+        (False, True),
+    ]
+    assert _runs(tmp_path) == 0
+
+
+def test_llm_oracle_without_cache_tests_every_sample(tmp_path):
+    oracle, leaves = _counting_oracle(tmp_path, MIXED, cache_enabled=False)
+    first = oracle.evaluate(leaves)
+    second = oracle.evaluate(leaves)
+    assert (first.passes, second.passes) == (2, 2)
+    assert _runs(tmp_path) == 6  # three applied samples per evaluation
+    assert not any(o.reused for o in first.per_sample + second.per_sample)
+
+
+def test_llm_oracle_reruns_timed_out_patch(tmp_path):
+    oracle, leaves = _counting_oracle(
+        tmp_path,
+        MIXED[:1],
+        test_command=f"echo run >> {tmp_path / 'runs.txt'}; sleep 30",
+        log_dir=tmp_path / "logs",
+        timeout_seconds=1,
+    )
+    for expected_runs in (1, 2):
+        verdict = oracle.evaluate(leaves)
+        assert [(o.timed_out, o.reused) for o in verdict.per_sample] == [(True, False)]
+        assert not verdict.sufficient
+        assert _runs(tmp_path) == expected_runs
+    [log] = (tmp_path / "logs").iterdir()
+    assert log.read_text().startswith("timed out after 1 s\n")
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # a killed child that nobody has reaped yet is gone too
+    stat = Path(f"/proc/{pid}/stat")
+    return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
+
+
+def test_llm_oracle_timeout_kills_the_test_process_group(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    oracle, leaves = _counting_oracle(
+        tmp_path,
+        MIXED[:1],
+        test_command=f"sleep 30 & echo $! > {pid_file}; wait",
+        timeout_seconds=1,
+    )
+    [outcome] = oracle.evaluate(leaves).per_sample
+    assert outcome.timed_out
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 3
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)
+
+
+def test_llm_oracle_logs_each_distinct_patch_once(tmp_path):
+    unappliable = _completion(_diff("x = 1\n", "x = 2\n", "mod.py"))
+    completions = MIXED + [unappliable]
+    oracle, leaves = _counting_oracle(tmp_path, completions, log_dir=tmp_path / "logs")
+    oracle.evaluate(leaves)
+    oracle.evaluate(leaves)
+    patches = [extract_patch(c) for c in (MIXED[0], MIXED[2], unappliable)]
+    names = [f"llm-inst.{hashlib.sha1(p.encode()).hexdigest()[:12]}.log" for p in patches]
+    assert sorted(p.name for p in (tmp_path / "logs").iterdir()) == sorted(names)
+    heads = [(tmp_path / "logs" / n).read_text().splitlines()[0] for n in names]
+    assert heads[:2] == ["exit status: 0", "exit status: 1"]
+    assert heads[2] == "patch not applied: removed-line mismatch at mod.py:1"
