@@ -21,7 +21,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
@@ -89,9 +89,9 @@ class Span:
 class CodeUnit:
     """One node of the decomposition tree.
 
-    ``kind`` is set for leaves only; internal units carry ``None``.
-    ``source_line_count`` is the number of source lines the unit spans
-    (0 for the file unit of an empty file).
+    ``kind`` is set for leaves only; internal units carry ``None``.  The
+    unit spans ``span.line_count`` source lines, except the file unit of
+    an empty file, which has no lines and no leaves.
     """
 
     id: str
@@ -101,7 +101,6 @@ class CodeUnit:
     path: str
     parent_id: str | None = None
     child_ids: list[str] = field(default_factory=list)
-    source_line_count: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -117,19 +116,22 @@ class UnitTree:
     units in preorder.  ``sources`` keeps the raw text per path so units
     can be re-rendered without touching the filesystem.
 
-    Two per-path tables are built once, with the tree, so queries never
-    rescan the whole tree or re-split a file:
+    Tables built once, with the tree, so queries never walk subtrees,
+    rescan the tree or re-split a file:
 
     - ``lines`` holds each file's source split into lines; unit text is a
       slice of it.
-    - A leaf index holds each file's childless units (leaf segments, or
-      the bare file unit of an empty file) in document order with their
-      start lines.  Because the leaves of a file partition its lines, a
-      bisect finds the one leaf containing a line, and the units
-      containing that line are exactly the leaf and its ancestors.  The
-      innermost unit therefore wins, and on equal spans the later unit in
-      document order wins: a fragment spanning a whole comment-only file
-      beats its file unit.
+    - ``leaves`` holds every leaf segment in document order, and
+      ``leaf_slice`` maps each unit id to the ``(lo, hi)`` slice of
+      ``leaves`` under it.  Preorder keeps a subtree's leaves contiguous,
+      so that slice is exactly the subtree's leaves.  The file unit of an
+      empty file has an empty slice.
+    - Because the leaves of a file partition its lines, a bisect of the
+      leaf start lines within the file's slice finds the one leaf
+      containing a line, and the units containing that line are exactly
+      the leaf and its ancestors.  The innermost unit therefore wins, and
+      on equal spans the later unit in document order wins: a fragment
+      spanning a whole comment-only file beats its file unit.
     """
 
     instance_id: str
@@ -137,23 +139,28 @@ class UnitTree:
     index: dict[str, CodeUnit]
     unit_order: list[str]
     sources: dict[str, str]
-    order_pos: dict[str, int] = field(default_factory=dict)
+    order_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     lines: dict[str, list[str]] = field(init=False, repr=False, compare=False)
-    _leaf_starts: dict[str, list[int]] = field(init=False, repr=False, compare=False)
-    _leaves: dict[str, list[CodeUnit]] = field(init=False, repr=False, compare=False)
+    leaves: list[CodeUnit] = field(init=False, repr=False, compare=False)
+    leaf_slice: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.order_pos:
-            self.order_pos = {uid: i for i, uid in enumerate(self.unit_order)}
+        self.order_pos = {uid: i for i, uid in enumerate(self.unit_order)}
         self.lines = {path: split_lines(source) for path, source in self.sources.items()}
-        self._leaves = {}
-        for uid in self.unit_order:
-            unit = self.index[uid]
-            if unit.is_leaf:
-                self._leaves.setdefault(unit.path, []).append(unit)
-        self._leaf_starts = {
-            path: [unit.span.start_line for unit in leaves] for path, leaves in self._leaves.items()
-        }
+        self.leaves = []
+        self.leaf_slice = {}
+        for file_unit in self.files:
+            self._add_leaves(file_unit)
+        self._leaf_starts = [unit.span.start_line for unit in self.leaves]
+        self._file_units = {unit.path: unit for unit in self.files}
+
+    def _add_leaves(self, unit: CodeUnit) -> None:
+        lo = len(self.leaves)
+        if unit.is_leaf and unit.level is not Level.FILE:
+            self.leaves.append(unit)
+        for child_id in unit.child_ids:
+            self._add_leaves(self.index[child_id])
+        self.leaf_slice[unit.id] = (lo, len(self.leaves))
 
     def unit(self, unit_id: str) -> CodeUnit:
         try:
@@ -161,12 +168,20 @@ class UnitTree:
         except KeyError:
             raise UnknownUnitError(unit_id) from None
 
+    def leaves_under(self, unit_id: str) -> list[CodeUnit]:
+        """Leaf segments under (or at) a unit, in document order."""
+        lo, hi = self.leaf_slice[self.unit(unit_id).id]
+        return self.leaves[lo:hi]
+
     def innermost_unit(self, path: str, line: int) -> CodeUnit | None:
-        """The childless unit at ``path`` whose span contains ``line``."""
-        pos = bisect_right(self._leaf_starts.get(path, []), line) - 1
-        if pos < 0:
+        """The leaf at ``path`` whose span contains ``line``, or the file
+        unit of an empty file."""
+        file_unit = self._file_units.get(path)
+        if file_unit is None:
             return None
-        unit = self._leaves[path][pos]
+        lo, hi = self.leaf_slice[file_unit.id]
+        pos = bisect_right(self._leaf_starts, line, lo, hi) - 1
+        unit = self.leaves[pos] if pos >= lo else file_unit
         return unit if unit.span.contains_line(line) else None
 
 
@@ -209,7 +224,6 @@ def _make_unit(
     level: Level,
     kind: SegmentKind | None,
     span: Span,
-    line_count: int | None = None,
     meta: dict | None = None,
 ) -> CodeUnit:
     text = _span_text(lines, span)
@@ -219,7 +233,6 @@ def _make_unit(
         kind=kind,
         span=span,
         path=path,
-        source_line_count=span.line_count if line_count is None else line_count,
         meta=meta or {},
     )
 
@@ -367,7 +380,7 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
     ``meta['fallback']``.  Empty sources yield a bare file unit.
     """
     if source == "":
-        return [_make_unit(path, [], Level.FILE, None, Span(1, 1), line_count=0)]
+        return [_make_unit(path, [], Level.FILE, None, Span(1, 1))]
 
     lines = split_lines(source)
     total = len(lines)
@@ -434,11 +447,7 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
 
 def leaf_segments(tree: UnitTree) -> list[CodeUnit]:
     """All leaf segments in document order (file units never count)."""
-    return [
-        tree.index[uid]
-        for uid in tree.unit_order
-        if tree.index[uid].is_leaf and tree.index[uid].level is not Level.FILE
-    ]
+    return list(tree.leaves)
 
 
 def unit_text(tree: UnitTree, unit: CodeUnit | str) -> str:
@@ -466,18 +475,9 @@ def upward_closure(tree: UnitTree, included: Iterable[str]) -> frozenset[str]:
     return frozenset(closed)
 
 
-def iter_subtree(tree: UnitTree, unit_id: str) -> Iterator[CodeUnit]:
-    unit = tree.unit(unit_id)
-    yield unit
-    for child_id in unit.child_ids:
-        yield from iter_subtree(tree, child_id)
-
-
 def subtree_leaf_ids(tree: UnitTree, unit_id: str) -> frozenset[str]:
     """Leaf segments under (or at) the given unit."""
-    return frozenset(
-        u.id for u in iter_subtree(tree, unit_id) if u.is_leaf and u.level is not Level.FILE
-    )
+    return frozenset(u.id for u in tree.leaves_under(unit_id))
 
 
 def enclosing_unit(tree: UnitTree, path: str, line: int, level: Level | None = None) -> CodeUnit | None:
@@ -505,7 +505,7 @@ def segment_records(tree: UnitTree) -> list[dict]:
                 "kind": seg.kind.value if seg.kind else None,
                 "start_line": seg.span.start_line,
                 "end_line": seg.span.end_line,
-                "line_count": seg.source_line_count,
+                "line_count": seg.span.line_count,
             }
         )
     return rows

@@ -1,8 +1,11 @@
 """Phase I: population search over inclusion genomes.
 
 A genome is one bit per file- or function-level unit (blocks stay
-included until Phase II).  The search stops at the first candidate the
-oracle accepts; fitness only steers selection among failing candidates.
+included until Phase II).  The tree has three fixed levels, so a
+function-level unit's only genome ancestor is its file, and the leaves
+it keeps are its slice of the tree's leaf table.  The search stops at
+the first candidate the oracle accepts; fitness only steers selection
+among failing candidates.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class GenomeSpace:
         ]
         self.position = {uid: i for i, uid in enumerate(self.unit_ids)}
 
-        # contiguous genome ranges per file, for subtree crossover
+        # contiguous genome ranges per file: the file's own position, then
+        # its function-level units; used for crossover and consistency
         self.file_ranges: list[tuple[int, int]] = []
         start = None
         for i, uid in enumerate(self.unit_ids):
@@ -76,69 +80,38 @@ class GenomeSpace:
         if start is not None:
             self.file_ranges.append((start, len(self.unit_ids)))
 
-        # ancestor positions per genome position (self excluded)
-        self.ancestor_positions: list[tuple[int, ...]] = []
-        for uid in self.unit_ids:
-            chain = []
-            unit = tree.index[uid]
-            while unit.parent_id is not None:
-                unit = tree.index[unit.parent_id]
-                if unit.id in self.position:
-                    chain.append(self.position[unit.id])
-            self.ancestor_positions.append(tuple(chain))
-
-        # governing genome positions per leaf segment (self included when
-        # the leaf is itself a genome unit)
-        self.leaf_ids: list[str] = []
-        self.leaf_governors: list[tuple[int, ...]] = []
-        for uid in tree.unit_order:
-            unit = tree.index[uid]
-            if not unit.is_leaf or unit.level is Level.FILE:
-                continue
-            governors = []
-            current = unit
-            while current is not None:
-                if current.id in self.position:
-                    governors.append(self.position[current.id])
-                current = tree.index[current.parent_id] if current.parent_id else None
-            self.leaf_ids.append(uid)
-            self.leaf_governors.append(tuple(governors))
+        self.leaf_ids = [leaf.id for leaf in tree.leaves]
 
     def __len__(self) -> int:
         return len(self.unit_ids)
 
 
 def is_upward_consistent(genome: Genome, space: GenomeSpace) -> bool:
-    return all(
-        all(genome.bits[a] for a in space.ancestor_positions[i])
-        for i, bit in enumerate(genome.bits)
-        if bit
-    )
+    return all(genome.bits[start] or not any(genome.bits[start:end]) for start, end in space.file_ranges)
 
 
 def repair(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> Genome:
     """Force upward consistency; revive all-zero genomes by activating the
     highest-priority unit (earliest in document order on ties)."""
     bits = list(genome.bits)
-    for i, bit in enumerate(bits):
-        if bit:
-            for a in space.ancestor_positions[i]:
-                bits[a] = 1
     if not any(bits):
-        best = max(range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
-        bits[best] = 1
-        for a in space.ancestor_positions[best]:
-            bits[a] = 1
+        bits[max(range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))] = 1
+    for start, end in space.file_ranges:
+        if any(bits[start:end]):
+            bits[start] = 1
     return Genome(tuple(bits))
 
 
 def _kept_leaves(genome: Genome, space: GenomeSpace) -> Iterator[str]:
-    """Leaves kept by a genome, in document order: all governing
-    file/function bits are on."""
+    """Leaves kept by a genome, in document order: the slices of the
+    function-level units whose own bit and whose file's bit are on."""
     bits = genome.bits
-    for leaf_id, governors in zip(space.leaf_ids, space.leaf_governors):
-        if all(bits[g] for g in governors):
-            yield leaf_id
+    for start, end in space.file_ranges:
+        if bits[start]:
+            for i in range(start + 1, end):
+                if bits[i]:
+                    lo, hi = space.tree.leaf_slice[space.unit_ids[i]]
+                    yield from space.leaf_ids[lo:hi]
 
 
 def retained_leaf_ids(genome: Genome, space: GenomeSpace) -> frozenset[str]:

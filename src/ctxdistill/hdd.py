@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code_model import Level, UnitTree, subtree_leaf_ids
+from .code_model import Level, UnitTree
 from .ga_search import TraceWriter
 from .oracle import OracleBudgetExhausted, OracleSession, verdict_cache_key
 
@@ -37,7 +37,8 @@ def _level_units(tree: UnitTree, level: Level, retained: frozenset[str]) -> list
     return [
         uid
         for uid in tree.unit_order
-        if tree.index[uid].level is level and subtree_leaf_ids(tree, uid) & retained
+        if tree.index[uid].level is level
+        and any(leaf.id in retained for leaf in tree.leaves_under(uid))
     ]
 
 
@@ -102,9 +103,7 @@ def ddmin_level(
         n = min(n, len(units))
         reduced = False
         for chunk in _chunks(units, n):
-            dropped = frozenset().union(
-                *(subtree_leaf_ids(tree, uid) for uid in chunk)
-            )
+            dropped = {leaf.id for uid in chunk for leaf in tree.leaves_under(uid)}
             candidate = retained - dropped
             sufficient = _probe(
                 session, candidate, trace, level.value, step, len(retained) - len(candidate)

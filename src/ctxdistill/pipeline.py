@@ -152,7 +152,7 @@ def distill_instance(
                 kind=seg.kind.value if seg.kind else "",
                 start_line=seg.span.start_line,
                 end_line=seg.span.end_line,
-                line_count=seg.source_line_count,
+                line_count=seg.span.line_count,
                 text=unit_text(tree, seg),
                 role=classify_role(seg, tree, facts).value,
             )

@@ -2,9 +2,11 @@
 
 Included files are emitted in document order; every maximal run of
 excluded sibling subtrees collapses into one ``# ... N lines omitted``
-line at the run's indentation, where N sums the omitted leaves' line
-counts.  Fully included trees reproduce the original sources byte for
-byte.  Excluded files are left out entirely.
+line at the run's indentation.  A unit's leaves partition its span and
+siblings are adjacent, so N is the run's line range, from its first
+unit's start line to its last unit's end line.  Fully included trees
+reproduce the original sources byte for byte.  Excluded files are left
+out entirely.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .code_model import CodeUnit, UnitTree, split_lines, subtree_leaf_ids
+from .code_model import CodeUnit, UnitTree, split_lines
 from .tokens import count_tokens
 
 PLACEHOLDER_RE = re.compile(r"^(\s*)# \.\.\. (\d+) lines omitted$")
@@ -100,17 +102,11 @@ def _emit(
             i += 1
             continue
         # maximal run of excluded siblings becomes one placeholder
-        run_start = i
         while i < len(children) and children[i].id not in included:
             i += 1
-        run = children[run_start:i]
-        omitted_lines = sum(
-            tree.index[lid].source_line_count
-            for sibling in run
-            for lid in subtree_leaf_ids(tree, sibling.id)
-        )
-        indent = _indent_of(lines, run[0].span.start_line, run[-1].span.end_line)
-        out.append(placeholder_line(indent, omitted_lines))
+        last = children[i - 1]
+        indent = _indent_of(lines, child.span.start_line, last.span.end_line)
+        out.append(placeholder_line(indent, last.span.end_line - child.span.start_line + 1))
 
 
 def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
@@ -128,7 +124,7 @@ def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
         _emit(tree, file_unit, included_set, lines, out)
         per_file.append(RenderedFile(file_unit.path, "".join(out)))
         leaf_ids.update(
-            lid for lid in subtree_leaf_ids(tree, file_unit.id) if lid in included_set
+            leaf.id for leaf in tree.leaves_under(file_unit.id) if leaf.id in included_set
         )
 
     rendered = RenderedContext(per_file, 0, frozenset(leaf_ids))

@@ -255,7 +255,7 @@ def test_c05_render_identity_and_conservation():
         for rf in rendered.per_file:
             file_unit = next(u for u in tree.files if u.path == rf.path)
             segmented = sum(
-                tree.index[lid].source_line_count
+                tree.index[lid].span.line_count
                 for lid in subtree_leaf_ids(tree, file_unit.id)
             )
             emitted = 0
@@ -281,7 +281,6 @@ def _unit_with(text_ids, span=Span(1, 12), path="p.py"):
         kind=SegmentKind.FUNCTION,
         span=span,
         path=path,
-        source_line_count=span.line_count,
     )
     return unit, text
 

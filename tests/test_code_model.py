@@ -58,7 +58,6 @@ def test_empty_file_has_zero_segments():
     units = decompose("empty.py", "")
     assert len(units) == 1
     assert units[0].level is Level.FILE
-    assert units[0].source_line_count == 0
     tree = build_tree("t", [("empty.py", "")])
     assert leaf_segments(tree) == []
 

@@ -34,7 +34,7 @@ def _conservation_check(tree, included):
     for rf in rendered.per_file:
         file_unit = next(u for u in tree.files if u.path == rf.path)
         segmented = sum(
-            tree.index[lid].source_line_count
+            tree.index[lid].span.line_count
             for lid in subtree_leaf_ids(tree, file_unit.id)
         )
         emitted = 0
@@ -90,7 +90,7 @@ def test_file_on_all_segments_off_collapses_to_one_placeholder():
     assert all(matches)
     total = sum(int(m.group(2)) for m in matches)
     assert total == sum(
-        tree.index[lid].source_line_count
+        tree.index[lid].span.line_count
         for lid in subtree_leaf_ids(tree, file_unit.id)
     )
     # adjacent excluded siblings merge into a single placeholder
