@@ -194,10 +194,13 @@ _DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @dataclass
-class _Raw:
+class _Entry:
+    """A line range and the segment kind it becomes.  ``stmt`` is set only
+    for top-level functions and methods, whose bodies may split further."""
+
     start: int
     end: int
-    tag: str  # fragment | class_header | function | method
+    kind: SegmentKind
     stmt: ast.stmt | None = None
 
 
@@ -237,14 +240,14 @@ def _make_unit(
     )
 
 
-def _class_entries(cls: ast.ClassDef) -> list[_Raw]:
+def _class_entries(cls: ast.ClassDef) -> list[_Entry]:
     """Flatten a class into class_header runs and method entries.
 
     The first header run starts at the class signature (including
     decorators); if the body opens with a method, the signature gets a
     header entry of its own.
     """
-    entries: list[_Raw] = []
+    entries: list[_Entry] = []
     run: list[ast.stmt] = []
     sig_start = _definition_start(cls)
     sig_pending = True
@@ -253,14 +256,14 @@ def _class_entries(cls: ast.ClassDef) -> list[_Raw]:
         nonlocal sig_pending
         if run:
             start = sig_start if sig_pending else run[0].lineno
-            entries.append(_Raw(start, run[-1].end_lineno, "class_header"))
+            entries.append(_Entry(start, run[-1].end_lineno, SegmentKind.CLASS_HEADER))
             sig_pending = False
             run.clear()
 
     def open_member(member_start: int) -> None:
         nonlocal sig_pending
         if sig_pending and not run:
-            entries.append(_Raw(sig_start, member_start - 1, "class_header"))
+            entries.append(_Entry(sig_start, member_start - 1, SegmentKind.CLASS_HEADER))
             sig_pending = False
         else:
             flush()
@@ -268,7 +271,7 @@ def _class_entries(cls: ast.ClassDef) -> list[_Raw]:
     for stmt in cls.body:
         if isinstance(stmt, _DEF):
             open_member(_definition_start(stmt))
-            entries.append(_Raw(_definition_start(stmt), stmt.end_lineno, "method", stmt))
+            entries.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.METHOD, stmt))
         elif isinstance(stmt, ast.ClassDef):
             open_member(_definition_start(stmt))
             entries.extend(_class_entries(stmt))
@@ -278,21 +281,21 @@ def _class_entries(cls: ast.ClassDef) -> list[_Raw]:
     return entries
 
 
-def _top_entries(module: ast.Module) -> list[_Raw]:
+def _top_entries(module: ast.Module) -> list[_Entry]:
     # TODO: split import runs into their own fragments so imports can be
     # retained or dropped independently of neighbouring top-level code
-    entries: list[_Raw] = []
+    entries: list[_Entry] = []
     run: list[ast.stmt] = []
 
     def flush() -> None:
         if run:
-            entries.append(_Raw(run[0].lineno, run[-1].end_lineno, "fragment"))
+            entries.append(_Entry(run[0].lineno, run[-1].end_lineno, SegmentKind.FILE))
             run.clear()
 
     for stmt in module.body:
         if isinstance(stmt, _DEF):
             flush()
-            entries.append(_Raw(_definition_start(stmt), stmt.end_lineno, "function", stmt))
+            entries.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.FUNCTION, stmt))
         elif isinstance(stmt, ast.ClassDef):
             flush()
             entries.extend(_class_entries(stmt))
@@ -302,59 +305,43 @@ def _top_entries(module: ast.Module) -> list[_Raw]:
     return entries
 
 
-@dataclass
-class _Part:
-    start: int
-    end: int
-    tag: str  # block | def | class
-
-
-def _partition_body(body: list[ast.stmt]) -> list[_Part]:
+def _partition_body(body: list[ast.stmt]) -> list[_Entry]:
     """Split a function body at compound-statement and definition boundaries."""
-    parts: list[_Part] = []
+    parts: list[_Entry] = []
     run: list[ast.stmt] = []
 
     def flush() -> None:
         if run:
-            parts.append(_Part(run[0].lineno, run[-1].end_lineno, "block"))
+            parts.append(_Entry(run[0].lineno, run[-1].end_lineno, SegmentKind.BLOCK))
             run.clear()
 
     for stmt in body:
         if isinstance(stmt, _DEF):
             flush()
-            parts.append(_Part(_definition_start(stmt), stmt.end_lineno, "def"))
+            parts.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.FUNCTION))
         elif isinstance(stmt, ast.ClassDef):
             flush()
-            parts.append(_Part(_definition_start(stmt), stmt.end_lineno, "class"))
+            parts.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.CLASS_HEADER))
         elif isinstance(stmt, _COMPOUND):
             flush()
-            parts.append(_Part(stmt.lineno, stmt.end_lineno, "block"))
+            parts.append(_Entry(stmt.lineno, stmt.end_lineno, SegmentKind.BLOCK))
         else:
             run.append(stmt)
     flush()
     return parts
 
 
-_PART_KIND = {
-    "block": SegmentKind.BLOCK,
-    "def": SegmentKind.FUNCTION,
-    "class": SegmentKind.CLASS_HEADER,
-}
-
-
-def _build_callable(path: str, lines: list[str], raw: _Raw, span: Span) -> list[CodeUnit]:
+def _build_callable(path: str, lines: list[str], entry: _Entry, span: Span) -> list[CodeUnit]:
     """Build a function/method unit; split its body into block leaves when
     it has more than one partition or contains nested definitions."""
-    assert raw.stmt is not None
-    kind = SegmentKind.METHOD if raw.tag == "method" else SegmentKind.FUNCTION
-    parts = _partition_body(raw.stmt.body)
-    if len(parts) == 1 and parts[0].tag == "block":
-        return [_make_unit(path, lines, Level.FUNCTION, kind, span)]
+    parts = _partition_body(entry.stmt.body)
+    if len(parts) == 1 and parts[0].kind is SegmentKind.BLOCK:
+        return [_make_unit(path, lines, Level.FUNCTION, entry.kind, span)]
 
     func = _make_unit(path, lines, Level.FUNCTION, None, span)
     children: list[CodeUnit] = []
     prev = span.start_line - 1
-    if parts and parts[0].tag != "block":
+    if parts and parts[0].kind is not SegmentKind.BLOCK:
         # the signature must stay inside some leaf; give it its own block
         sig_span = Span(span.start_line, parts[0].start - 1)
         children.append(_make_unit(path, lines, Level.BLOCK, SegmentKind.BLOCK, sig_span))
@@ -364,7 +351,7 @@ def _build_callable(path: str, lines: list[str], raw: _Raw, span: Span) -> list[
         end = span.end_line if j == len(parts) - 1 else part.end
         prev = end
         children.append(
-            _make_unit(path, lines, Level.BLOCK, _PART_KIND[part.tag], Span(start, end))
+            _make_unit(path, lines, Level.BLOCK, part.kind, Span(start, end))
         )
     for child in children:
         child.parent_id = func.id
@@ -400,7 +387,7 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
     entries = _top_entries(module)
     if not entries:
         # comment- or blank-only file: one top-level fragment
-        entries = [_Raw(1, total, "fragment")]
+        entries = [_Entry(1, total, SegmentKind.FILE)]
 
     file_unit = _make_unit(path, lines, Level.FILE, None, file_span)
     units: list[CodeUnit] = [file_unit]
@@ -410,10 +397,8 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
         end = total if i == len(entries) - 1 else entry.end
         prev_end = end
         span = Span(start, end)
-        if entry.tag == "fragment":
-            built = [_make_unit(path, lines, Level.FUNCTION, SegmentKind.FILE, span)]
-        elif entry.tag == "class_header":
-            built = [_make_unit(path, lines, Level.FUNCTION, SegmentKind.CLASS_HEADER, span)]
+        if entry.stmt is None:
+            built = [_make_unit(path, lines, Level.FUNCTION, entry.kind, span)]
         else:
             built = _build_callable(path, lines, entry, span)
         built[0].parent_id = file_unit.id
