@@ -183,12 +183,15 @@ class OracleSession:
 def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     """Apply a unified diff under ``root``; returns the touched paths.
 
-    Context lines are matched exactly; any mismatch raises
-    ``PatchApplyError``, and so does a path that resolves outside
-    ``root`` or names a directory (checked before anything is written).
-    A file ends without a newline when a ``\\ No newline at end of file``
-    marker ends its last hunk's new side; a tail no hunk reaches keeps
-    the source's final newline or its lack.
+    Context lines are matched exactly, apart from their line breaks; any
+    mismatch raises ``PatchApplyError``, and so does a path that resolves
+    outside ``root`` or names a directory (checked before anything is
+    written).  Untouched and context lines keep their own line break;
+    added lines take the break of the file's first line (``\\n`` for a
+    new file or one without breaks).  A file ends without a newline when
+    a ``\\ No newline at end of file`` marker ends its last hunk's new
+    side; a tail no hunk reaches keeps the source's final newline or its
+    lack.
     """
     root = Path(root)
     try:
@@ -216,9 +219,14 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
             source_file = root / source_rel
             if not source_file.exists():
                 raise PatchApplyError(f"patch target missing: {source_rel}")
-            source_text = source_file.read_text(encoding="utf-8")
-            old_lines = split_lines(source_text)
+            source_text = source_file.read_bytes().decode("utf-8")
+            old_lines = split_lines(source_text, keepends=True)
             final_newline = not old_lines or source_text.endswith(("\n", "\r"))
+        first = old_lines[0] if old_lines else ""
+        newline = first[len(first.rstrip("\r\n")) :] or "\n"
+        if not final_newline:
+            # every line carries a break until the end decides the last one
+            old_lines[-1] += newline
 
         out: list[str] = []
         pos = 0
@@ -233,31 +241,32 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
             for body in hunk.lines:
                 tag, text = body[0], body[1:]
                 if tag == " ":
-                    if pos >= len(old_lines) or old_lines[pos] != text:
+                    if pos >= len(old_lines) or old_lines[pos].rstrip("\r\n") != text:
                         raise PatchApplyError(
                             f"context mismatch at {target_rel}:{pos + 1}"
                         )
-                    out.append(text)
+                    out.append(old_lines[pos])
                     pos += 1
                 elif tag == "-":
-                    if pos >= len(old_lines) or old_lines[pos] != text:
+                    if pos >= len(old_lines) or old_lines[pos].rstrip("\r\n") != text:
                         raise PatchApplyError(
                             f"removed-line mismatch at {target_rel}:{pos + 1}"
                         )
                     pos += 1
                 elif tag == "+":
-                    out.append(text)
+                    out.append(text + newline)
             if pos == len(old_lines):
                 final_newline = not hunk.new_missing_newline
         out.extend(old_lines[pos:])
+        if out and not final_newline:
+            out[-1] = out[-1].rstrip("\r\n")
 
         if new_path is None:
             (root / source_rel).unlink()
         else:
             target = root / target_rel
             target.parent.mkdir(parents=True, exist_ok=True)
-            content = "\n".join(out) + ("\n" if out and final_newline else "")
-            target.write_text(content, encoding="utf-8")
+            target.write_bytes("".join(out).encode("utf-8"))
         touched.append(target_rel)
     return touched
 
@@ -388,8 +397,12 @@ class LLMOracle:
 
     def _test_patch(self, patch: str, start: float) -> SampleOutcome:
         """Apply ``patch`` to a scratch copy of the repository and run the
-        test command there; on timeout, kill the command's whole process
-        group."""
+        test command there.
+
+        The verdict is the shell's exit status.  Output goes to files, not
+        pipes, so a background child that keeps them open cannot hold the
+        run past the shell's exit.  Once the shell exits or times out, what
+        is left of its process group is killed."""
         with tempfile.TemporaryDirectory(prefix="ctxdistill-oracle-") as scratch:
             repo_copy = Path(scratch) / "repo"
             shutil.copytree(self.instance.repo_root, repo_copy)
@@ -398,22 +411,29 @@ class LLMOracle:
             except PatchApplyError as exc:
                 self._write_log(patch, f"patch not applied: {exc}\n")
                 return SampleOutcome(patch, False, None, time.perf_counter() - start)
-            with subprocess.Popen(
-                self.instance.test_command,
-                shell=True,
-                cwd=repo_copy,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            ) as proc:
-                try:
-                    stdout, stderr = proc.communicate(timeout=self.config.timeout_seconds)
-                    status = proc.returncode
-                except subprocess.TimeoutExpired:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                    stdout, stderr = proc.communicate()
-                    status = None
+            with (
+                tempfile.TemporaryFile("w+", errors="replace") as out,
+                tempfile.TemporaryFile("w+", errors="replace") as err,
+            ):
+                with subprocess.Popen(
+                    self.instance.test_command,
+                    shell=True,
+                    cwd=repo_copy,
+                    stdout=out,
+                    stderr=err,
+                    start_new_session=True,
+                ) as proc:
+                    try:
+                        status = proc.wait(timeout=self.config.timeout_seconds)
+                    except subprocess.TimeoutExpired:
+                        status = None
+                    try:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                out.seek(0)
+                err.seek(0)
+                stdout, stderr = out.read(), err.read()
         head = (
             f"exit status: {status}"
             if status is not None

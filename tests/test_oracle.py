@@ -218,6 +218,22 @@ def test_apply_patch_honours_no_newline_marker(tmp_path, old, body, new, markers
     assert (tmp_path / "m.py").read_bytes() == new.encode()
 
 
+@pytest.mark.parametrize(
+    "old, hunks, new",
+    [
+        (b"a\r\nb\r\nc\r\n", "@@ -1,3 +1,3 @@\n-a\n+A\n b\n c\n", b"A\r\nb\r\nc\r\n"),
+        (b"a\r\nb\r\nc\r\n", "@@ -2,2 +2,3 @@\n b\n+d\n c\n", b"a\r\nb\r\nd\r\nc\r\n"),
+        (b"a\nb\r\nc\r", "@@ -2,2 +2,2 @@\n b\n-c\n+C\n", b"a\nb\r\nC\n"),
+        (b"a\r\nb", "@@ -1,2 +1,2 @@\n-a\n+A\n b\n" + _NO_EOL, b"A\r\nb"),
+    ],
+    ids=["crlf-replace", "crlf-insert", "mixed", "crlf-no-eol"],
+)
+def test_apply_patch_keeps_line_breaks(tmp_path, old, hunks, new):
+    (tmp_path / "m.py").write_bytes(old)
+    assert apply_patch_text(tmp_path, "--- a/m.py\n+++ b/m.py\n" + hunks) == ["m.py"]
+    assert (tmp_path / "m.py").read_bytes() == new
+
+
 @pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink", "directory"])
 def test_apply_patch_rejects_paths_outside_root(tmp_path, escape):
     root = tmp_path / "root"
@@ -528,6 +544,25 @@ def test_llm_oracle_timeout_kills_the_test_process_group(tmp_path):
     )
     [outcome] = oracle.evaluate(leaves).per_sample
     assert outcome.timed_out
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 3
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)
+
+
+def test_llm_oracle_judges_the_shell_not_its_background_children(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    oracle, leaves = _counting_oracle(
+        tmp_path,
+        MIXED[:1],
+        test_command=f"sleep 3 & echo $! > {pid_file}; exit 0",
+        timeout_seconds=1,
+    )
+    started = time.monotonic()
+    [outcome] = oracle.evaluate(leaves).per_sample
+    assert time.monotonic() - started < 1
+    assert (outcome.test_exit_status, outcome.timed_out) == (0, False)
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 3
     while _alive(pid) and time.monotonic() < deadline:
