@@ -98,6 +98,8 @@ class DistilledInstance:
     oracle_calls: int
     provenance: dict = field(default_factory=dict)
     status: str = STATUS_MINIMIZED
+    # the oracle budget ran out, so the kept set may not be reduced
+    budget_exhausted: bool = False
 
     def __post_init__(self) -> None:
         segment_ids = {seg.id for seg in self.context_segments}
@@ -116,6 +118,7 @@ class DistilledInstance:
             "oracle_calls": self.oracle_calls,
             "provenance": self.provenance,
             "status": self.status,
+            "budget_exhausted": self.budget_exhausted,
         }
 
     @classmethod
@@ -131,6 +134,7 @@ class DistilledInstance:
             oracle_calls=int(data["oracle_calls"]),
             provenance=dict(data.get("provenance", {})),
             status=data.get("status", STATUS_MINIMIZED),
+            budget_exhausted=bool(data.get("budget_exhausted", False)),
         )
 
 
@@ -342,7 +346,7 @@ def _exportable(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
     return [
         inst
         for inst in corpus
-        if inst.status == STATUS_MINIMIZED and inst.minimal_leaf_ids
+        if inst.status == STATUS_MINIMIZED and inst.minimal_leaf_ids and not inst.budget_exhausted
     ]
 
 

@@ -173,5 +173,6 @@ def distill_instance(
             "phase2_passes": len(min_result.per_level_removed) if min_result else 0,
         },
         status=STATUS_MINIMIZED if minimized else STATUS_UNMINIMIZED,
+        budget_exhausted=budget_exhausted,
     )
     return DistillOutcome(record=record, ga=ga_result, budget_exhausted=budget_exhausted)

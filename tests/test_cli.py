@@ -241,6 +241,31 @@ def test_export_and_stats_roundtrip(tmp_path, instance_path, monkeypatch):
     assert stats["positives"] == 1
 
 
+def test_export_skips_a_record_whose_budget_ran_out(tmp_path, instance_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    exhausted = ["--no-trace", "--set", "oracle.eval_budget=3", "distill", instance_path, "--out", corpus]
+    assert _run(exhausted) == EXIT_PARTIAL
+    normal = write_instance(
+        tmp_path / "other.json",
+        tmp_path / "other-repo",
+        FILES,
+        instance_id="inst-1",
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+    )
+    assert _run(["--no-trace", "distill", normal, "--out", corpus]) == EXIT_OK
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert [(r["status"], r["budget_exhausted"]) for r in records] == [
+        ("minimized", True),
+        ("minimized", False),
+    ]
+    triples = tmp_path / "triples.jsonl"
+    assert _run(["export", corpus, "--out", triples]) == EXIT_OK
+    rows = [json.loads(line) for line in triples.read_text().splitlines()]
+    assert rows and {row["instance_id"] for row in rows} == {"inst-1"}
+
+
 def test_export_zero_positive_corpus_exits_3(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_instance(

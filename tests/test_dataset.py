@@ -172,6 +172,16 @@ def test_corpus_roundtrip(tmp_path):
     assert compute_stats(loaded).relevance_density == compute_stats(corpus).relevance_density
 
 
+def test_corpus_record_without_budget_flag_loads_as_not_exhausted(tmp_path):
+    data = _instance("i1", 4, 1).to_json()
+    del data["budget_exhausted"]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    [loaded] = load_corpus(path)
+    assert loaded.budget_exhausted is False
+    assert loaded == _instance("i1", 4, 1)
+
+
 def test_corpus_empty_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("", encoding="utf-8")
