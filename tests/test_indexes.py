@@ -3,7 +3,9 @@ scans they replace.
 
 Each reference below is the straightforward version kept here on
 purpose: a linear scan over the whole tree, a re-split of the whole
-file, fault facts recomputed for every segment, and a per-line count.
+file, fault facts recomputed for every segment, a per-line count, and
+frozen copies of the parent-and-child walks that the tree's leaf table
+replaced (subtree leaves, render placeholders, GA genome governors).
 Random modules mix functions, classes, nested definitions, compound
 blocks, decorators, comments and blank lines, plus empty, blank-only,
 comment-only and unparseable files.
@@ -25,7 +27,10 @@ from ctxdistill.code_model import (
     enclosing_leaf,
     enclosing_unit,
     leaf_segments,
+    split_lines,
+    subtree_leaf_ids,
     unit_text,
+    upward_closure,
 )
 from ctxdistill.dataset import (
     SemanticRole,
@@ -36,8 +41,17 @@ from ctxdistill.dataset import (
     classify_role,
     fault_facts,
 )
+from ctxdistill.ga_search import (
+    Genome,
+    GenomeSpace,
+    fitness,
+    is_upward_consistent,
+    repair,
+    retained_leaf_ids,
+)
 from ctxdistill.instance import FaultLocation
 from ctxdistill.priority import CoverageReport, covered_line_count, lex_identifiers
+from ctxdistill.render import _indent_of, placeholder_line, render
 
 NAMES = ("alpha", "beta", "fetch", "size", "load", "Config", "LIMIT")
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -215,6 +229,109 @@ def per_segment_role(segment, faults, tree):
     return SemanticRole.GENERIC_UTILITY
 
 
+def walk_subtree(tree, unit_id):
+    unit = tree.unit(unit_id)
+    yield unit
+    for child_id in unit.child_ids:
+        yield from walk_subtree(tree, child_id)
+
+
+def walk_subtree_leaf_ids(tree, unit_id):
+    return frozenset(
+        u.id for u in walk_subtree(tree, unit_id) if u.is_leaf and u.level is not Level.FILE
+    )
+
+
+def summed_emit(tree, unit, included, lines, out):
+    """The renderer with each placeholder summing its leaves' line counts."""
+    if unit.is_leaf:
+        out.extend(lines[unit.span.start_line - 1 : unit.span.end_line])
+        return
+    children = [tree.index[cid] for cid in unit.child_ids]
+    i = 0
+    while i < len(children):
+        child = children[i]
+        if child.id in included:
+            summed_emit(tree, child, included, lines, out)
+            i += 1
+            continue
+        run_start = i
+        while i < len(children) and children[i].id not in included:
+            i += 1
+        run = children[run_start:i]
+        omitted_lines = sum(
+            tree.index[lid].span.line_count
+            for sibling in run
+            for lid in walk_subtree_leaf_ids(tree, sibling.id)
+        )
+        indent = _indent_of(lines, run[0].span.start_line, run[-1].span.end_line)
+        out.append(placeholder_line(indent, omitted_lines))
+
+
+class GovernorSpace:
+    """Genome ancestors and leaf governors found by walking parent links."""
+
+    def __init__(self, tree):
+        space = GenomeSpace(tree)
+        self.unit_ids, position = space.unit_ids, space.position
+        self.ancestor_positions = []
+        for uid in self.unit_ids:
+            chain = []
+            unit = tree.index[uid]
+            while unit.parent_id is not None:
+                unit = tree.index[unit.parent_id]
+                if unit.id in position:
+                    chain.append(position[unit.id])
+            self.ancestor_positions.append(tuple(chain))
+        self.leaf_ids = []
+        self.leaf_governors = []
+        for uid in tree.unit_order:
+            unit = tree.index[uid]
+            if not unit.is_leaf or unit.level is Level.FILE:
+                continue
+            governors = []
+            current = unit
+            while current is not None:
+                if current.id in position:
+                    governors.append(position[current.id])
+                current = tree.index[current.parent_id] if current.parent_id else None
+            self.leaf_ids.append(uid)
+            self.leaf_governors.append(tuple(governors))
+
+
+def governor_is_upward_consistent(genome, space):
+    return all(
+        all(genome.bits[a] for a in space.ancestor_positions[i])
+        for i, bit in enumerate(genome.bits)
+        if bit
+    )
+
+
+def governor_repair(genome, space, phi):
+    bits = list(genome.bits)
+    for i, bit in enumerate(bits):
+        if bit:
+            for a in space.ancestor_positions[i]:
+                bits[a] = 1
+    if not any(bits):
+        best = max(range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
+        bits[best] = 1
+        for a in space.ancestor_positions[best]:
+            bits[a] = 1
+    return Genome(tuple(bits))
+
+
+def governor_kept_leaves(genome, space):
+    bits = genome.bits
+    for leaf_id, governors in zip(space.leaf_ids, space.leaf_governors):
+        if all(bits[g] for g in governors):
+            yield leaf_id
+
+
+def governor_fitness(genome, space, phi):
+    return sum(phi.get(leaf_id, 0.0) for leaf_id in governor_kept_leaves(genome, space))
+
+
 def probe_lines(tree, path):
     """Every line of the file, one before it and one past its end."""
     return range(0, len(tree.sources[path].splitlines()) + 2)
@@ -270,3 +387,54 @@ def test_bisect_covered_line_count_matches_plain_count(covered, spans):
             unit = CodeUnit("u", Level.FUNCTION, SegmentKind.FUNCTION, Span(start, start + extra), path)
             plain = sum(1 for n in coverage.lines.get(path, ()) if unit.span.contains_line(n))
             assert covered_line_count(unit, coverage) == plain
+
+
+@SETTINGS
+@given(trees)
+def test_leaf_table_matches_subtree_walks(tree):
+    assert leaf_segments(tree) == [
+        tree.index[uid]
+        for uid in tree.unit_order
+        if tree.index[uid].is_leaf and tree.index[uid].level is not Level.FILE
+    ]
+    for uid in tree.unit_order:
+        assert subtree_leaf_ids(tree, uid) == walk_subtree_leaf_ids(tree, uid)
+        assert [u.id for u in tree.leaves_under(uid)] == [
+            u.id for u in walk_subtree(tree, uid) if u.is_leaf and u.level is not Level.FILE
+        ]
+
+
+@SETTINGS
+@given(trees, st.randoms(use_true_random=False))
+def test_placeholder_line_ranges_match_summed_leaf_lines(tree, rng):
+    leaves = [u.id for u in leaf_segments(tree)]
+    for _ in range(5):
+        included = upward_closure(tree, rng.sample(leaves, rng.randint(0, len(leaves))))
+        rendered = render(tree, included)
+        expected = []
+        for file_unit in tree.files:
+            if file_unit.id in included:
+                out = []
+                lines = split_lines(tree.sources[file_unit.path], keepends=True)
+                summed_emit(tree, file_unit, included, lines, out)
+                expected.append((file_unit.path, "".join(out)))
+        assert [(rf.path, rf.text) for rf in rendered.per_file] == expected
+        assert rendered.included_leaf_ids == frozenset(leaves) & included
+
+
+@SETTINGS
+@given(trees, st.randoms(use_true_random=False))
+def test_genome_slices_match_governor_walks(tree, rng):
+    space = GenomeSpace(tree)
+    reference = GovernorSpace(tree)
+    assert space.leaf_ids == reference.leaf_ids
+    phi = {uid: rng.choice([0.0, 0.1, 1 / 3, rng.random(), rng.uniform(0, 50)]) for uid in tree.unit_order}
+    for _ in range(20):
+        genome = Genome(tuple(rng.randint(0, 1) for _ in range(len(space))))
+        assert is_upward_consistent(genome, space) == governor_is_upward_consistent(genome, reference)
+        repaired = repair(genome, space, phi)
+        assert repaired.bits == governor_repair(genome, reference, phi).bits
+        assert is_upward_consistent(repaired, space)
+        for candidate in (genome, repaired):
+            assert retained_leaf_ids(candidate, space) == frozenset(governor_kept_leaves(candidate, reference))
+            assert float(fitness(candidate, space, phi)).hex() == float(governor_fitness(candidate, reference, phi)).hex()
