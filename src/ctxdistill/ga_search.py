@@ -87,7 +87,8 @@ class GenomeSpace:
 
 
 def is_upward_consistent(genome: Genome, space: GenomeSpace) -> bool:
-    return all(genome.bits[start] or not any(genome.bits[start:end]) for start, end in space.file_ranges)
+    bits = genome.bits
+    return all(bits[start] or not any(bits[start:end]) for start, end in space.file_ranges)
 
 
 def repair(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> Genome:
