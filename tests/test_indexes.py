@@ -272,8 +272,8 @@ class GovernorSpace:
     """Genome ancestors and leaf governors found by walking parent links."""
 
     def __init__(self, tree):
-        space = GenomeSpace(tree)
-        self.unit_ids, position = space.unit_ids, space.position
+        self.unit_ids = GenomeSpace(tree).unit_ids
+        position = {uid: i for i, uid in enumerate(self.unit_ids)}
         self.ancestor_positions = []
         for uid in self.unit_ids:
             chain = []
