@@ -33,18 +33,23 @@ TRACE_INSTANCES = (("distill_paper", 60), ("distill_large", 3))
 
 
 def benchmark_digests() -> list[str]:
-    subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-         "--seconds", "2", "--trace", "0"],
-        cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
-    )
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
 
-    rows = []
-    for workload in gen.WORKLOADS:
-        report_path = ROOT / ".bench_out" / f"{workload}-s{SEED}-t0.json"
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+    reports = {w: ROOT / ".bench_out" / f"{w}-s{SEED}-t0.json" for w in gen.WORKLOADS}
+    for path in reports.values():
+        path.unlink(missing_ok=True)  # never read a report an earlier run left
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+         "--seconds", "2", "--trace", "0"],
+        cwd=ROOT, stdout=subprocess.DEVNULL,
+    )
+    rows = [] if proc.returncode == 0 else [f"perfbench/run.py exited {proc.returncode}"]
+    for workload, path in reports.items():
+        if not path.exists():
+            rows.append(f"{workload}: no report")
+            continue
+        report = json.loads(path.read_text(encoding="utf-8"))
         rows.append(
             f"{workload}: digest={report['digest'][:16]} "
             f"failed_share={report['quality']['failed_share']}"
