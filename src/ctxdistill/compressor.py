@@ -6,6 +6,14 @@ identifier overlap with the issue text and proximity to a fault
 location.  A remote cross-encoder can be reached over HTTP.  Segments
 longer than the scoring window are scored in overlapping line-aligned
 windows and aggregated by max.
+
+Ties in score break by the heuristic score of the segment's whole text,
+then by document order.  ``compress`` does each piece of per-query work
+once: the query lexes the issue text when it is built, the heuristic
+scorer resolves the fault units once per query, and a segment that the
+heuristic scorer saw whole takes its score as its tiebreak.  Only
+windowed segments, and every segment under another scorer, compute the
+whole-text tiebreak separately.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from .code_model import CodeUnit, Level, UnitTree, enclosing_unit, leaf_segments, unit_text, upward_closure
@@ -38,9 +46,16 @@ class ScorerUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class StructuredQuery:
+    """The issue and its fault locations; ``issue_identifiers`` is the
+    issue text's identifier set, lexed once when the query is built."""
+
     issue_text: str
     fault_locations: tuple[FaultLocation, ...]
     rendered: str
+    issue_identifiers: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "issue_identifiers", lex_identifiers(self.issue_text))
 
 
 def build_query(issue_text: str, fault_locations: Sequence[FaultLocation]) -> StructuredQuery:
@@ -99,18 +114,35 @@ class SegmentScorer(Protocol):
 # --- heuristic scorer ----------------------------------------------------
 
 
-def _near_fault(unit: CodeUnit, tree: UnitTree, faults: Sequence[FaultLocation]) -> bool:
-    for fl in faults:
+# Each fault location with the function unit enclosing it, if any.
+_FaultUnits = list[tuple[FaultLocation, CodeUnit | None]]
+
+
+def _fault_units(tree: UnitTree, faults: Sequence[FaultLocation]) -> _FaultUnits:
+    return [(fl, enclosing_unit(tree, fl.path, fl.line, level=Level.FUNCTION)) for fl in faults]
+
+
+def _near_fault(unit: CodeUnit, faults: _FaultUnits) -> bool:
+    for fl, enclosing in faults:
         if fl.path != unit.path:
             continue
         if unit.span.contains_line(fl.line):
             return True
-        enclosing = enclosing_unit(tree, fl.path, fl.line, level=Level.FUNCTION)
         if enclosing is not None and (
             enclosing.span.contains(unit.span) or unit.span.contains(enclosing.span)
         ):
             return True
     return False
+
+
+def _score(query: StructuredQuery, text: str, unit: CodeUnit | None, faults: _FaultUnits) -> float:
+    issue_ids = query.issue_identifiers
+    if issue_ids:
+        overlap = len(lex_identifiers(text) & issue_ids) / len(issue_ids)
+    else:
+        overlap = 0.0
+    fault = 1.0 if unit is not None and _near_fault(unit, faults) else 0.0
+    return 0.5 * overlap + 0.5 * fault
 
 
 def heuristic_score(
@@ -121,31 +153,36 @@ def heuristic_score(
 ) -> float:
     """Oracle-free default score: half identifier overlap with the issue,
     half fault-location proximity (when the unit is known)."""
-    issue_ids = lex_identifiers(query.issue_text)
-    if issue_ids:
-        overlap = len(lex_identifiers(segment_text) & issue_ids) / len(issue_ids)
-    else:
-        overlap = 0.0
-    fault = 0.0
-    if unit is not None and tree is not None and _near_fault(unit, tree, query.fault_locations):
-        fault = 1.0
-    return 0.5 * overlap + 0.5 * fault
+    faults = _fault_units(tree, query.fault_locations) if tree is not None else []
+    return _score(query, segment_text, unit, faults)
 
 
 class HeuristicScorer:
-    """Scores segments with :func:`heuristic_score`; no model required."""
+    """Scores segments with :func:`heuristic_score`; no model required.
+
+    The function units enclosing the query's faults are resolved once
+    per query, not once per segment.  Scores lie in [0, 1], so a segment
+    scored whole already has its whole-text tiebreak: ``compress`` reuses
+    it and computes a separate tiebreak only for windowed segments.
+    """
 
     max_batch_size = 256
 
     def __init__(self, tree: UnitTree):
         self.tree = tree
+        self._query: StructuredQuery | None = None
+        self._faults: _FaultUnits = []
+
+    def _faults_for(self, query: StructuredQuery) -> _FaultUnits:
+        if query is not self._query:
+            self._query, self._faults = query, _fault_units(self.tree, query.fault_locations)
+        return self._faults
 
     def score_batch(
         self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
     ) -> list[float]:
-        return [
-            heuristic_score(query, text, unit=unit, tree=self.tree) for unit, text in items
-        ]
+        faults = self._faults_for(query)
+        return [_score(query, text, unit, faults) for unit, text in items]
 
 
 # --- remote scorer --------------------------------------------------------
@@ -234,9 +271,17 @@ def score_segments(
     scorer: SegmentScorer,
     window_cfg: WindowConfig | None = None,
     tiebreak: Callable[[CodeUnit, str], float] | None = None,
+    *,
+    tiebreak_is_score: bool = False,
 ) -> list[ScoredSegment]:
     """Score each segment, windowing the ones longer than the scorer
-    window and taking the max over window scores."""
+    window and taking the max over window scores.
+
+    ``tiebreak`` gives a segment's priority tiebreak from its whole text.
+    With ``tiebreak_is_score`` the scorer computes that same value, so a
+    segment scored whole takes its score as its tiebreak and
+    ``tiebreak`` runs only for windowed segments.
+    """
     window_cfg = window_cfg or WindowConfig()
 
     pieces: list[tuple[int, CodeUnit, str]] = []
@@ -274,12 +319,17 @@ def score_segments(
 
     results = []
     for idx, (unit, text) in enumerate(segments):
+        score = best.get(idx, 0.0)
+        if tiebreak_is_score and token_costs[idx] <= window_cfg.window_tokens:
+            priority_tiebreak = score
+        else:
+            priority_tiebreak = tiebreak(unit, text) if tiebreak else 0.0
         results.append(
             ScoredSegment(
                 unit_id=unit.id,
-                score=best.get(idx, 0.0),
+                score=score,
                 token_cost=token_costs[idx],
-                priority_tiebreak=tiebreak(unit, text) if tiebreak else 0.0,
+                priority_tiebreak=priority_tiebreak,
                 order_tiebreak=idx,
             )
         )
@@ -353,12 +403,14 @@ def compress(
     query = build_query(instance.issue_text, instance.fault_locations)
 
     segments = [(leaf, unit_text(tree, leaf)) for leaf in leaf_segments(tree)]
+    faults = _fault_units(tree, query.fault_locations)
     scored = score_segments(
         query,
         segments,
         scorer,
         window_cfg=window_cfg,
-        tiebreak=lambda unit, text: heuristic_score(query, text, unit=unit, tree=tree),
+        tiebreak=lambda unit, text: _score(query, text, unit, faults),
+        tiebreak_is_score=type(scorer) is HeuristicScorer and scorer.tree is tree,
     )
     chosen = select_greedy(scored, budget)
     rendered = render(tree, upward_closure(tree, chosen))

@@ -342,12 +342,15 @@ def load_corpus(path: str | Path) -> list[DistilledInstance]:
 # --- triples and statistics --------------------------------------------------
 
 
-def _exportable(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
+def _distilled(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
+    """Records minimized without running out of oracle budget."""
     return [
-        inst
-        for inst in corpus
-        if inst.status == STATUS_MINIMIZED and inst.minimal_leaf_ids and not inst.budget_exhausted
+        inst for inst in corpus if inst.status == STATUS_MINIMIZED and not inst.budget_exhausted
     ]
+
+
+def _exportable(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
+    return [inst for inst in _distilled(corpus) if inst.minimal_leaf_ids]
 
 
 def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, float]]:
@@ -435,7 +438,10 @@ def _bucket(segment_count: int) -> str:
 
 
 def compute_stats(corpus: list[DistilledInstance]) -> CorpusStats:
-    """Exact counts over the given corpus."""
+    """Exact counts over the records ``export`` can write from: those
+    minimized without running out of oracle budget.  A minimized record
+    with no positives still counts."""
+    corpus = _distilled(corpus)
     instances = len(corpus)
     segments = sum(len(inst.context_segments) for inst in corpus)
     positives = sum(len(inst.minimal_leaf_ids) for inst in corpus)

@@ -19,7 +19,7 @@ from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = frozenset(keyword.kwlist)
-_HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+\d+(?:,\d+)? @@")
+_HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+\d+(?:,(\d+))? @@")
 
 
 class PatchFormatError(ValueError):
@@ -94,7 +94,7 @@ class PriorityWeights:
 
 def lex_identifiers(text: str) -> frozenset[str]:
     """Identifier tokens in ``text``, keywords excluded."""
-    return frozenset(m.group(0) for m in _IDENT_RE.finditer(text)) - _KEYWORDS
+    return frozenset(_IDENT_RE.findall(text)) - _KEYWORDS
 
 
 @dataclass
@@ -136,18 +136,21 @@ def parse_diff(patch_text: str) -> list[FilePatch]:
     """Split a unified diff into per-file sections with their hunks.
 
     A section starts at ``diff --git`` and at any ``---``/``+++`` line
-    that follows a hunk.  A hunk body ends at the first line that is not
-    context, an edit, blank or a ``\\`` note; later lines up to the next
-    header are ignored.
+    that follows a hunk.  While a hunk still owes old or new lines
+    against its ``@@`` lengths, a ``---``/``+++`` line is a removed or
+    added body line, not a header.  A hunk body ends at the first line
+    that is not context, an edit, blank or a ``\\`` note; later lines
+    up to the next header are ignored.
     """
     sections: list[FilePatch] = []
     hunk: Hunk | None = None
+    old_owed = new_owed = 0
     for lineno, line in enumerate(split_lines(patch_text), start=1):
         if line.startswith("diff --git "):
             hunk = None
             sections.append(FilePatch())
             sections[-1].named.extend(p for p in map(_clean_path, line.split()[2:4]) if p)
-        elif line.startswith(("--- ", "+++ ")):
+        elif line.startswith(("--- ", "+++ ")) and (hunk is None or max(old_owed, new_owed) <= 0):
             hunk = None
             if not sections or sections[-1].hunks:
                 sections.append(FilePatch())
@@ -163,14 +166,17 @@ def parse_diff(patch_text: str) -> list[FilePatch]:
             if not m:
                 raise PatchFormatError("malformed hunk header", lineno)
             hunk = Hunk(int(m.group(1)), int(m.group(2)) if m.group(2) is not None else 1)
+            old_owed = hunk.old_len
+            new_owed = int(m.group(3)) if m.group(3) is not None else 1
             if not sections:
                 sections.append(FilePatch())
             sections[-1].hunks.append(hunk)
         elif hunk is not None:
-            if line.startswith((" ", "+", "-")):
-                hunk.lines.append(line)
-            elif not line:
-                hunk.lines.append(" ")  # blank context line with its prefix stripped
+            if line.startswith((" ", "+", "-")) or not line:
+                body = line or " "  # a blank line is context with its prefix stripped
+                hunk.lines.append(body)
+                old_owed -= body[0] != "+"
+                new_owed -= body[0] != "-"
             elif line.startswith("\\"):
                 # the marker applies to the body line before it
                 tag = hunk.lines[-1][0] if hunk.lines else ""

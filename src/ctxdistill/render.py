@@ -133,5 +133,13 @@ def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
 
 
 def render_full(tree: UnitTree) -> RenderedContext:
-    """Render with every unit included (the uncompressed context)."""
-    return render(tree, tree.unit_order)
+    """The uncompressed context: every unit included.
+
+    A full render reproduces every source byte for byte, so this reads
+    the sources as they are and counts their tokens; it emits no leaf
+    and splits no file.
+    """
+    per_file = [RenderedFile(unit.path, tree.sources[unit.path]) for unit in tree.files]
+    rendered = RenderedContext(per_file, 0, frozenset(leaf.id for leaf in tree.leaves))
+    rendered.total_tokens = count_tokens(rendered.dump_text())
+    return rendered

@@ -241,8 +241,9 @@ def test_export_and_stats_roundtrip(tmp_path, instance_path, monkeypatch):
     assert stats["positives"] == 1
 
 
-def test_export_skips_a_record_whose_budget_ran_out(tmp_path, instance_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _exhausted_then_normal_corpus(tmp_path, instance_path):
+    """A corpus of one record whose oracle budget ran out in Phase II,
+    then one normal record."""
     corpus = tmp_path / "corpus.jsonl"
     exhausted = ["--no-trace", "--set", "oracle.eval_budget=3", "distill", instance_path, "--out", corpus]
     assert _run(exhausted) == EXIT_PARTIAL
@@ -255,6 +256,12 @@ def test_export_skips_a_record_whose_budget_ran_out(tmp_path, instance_path, mon
         mock_required=[{"path": "pkg/core.py", "line": 2}],
     )
     assert _run(["--no-trace", "distill", normal, "--out", corpus]) == EXIT_OK
+    return corpus
+
+
+def test_export_skips_a_record_whose_budget_ran_out(tmp_path, instance_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = _exhausted_then_normal_corpus(tmp_path, instance_path)
     records = [json.loads(line) for line in corpus.read_text().splitlines()]
     assert [(r["status"], r["budget_exhausted"]) for r in records] == [
         ("minimized", True),
@@ -264,6 +271,22 @@ def test_export_skips_a_record_whose_budget_ran_out(tmp_path, instance_path, mon
     assert _run(["export", corpus, "--out", triples]) == EXIT_OK
     rows = [json.loads(line) for line in triples.read_text().splitlines()]
     assert rows and {row["instance_id"] for row in rows} == {"inst-1"}
+
+
+def test_stats_counts_only_what_export_writes(tmp_path, instance_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = _exhausted_then_normal_corpus(tmp_path, instance_path)
+    normal = json.loads(corpus.read_text().splitlines()[1])
+    out = tmp_path / "stats.json"
+    assert _run(["stats", corpus, "--out", out]) == EXIT_OK
+    stats = json.loads(out.read_text())
+    assert stats["instances"] == 1
+    assert stats["segments"] == len(normal["context_segments"])
+    assert stats["positives"] == len(normal["minimal_leaf_ids"])
+    triples = tmp_path / "triples.jsonl"
+    assert _run(["export", corpus, "--out", triples]) == EXIT_OK
+    rows = [json.loads(line) for line in triples.read_text().splitlines()]
+    assert stats["positives"] == sum(row["label"] for row in rows)
 
 
 def test_export_zero_positive_corpus_exits_3(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from ctxdistill.oracle import (
     verdict_cache_key,
 )
 
-from ctxdistill.priority import parse_diff
+from ctxdistill.priority import parse_diff, parse_patch
 from ctxdistill.render import render
 
 from fixtures import FORM_FEED_SOURCE, write_repo
@@ -165,7 +165,9 @@ def test_apply_patch_missing_target(tmp_path):
 
 
 _file_lines = st.lists(
-    st.sampled_from(["x = 1", "y = 2", "", "def f():", "    return x", "    pass", "# note"]),
+    st.sampled_from(
+        ["x = 1", "y = 2", "", "def f():", "    return x", "    pass", "# note", "-- note", "++ more"]
+    ),
     max_size=12,
 )
 # a file's lines, and whether its last line ends with a newline
@@ -194,6 +196,23 @@ def test_apply_patch_roundtrips_difflib_diffs(tmp_path_factory, pairs, context):
     assert apply_patch_text(root, patch) == changed
     for path, (_, new) in files.items():
         assert (root / path).read_bytes() == new.encode()
+
+
+def test_apply_patch_reads_dashed_body_lines_as_body(tmp_path):
+    old, new = "a\n-- note\nb\n", "a\nb\n++ more\n"
+    write_repo(tmp_path, {"m.txt": old})
+    patch = _diff(old, new, "m.txt")
+    assert "\n--- note\n" in patch and "\n+++ more\n" in patch
+    assert parse_patch(patch).files == {"m.txt"}
+    assert apply_patch_text(tmp_path, patch) == ["m.txt"]
+    assert (tmp_path / "m.txt").read_text() == new
+
+
+def test_parse_diff_header_follows_a_hunk_longer_than_its_lengths():
+    patch = "--- a/a.py\n+++ b/a.py\n@@ -1 +1 @@\n-x = 1\n-y = 2\n+x = 2\n--- a/b.py\n+++ b/b.py\n@@ -1 +1 @@\n-z\n+w\n"
+    sections = parse_diff(patch)
+    assert [(s.old_path, s.new_path) for s in sections] == [("a.py", "a.py"), ("b.py", "b.py")]
+    assert [h.lines for s in sections for h in s.hunks] == [["-x = 1", "-y = 2", "+x = 2"], ["-z", "+w"]]
 
 
 _NO_EOL = "\\ No newline at end of file\n"

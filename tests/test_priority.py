@@ -189,11 +189,14 @@ def _ref_strip_diff_prefix(path: str) -> str:
 
 def reference_parse_patch(patch_text: str) -> PatchInfo:
     """The line-by-line parser ``parse_patch`` used before it was built on
-    ``parse_diff``, kept verbatim as the reference."""
+    ``parse_diff``, kept as the reference.  It is verbatim but for one
+    rule added since: while a hunk owes old or new lines against its
+    ``@@`` lengths, a ``---``/``+++`` line is a body line, not a header."""
     files: set[str] = set()
     identifiers: set[str] = set()
     in_hunk = False
     saw_hunk = False
+    old_owed = new_owed = 0
 
     for lineno, line in enumerate(patch_text.splitlines(), start=1):
         if line.startswith("diff --git "):
@@ -204,7 +207,8 @@ def reference_parse_patch(patch_text: str) -> PatchInfo:
                 if path != "/dev/null":
                     files.add(path)
             continue
-        if line.startswith("--- ") or line.startswith("+++ "):
+        owed = in_hunk and (old_owed > 0 or new_owed > 0)
+        if (line.startswith("--- ") or line.startswith("+++ ")) and not owed:
             in_hunk = False
             path = line[4:].split("\t")[0].strip()
             path = _ref_strip_diff_prefix(path)
@@ -212,16 +216,22 @@ def reference_parse_patch(patch_text: str) -> PatchInfo:
                 files.add(path)
             continue
         if line.startswith("@@"):
-            if not _REF_HUNK_RE.match(line):
+            m = _REF_HUNK_RE.match(line)
+            if not m:
                 raise PatchFormatError("malformed hunk header", lineno)
             in_hunk = True
             saw_hunk = True
+            old_owed = int(m.group(1)[1:]) if m.group(1) else 1
+            new_owed = int(m.group(2)[1:]) if m.group(2) else 1
             continue
         if in_hunk:
             if line.startswith(("+", "-")):
                 identifiers.update(lex_identifiers(line[1:]))
             elif line and not line.startswith((" ", "\\")):
                 in_hunk = False
+            if not line.startswith("\\"):
+                old_owed -= not line.startswith("+")
+                new_owed -= not line.startswith("-")
 
     if not saw_hunk:
         raise PatchFormatError("no hunks found in patch text")

@@ -4,7 +4,7 @@ Run from anywhere, with the checkout that holds this file as the subject:
 
     python3 tools/same_outputs.py
 
-It prints two things; compare them with the same command run on the
+It prints three things; compare them with the same command run on the
 parent commit's checkout.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
@@ -15,6 +15,12 @@ parent commit's checkout.
    ``*.ga.jsonl`` and ``*.hdd.jsonl`` file's name and bytes, in name
    order.  The script re-runs itself under ``PYTHONHASHSEED=7`` so the
    hash repeats.
+3. A hash of windowed scoring: 30 seed-7 ``compress_scatter`` instances
+   compressed by ``HeuristicScorer`` at rate 5 with
+   ``WindowConfig(16, 8)``, so that many leaves are scored in windows
+   (the benchmark's 512-token window windows none).  SHA-256 over each
+   instance's rendered text and selected segment ids; the line also
+   counts the windowed leaves.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 TRACE_INSTANCES = (("distill_paper", 60), ("distill_large", 3))
+WINDOWED_INSTANCES = 30
 
 
 def benchmark_digests() -> list[str]:
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
 
     reports = {w: ROOT / ".bench_out" / f"{w}-s{SEED}-t0.json" for w in gen.WORKLOADS}
@@ -58,7 +64,6 @@ def benchmark_digests() -> list[str]:
 
 
 def trace_hash() -> tuple[int, str]:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import gen
     from ctxdistill.config import RunConfig
     from ctxdistill.instance import load_instance
@@ -79,14 +84,39 @@ def trace_hash() -> tuple[int, str]:
         return len(files), h.hexdigest()
 
 
+def windowed_compress_hash() -> tuple[int, int, str]:
+    import gen
+    from ctxdistill.code_model import leaf_segments, unit_text
+    from ctxdistill.compressor import HeuristicScorer, WindowConfig, compress
+    from ctxdistill.instance import build_instance_tree, load_instance
+    from ctxdistill.tokens import count_tokens
+
+    window_cfg = WindowConfig(16, 8)
+    leaves = windowed = 0
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        for planted in gen.generate("compress_scatter", SEED, work, count=WINDOWED_INSTANCES):
+            instance = load_instance(planted.instance_path)
+            tree = build_instance_tree(instance)
+            texts = [unit_text(tree, leaf) for leaf in leaf_segments(tree)]
+            leaves += len(texts)
+            windowed += sum(count_tokens(t) > window_cfg.window_tokens for t in texts)
+            result = compress(instance, tree, HeuristicScorer(tree), 5, window_cfg)
+            h.update(json.dumps([result.rendered.dump_text(), result.selected_segment_ids]).encode())
+    return leaves, windowed, h.hexdigest()
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != str(SEED):
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
         return subprocess.run([sys.executable, __file__, *sys.argv[1:]], env=env).returncode
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     for line in benchmark_digests():
         print(line)
     count, digest = trace_hash()
     print(f"trace files: {count} hash={digest[:16]}")
+    leaves, windowed, digest = windowed_compress_hash()
+    print(f"windowed compress: {windowed} of {leaves} leaves windowed hash={digest[:16]}")
     return 0
 
 
