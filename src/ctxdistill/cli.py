@@ -2,7 +2,8 @@
 
 Commands: ``segment``, ``distill``, ``compress``, ``export``, ``stats``.
 Exit codes: 0 success, 2 usage/validation error, 3 partial or degraded
-result, 4 external service failure.
+result (a batch instance failed, or an oracle budget ran out), 4
+external service failure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 EXIT_EXTERNAL = 4
+
+# bad input: a usage error for one instance, a failed instance in a batch
+_INPUT_ERRORS = (InstanceError, PatchFormatError, FileNotFoundError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,23 +132,34 @@ def _cmd_distill(args, config: RunConfig) -> int:
     trace_dir = None if args.no_trace else Path(config.paths.traces)
 
     def run(instance):
-        return distill_instance(
-            instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
-        )
+        """The instance's outcome, or, in a batch, the input error that
+        stopped it, so that one bad instance does not lose the others."""
+        try:
+            return distill_instance(
+                instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
+            )
+        except _INPUT_ERRORS as exc:
+            if not args.batch:
+                raise
+            return exc
 
     # map yields in input order, so records append in instance order; a
     # serial run stays on this thread, so Ctrl-C or an error stops it at once
-    budget_hit = False
+    partial = False
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         serial = config.parallelism == 1 or len(instances) == 1
-        for outcome in (map if serial else pool.map)(run, instances):
+        for instance, outcome in zip(instances, (map if serial else pool.map)(run, instances)):
+            if isinstance(outcome, Exception):
+                print(f"{instance.instance_id}: failed: {outcome}")
+                partial = True
+                continue
             append_corpus(outcome.record, args.out)
             status = outcome.record.status
             if outcome.budget_exhausted:
                 status += " (budget exhausted)"
-            print(f"{outcome.record.instance_id}: {status}")
-            budget_hit = budget_hit or outcome.budget_exhausted
-    return EXIT_PARTIAL if budget_hit else EXIT_OK
+            print(f"{instance.instance_id}: {status}")
+            partial = partial or outcome.budget_exhausted
+    return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def _cmd_compress(args, config: RunConfig) -> int:
@@ -195,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](args, config)
-    except (ConfigError, InstanceError, PatchFormatError, FileNotFoundError) as exc:
+    except (ConfigError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroPositivesError as exc:

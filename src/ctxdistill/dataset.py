@@ -289,15 +289,27 @@ def fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> FaultFacts:
     )
 
 
+def _may_call(text: str, names: frozenset[str]) -> bool:
+    """False only when no name in ``names`` can be a called name of
+    ``text``'s AST.  Every identifier in the AST of an ASCII text appears
+    in it verbatim; a non-ASCII text may spell one that Python
+    NFKC-normalises (a call to ``ﬁle()`` has the id ``file``)."""
+    return not text.isascii() or any(name in text for name in names)
+
+
 def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> SemanticRole:
     """First matching rule wins: schema-shaped content, then definitions the
     fault code references, then call-graph neighbours, else generic.
 
     ``facts`` come from :func:`fault_facts`, computed once per instance and
-    shared by all of its segments."""
+    shared by all of its segments.  The call-chain rule walks the
+    segment's AST for called names only when :func:`_may_call` allows a
+    call to a name in ``facts.defined``; otherwise the walk could find
+    none, so skipping it gives the same role."""
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
-    module = _parse_segment(unit_text(tree, segment))
+    text = unit_text(tree, segment)
+    module = _parse_segment(text)
     if _declaration_ratio(module) >= 0.5:
         return SemanticRole.SCHEMA
 
@@ -306,7 +318,9 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
     if defined & (facts.identifiers - facts.calls):
         return SemanticRole.DEFINITION
 
-    if _called_names(module) & facts.defined or defined & facts.calls:
+    if defined & facts.calls or (
+        _may_call(text, facts.defined) and _called_names(module) & facts.defined
+    ):
         return SemanticRole.CALL_CHAIN
 
     return SemanticRole.GENERIC_UTILITY
@@ -353,6 +367,16 @@ def _exportable(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
     return [inst for inst in _distilled(corpus) if inst.minimal_leaf_ids]
 
 
+def _role_tally(instances: Iterable[DistilledInstance]) -> dict[str, tuple[int, int]]:
+    """Segments and retained segments per role, roles in first-seen order."""
+    tally: dict[str, tuple[int, int]] = {}
+    for inst in instances:
+        for seg in inst.context_segments:
+            count, kept = tally.get(seg.role, (0, 0))
+            tally[seg.role] = (count + 1, kept + (seg.id in inst.minimal_leaf_ids))
+    return tally
+
+
 def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, float]]:
     """Positive class weight (imbalance ratio; 1.0 when there is no
     negative segment, so no imbalance to correct) and per-role weights
@@ -366,16 +390,9 @@ def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, f
     class_weight_positive = negatives / positives if negatives else 1.0
 
     mean_density = positives / segments
-    role_segments: dict[str, int] = {}
-    role_positives: dict[str, int] = {}
-    for inst in instances:
-        for seg in inst.context_segments:
-            role_segments[seg.role] = role_segments.get(seg.role, 0) + 1
-            if seg.id in inst.minimal_leaf_ids:
-                role_positives[seg.role] = role_positives.get(seg.role, 0) + 1
     role_weights: dict[str, float] = {}
-    for role, count in role_segments.items():
-        density = role_positives.get(role, 0) / count
+    for role, (count, kept) in _role_tally(instances).items():
+        density = kept / count
         raw = (mean_density / density) if density > 0 else ROLE_WEIGHT_MAX
         role_weights[role] = min(ROLE_WEIGHT_MAX, max(ROLE_WEIGHT_MIN, raw))
     return class_weight_positive, role_weights
@@ -446,18 +463,13 @@ def compute_stats(corpus: list[DistilledInstance]) -> CorpusStats:
     segments = sum(len(inst.context_segments) for inst in corpus)
     positives = sum(len(inst.minimal_leaf_ids) for inst in corpus)
 
-    role_segments = {role.value: 0 for role in SemanticRole}
-    role_positives = {role.value: 0 for role in SemanticRole}
+    roles = {role.value: (0, 0) for role in SemanticRole} | _role_tally(corpus)
     bucket_segments = {bucket: 0 for bucket in SIZE_BUCKETS}
     bucket_positives = {bucket: 0 for bucket in SIZE_BUCKETS}
     for inst in corpus:
         bucket = _bucket(len(inst.context_segments))
         bucket_segments[bucket] += len(inst.context_segments)
         bucket_positives[bucket] += len(inst.minimal_leaf_ids)
-        for seg in inst.context_segments:
-            role_segments[seg.role] = role_segments.get(seg.role, 0) + 1
-            if seg.id in inst.minimal_leaf_ids:
-                role_positives[seg.role] = role_positives.get(seg.role, 0) + 1
 
     return CorpusStats(
         instances=instances,
@@ -466,8 +478,7 @@ def compute_stats(corpus: list[DistilledInstance]) -> CorpusStats:
         relevance_density=positives / segments if segments else 0.0,
         avg_segments_per_instance=segments / instances if instances else 0.0,
         per_role_density={
-            role: (role_positives[role] / count if count else 0.0)
-            for role, count in role_segments.items()
+            role: (kept / count if count else 0.0) for role, (count, kept) in roles.items()
         },
         density_by_size_bucket={
             bucket: (bucket_positives[bucket] / count if count else 0.0)

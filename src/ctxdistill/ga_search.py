@@ -224,7 +224,19 @@ def run_ga(
 ) -> GAResult:
     """Evolve genomes until the oracle accepts one; stop immediately on
     the first success.  Fully deterministic given the seed and a
-    deterministic oracle."""
+    deterministic oracle.
+
+    Priorities must be non-negative (``ValueError`` otherwise).  Then the
+    all-on genome, generation 0's first member, also ranks first in it:
+    every other genome keeps a subset of its leaves, a document-order
+    float sum of non-negative terms never shrinks as terms are added, and
+    ties go to the lower index.  So it is judged before the rest of
+    generation 0 is drawn, and when the oracle accepts it, that draw and
+    those fitness sums are skipped.  Nothing else draws from the RNG in
+    between, so the evaluations, trace records and ``on_candidate`` calls
+    are those of judging generation 0 in rank order."""
+    if not all(p >= 0 for p in phi.values()):
+        raise ValueError("priorities must be non-negative")
     space = GenomeSpace(tree)
     rng = random.Random(config.rng_seed)
 
@@ -239,7 +251,27 @@ def run_ga(
             return GAResult(empty, 0, 1, retained_leaf_ids=frozenset())
         return GAResult(None, None, 1)
 
-    population = init_population(space, phi, patch, config, rng)
+    def judge(genome: Genome, generation: int) -> GAResult | None:
+        """The search's result if it ends at ``genome``, else ``None``."""
+        assert is_upward_consistent(genome, space) and any(genome.bits)
+        kept = retained_leaf_ids(genome, space)
+        try:
+            verdict = session.evaluate(kept)
+        except OracleBudgetExhausted:
+            return GAResult(None, None, generation + 1, budget_exhausted=True)
+        _trace_candidate(trace, generation, genome, verdict)
+        if on_candidate:
+            on_candidate(genome, verdict)
+        if verdict.sufficient:
+            return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
+        return None
+
+    seed = Genome((1,) * len(space))
+    seed.fitness = fitness(seed, space, phi)
+    result = judge(seed, 0)
+    if result is not None:
+        return result
+    population = [seed, *init_population(space, phi, patch, config, rng)[1:]]
 
     for generation in range(config.max_generations):
         for genome in population:
@@ -248,19 +280,11 @@ def run_ga(
         ordered = sorted(
             range(len(population)), key=lambda i: (-population[i].fitness, i)
         )
-        for idx in ordered:
-            genome = population[idx]
-            assert is_upward_consistent(genome, space) and any(genome.bits)
-            kept = retained_leaf_ids(genome, space)
-            try:
-                verdict = session.evaluate(kept)
-            except OracleBudgetExhausted:
-                return GAResult(None, None, generation + 1, budget_exhausted=True)
-            _trace_candidate(trace, generation, genome, verdict)
-            if on_candidate:
-                on_candidate(genome, verdict)
-            if verdict.sufficient:
-                return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
+        # generation 0's first is the seed, judged above
+        for idx in ordered[1:] if generation == 0 else ordered:
+            result = judge(population[idx], generation)
+            if result is not None:
+                return result
 
         if generation == config.max_generations - 1:
             break

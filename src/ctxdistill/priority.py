@@ -213,6 +213,24 @@ def covered_line_count(unit: CodeUnit, coverage: CoverageReport) -> int:
     return bisect_right(lines, unit.span.end_line) - bisect_left(lines, unit.span.start_line)
 
 
+def _score(
+    unit: CodeUnit,
+    matched: frozenset[str],
+    patch: PatchInfo,
+    coverage: CoverageReport,
+    weights: PriorityWeights,
+) -> float:
+    """Composite priority of a unit whose text mentions the patch
+    identifiers ``matched``."""
+    score = 0.0
+    if unit.path in patch.files:
+        score += weights.w_p
+    score += weights.w_c * math.log(1 + covered_line_count(unit, coverage))
+    sym = len(matched) / len(patch.identifiers) if patch.identifiers else 0.0
+    score += weights.w_s * sym
+    return score
+
+
 def priority(
     unit: CodeUnit,
     text: str,
@@ -221,12 +239,7 @@ def priority(
     weights: PriorityWeights,
 ) -> float:
     """Composite priority of one unit (natural log dampens coverage)."""
-    score = 0.0
-    if unit.path in patch.files:
-        score += weights.w_p
-    score += weights.w_c * math.log(1 + covered_line_count(unit, coverage))
-    score += weights.w_s * sym_score(text, patch.identifiers)
-    return score
+    return _score(unit, lex_identifiers(text) & patch.identifiers, patch, coverage, weights)
 
 
 def priority_map(
@@ -235,8 +248,21 @@ def priority_map(
     coverage: CoverageReport,
     weights: PriorityWeights,
 ) -> dict[str, float]:
-    """Priority for every unit in the tree."""
-    return {
-        uid: priority(tree.unit(uid), unit_text(tree, uid), patch, coverage, weights)
-        for uid in tree.unit_order
-    }
+    """Priority for every unit in the tree.
+
+    Each leaf is lexed once.  A unit's leaves partition its lines and no
+    identifier spans a line break, so the patch identifiers a unit's
+    text mentions are exactly the union of those its leaves mention (an
+    empty file's unit has no leaves and mentions none)."""
+    if patch.identifiers:
+        leaf_matched = [
+            lex_identifiers(unit_text(tree, leaf)) & patch.identifiers for leaf in tree.leaves
+        ]
+    else:
+        leaf_matched = [frozenset()] * len(tree.leaves)
+    scores = {}
+    for uid in tree.unit_order:
+        lo, hi = tree.leaf_slice[uid]
+        matched = frozenset().union(*leaf_matched[lo:hi])
+        scores[uid] = _score(tree.unit(uid), matched, patch, coverage, weights)
+    return scores

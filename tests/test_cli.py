@@ -7,6 +7,7 @@ import pytest
 
 from ctxdistill import cli
 from ctxdistill.cli import EXIT_EXTERNAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from ctxdistill.oracle import OracleEndpointError
 
 from fixtures import module_with_functions, write_instance
 
@@ -138,6 +139,50 @@ def test_distill_serial_batch_stops_at_the_first_error(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="distill failed"):
         _run(["--parallelism", 1, "distill", "--batch", batch, "--out", corpus])
     assert started == [("batch-0", True)]
+    assert not corpus.exists()
+
+
+def test_distill_batch_survives_a_bad_instance(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=3)
+    missing = tmp_path / "repo0" / "pkg" / "util.py"
+    missing.unlink()
+    outputs = []
+    for workers in (1, 2):
+        corpus = tmp_path / f"corpus{workers}.jsonl"
+        args = ["--seed", 5, "--parallelism", workers, "distill", "--batch", batch, "--out", corpus]
+        assert _run(args) == EXIT_PARTIAL
+        outputs.append((corpus.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    records = [json.loads(line) for line in outputs[0][0].decode().splitlines()]
+    assert [r["instance_id"] for r in records] == ["batch-1", "batch-2"]
+    assert outputs[0][1].splitlines() == [
+        f"batch-0: failed: context file not found: {missing}",
+        "batch-1: minimized",
+        "batch-2: minimized",
+    ]
+
+
+def test_distill_single_bad_instance_still_exits_2(tmp_path, instance_path, capsys):
+    (tmp_path / "repo" / "pkg" / "util.py").unlink()
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance_path, "--out", corpus]) == EXIT_USAGE
+    assert "context file not found" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_distill_batch_stops_on_an_endpoint_error(tmp_path, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=2)
+
+    def unreachable(instance, *args, **kwargs):
+        raise OracleEndpointError("endpoint down")
+
+    monkeypatch.setattr(cli, "distill_instance", unreachable)
+    corpus = tmp_path / "corpus.jsonl"
+    args = ["--parallelism", workers, "distill", "--batch", batch, "--out", corpus]
+    assert _run(args) == EXIT_EXTERNAL
     assert not corpus.exists()
 
 

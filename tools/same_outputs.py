@@ -4,7 +4,7 @@ Run from anywhere, with the checkout that holds this file as the subject:
 
     python3 tools/same_outputs.py
 
-It prints three things; compare them with the same command run on the
+It prints four things; compare them with the same command run on the
 parent commit's checkout.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
@@ -21,6 +21,11 @@ parent commit's checkout.
    (the benchmark's 512-token window windows none).  SHA-256 over each
    instance's rendered text and selected segment ids; the line also
    counts the windowed leaves.
+4. A hash of segment roles and unit priorities over every seed-7 instance
+   of the four workloads, which the digests above see only through the
+   search order: SHA-256 over each leaf's ``classify_role`` value and
+   each unit's ``priority_map`` value (with ``RunConfig()``'s weights) as
+   ``float.hex``; the line also counts the segments.
 """
 
 from __future__ import annotations
@@ -106,6 +111,30 @@ def windowed_compress_hash() -> tuple[int, int, str]:
     return leaves, windowed, h.hexdigest()
 
 
+def role_priority_hash() -> tuple[int, str]:
+    import gen
+    from ctxdistill.config import RunConfig
+    from ctxdistill.dataset import classify_role, fault_facts
+    from ctxdistill.instance import build_instance_tree, load_instance
+    from ctxdistill.pipeline import load_priority_inputs
+    from ctxdistill.priority import priority_map
+
+    weights = RunConfig().weights
+    segments = 0
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        for workload in gen.WORKLOADS:
+            for planted in gen.generate(workload, SEED, Path(work) / workload):
+                instance = load_instance(planted.instance_path)
+                tree = build_instance_tree(instance)
+                facts = fault_facts(tree, instance.fault_locations)
+                roles = [[leaf.id, classify_role(leaf, tree, facts).value] for leaf in tree.leaves]
+                phi = priority_map(tree, *load_priority_inputs(instance), weights)
+                segments += len(roles)
+                h.update(json.dumps([roles, [[uid, p.hex()] for uid, p in phi.items()]]).encode())
+    return segments, h.hexdigest()
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != str(SEED):
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
@@ -117,6 +146,8 @@ def main() -> int:
     print(f"trace files: {count} hash={digest[:16]}")
     leaves, windowed, digest = windowed_compress_hash()
     print(f"windowed compress: {windowed} of {leaves} leaves windowed hash={digest[:16]}")
+    segments, digest = role_priority_hash()
+    print(f"roles and priorities: {segments} segments hash={digest[:16]}")
     return 0
 
 
