@@ -120,10 +120,15 @@ def retained_leaf_ids(genome: Genome, space: GenomeSpace) -> frozenset[str]:
 
 
 def fitness(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> float:
-    """Summed priority of the kept leaves.  The sum runs in document
-    order: float addition is not associative, so summing in set order
-    would make the value, and the GA's ranking, depend on the hash seed."""
-    return sum(phi.get(leaf_id, 0.0) for leaf_id in _kept_leaves(genome, space))
+    """Summed priority of the kept leaves.  The sum adds left to right in
+    document order: float addition is not associative, so summing in set
+    order would make the value, and the GA's ranking, depend on the hash
+    seed, and ``sum`` itself adds floats with compensation from Python
+    3.12 on, which moves the value in its last bits between versions."""
+    total = 0.0
+    for leaf_id in _kept_leaves(genome, space):
+        total += phi.get(leaf_id, 0.0)
+    return total
 
 
 def init_population(

@@ -103,7 +103,11 @@ def load_sources(instance: Instance) -> list[tuple[str, str]]:
     """Read every context file from the instance's repository root."""
     root = Path(instance.repo_root)
     sources = []
+    seen: set[str] = set()
     for rel in instance.context_files:
+        if rel in seen:
+            raise InstanceError(f"context file listed twice: {rel}")
+        seen.add(rel)
         target = root / rel
         if not target.exists():
             raise InstanceError(f"context file not found: {target}")
@@ -120,16 +124,20 @@ def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:
     resolved: set[str] = set()
     for loc in locators:
         if isinstance(loc, str):
-            unit = tree.unit(loc)
+            unit = tree.index.get(loc)
+            if unit is None:
+                raise InstanceError(f"locator {loc} names no unit of the context")
             if not unit.is_leaf:
                 raise InstanceError(f"locator {loc} names a non-leaf unit")
             resolved.add(loc)
         elif isinstance(loc, dict):
-            leaf = enclosing_leaf(tree, loc["path"], int(loc["line"]))
+            try:
+                path, line = loc["path"], int(loc["line"])
+            except (KeyError, TypeError, ValueError):
+                raise InstanceError(f"locator {loc!r} needs a path and a line number") from None
+            leaf = enclosing_leaf(tree, path, line)
             if leaf is None:
-                raise InstanceError(
-                    f"no leaf segment contains {loc['path']}:{loc['line']}"
-                )
+                raise InstanceError(f"no leaf segment contains {path}:{line}")
             resolved.add(leaf.id)
         else:
             raise InstanceError(f"unsupported locator: {loc!r}")

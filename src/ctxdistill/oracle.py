@@ -23,7 +23,7 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from threading import Lock
+from threading import Event, Lock, Timer
 from typing import Callable, Iterable, Protocol
 
 from .code_model import UnitTree, split_lines, upward_closure
@@ -401,8 +401,15 @@ class LLMOracle:
 
         The verdict is the shell's exit status.  Output goes to files, not
         pipes, so a background child that keeps them open cannot hold the
-        run past the shell's exit.  Once the shell exits or times out, what
-        is left of its process group is killed."""
+        run past the shell's exit; the files are read only when a log is
+        written.  The wait blocks in ``waitpid`` until the shell exits, so
+        the run ends when the shell does (a timed ``Popen.wait`` polls,
+        and sees the exit only at its next tick, up to 50 ms later).  A
+        watchdog timer enforces ``timeout_seconds``: if the wait is still
+        going when it fires, it marks the run as timed out and kills the
+        process group, which ends the wait.  Once the wait returns, the
+        watchdog is cancelled and what is left of the process group is
+        killed."""
         with tempfile.TemporaryDirectory(prefix="ctxdistill-oracle-") as scratch:
             repo_copy = Path(scratch) / "repo"
             shutil.copytree(self.instance.repo_root, repo_copy)
@@ -415,34 +422,52 @@ class LLMOracle:
                 tempfile.TemporaryFile("w+", errors="replace") as out,
                 tempfile.TemporaryFile("w+", errors="replace") as err,
             ):
-                with subprocess.Popen(
-                    self.instance.test_command,
-                    shell=True,
-                    cwd=repo_copy,
-                    stdout=out,
-                    stderr=err,
-                    start_new_session=True,
-                ) as proc:
-                    try:
-                        status = proc.wait(timeout=self.config.timeout_seconds)
-                    except subprocess.TimeoutExpired:
-                        status = None
-                    try:
-                        os.killpg(proc.pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                out.seek(0)
-                err.seek(0)
-                stdout, stderr = out.read(), err.read()
-        head = (
-            f"exit status: {status}"
-            if status is not None
-            else f"timed out after {self.config.timeout_seconds} s"
-        )
-        self._write_log(patch, f"{head}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n")
+                status = self._run_test(repo_copy, out, err)
+                if self.log_dir is not None:
+                    out.seek(0)
+                    err.seek(0)
+                    head = (
+                        f"exit status: {status}"
+                        if status is not None
+                        else f"timed out after {self.config.timeout_seconds} s"
+                    )
+                    stdout, stderr = out.read(), err.read()
+                    self._write_log(
+                        patch, f"{head}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n"
+                    )
         return SampleOutcome(
             patch, True, status, time.perf_counter() - start, timed_out=status is None
         )
+
+    def _run_test(self, cwd: Path, out, err) -> int | None:
+        """Run the test command in its own process group, as
+        ``_test_patch`` describes; ``None`` means it ran out of time."""
+        with subprocess.Popen(
+            self.instance.test_command,
+            shell=True,
+            cwd=cwd,
+            stdout=out,
+            stderr=err,
+            start_new_session=True,
+        ) as proc:
+            expired = Event()
+
+            def expire() -> None:
+                # poll() reads None while the wait is blocked, and the exit
+                # status once the wait has it: then the run beat the timeout
+                if proc.poll() is None:
+                    expired.set()
+                    _kill_group(proc.pid)
+
+            watchdog = Timer(self.config.timeout_seconds, expire)
+            watchdog.start()
+            try:
+                proc.wait()
+            finally:
+                watchdog.cancel()
+                watchdog.join()
+                _kill_group(proc.pid)
+        return None if expired.is_set() else proc.returncode
 
     def _write_log(self, patch: str, text: str) -> None:
         """One log per distinct patch, named by the patch's SHA-1."""
@@ -453,3 +478,10 @@ class LLMOracle:
         (self.log_dir / f"{self.instance.instance_id}.{digest}.log").write_text(
             text, encoding="utf-8"
         )
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass

@@ -171,6 +171,46 @@ def test_distill_single_bad_instance_still_exits_2(tmp_path, instance_path, caps
     assert not corpus.exists()
 
 
+def _spoil(instance_json, fault):
+    """Give an instance file bad input that only distilling finds: a
+    context file listed twice, a ``mock_required`` id no unit has, or a
+    ``mock_required`` locator without a line."""
+    data = json.loads(instance_json.read_text(encoding="utf-8"))
+    if fault == "duplicate":
+        data["context_files"].append(data["context_files"][0])
+        message = "context file listed twice: pkg/core.py"
+    elif fault == "unknown-id":
+        data["mock_required"] = ["pkg/core.py::nope"]
+        message = "locator pkg/core.py::nope names no unit of the context"
+    else:
+        data["mock_required"] = [{"path": "pkg/core.py"}]
+        message = "locator {'path': 'pkg/core.py'} needs a path and a line number"
+    instance_json.write_text(json.dumps(data), encoding="utf-8")
+    return message
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "unknown-id", "no-line"])
+def test_distill_batch_survives_bad_input_found_while_distilling(tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=2)
+    message = _spoil(batch / "inst0.json", fault)
+    corpus = tmp_path / "corpus.jsonl"
+    args = ["--seed", 5, "distill", "--batch", batch, "--out", corpus]
+    assert _run(args) == EXIT_PARTIAL
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert [r["instance_id"] for r in records] == ["batch-1"]
+    assert capsys.readouterr().out.splitlines() == [f"batch-0: failed: {message}", "batch-1: minimized"]
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "unknown-id", "no-line"])
+def test_distill_single_instance_with_bad_input_exits_2(tmp_path, instance_path, capsys, fault):
+    message = _spoil(instance_path, fault)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance_path, "--out", corpus]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not corpus.exists()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_distill_batch_stops_on_an_endpoint_error(tmp_path, monkeypatch, workers):
     monkeypatch.chdir(tmp_path)

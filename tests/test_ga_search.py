@@ -1,5 +1,8 @@
 """Genome search tests: repair, seeding, crossover, determinism, early stop."""
 
+import functools
+import math
+import operator
 import random
 
 import pytest
@@ -21,7 +24,7 @@ from ctxdistill.ga_search import (
 from ctxdistill.oracle import MockOracle, OracleConfig, OracleSession
 from ctxdistill.priority import PatchInfo
 
-from fixtures import module_with_functions, random_tree
+from fixtures import module_with_functions, random_tree, tree_with_n_function_leaves
 
 TWO_FILE_TREE = None
 
@@ -101,6 +104,17 @@ def test_fitness_sums_retained_leaf_priorities():
     bits[2] = 0
     partial = Genome(tuple(bits))
     assert fitness(partial, space, phi) == pytest.approx(1.0)
+
+
+def test_fitness_adds_left_to_right_in_document_order():
+    # compensated summation (``sum`` from Python 3.12) keeps the ten tiny
+    # terms that left-to-right addition rounds away one by one
+    space = GenomeSpace(tree_with_n_function_leaves(11))
+    priorities = [1.0] + [1e-16] * 10
+    assert math.fsum(priorities) != functools.reduce(operator.add, priorities)
+    phi = {**_zero_phi(space), **dict(zip(space.leaf_ids, priorities))}
+    all_on = Genome((1,) * len(space))
+    assert fitness(all_on, space, phi) == functools.reduce(operator.add, priorities)
 
 
 def test_init_population_seeds():

@@ -6,8 +6,12 @@ import hashlib
 import math
 import os
 import random
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -587,6 +591,66 @@ def test_llm_oracle_judges_the_shell_not_its_background_children(tmp_path):
     while _alive(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _alive(pid)
+
+
+def test_llm_oracle_waits_for_the_shell_without_polling(tmp_path, monkeypatch):
+    # a timed Popen.wait polls, sleeping between checks; a blocking wait
+    # never sleeps in subprocess
+    def no_sleep(seconds):
+        raise AssertionError("the test run was waited for by polling")
+
+    monkeypatch.setattr(subprocess, "time", SimpleNamespace(**{**vars(time), "sleep": no_sleep}))
+    oracle, leaves = _counting_oracle(
+        tmp_path, MIXED[:1], test_command="sleep 0.2; python3 check.py", timeout_seconds=1
+    )
+    [outcome] = oracle.evaluate(leaves).per_sample
+    assert (outcome.test_exit_status, outcome.timed_out) == (0, False)
+
+
+def test_llm_oracles_on_several_threads_keep_their_own_outcomes(tmp_path):
+    # the quick runs repeat until past the 1 s timeout, so they start and
+    # end while the other threads' watchdogs fire
+    kinds = [("exit 0", 0, False), ("exit 1", 1, False), ("wait", None, True)] * 2
+    runs = []
+    for i, (end, status, timed_out) in enumerate(kinds):
+        pid_file = tmp_path / f"children{i}.txt"
+        oracle, leaves = _counting_oracle(
+            tmp_path / f"run{i}",
+            MIXED[:1],
+            test_command=f"sleep 30 & echo $! >> {pid_file}; {end}",
+            timeout_seconds=1,
+            cache_enabled=False,
+        )
+        runs.append((oracle, leaves, pid_file, status, timed_out))
+    results = {i: [] for i in range(len(runs))}
+    until = time.monotonic() + 1.5
+
+    def run(i):
+        oracle, leaves, _, _, timed_out = runs[i]
+        while not results[i] or (not timed_out and time.monotonic() < until):
+            results[i].extend(oracle.evaluate(leaves).per_sample)
+            time.sleep(0.1)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 20
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (_, _, pid_file, status, timed_out) in enumerate(runs):
+        assert {(o.test_exit_status, o.timed_out) for o in results[i]} == {(status, timed_out)}
+        pids = [int(line) for line in pid_file.read_text().split()]
+        assert len(pids) == len(results[i])
+        for pid in pids:
+            while _alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pid)
 
 
 def test_llm_oracle_logs_each_distinct_patch_once(tmp_path):

@@ -4,8 +4,9 @@ Run from anywhere, with the checkout that holds this file as the subject:
 
     python3 tools/same_outputs.py
 
-It prints four things; compare them with the same command run on the
-parent commit's checkout.
+It prints the Python version it runs under (``sys.version``'s first
+word), then four things; compare them with the same command run on the
+parent commit's checkout, or under another Python.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
    ``perfbench/run.py --workload all --seed 7 --seconds 2 --trace 0``.
@@ -140,6 +141,7 @@ def main() -> int:
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
         return subprocess.run([sys.executable, __file__, *sys.argv[1:]], env=env).returncode
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    print(f"python {sys.version.split()[0]}")
     for line in benchmark_digests():
         print(line)
     count, digest = trace_hash()
