@@ -153,12 +153,11 @@ def _cmd_distill(args, config: RunConfig) -> int:
                 print(f"{instance.instance_id}: failed: {outcome}")
                 partial = True
                 continue
-            append_corpus(outcome.record, args.out)
-            status = outcome.record.status
-            if outcome.budget_exhausted:
-                status += " (budget exhausted)"
+            record = outcome.record
+            append_corpus(record, args.out)
+            status = record.status + (" (budget exhausted)" if record.budget_exhausted else "")
             print(f"{instance.instance_id}: {status}")
-            partial = partial or outcome.budget_exhausted
+            partial = partial or record.budget_exhausted
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

@@ -2,15 +2,14 @@
 
 A source file becomes a three-level tree: one file unit at the root,
 function-level units below it (function and method definitions, class
-headers, and top-level statement fragments), and block-level units inside
-functions whose bodies split into more than one piece.  Units with no
-children are the *segments* -- the atomic pieces everything downstream
+header runs, and runs of top-level statements), and block-level units
+inside functions whose bodies split into more than one piece.  Units with
+no children are the *segments* -- the atomic pieces everything downstream
 scores, retains, or drops.
 
-The leaf spans of a file partition its lines exactly: blank lines and
-comments attach to the unit that follows them (trailing ones to the last
-unit), so re-emitting every leaf in document order reproduces the file
-byte for byte.
+The leaf spans of a file partition its lines exactly, by the grouping and
+partition rules stated on ``_Entry``, so re-emitting every leaf in
+document order reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable
 
 
@@ -191,12 +191,30 @@ _COMPOUND = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.Try, ast.With, ast.As
 if hasattr(ast, "Match"):
     _COMPOUND = _COMPOUND + (ast.Match,)
 _DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITION = (*_DEF, ast.ClassDef)
+_BLOCK_KINDS = {
+    **dict.fromkeys(_DEF, SegmentKind.FUNCTION),
+    ast.ClassDef: SegmentKind.CLASS_HEADER,
+    **dict.fromkeys(_COMPOUND, SegmentKind.BLOCK),
+}
 
 
 @dataclass
 class _Entry:
     """A line range and the segment kind it becomes.  ``stmt`` is set only
-    for top-level functions and methods, whose bodies may split further."""
+    for top-level functions and methods, whose bodies may split further.
+
+    Grouping (``_group``): in a module, class or function body each
+    statement either forms entries of its own -- a definition, or in a
+    function a compound statement -- or joins the run of plain statements
+    around it, and each run becomes one entry.  The entries of a class or
+    function body also cover its signature (``_signed``).
+
+    Partition (``_spans``): each entry's unit runs from the line after the
+    previous entry's end to its own end, and the last one to the end of
+    its parent, so blank lines and comments go to the unit after them and
+    trailing ones to the last unit.
+    """
 
     start: int
     end: int
@@ -222,188 +240,125 @@ def _span_text(lines: list[str], span: Span) -> str:
 
 
 def _make_unit(
-    path: str,
-    lines: list[str],
-    level: Level,
-    kind: SegmentKind | None,
-    span: Span,
-    meta: dict | None = None,
+    path: str, lines: list[str], level: Level, kind: SegmentKind | None, span: Span
 ) -> CodeUnit:
-    text = _span_text(lines, span)
-    return CodeUnit(
-        id=_unit_id(path, level, kind, span, text),
-        level=level,
-        kind=kind,
-        span=span,
-        path=path,
-        meta=meta or {},
-    )
+    unit_id = _unit_id(path, level, kind, span, _span_text(lines, span))
+    return CodeUnit(id=unit_id, level=level, kind=kind, span=span, path=path)
 
 
-def _class_entries(cls: ast.ClassDef) -> list[_Entry]:
-    """Flatten a class into class_header runs and method entries.
-
-    The first header run starts at the class signature (including
-    decorators); if the body opens with a method, the signature gets a
-    header entry of its own.
-    """
+def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[_Entry]:
+    """The entries of a body: ``own(stmt)`` returns the entries a statement
+    forms by itself, or ``None`` if it joins the run of plain statements
+    around it; each run becomes one ``run_kind`` entry."""
     entries: list[_Entry] = []
     run: list[ast.stmt] = []
-    sig_start = _definition_start(cls)
-    sig_pending = True
-
-    def flush() -> None:
-        nonlocal sig_pending
-        if run:
-            start = sig_start if sig_pending else run[0].lineno
-            entries.append(_Entry(start, run[-1].end_lineno, SegmentKind.CLASS_HEADER))
-            sig_pending = False
-            run.clear()
-
-    def open_member(member_start: int) -> None:
-        nonlocal sig_pending
-        if sig_pending and not run:
-            entries.append(_Entry(sig_start, member_start - 1, SegmentKind.CLASS_HEADER))
-            sig_pending = False
-        else:
-            flush()
-
-    for stmt in cls.body:
-        if isinstance(stmt, _DEF):
-            open_member(_definition_start(stmt))
-            entries.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.METHOD, stmt))
-        elif isinstance(stmt, ast.ClassDef):
-            open_member(_definition_start(stmt))
-            entries.extend(_class_entries(stmt))
-        else:
+    for stmt in [*stmts, None]:
+        formed = [] if stmt is None else own(stmt)
+        if formed is None:
             run.append(stmt)
-    flush()
+            continue
+        if run:
+            entries.append(_Entry(run[0].lineno, run[-1].end_lineno, run_kind))
+            run = []
+        entries.extend(formed)
     return entries
 
 
-def _top_entries(module: ast.Module) -> list[_Entry]:
-    # TODO: split import runs into their own fragments so imports can be
-    # retained or dropped independently of neighbouring top-level code
-    entries: list[_Entry] = []
-    run: list[ast.stmt] = []
-
-    def flush() -> None:
-        if run:
-            entries.append(_Entry(run[0].lineno, run[-1].end_lineno, SegmentKind.FILE))
-            run.clear()
-
-    for stmt in module.body:
-        if isinstance(stmt, _DEF):
-            flush()
-            entries.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.FUNCTION, stmt))
-        elif isinstance(stmt, ast.ClassDef):
-            flush()
-            entries.extend(_class_entries(stmt))
-        else:
-            run.append(stmt)
-    flush()
+def _signed(node: ast.stmt, entries: list[_Entry], kind: SegmentKind) -> list[_Entry]:
+    """Make the entries of ``node``'s body cover its signature, decorators
+    included: a body that opens with a definition gets a ``kind`` entry
+    for the signature, otherwise its first entry is extended to it."""
+    start = _definition_start(node)
+    if isinstance(node.body[0], _DEFINITION):
+        entries.insert(0, _Entry(start, entries[0].start - 1, kind))
+    else:
+        entries[0].start = start
     return entries
 
 
-def _partition_body(body: list[ast.stmt]) -> list[_Entry]:
-    """Split a function body at compound-statement and definition boundaries."""
-    parts: list[_Entry] = []
-    run: list[ast.stmt] = []
-
-    def flush() -> None:
-        if run:
-            parts.append(_Entry(run[0].lineno, run[-1].end_lineno, SegmentKind.BLOCK))
-            run.clear()
-
-    for stmt in body:
-        if isinstance(stmt, _DEF):
-            flush()
-            parts.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.FUNCTION))
-        elif isinstance(stmt, ast.ClassDef):
-            flush()
-            parts.append(_Entry(_definition_start(stmt), stmt.end_lineno, SegmentKind.CLASS_HEADER))
-        elif isinstance(stmt, _COMPOUND):
-            flush()
-            parts.append(_Entry(stmt.lineno, stmt.end_lineno, SegmentKind.BLOCK))
-        else:
-            run.append(stmt)
-    flush()
-    return parts
+def _definitions(def_kind: SegmentKind, stmt: ast.stmt) -> list[_Entry] | None:
+    """``own`` for module and class bodies: a function is one ``def_kind``
+    entry that may split further; a class flattens into its header runs
+    and its members."""
+    if isinstance(stmt, _DEF):
+        return [_Entry(_definition_start(stmt), stmt.end_lineno, def_kind, stmt)]
+    if isinstance(stmt, ast.ClassDef):
+        own = partial(_definitions, SegmentKind.METHOD)
+        members = _group(stmt.body, SegmentKind.CLASS_HEADER, own)
+        return _signed(stmt, members, SegmentKind.CLASS_HEADER)
+    return None
 
 
-def _build_callable(path: str, lines: list[str], entry: _Entry, span: Span) -> list[CodeUnit]:
-    """Build a function/method unit; split its body into block leaves when
-    it has more than one partition or contains nested definitions."""
-    parts = _partition_body(entry.stmt.body)
-    if len(parts) == 1 and parts[0].kind is SegmentKind.BLOCK:
-        return [_make_unit(path, lines, Level.FUNCTION, entry.kind, span)]
+def _block(stmt: ast.stmt) -> list[_Entry] | None:
+    """``own`` for function bodies: a nested definition or a compound
+    statement is one block; nested bodies do not split further."""
+    kind = _BLOCK_KINDS.get(type(stmt))
+    return None if kind is None else [_Entry(_definition_start(stmt), stmt.end_lineno, kind)]
 
-    func = _make_unit(path, lines, Level.FUNCTION, None, span)
-    children: list[CodeUnit] = []
-    prev = span.start_line - 1
-    if parts and parts[0].kind is not SegmentKind.BLOCK:
-        # the signature must stay inside some leaf; give it its own block
-        sig_span = Span(span.start_line, parts[0].start - 1)
-        children.append(_make_unit(path, lines, Level.BLOCK, SegmentKind.BLOCK, sig_span))
-        prev = sig_span.end_line
-    for j, part in enumerate(parts):
-        start = prev + 1
-        end = span.end_line if j == len(parts) - 1 else part.end
-        prev = end
-        children.append(
-            _make_unit(path, lines, Level.BLOCK, part.kind, Span(start, end))
-        )
+
+def _spans(entries: list[_Entry], first: int, last: int) -> list[Span]:
+    """The spans of ``entries`` over lines ``first..last`` by the partition
+    rule (see ``_Entry``)."""
+    spans = []
+    for entry in entries[:-1]:
+        spans.append(Span(first, entry.end))
+        first = entry.end + 1
+    return spans + [Span(first, last)]
+
+
+def _adopt(parent: CodeUnit, children: list[CodeUnit]) -> None:
     for child in children:
-        child.parent_id = func.id
-        func.child_ids.append(child.id)
-    return [func, *children]
+        child.parent_id = parent.id
+        parent.child_ids.append(child.id)
+
+
+def _build(path: str, lines: list[str], entry: _Entry, span: Span) -> list[CodeUnit]:
+    """The units of one function-level entry, in preorder: a leaf, or a
+    function whose body, signature included, forms more than one block,
+    over its block leaves."""
+    if entry.stmt is not None:
+        parts = _group(entry.stmt.body, SegmentKind.BLOCK, _block)
+        parts = _signed(entry.stmt, parts, SegmentKind.BLOCK)
+        if len(parts) > 1:
+            func = _make_unit(path, lines, Level.FUNCTION, None, span)
+            blocks = [
+                _make_unit(path, lines, Level.BLOCK, part.kind, part_span)
+                for part, part_span in zip(parts, _spans(parts, span.start_line, span.end_line))
+            ]
+            _adopt(func, blocks)
+            return [func, *blocks]
+    return [_make_unit(path, lines, Level.FUNCTION, entry.kind, span)]
 
 
 def decompose(path: str, source: str) -> list[CodeUnit]:
     """Decompose one source file into its unit tree (preorder list).
 
-    The first element is always the file unit.  Unparseable sources fall
-    back to a single file-kind leaf covering the whole file, flagged with
-    ``meta['fallback']``.  Empty sources yield a bare file unit.
+    The first element is always the file unit.  A file without statements
+    is one file-kind leaf over the whole file, and so is an unparseable
+    one, flagged with ``meta['fallback']``.  Empty sources yield a bare
+    file unit.
     """
     if source == "":
         return [_make_unit(path, [], Level.FILE, None, Span(1, 1))]
 
     lines = split_lines(source)
-    total = len(lines)
-    file_span = Span(1, total)
-
     try:
-        module = ast.parse(source)
+        body = ast.parse(source).body
     except (SyntaxError, ValueError):
-        file_unit = _make_unit(path, lines, Level.FILE, None, file_span)
-        frag = _make_unit(
-            path, lines, Level.FUNCTION, SegmentKind.FILE, file_span, meta={"fallback": True}
-        )
-        frag.parent_id = file_unit.id
-        file_unit.child_ids.append(frag.id)
-        return [file_unit, frag]
+        body = None
+    # TODO: split import runs into their own fragments so imports can be
+    # retained or dropped independently of neighbouring top-level code
+    own = partial(_definitions, SegmentKind.FUNCTION)
+    entries = _group(body or [], SegmentKind.FILE, own) or [_Entry(1, len(lines), SegmentKind.FILE)]
 
-    entries = _top_entries(module)
-    if not entries:
-        # comment- or blank-only file: one top-level fragment
-        entries = [_Entry(1, total, SegmentKind.FILE)]
-
-    file_unit = _make_unit(path, lines, Level.FILE, None, file_span)
-    units: list[CodeUnit] = [file_unit]
-    prev_end = 0
-    for i, entry in enumerate(entries):
-        start = prev_end + 1
-        end = total if i == len(entries) - 1 else entry.end
-        prev_end = end
-        span = Span(start, end)
-        if entry.stmt is None:
-            built = [_make_unit(path, lines, Level.FUNCTION, entry.kind, span)]
-        else:
-            built = _build_callable(path, lines, entry, span)
-        built[0].parent_id = file_unit.id
-        file_unit.child_ids.append(built[0].id)
-        units.extend(built)
+    file_unit = _make_unit(path, lines, Level.FILE, None, Span(1, len(lines)))
+    units = [file_unit]
+    for entry, span in zip(entries, _spans(entries, 1, len(lines))):
+        built = _build(path, lines, entry, span)
+        _adopt(file_unit, built[:1])
+        units += built
+    if body is None:
+        units[1].meta["fallback"] = True
     return units
 
 

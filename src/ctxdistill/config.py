@@ -29,6 +29,7 @@ class CompressionConfig:
     def __post_init__(self) -> None:
         if self.rate <= 1:
             raise ConfigError("compression rate must be > 1")
+        self.window_config()  # WindowConfig owns the window rule
 
     def window_config(self) -> WindowConfig:
         return WindowConfig(self.window_tokens, self.stride_tokens)
@@ -73,19 +74,17 @@ def _build_section(cls, data: dict, section: str):
         raise ConfigError(f"invalid value in {section}: {exc}") from exc
 
 
-def _coerce(raw: str, annotation: type):
-    if annotation is bool:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {raw!r}")
-    if annotation is int:
-        return int(raw)
-    if annotation is float:
-        return float(raw)
-    return raw
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _coerce(key: str, raw: str, annotation: type):
+    try:
+        return _BOOLS[raw.lower()] if annotation is bool else annotation(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {annotation.__name__} for {key} from {raw!r}") from None
 
 
 def load_run_config(
@@ -123,8 +122,8 @@ def load_run_config(
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         dotted, raw_value = item.split("=", 1)
         parts = dotted.split(".")
-        if len(parts) == 1 and parts[0] == "parallelism":
-            parallelism = int(raw_value)
+        if parts == ["parallelism"]:
+            parallelism = _coerce(dotted, raw_value, int)
             continue
         if len(parts) != 2 or parts[0] not in _SECTION_TYPES:
             raise ConfigError(f"unknown override target: {dotted}")
@@ -137,7 +136,7 @@ def load_run_config(
         resolved = {"int": int, "float": float, "bool": bool, "str": str}.get(
             annotation if isinstance(annotation, str) else annotation.__name__, str
         )
-        sections[section][key] = _coerce(raw_value, resolved)
+        sections[section][key] = _coerce(dotted, raw_value, resolved)
 
     if seed is not None:
         sections["ga"]["rng_seed"] = seed

@@ -66,7 +66,6 @@ class GenomeSpace:
             for uid in tree.unit_order
             if tree.index[uid].level in (Level.FILE, Level.FUNCTION)
         ]
-        self.position = {uid: i for i, uid in enumerate(self.unit_ids)}
 
         # contiguous genome ranges per file: the file's own position, then
         # its function-level units; used for crossover and consistency

@@ -79,9 +79,18 @@ def load_instance(path: str | Path) -> Instance:
         if key not in data:
             raise InstanceError(f"instance file {path} missing required key: {key}")
 
-    faults = [FaultLocation.from_json(f) for f in data["fault_location"]]
+    faults = []
+    for entry in data["fault_location"]:
+        try:
+            faults.append(FaultLocation.from_json(entry))
+        except (KeyError, TypeError, ValueError):
+            raise InstanceError(
+                f"instance file {path}: fault_location entry {entry!r} needs a path and an integer line"
+            ) from None
     context_files = []
     for entry in data["context_files"]:
+        if isinstance(entry, dict) and "path" not in entry:
+            raise InstanceError(f"instance file {path}: context_files entry {entry!r} has no path")
         context_files.append(entry["path"] if isinstance(entry, dict) else str(entry))
 
     return Instance(

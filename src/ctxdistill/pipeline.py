@@ -1,8 +1,8 @@
 """End-to-end distillation of one instance: search for a sufficient
 subset, minimize it, classify segment roles, and build the corpus record.
 
-``use_ga=False`` is the ablation path: the initial context is tested
-directly and, when sufficient, handed straight to minimization.
+``use_ga=False`` is the ablation path: the initial context goes straight
+to minimization, whose verify probe judges it.
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ from .dataset import (
     fault_facts,
 )
 from .ga_search import GAResult, TraceWriter, run_ga
-from .hdd import minimize
+from .hdd import InsufficientContextError, minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
-from .oracle import (
-    LLMOracle,
-    MockOracle,
-    Oracle,
-    OracleBudgetExhausted,
-    OracleSession,
-)
+from .oracle import LLMOracle, MockOracle, Oracle, OracleSession
 from .priority import CoverageReport, PatchInfo, parse_patch, priority_map
 
 
@@ -39,7 +33,6 @@ from .priority import CoverageReport, PatchInfo, parse_patch, priority_map
 class DistillOutcome:
     record: DistilledInstance
     ga: GAResult | None
-    budget_exhausted: bool
 
 
 def _open_trace(stack: ExitStack, trace_dir: Path | None, name: str) -> TraceWriter | None:
@@ -119,28 +112,20 @@ def distill_instance(
     session = OracleSession(oracle, instance.instance_id, config.oracle)
 
     ga_result: GAResult | None = None
-    start_leaves: frozenset[str] | None = None
-    budget_exhausted = False
+    min_result = None
     with ExitStack() as traces:
         ga_trace = _open_trace(traces, trace_dir, f"{instance.instance_id}.ga.jsonl")
         hdd_trace = _open_trace(traces, trace_dir, f"{instance.instance_id}.hdd.jsonl")
         if use_ga:
             ga_result = run_ga(tree, phi, patch, session, config.ga, trace=ga_trace)
-            budget_exhausted = ga_result.budget_exhausted
             start_leaves = ga_result.retained_leaf_ids
         else:
-            all_leaves = frozenset(seg.id for seg in leaf_segments(tree))
-            try:
-                verdict = session.evaluate(all_leaves)
-                if verdict.sufficient:
-                    start_leaves = all_leaves
-            except OracleBudgetExhausted:
-                budget_exhausted = True
-
-        min_result = None
+            start_leaves = frozenset(seg.id for seg in leaf_segments(tree))
         if start_leaves is not None:
-            min_result = minimize(start_leaves, tree, session, phi, trace=hdd_trace)
-            budget_exhausted = budget_exhausted or min_result.budget_exhausted
+            try:
+                min_result = minimize(start_leaves, tree, session, phi, trace=hdd_trace)
+            except InsufficientContextError:
+                pass  # the oracle rejects the start context: left unminimized
 
     facts = fault_facts(tree, instance.fault_locations)
     segments = []
@@ -173,6 +158,6 @@ def distill_instance(
             "phase2_passes": len(min_result.per_level_removed) if min_result else 0,
         },
         status=STATUS_MINIMIZED if minimized else STATUS_UNMINIMIZED,
-        budget_exhausted=budget_exhausted,
+        budget_exhausted=any(r is not None and r.budget_exhausted for r in (ga_result, min_result)),
     )
-    return DistillOutcome(record=record, ga=ga_result, budget_exhausted=budget_exhausted)
+    return DistillOutcome(record=record, ga=ga_result)

@@ -243,6 +243,28 @@ def test_distill_batch_with_malformed_instance_exits_2_before_distilling(tmp_pat
     assert not (tmp_path / "traces").exists()
 
 
+MALFORMED_ENTRIES = {
+    "fault without line": {"fault_location": [{"path": "pkg/core.py"}]},
+    "fault without path": {"fault_location": [{"line": 2}]},
+    "non-integer line": {"fault_location": [{"path": "pkg/core.py", "line": "two"}]},
+    "context file without path": {"context_files": [{"name": "pkg/core.py"}]},
+}
+
+
+@pytest.mark.parametrize("entry", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES.keys())
+def test_distill_malformed_instance_entry_exits_2(tmp_path, monkeypatch, capsys, entry):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=2)
+    bad = batch / "inst1.json"
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), **entry}), encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["distill", bad, "--out", corpus]) == EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err
+    assert _run(["distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
+    assert not corpus.exists()
+    assert not (tmp_path / "traces").exists()
+
+
 def test_distill_requires_instance_xor_batch(tmp_path, instance_path):
     assert _run(["distill", instance_path, "--batch", tmp_path, "--out", tmp_path / "c.jsonl"]) == EXIT_USAGE
     assert _run(["distill", "--out", tmp_path / "c.jsonl"]) == EXIT_USAGE
@@ -294,6 +316,23 @@ def test_compress_writes_output_and_stats(tmp_path, instance_path):
 
 def test_compress_rate_validation(tmp_path, instance_path, capsys):
     assert _run(["compress", instance_path, "--rate", 1.0, "--out", tmp_path / "o.txt"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "compression.window_tokens=0",
+        "compression.stride_tokens=-1",
+        "oracle.samples_n=x",
+        "ga.population_size=2.5",
+        "parallelism=x",
+    ],
+)
+def test_bad_set_value_exits_2(tmp_path, instance_path, capsys, override):
+    out = tmp_path / "o.txt"
+    assert _run(["--set", override, "compress", instance_path, "--out", out]) == EXIT_USAGE
+    assert override.split("=")[0].split(".")[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compress_deterministic_output(tmp_path, instance_path):

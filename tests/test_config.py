@@ -91,3 +91,26 @@ def test_invalid_values_rejected(tmp_path):
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_run_config("/nonexistent/run.json")
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("compression.window_tokens=0", "compression"),
+        ("compression.stride_tokens=-1", "compression"),
+        ("oracle.samples_n=x", "oracle.samples_n"),
+        ("ga.population_size=2.5", "ga.population_size"),
+        ("weights.w_p=heavy", "weights.w_p"),
+        ("parallelism=x", "parallelism"),
+    ],
+)
+def test_bad_override_values_are_config_errors(override, key):
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(None, [override])
+
+
+def test_bad_window_in_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"compression": {"window_tokens": 0}}))
+    with pytest.raises(ConfigError, match="window and stride must be positive"):
+        load_run_config(path)

@@ -69,7 +69,7 @@ def test_repair_revives_all_zero_with_max_phi_unit():
     target = space.unit_ids[4]  # some function in f2.py
     phi[target] = 9.0
     repaired = repair(Genome((0,) * len(space)), space, phi)
-    assert repaired.bits[space.position[target]] == 1
+    assert repaired.bits[space.unit_ids.index(target)] == 1
     assert repaired.bits[3] == 1  # owning file
     assert sum(repaired.bits) == 2
     # tie -> earliest unit in document order

@@ -130,6 +130,49 @@ def test_distill_ablation_distractors_separate_modes(tmp_path):
     assert without_ga.record.status == STATUS_UNMINIMIZED
 
 
+def _hdd_records(trace_dir, instance_id):
+    lines = (trace_dir / f"{instance_id}.hdd.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
+
+
+def test_distill_without_ga_traces_an_insufficient_full_context(tmp_path):
+    """Minimization's verify probe judges the full context, so a rejected
+    one leaves exactly one traced verdict and one oracle call."""
+    instance_path = write_instance(
+        tmp_path / "inst.json",
+        tmp_path / "repo",
+        FILES,
+        instance_id="inst-distract",
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+        mock_distractors=[{"path": "pkg/util.py", "line": 2}],
+    )
+    instance = load_instance(instance_path)
+    record = distill_instance(instance, _config(), use_ga=False, trace_dir=tmp_path / "t").record
+    assert record.status == STATUS_UNMINIMIZED
+    assert record.oracle_calls == 1
+    [verify] = _hdd_records(tmp_path / "t", "inst-distract")
+    assert (verify["pass_level"], verify["sufficient"]) == ("verify", False)
+
+
+def test_distill_without_ga_asks_the_full_context_once_without_cache(tmp_path):
+    """With the verdict cache off every oracle call is a fresh one, and
+    each is exactly one traced probe: the full context is not judged
+    before minimization judges it again."""
+    instance_path = write_instance(
+        tmp_path / "inst.json",
+        tmp_path / "repo",
+        FILES,
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+    )
+    instance = load_instance(instance_path)
+    config = RunConfig(oracle=OracleConfig(cache_enabled=False))
+    record = distill_instance(instance, config, use_ga=False, trace_dir=tmp_path / "t").record
+    assert record.status == STATUS_MINIMIZED
+    assert record.oracle_calls == len(_hdd_records(tmp_path / "t", "inst-0"))
+
+
 def test_mock_oracle_defaults_to_fault_enclosing_leaves(tmp_path):
     instance_path = write_instance(
         tmp_path / "inst.json",
@@ -172,7 +215,7 @@ def test_distill_budget_exhausted_flag(tmp_path):
     )
     instance = load_instance(instance_path)
     outcome = distill_instance(instance, _config(budget=2))
-    assert outcome.budget_exhausted
+    assert outcome.record.budget_exhausted
     assert outcome.record.status == STATUS_UNMINIMIZED
 
 
@@ -189,7 +232,7 @@ def test_distill_reports_budget_exhausted_in_phase2(tmp_path, use_ga):
     )
     instance = load_instance(instance_path)
     outcome = distill_instance(instance, _config(budget=3), use_ga=use_ga)
-    assert outcome.budget_exhausted
+    assert outcome.record.budget_exhausted
     assert outcome.record.status == STATUS_MINIMIZED
     assert outcome.record.oracle_calls == 3
     assert not outcome.record.one_minimal_certified

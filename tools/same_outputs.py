@@ -5,7 +5,7 @@ Run from anywhere, with the checkout that holds this file as the subject:
     python3 tools/same_outputs.py
 
 It prints the Python version it runs under (``sys.version``'s first
-word), then four things; compare them with the same command run on the
+word), then five things; compare them with the same command run on the
 parent commit's checkout, or under another Python.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
@@ -27,6 +27,11 @@ parent commit's checkout, or under another Python.
    search order: SHA-256 over each leaf's ``classify_role`` value and
    each unit's ``priority_map`` value (with ``RunConfig()``'s weights) as
    ``float.hex``; the line also counts the segments.
+5. A hash of the decomposition of every seed-7 context file of the four
+   workloads, which the role/priority hash sees only through unit ids:
+   SHA-256 over each unit of ``decompose``'s output as its id, level,
+   kind, span, parent id, child ids and ``meta``; the line also counts
+   the files and units.
 """
 
 from __future__ import annotations
@@ -136,6 +141,28 @@ def role_priority_hash() -> tuple[int, str]:
     return segments, h.hexdigest()
 
 
+def decomposition_hash() -> tuple[int, int, str]:
+    import gen
+    from ctxdistill.code_model import decompose
+    from ctxdistill.instance import load_instance, load_sources
+
+    files = units = 0
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        for workload in gen.WORKLOADS:
+            for planted in gen.generate(workload, SEED, Path(work) / workload):
+                for path, source in load_sources(load_instance(planted.instance_path)):
+                    rows = [
+                        [u.id, u.level.value, u.kind and u.kind.value, u.span.start_line,
+                         u.span.end_line, u.parent_id, u.child_ids, u.meta]
+                        for u in decompose(path, source)
+                    ]
+                    files += 1
+                    units += len(rows)
+                    h.update(json.dumps(rows, sort_keys=True).encode())
+    return files, units, h.hexdigest()
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != str(SEED):
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
@@ -150,6 +177,8 @@ def main() -> int:
     print(f"windowed compress: {windowed} of {leaves} leaves windowed hash={digest[:16]}")
     segments, digest = role_priority_hash()
     print(f"roles and priorities: {segments} segments hash={digest[:16]}")
+    files, units, digest = decomposition_hash()
+    print(f"decomposition: {units} units in {files} files hash={digest[:16]}")
     return 0
 
 
