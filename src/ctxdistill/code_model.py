@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
@@ -132,6 +132,9 @@ class UnitTree:
       the leaf and its ancestors.  The innermost unit therefore wins, and
       on equal spans the later unit in document order wins: a fragment
       spanning a whole comment-only file beats its file unit.
+
+    ``leaf_facts`` maps leaf ids to what ``build_tree``'s ``facts`` hook
+    returned for them; it is empty on a tree built without the hook.
     """
 
     instance_id: str
@@ -141,6 +144,7 @@ class UnitTree:
     sources: dict[str, str]
     order_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     lines: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    leaf_facts: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
     leaves: list[CodeUnit] = field(init=False, repr=False, compare=False)
     leaf_slice: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
@@ -199,10 +203,15 @@ _BLOCK_KINDS = {
 }
 
 
+_OnLeaf = Callable[[CodeUnit, Sequence[ast.stmt]], None]
+
+
 @dataclass
 class _Entry:
     """A line range and the segment kind it becomes.  ``stmt`` is set only
     for top-level functions and methods, whose bodies may split further.
+    ``stmts`` are the top-level statements a parse of the entry's text on
+    its own sees (see ``decompose``).
 
     Grouping (``_group``): in a module, class or function body each
     statement either forms entries of its own -- a definition, or in a
@@ -220,6 +229,7 @@ class _Entry:
     end: int
     kind: SegmentKind
     stmt: ast.stmt | None = None
+    stmts: Sequence[ast.stmt] = ()
 
 
 def _definition_start(stmt: ast.stmt) -> int:
@@ -258,7 +268,7 @@ def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[_Entry]:
             run.append(stmt)
             continue
         if run:
-            entries.append(_Entry(run[0].lineno, run[-1].end_lineno, run_kind))
+            entries.append(_Entry(run[0].lineno, run[-1].end_lineno, run_kind, stmts=run))
             run = []
         entries.extend(formed)
     return entries
@@ -267,12 +277,15 @@ def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[_Entry]:
 def _signed(node: ast.stmt, entries: list[_Entry], kind: SegmentKind) -> list[_Entry]:
     """Make the entries of ``node``'s body cover its signature, decorators
     included: a body that opens with a definition gets a ``kind`` entry
-    for the signature, otherwise its first entry is extended to it."""
+    for the signature, otherwise its first entry is extended to it.  A
+    bare signature does not parse on its own; the extended entry parses
+    as ``node``."""
     start = _definition_start(node)
     if isinstance(node.body[0], _DEFINITION):
         entries.insert(0, _Entry(start, entries[0].start - 1, kind))
     else:
         entries[0].start = start
+        entries[0].stmts = [node]
     return entries
 
 
@@ -281,7 +294,7 @@ def _definitions(def_kind: SegmentKind, stmt: ast.stmt) -> list[_Entry] | None:
     entry that may split further; a class flattens into its header runs
     and its members."""
     if isinstance(stmt, _DEF):
-        return [_Entry(_definition_start(stmt), stmt.end_lineno, def_kind, stmt)]
+        return [_Entry(_definition_start(stmt), stmt.end_lineno, def_kind, stmt, [stmt])]
     if isinstance(stmt, ast.ClassDef):
         own = partial(_definitions, SegmentKind.METHOD)
         members = _group(stmt.body, SegmentKind.CLASS_HEADER, own)
@@ -293,7 +306,7 @@ def _block(stmt: ast.stmt) -> list[_Entry] | None:
     """``own`` for function bodies: a nested definition or a compound
     statement is one block; nested bodies do not split further."""
     kind = _BLOCK_KINDS.get(type(stmt))
-    return None if kind is None else [_Entry(_definition_start(stmt), stmt.end_lineno, kind)]
+    return None if kind is None else [_Entry(_definition_start(stmt), stmt.end_lineno, kind, stmts=[stmt])]
 
 
 def _spans(entries: list[_Entry], first: int, last: int) -> list[Span]:
@@ -312,7 +325,28 @@ def _adopt(parent: CodeUnit, children: list[CodeUnit]) -> None:
         parent.child_ids.append(child.id)
 
 
-def _build(path: str, lines: list[str], entry: _Entry, span: Span) -> list[CodeUnit]:
+def _ends_in_backslash(lines: list[str], span: Span) -> bool:
+    """Whether the last non-blank line of ``span`` ends in a backslash: a
+    line continuation there runs past the end of the text, so the text may
+    not parse on its own."""
+    end = span.end_line
+    while end > span.start_line and not lines[end - 1].strip():
+        end -= 1
+    return lines[end - 1].endswith("\\")
+
+
+def _leaf(
+    path: str, lines: list[str], level: Level, entry: _Entry, span: Span, on_leaf: _OnLeaf | None
+) -> CodeUnit:
+    unit = _make_unit(path, lines, level, entry.kind, span)
+    if on_leaf is not None and not _ends_in_backslash(lines, span):
+        on_leaf(unit, entry.stmts)
+    return unit
+
+
+def _build(
+    path: str, lines: list[str], entry: _Entry, span: Span, on_leaf: _OnLeaf | None
+) -> list[CodeUnit]:
     """The units of one function-level entry, in preorder: a leaf, or a
     function whose body, signature included, forms more than one block,
     over its block leaves."""
@@ -322,21 +356,40 @@ def _build(path: str, lines: list[str], entry: _Entry, span: Span) -> list[CodeU
         if len(parts) > 1:
             func = _make_unit(path, lines, Level.FUNCTION, None, span)
             blocks = [
-                _make_unit(path, lines, Level.BLOCK, part.kind, part_span)
+                _leaf(path, lines, Level.BLOCK, part, part_span, on_leaf)
                 for part, part_span in zip(parts, _spans(parts, span.start_line, span.end_line))
             ]
             _adopt(func, blocks)
             return [func, *blocks]
-    return [_make_unit(path, lines, Level.FUNCTION, entry.kind, span)]
+    return [_leaf(path, lines, Level.FUNCTION, entry, span, on_leaf)]
 
 
-def decompose(path: str, source: str) -> list[CodeUnit]:
+def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[CodeUnit]:
     """Decompose one source file into its unit tree (preorder list).
 
     The first element is always the file unit.  A file without statements
     is one file-kind leaf over the whole file, and so is an unparseable
     one, flagged with ``meta['fallback']``.  Empty sources yield a bare
     file unit.
+
+    ``on_leaf(unit, stmts)`` is called for each leaf with the top-level
+    statements that ``ast.parse`` of the leaf's text on its own (after
+    ``textwrap.dedent``, inside a function if need be) sees, taken from
+    this file's parse:
+
+    - a run of plain statements: its statements
+    - a definition or compound block: ``[stmt]``
+    - a block or class header run that carries a function's or class's
+      signature: ``[the def or class node]``
+    - a bare signature, the leaf before a body that opens with a
+      definition: ``[]``, because it does not parse on its own
+    - the leaf of a file without statements: ``[]``
+
+    It is not called for an unparseable file, for a file with a form
+    feed (the tokenizer resets its column count at one, which
+    ``textwrap.dedent`` does not know), or for a leaf whose last non-blank
+    line ends in a backslash.  The statements are only valid during the
+    call.
     """
     if source == "":
         return [_make_unit(path, [], Level.FILE, None, Span(1, 1))]
@@ -346,6 +399,8 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
         body = ast.parse(source).body
     except (SyntaxError, ValueError):
         body = None
+    if body is None or "\f" in source:
+        on_leaf = None
     # TODO: split import runs into their own fragments so imports can be
     # retained or dropped independently of neighbouring top-level code
     own = partial(_definitions, SegmentKind.FUNCTION)
@@ -354,7 +409,7 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
     file_unit = _make_unit(path, lines, Level.FILE, None, Span(1, len(lines)))
     units = [file_unit]
     for entry, span in zip(entries, _spans(entries, 1, len(lines))):
-        built = _build(path, lines, entry, span)
+        built = _build(path, lines, entry, span, on_leaf)
         _adopt(file_unit, built[:1])
         units += built
     if body is None:
@@ -362,16 +417,28 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
     return units
 
 
-def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
-    """Assemble the per-file decompositions into one indexed tree."""
+def build_tree(
+    instance_id: str, files: Iterable[tuple[str, str]], facts: Callable[[Sequence[ast.stmt]], object] | None = None
+) -> UnitTree:
+    """Assemble the per-file decompositions into one indexed tree.
+
+    ``facts``, if given, maps a leaf's top-level statements, as
+    ``decompose`` defines them for ``on_leaf``, to what the tree keeps in
+    ``leaf_facts`` for that leaf; it must keep no AST node.  Leaves
+    ``decompose`` passes over get no entry."""
     roots: list[CodeUnit] = []
     index: dict[str, CodeUnit] = {}
     order: list[str] = []
     sources: dict[str, str] = {}
+    leaf_facts: dict[str, object] = {}
+
+    def on_leaf(unit: CodeUnit, stmts: Sequence[ast.stmt]) -> None:
+        leaf_facts[unit.id] = facts(stmts)
+
     for path, source in files:
         if path in sources:
             raise ValueError(f"duplicate context file: {path}")
-        units = decompose(path, source)
+        units = decompose(path, source, on_leaf if facts is not None else None)
         roots.append(units[0])
         for unit in units:
             if unit.id in index:
@@ -379,7 +446,7 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
             index[unit.id] = unit
             order.append(unit.id)
         sources[path] = source
-    return UnitTree(instance_id, roots, index, order, sources)
+    return UnitTree(instance_id, roots, index, order, sources, leaf_facts)
 
 
 # --- queries -----------------------------------------------------------

@@ -15,7 +15,7 @@ import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .code_model import CodeUnit, Level, SegmentKind, UnitTree, enclosing_unit, unit_text
 from .compressor import build_query
@@ -254,6 +254,25 @@ def _declaration_ratio(module: ast.Module | None) -> float:
     return decls / len(module.body)
 
 
+@dataclass(frozen=True)
+class RoleFacts:
+    """What the role rules read of a segment's own code."""
+
+    # a declaration run: ``_declaration_ratio >= 0.5``
+    declaration: bool
+    defined: frozenset[str]
+
+
+def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
+    """The role facts of code whose top-level statements are ``stmts``.
+
+    Passed as the ``facts`` hook to ``build_instance_tree``, it records
+    each leaf's facts from the parse ``decompose`` already made; the
+    hook's contract, per leaf kind, is ``decompose``'s ``on_leaf``."""
+    module = ast.Module(body=stmts, type_ignores=[])
+    return RoleFacts(_declaration_ratio(module) >= 0.5, _defined_names(module))
+
+
 def _fault_units(tree: UnitTree, faults: Iterable[FaultLocation]) -> list[CodeUnit]:
     units: list[CodeUnit] = []
     seen: set[str] = set()
@@ -302,26 +321,36 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
     fault code references, then call-graph neighbours, else generic.
 
     ``facts`` come from :func:`fault_facts`, computed once per instance and
-    shared by all of its segments.  The call-chain rule walks the
-    segment's AST for called names only when :func:`_may_call` allows a
-    call to a name in ``facts.defined``; otherwise the walk could find
-    none, so skipping it gives the same role."""
+    shared by all of its segments.  The segment's own :class:`RoleFacts`
+    come from one of two sources: ``tree.leaf_facts``, which a tree built
+    with ``facts=role_facts`` fills from the parse ``decompose`` made, or,
+    for a leaf without an entry there, :func:`_parse_segment` of its
+    text; both give the same facts.  The call-chain rule walks the
+    segment's own parse for called names only when :func:`_may_call`
+    allows a call to a name in ``facts.defined``; otherwise the walk could
+    find none, so skipping it gives the same role."""
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
     text = unit_text(tree, segment)
-    module = _parse_segment(text)
-    if _declaration_ratio(module) >= 0.5:
+    module = None
+    own = tree.leaf_facts.get(segment.id)
+    if own is None:
+        module = _parse_segment(text)
+        own = role_facts([] if module is None else module.body)
+    if own.declaration:
         return SemanticRole.SCHEMA
 
-    defined = _defined_names(module)
     # calls are handled by the call-chain rule, not the definition rule
-    if defined & (facts.identifiers - facts.calls):
+    if own.defined & (facts.identifiers - facts.calls):
         return SemanticRole.DEFINITION
 
-    if defined & facts.calls or (
-        _may_call(text, facts.defined) and _called_names(module) & facts.defined
-    ):
+    if own.defined & facts.calls:
         return SemanticRole.CALL_CHAIN
+    if _may_call(text, facts.defined):
+        if module is None:
+            module = _parse_segment(text)
+        if _called_names(module) & facts.defined:
+            return SemanticRole.CALL_CHAIN
 
     return SemanticRole.GENERIC_UTILITY
 

@@ -19,15 +19,26 @@ of leaf ids or ``{"path", "line"}`` locators resolved against the tree.
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .code_model import UnitTree, build_tree, enclosing_leaf
 
 
 class InstanceError(ValueError):
     pass
+
+
+def _line_number(value: object) -> int:
+    """A line number read from JSON: only a JSON integer, because ``int()``
+    would truncate ``2.7`` to 2 and read ``true`` as 1, naming another
+    line than the file does."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InstanceError(f"line {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -44,7 +55,7 @@ class FaultLocation:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultLocation":
-        return cls(path=str(data["path"]), line=int(data["line"]), symbol=data.get("symbol"))
+        return cls(path=str(data["path"]), line=_line_number(data["line"]), symbol=data.get("symbol"))
 
 
 @dataclass
@@ -124,8 +135,11 @@ def load_sources(instance: Instance) -> list[tuple[str, str]]:
     return sources
 
 
-def build_instance_tree(instance: Instance) -> UnitTree:
-    return build_tree(instance.instance_id, load_sources(instance))
+def build_instance_tree(
+    instance: Instance, facts: Callable[[Sequence[ast.stmt]], object] | None = None
+) -> UnitTree:
+    """The instance's unit tree; ``facts`` is ``build_tree``'s hook."""
+    return build_tree(instance.instance_id, load_sources(instance), facts)
 
 
 def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:
@@ -141,7 +155,7 @@ def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:
             resolved.add(loc)
         elif isinstance(loc, dict):
             try:
-                path, line = loc["path"], int(loc["line"])
+                path, line = loc["path"], _line_number(loc["line"])
             except (KeyError, TypeError, ValueError):
                 raise InstanceError(f"locator {loc!r} needs a path and a line number") from None
             leaf = enclosing_leaf(tree, path, line)

@@ -21,6 +21,7 @@ from .dataset import (
     SegmentRecord,
     classify_role,
     fault_facts,
+    role_facts,
 )
 from .ga_search import GAResult, TraceWriter, run_ga
 from .hdd import InsufficientContextError, minimize
@@ -90,7 +91,7 @@ def distill_instance(
     use_ga: bool = True,
     trace_dir: str | Path | None = None,
 ) -> DistillOutcome:
-    tree = build_instance_tree(instance)
+    tree = build_instance_tree(instance, facts=role_facts)
     if oracle is None and oracle_kind == "llm":
         _require_llm_inputs(instance)
     patch, coverage = load_priority_inputs(instance)

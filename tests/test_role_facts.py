@@ -1,0 +1,297 @@
+"""Property tests: the role facts ``decompose`` records from the file's
+parse are the facts a standalone parse of each leaf gives.
+
+``distill_instance`` builds its tree with ``facts=role_facts``, so
+``classify_role`` reads each leaf's facts from ``tree.leaf_facts``
+instead of re-parsing the leaf.  The reference is ``_parse_segment`` of
+the leaf's text, the path ``classify_role`` takes on a tree built
+without the hook.  Trees come from the other property modules plus
+adversarial shapes: flush-left comments and strings inside bodies, tabs,
+form feeds, backslash continuations, ``;``-joined statements, one-line
+and ``async`` definitions, nested classes, bare signatures with
+decorators and comments, and unparseable and comment-only files.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ctxdistill import dataset
+from ctxdistill.code_model import SegmentKind, build_tree, unit_text
+from ctxdistill.config import RunConfig
+from ctxdistill.dataset import (
+    SemanticRole,
+    _fault_units,
+    _may_call,
+    _parse_segment,
+    classify_role,
+    fault_facts,
+    role_facts,
+)
+from ctxdistill.instance import FaultLocation, build_instance_tree, load_instance
+from ctxdistill.pipeline import distill_instance
+
+from fixtures import CLASS_SOURCE, MULTI_BLOCK_SOURCE, NESTED_SOURCE, write_instance
+from test_decided_work import role_trees
+from test_indexes import NAMES, SETTINGS
+from test_indexes import trees as module_trees
+from test_score_once import trees as scoring_trees
+
+# --- adversarial modules ----------------------------------------------------------
+
+names = st.sampled_from(NAMES)
+
+
+@st.composite
+def simple_lines(draw, ind: str) -> list[str]:
+    a, b = draw(names), draw(names)
+    return draw(
+        st.sampled_from(
+            [
+                [f"{ind}{a} = 1; {b} = 2"],
+                [f"{ind}{a}: int = 3"],
+                [f"{ind}{a}({b})"],
+                [f"{ind}{a} = {b} + \\", f"{ind}    1"],
+                [f"{ind}{a} = {b} + \\", "1"],
+                [f"{ind}{a} = 3 \\", ""],
+                [f'{ind}{a} = """', "flush-left text", f'  still text"""'],
+                [f"\f{ind}{a} = 4"],
+                [f"{ind}{a} = 4", f"{ind}\f{ind}{b} = 5"],
+            ]
+        )
+    )
+
+
+@st.composite
+def filler_lines(draw, ind: str) -> list[str]:
+    pool = ["", f"{ind}# note", "# flush-left note", "\f", f"{ind}# ends in a backslash \\"]
+    return draw(st.lists(st.sampled_from(pool), max_size=2))
+
+
+@st.composite
+def def_lines(draw, ind: str, unit: str, depth: int) -> list[str]:
+    name = draw(names)
+    head = []
+    if draw(st.booleans()):
+        head.append(f"{ind}@{draw(names)}")
+    keyword = draw(st.sampled_from(["def", "async def"]))
+    form = draw(st.sampled_from(["one-line", "body", "bare"]))
+    if form == "one-line":
+        return head + [f"{ind}{keyword} {name}(x): return x; pass"]
+    head.append(f"{ind}{keyword} {name}(x):  # signature comment")
+    if form == "bare":
+        # the body opens with a definition, so the signature is a leaf of its own
+        head += [f"{ind}{unit}# about the nested one", *draw(def_lines(ind + unit, unit, depth + 1))]
+    return head + draw(body_lines(ind + unit, unit, depth + 1, in_function=True))
+
+
+@st.composite
+def class_lines(draw, ind: str, unit: str, depth: int) -> list[str]:
+    name = draw(names)
+    head = [f"{ind}@{draw(names)}"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        return head + [f"{ind}class {name}: {draw(names)} = 1; {draw(names)} = 2"]
+    head.append(f"{ind}class {name}:")
+    return head + draw(body_lines(ind + unit, unit, depth + 1, in_function=False))
+
+
+@st.composite
+def compound_lines(draw, ind: str, unit: str, depth: int) -> list[str]:
+    head = draw(st.sampled_from(["if {a}:", "for x in {a}:", "while {a}:", "with {a}() as x:"]))
+    return [ind + head.format(a=draw(names))] + draw(body_lines(ind + unit, unit, depth + 1, True))
+
+
+@st.composite
+def body_lines(draw, ind: str, unit: str, depth: int, in_function: bool) -> list[str]:
+    kinds = ["simple", "simple"]
+    if depth < 3:
+        kinds += ["def", "class"] + (["compound", "compound"] if in_function else [])
+    lines: list[str] = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines += draw(filler_lines(ind))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "simple":
+            lines += draw(simple_lines(ind))
+        elif kind == "def":
+            lines += draw(def_lines(ind, unit, depth))
+        elif kind == "class":
+            lines += draw(class_lines(ind, unit, depth))
+        else:
+            lines += draw(compound_lines(ind, unit, depth))
+    if in_function and draw(st.booleans()):
+        lines.append(f"{ind}return {draw(names)}")
+    return lines
+
+
+@st.composite
+def adversarial_source(draw) -> str:
+    shape = draw(st.sampled_from(["code"] * 6 + ["broken", "indented", "comments"]))
+    if shape == "broken":
+        return "def broken(:\n    pass\n"
+    if shape == "indented":
+        return "    x = 1\n    y = 2\n"  # unparseable as a file, parseable once dedented
+    if shape == "comments":
+        return "# only\n\n# comments \\\n"
+    unit = draw(st.sampled_from(["    ", "\t", "  "]))
+    lines = draw(body_lines("", unit, 0, in_function=False)) + draw(filler_lines(""))
+    return "\n".join(lines) + "\n"
+
+
+adversarial_trees = st.lists(
+    st.one_of(adversarial_source(), st.sampled_from([CLASS_SOURCE, MULTI_BLOCK_SOURCE, NESTED_SOURCE])),
+    min_size=1,
+    max_size=3,
+).map(lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)]))
+
+any_tree = st.one_of(module_trees, scoring_trees, role_trees, adversarial_trees, adversarial_trees)
+
+
+def hooked(tree):
+    return build_tree(tree.instance_id, tree.sources.items(), facts=role_facts)
+
+
+def standalone_facts(tree, leaf):
+    module = _parse_segment(unit_text(tree, leaf))
+    return role_facts([] if module is None else module.body)
+
+
+@st.composite
+def role_cases(draw):
+    tree = draw(any_tree)
+    paths = list(tree.sources)
+    faults = [
+        FaultLocation(path, draw(st.integers(1, len(tree.lines[path]) + 1)))
+        for path in paths
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return tree, faults
+
+
+# --- properties ----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(any_tree)
+def test_recorded_facts_are_the_facts_of_a_standalone_parse(tree):
+    with_facts = hooked(tree)
+    assert with_facts.unit_order == tree.unit_order
+    assert tree.leaf_facts == {}
+    assert set(with_facts.leaf_facts) <= {leaf.id for leaf in tree.leaves}
+    for leaf_id, facts in with_facts.leaf_facts.items():
+        assert facts == standalone_facts(tree, tree.index[leaf_id]), unit_text(tree, leaf_id)
+
+
+@SETTINGS
+@given(any_tree)
+def test_facts_are_recorded_for_every_leaf_the_contract_covers(tree):
+    """Only unparseable files, files with a form feed and leaves whose
+    last non-blank line ends in a backslash go without facts."""
+    with_facts = hooked(tree)
+    for leaf in with_facts.leaves:
+        lines = [line for line in unit_text(with_facts, leaf).split("\n") if line.strip()]
+        ends_in_backslash = bool(lines) and lines[-1].endswith("\\")
+        skipped = leaf.meta.get("fallback") or "\f" in with_facts.sources[leaf.path] or ends_in_backslash
+        assert (leaf.id not in with_facts.leaf_facts) == bool(skipped)
+
+
+@SETTINGS
+@given(role_cases())
+def test_roles_do_not_depend_on_the_hook(case):
+    tree, faults = case
+    with_facts = hooked(tree)
+    facts = fault_facts(tree, faults)
+    assert fault_facts(with_facts, faults) == facts
+    for leaf, same in zip(tree.leaves, with_facts.leaves):
+        assert classify_role(same, with_facts, facts) is classify_role(leaf, tree, facts)
+
+
+# each source's leaf at the line given has a text that, parsed on its own,
+# sees none of its statements
+UNRECORDED = {
+    "form feed inside an indent": ("def f():\n    if a: pass\n    x = 4\n    \f    y = 5\n", 3),
+    "continuation into a blank line": ("x = 1 \\\n\ndef g(): pass\n", 1),
+    "continuation into a comment": ("def f():\n    if a: pass\n    x = 1 \\\n# c\n    if b: pass\n", 3),
+}
+
+
+@pytest.mark.parametrize("source, line", UNRECORDED.values(), ids=UNRECORDED.keys())
+def test_a_leaf_whose_text_does_not_parse_like_the_file_gets_no_facts(source, line):
+    tree = build_tree("t", [("m.py", source)])
+    with_facts = hooked(tree)
+    leaf = with_facts.innermost_unit("m.py", line)
+    assert _parse_segment(unit_text(tree, leaf)) is None
+    assert leaf.id not in with_facts.leaf_facts
+    facts = fault_facts(tree, [FaultLocation("m.py", 1)])
+    for plain, same in zip(tree.leaves, with_facts.leaves):
+        assert classify_role(same, with_facts, facts) is classify_role(plain, tree, facts)
+
+
+def test_a_bare_signature_records_the_facts_of_no_statement():
+    source = "@deco\ndef outer(x):  # outer\n    # about inner\n    def inner(y):\n        return y\n    return inner\n"
+    tree = build_tree("t", [("m.py", source)], facts=role_facts)
+    signature = tree.leaves[0]
+    assert unit_text(tree, signature) == "@deco\ndef outer(x):  # outer\n    # about inner"
+    assert tree.leaf_facts[signature.id] == role_facts([]) == standalone_facts(tree, signature)
+
+
+# --- guards ------------------------------------------------------------------------------
+
+FILES = {
+    "pkg/core.py": (
+        "from pkg.util import helper\n\nLIMIT = 3\nNAME = 'core'\n\n"
+        "def run(x):\n    if x:\n        return helper(x)\n    return LIMIT\n\n"
+        "class Config:\n    size: int = 1\n\n    def load(self):\n        return run(self.size)\n"
+    ),
+    "pkg/util.py": "def helper(x):\n    return x + 1\n\ndef unused(y):\n    return y\n",
+}
+
+
+def _instance(tmp_path):
+    return load_instance(
+        write_instance(
+            tmp_path / "inst.json",
+            tmp_path / "repo",
+            FILES,
+            fault_locations=[{"path": "pkg/core.py", "line": 8}],
+            mock_required=[{"path": "pkg/core.py", "line": 8}],
+        )
+    )
+
+
+def test_build_instance_tree_records_no_facts(tmp_path):
+    assert build_instance_tree(_instance(tmp_path)).leaf_facts == {}
+
+
+def test_distill_parses_only_the_fault_units_and_the_leaves_that_may_call(tmp_path):
+    instance = _instance(tmp_path)
+    tree = build_instance_tree(instance)
+    facts = fault_facts(tree, instance.fault_locations)
+    may_call = []
+    for leaf in tree.leaves:
+        own = standalone_facts(tree, leaf)
+        decided = (
+            leaf.kind is SegmentKind.CLASS_HEADER
+            or own.declaration
+            or own.defined & (facts.identifiers | facts.calls)
+        )
+        if not decided and _may_call(unit_text(tree, leaf), facts.defined):
+            may_call.append(unit_text(tree, leaf))
+    assert 0 < len(may_call) < len(tree.leaves)
+    expected = [unit_text(tree, unit) for unit in _fault_units(tree, instance.fault_locations)] + may_call
+
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return _parse_segment(text)
+
+    with mock.patch.object(dataset, "_parse_segment", counting):
+        record = distill_instance(instance, RunConfig()).record
+    assert sorted(parsed) == sorted(expected)
+    roles = {seg.id: seg.role for seg in record.context_segments}
+    assert roles == {leaf.id: classify_role(leaf, tree, facts).value for leaf in tree.leaves}
+    assert SemanticRole.CALL_CHAIN.value in roles.values()

@@ -1,0 +1,166 @@
+"""Run the benchmark on two revisions in alternating pairs and record them.
+
+Run from anywhere inside the repository:
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label head \\
+        --workload distill_large compress_scatter --pairs 10 --seed 13 --seconds 15
+
+Each revision is exported with ``git archive`` into its own temporary
+directory.  Pair ``i`` runs ``python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each export, the parent first in even
+pairs and the change first in odd ones, for every workload in turn.  To
+measure uncommitted work, stage it and pass ``--change $(git stash
+create)``, a commit of the index and working tree that no branch points to.
+
+The result, ``BENCH_<label>.json`` at the repository root, holds every
+run's report (end-to-end and quality metrics, digest, failures, the
+median wall time and host scale behind the rescaled timings) and,
+per workload and end-to-end metric, each side's median and quartiles, the
+number of pairs the change won (ties count for neither side) and the
+change of the median.  Which way is better comes from ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write ``rev``'s files into ``dest``; returns its full commit id."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``checkout``; its report, plus the exit status."""
+    report_path = checkout / ".bench_out" / f"{workload}-s{seed}-t0.json"
+    report_path.unlink(missing_ok=True)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=30 * seconds + 600,
+    )
+    if not report_path.exists():
+        raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode} without a report:\n{proc.stderr}")
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    return {
+        "exit": proc.returncode,
+        "end_to_end": report["end_to_end"],
+        "quality": report["quality"],
+        "digest": report["digest"],
+        "attempted": report["attempted"],
+        "failed": report["failed"],
+        "wall_p50_s": report["wall_p50_s"],
+        "host_scale": report["host_scale"],
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
+    """Per workload: each end-to-end metric's spread per side, the pairs
+    the change won and the relative change of the median; the digests and
+    failure counts each side saw."""
+    summary: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict[str, dict]] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
+        complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+        row: dict = {"pairs": len(complete), "metrics": {}}
+        for metric, better in metrics.items():
+            values = {side: [p[side]["end_to_end"][metric] for p in complete] for side in SIDES}
+            sign = 1 if better == "lower" else -1
+            wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            stats = {side: spread(values[side]) for side in SIDES}
+            row["metrics"][metric] = {
+                "better": better,
+                **stats,
+                "change_wins": wins,
+                "median_change": stats["change"]["median"] / stats["parent"]["median"] - 1,
+            }
+        for side in SIDES:
+            side_runs = [p[side] for p in complete]
+            row[f"{side}_digests"] = sorted({r["digest"][:16] for r in side_runs})
+            row[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
+            row[f"{side}_attempted"] = sum(r["attempted"] for r in side_runs)
+        summary[workload] = row
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision measured as the parent")
+    parser.add_argument("--change", required=True, help="revision measured as the change")
+    parser.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--seconds", type=float, default=15)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    out = ROOT / f"BENCH_{args.label}.json"
+    result = {
+        "label": args.label,
+        "command": f"perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": len(os.sched_getaffinity(0))},
+        "summary": {},
+        "runs": [],
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
+        checkouts = {side: Path(work) / side for side in SIDES}
+        result["revisions"] = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
+        for pair in range(args.pairs):
+            for workload in args.workload:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    run = run_once(checkouts[side], workload, args.seed, args.seconds)
+                    result["runs"].append(
+                        {"workload": workload, "pair": pair, "side": side, "position": position, **run}
+                    )
+                    p50 = run["end_to_end"]["instance_s.p50"]
+                    print(f"pair {pair} {workload} {side}: instance_s.p50={p50:.6g} s", flush=True)
+                    # written after every run, so an interrupted session keeps what it measured
+                    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    result["summary"] = summarize(result["runs"], metrics)
+    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for workload, row in result["summary"].items():
+        for metric, m in row["metrics"].items():
+            print(
+                f"{workload} {metric}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
+                f"{m['parent']['q3']:.6g}]  change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
+                f"{m['change']['q3']:.6g}]  {m['median_change']:+.1%}  change won {m['change_wins']}/{row['pairs']}"
+            )
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
