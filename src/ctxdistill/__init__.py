@@ -17,8 +17,6 @@ from .compressor import (
     HeuristicScorer,
     RemoteScorer,
     ScoredSegment,
-    StructuredQuery,
-    build_query,
     compress,
     heuristic_score,
     score_segments,
@@ -38,7 +36,7 @@ from .dataset import (
 )
 from .ga_search import GAConfig, Genome, GenomeSpace, run_ga
 from .hdd import MinimizationResult, ddmin_level, minimize
-from .instance import FaultLocation, Instance, load_instance
+from .instance import FaultLocation, Instance, StructuredQuery, build_query, load_instance
 from .oracle import (
     LLMOracle,
     MockOracle,

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: ``segment``, ``distill``, ``compress``, ``export``, ``stats``.
-Exit codes: 0 success, 2 usage/validation error, 3 partial or degraded
-result (a batch instance failed, or an oracle budget ran out), 4
-external service failure.
+Exit codes: 0 success, 2 usage/validation error (a bad instance file,
+config, patch or corpus line), 3 partial or degraded result (a batch
+instance failed, or an oracle budget ran out), 4 external service
+failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .compressor import (
 )
 from .config import ConfigError, RunConfig, load_run_config
 from .dataset import (
+    CorpusFormatError,
     ZeroPositivesError,
     append_corpus,
     compute_stats,
@@ -209,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](args, config)
-    except (ConfigError, *_INPUT_ERRORS) as exc:
+    except (ConfigError, CorpusFormatError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroPositivesError as exc:

@@ -9,11 +9,12 @@ windows and aggregated by max.
 
 Ties in score break by the heuristic score of the segment's whole text,
 then by document order.  ``compress`` does each piece of per-query work
-once: the query lexes the issue text when it is built, the heuristic
-scorer resolves the fault units once per query, and a segment that the
-heuristic scorer saw whole takes its score as its tiebreak.  Only
-windowed segments, and every segment under another scorer, compute the
-whole-text tiebreak separately.
+once: the query (``instance.build_query``) lexes the issue text when it
+is built, and a segment that the heuristic scorer saw whole takes its
+score as its tiebreak.  Only windowed segments, and every segment under
+another scorer, compute the whole-text tiebreak separately.  The fault
+units (``instance.fault_units``) are resolved once per scoring batch
+and once for the tiebreaks.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .code_model import CodeUnit, Level, UnitTree, enclosing_unit, leaf_segments, unit_text, upward_closure
-from .instance import FaultLocation, Instance
+from .code_model import CodeUnit, UnitTree, leaf_segments, unit_text, upward_closure
+from .instance import Instance, StructuredQuery, build_query, fault_units
 from .priority import lex_identifiers
 from .render import RenderedContext, render, render_full
 from .tokens import count_tokens
@@ -42,31 +43,6 @@ class ScorerError(RuntimeError):
 
 class ScorerUnavailableError(RuntimeError):
     """The remote scorer endpoint cannot be reached at all."""
-
-
-@dataclass(frozen=True)
-class StructuredQuery:
-    """The issue and its fault locations; ``issue_identifiers`` is the
-    issue text's identifier set, lexed once when the query is built."""
-
-    issue_text: str
-    fault_locations: tuple[FaultLocation, ...]
-    rendered: str
-    issue_identifiers: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "issue_identifiers", lex_identifiers(self.issue_text))
-
-
-def build_query(issue_text: str, fault_locations: Sequence[FaultLocation]) -> StructuredQuery:
-    """Deterministic canonical text form of the issue plus fault locations."""
-    if not issue_text:
-        raise ValueError("issue_text must be non-empty")
-    parts = [f"ISSUE:\n{issue_text}\n\nFAULT LOCATIONS:\n"]
-    for fl in fault_locations:
-        suffix = f" [{fl.symbol}]" if fl.symbol else ""
-        parts.append(f"- {fl.path}:{fl.line}{suffix}\n")
-    return StructuredQuery(issue_text, tuple(fault_locations), "".join(parts))
 
 
 @dataclass(frozen=True)
@@ -114,34 +90,29 @@ class SegmentScorer(Protocol):
 # --- heuristic scorer ----------------------------------------------------
 
 
-# Each fault location with the function unit enclosing it, if any.
-_FaultUnits = list[tuple[FaultLocation, CodeUnit | None]]
-
-
-def _fault_units(tree: UnitTree, faults: Sequence[FaultLocation]) -> _FaultUnits:
-    return [(fl, enclosing_unit(tree, fl.path, fl.line, level=Level.FUNCTION)) for fl in faults]
-
-
-def _near_fault(unit: CodeUnit, faults: _FaultUnits) -> bool:
-    for fl, enclosing in faults:
+def _near_fault(unit: CodeUnit, query: StructuredQuery, enclosing: Sequence[CodeUnit | None]) -> bool:
+    """``enclosing`` is ``fault_units`` of the query's fault locations."""
+    for fl, fault_unit in zip(query.fault_locations, enclosing):
         if fl.path != unit.path:
             continue
         if unit.span.contains_line(fl.line):
             return True
-        if enclosing is not None and (
-            enclosing.span.contains(unit.span) or unit.span.contains(enclosing.span)
+        if fault_unit is not None and (
+            fault_unit.span.contains(unit.span) or unit.span.contains(fault_unit.span)
         ):
             return True
     return False
 
 
-def _score(query: StructuredQuery, text: str, unit: CodeUnit | None, faults: _FaultUnits) -> float:
+def _score(
+    query: StructuredQuery, text: str, unit: CodeUnit | None, enclosing: Sequence[CodeUnit | None]
+) -> float:
     issue_ids = query.issue_identifiers
     if issue_ids:
         overlap = len(lex_identifiers(text) & issue_ids) / len(issue_ids)
     else:
         overlap = 0.0
-    fault = 1.0 if unit is not None and _near_fault(unit, faults) else 0.0
+    fault = 1.0 if unit is not None and _near_fault(unit, query, enclosing) else 0.0
     return 0.5 * overlap + 0.5 * fault
 
 
@@ -153,15 +124,15 @@ def heuristic_score(
 ) -> float:
     """Oracle-free default score: half identifier overlap with the issue,
     half fault-location proximity (when the unit is known)."""
-    faults = _fault_units(tree, query.fault_locations) if tree is not None else []
-    return _score(query, segment_text, unit, faults)
+    enclosing = fault_units(tree, query.fault_locations) if tree is not None else []
+    return _score(query, segment_text, unit, enclosing)
 
 
 class HeuristicScorer:
     """Scores segments with :func:`heuristic_score`; no model required.
 
     The function units enclosing the query's faults are resolved once
-    per query, not once per segment.  Scores lie in [0, 1], so a segment
+    per batch, not once per segment.  Scores lie in [0, 1], so a segment
     scored whole already has its whole-text tiebreak: ``compress`` reuses
     it and computes a separate tiebreak only for windowed segments.
     """
@@ -170,19 +141,12 @@ class HeuristicScorer:
 
     def __init__(self, tree: UnitTree):
         self.tree = tree
-        self._query: StructuredQuery | None = None
-        self._faults: _FaultUnits = []
-
-    def _faults_for(self, query: StructuredQuery) -> _FaultUnits:
-        if query is not self._query:
-            self._query, self._faults = query, _fault_units(self.tree, query.fault_locations)
-        return self._faults
 
     def score_batch(
         self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
     ) -> list[float]:
-        faults = self._faults_for(query)
-        return [_score(query, text, unit, faults) for unit, text in items]
+        enclosing = fault_units(self.tree, query.fault_locations)
+        return [_score(query, text, unit, enclosing) for unit, text in items]
 
 
 # --- remote scorer --------------------------------------------------------
@@ -403,13 +367,13 @@ def compress(
     query = build_query(instance.issue_text, instance.fault_locations)
 
     segments = [(leaf, unit_text(tree, leaf)) for leaf in leaf_segments(tree)]
-    faults = _fault_units(tree, query.fault_locations)
+    enclosing = fault_units(tree, query.fault_locations)
     scored = score_segments(
         query,
         segments,
         scorer,
         window_cfg=window_cfg,
-        tiebreak=lambda unit, text: _score(query, text, unit, faults),
+        tiebreak=lambda unit, text: _score(query, text, unit, enclosing),
         tiebreak_is_score=type(scorer) is HeuristicScorer and scorer.tree is tree,
     )
     chosen = select_greedy(scored, budget)

@@ -17,9 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .code_model import CodeUnit, Level, SegmentKind, UnitTree, enclosing_unit, unit_text
-from .compressor import build_query
-from .instance import FaultLocation
+from .code_model import CodeUnit, SegmentKind, UnitTree, unit_text
+from .instance import FaultLocation, build_query, fault_units
 from .priority import lex_identifiers
 
 ROLE_RULES_VERSION = "1"
@@ -102,6 +101,8 @@ class DistilledInstance:
     budget_exhausted: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.issue_text, str) or not self.issue_text:
+            raise ValueError("issue_text must be a non-empty string")
         segment_ids = {seg.id for seg in self.context_segments}
         if not self.minimal_leaf_ids <= segment_ids:
             raise ValueError("minimal_leaf_ids must be a subset of context segment ids")
@@ -273,19 +274,6 @@ def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
     return RoleFacts(_declaration_ratio(module) >= 0.5, _defined_names(module))
 
 
-def _fault_units(tree: UnitTree, faults: Iterable[FaultLocation]) -> list[CodeUnit]:
-    units: list[CodeUnit] = []
-    seen: set[str] = set()
-    for fl in faults:
-        unit = enclosing_unit(tree, fl.path, fl.line, level=Level.FUNCTION)
-        if unit is None:
-            unit = enclosing_unit(tree, fl.path, fl.line)
-        if unit is not None and unit.id not in seen:
-            seen.add(unit.id)
-            units.append(unit)
-    return units
-
-
 @dataclass(frozen=True)
 class FaultFacts:
     """What the code around an instance's fault locations calls, mentions
@@ -297,9 +285,10 @@ class FaultFacts:
 
 
 def fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> FaultFacts:
-    """Facts over the function-level units enclosing the fault locations
-    (the innermost unit where a location has none)."""
-    texts = [unit_text(tree, u) for u in _fault_units(tree, faults)]
+    """Facts over the function-level units enclosing the fault locations;
+    a location in no such unit adds nothing, and each unit is read once."""
+    units = {u.id: u for u in fault_units(tree, faults) if u is not None}
+    texts = [unit_text(tree, u) for u in units.values()]
     modules = [_parse_segment(t) for t in texts]
     return FaultFacts(
         calls=frozenset().union(*(_called_names(m) for m in modules)),

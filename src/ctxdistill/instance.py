@@ -1,10 +1,16 @@
-"""Instance input files: one issue plus the code context retrieved for it.
+"""Instances: one issue plus the code context retrieved for it, the
+structured query built from them, and the units their fault locations
+fall in.
 
-JSON schema::
+The query is read in three places: the LLM oracle's repair prompt, each
+exported training triple, and the compressor's segment scores.
+``fault_units`` is the one map from fault locations to the tree.
+
+Instance input file, JSON schema::
 
     {
       "instance_id": str,
-      "issue_text": str,
+      "issue_text": str,              # non-empty
       "fault_location": [{"path": str, "line": int, "symbol": str?}],
       "context_files": [{"path": str}],
       "repo_root": str,
@@ -23,9 +29,10 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .code_model import UnitTree, build_tree, enclosing_leaf
+from .code_model import CodeUnit, Level, UnitTree, build_tree, enclosing_leaf, enclosing_unit
+from .priority import lex_identifiers
 
 
 class InstanceError(ValueError):
@@ -77,6 +84,37 @@ class Instance:
             self.repo = Path(self.repo_root).name
 
 
+@dataclass(frozen=True)
+class StructuredQuery:
+    """The issue and its fault locations; ``issue_identifiers`` is the
+    issue text's identifier set, lexed once when the query is built."""
+
+    issue_text: str
+    fault_locations: tuple[FaultLocation, ...]
+    rendered: str
+    issue_identifiers: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "issue_identifiers", lex_identifiers(self.issue_text))
+
+
+def build_query(issue_text: str, fault_locations: Sequence[FaultLocation]) -> StructuredQuery:
+    """Deterministic canonical text form of the issue plus fault locations."""
+    if not issue_text:
+        raise ValueError("issue_text must be non-empty")
+    parts = [f"ISSUE:\n{issue_text}\n\nFAULT LOCATIONS:\n"]
+    for fl in fault_locations:
+        suffix = f" [{fl.symbol}]" if fl.symbol else ""
+        parts.append(f"- {fl.path}:{fl.line}{suffix}\n")
+    return StructuredQuery(issue_text, tuple(fault_locations), "".join(parts))
+
+
+def fault_units(tree: UnitTree, faults: Iterable[FaultLocation]) -> list[CodeUnit | None]:
+    """The function-level unit enclosing each fault location, in order;
+    ``None`` where there is none (a missing file, a line past the end)."""
+    return [enclosing_unit(tree, fl.path, fl.line, level=Level.FUNCTION) for fl in faults]
+
+
 def load_instance(path: str | Path) -> Instance:
     path = Path(path)
     if not path.exists():
@@ -89,6 +127,8 @@ def load_instance(path: str | Path) -> Instance:
     for key in ("instance_id", "issue_text", "fault_location", "context_files", "repo_root"):
         if key not in data:
             raise InstanceError(f"instance file {path} missing required key: {key}")
+    if not isinstance(data["issue_text"], str) or not data["issue_text"]:
+        raise InstanceError(f"instance file {path}: issue_text must be a non-empty string")
 
     faults = []
     for entry in data["fault_location"]:
@@ -106,7 +146,7 @@ def load_instance(path: str | Path) -> Instance:
 
     return Instance(
         instance_id=str(data["instance_id"]),
-        issue_text=str(data["issue_text"]),
+        issue_text=data["issue_text"],
         fault_locations=faults,
         context_files=context_files,
         repo_root=str(data["repo_root"]),

@@ -27,7 +27,7 @@ from threading import Event, Lock, Timer
 from typing import Callable, Iterable, Protocol
 
 from .code_model import UnitTree, split_lines, upward_closure
-from .compressor import build_query
+from .instance import build_query
 from .priority import PatchFormatError, parse_diff
 from .render import render
 

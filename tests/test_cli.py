@@ -437,6 +437,51 @@ def test_stats_empty_corpus_ok(tmp_path):
     assert json.loads(out.read_text())["instances"] == 0
 
 
+@pytest.mark.parametrize("command", ["export", "stats"])
+def test_malformed_corpus_line_exits_2(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"bad": 1}) + "\n")
+    assert _run([command, corpus, "--out", tmp_path / "out.json"]) == EXIT_USAGE
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("issue_text", ["", None, 7])
+def test_compress_instance_without_issue_text_exits_2(tmp_path, capsys, issue_text):
+    path = write_instance(tmp_path / "i.json", tmp_path / "repo", FILES, issue_text=issue_text)
+    out = tmp_path / "o.txt"
+    assert _run(["compress", path, "--rate", 2.0, "--out", out]) == EXIT_USAGE
+    assert "issue_text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("issue_text", ["", None])
+def test_distill_instance_without_issue_text_exits_2(tmp_path, monkeypatch, capsys, issue_text):
+    monkeypatch.chdir(tmp_path)
+    path = write_instance(
+        tmp_path / "i.json",
+        tmp_path / "repo",
+        FILES,
+        issue_text=issue_text,
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", path, "--out", corpus]) == EXIT_USAGE
+    assert "issue_text" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("issue_text", ["", None])
+@pytest.mark.parametrize("command", ["export", "stats"])
+def test_corpus_record_without_issue_text_exits_2(tmp_path, instance_path, monkeypatch, capsys, command, issue_text):
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance_path, "--out", corpus]) == EXIT_OK
+    record = json.loads(corpus.read_text())
+    corpus.write_text(json.dumps({**record, "issue_text": issue_text}) + "\n")
+    assert _run([command, corpus, "--out", tmp_path / "out.json"]) == EXIT_USAGE
+    assert "issue_text" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path, instance_path):
     config = tmp_path / "run.json"
     config.write_text('{"nonsense": 1}')

@@ -13,14 +13,13 @@ from ctxdistill.compressor import (
     ScorerError,
     ScorerUnavailableError,
     WindowConfig,
-    build_query,
     compress,
     heuristic_score,
     score_segments,
     select_greedy,
     split_windows,
 )
-from ctxdistill.instance import FaultLocation, Instance
+from ctxdistill.instance import FaultLocation, Instance, build_query
 from ctxdistill.tokens import count_tokens
 
 from fixtures import module_with_functions, write_repo

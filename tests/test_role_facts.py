@@ -25,14 +25,13 @@ from ctxdistill.code_model import SegmentKind, build_tree, unit_text
 from ctxdistill.config import RunConfig
 from ctxdistill.dataset import (
     SemanticRole,
-    _fault_units,
     _may_call,
     _parse_segment,
     classify_role,
     fault_facts,
     role_facts,
 )
-from ctxdistill.instance import FaultLocation, build_instance_tree, load_instance
+from ctxdistill.instance import FaultLocation, build_instance_tree, fault_units, load_instance
 from ctxdistill.pipeline import distill_instance
 
 from fixtures import CLASS_SOURCE, MULTI_BLOCK_SOURCE, NESTED_SOURCE, write_instance
@@ -281,7 +280,8 @@ def test_distill_parses_only_the_fault_units_and_the_leaves_that_may_call(tmp_pa
         if not decided and _may_call(unit_text(tree, leaf), facts.defined):
             may_call.append(unit_text(tree, leaf))
     assert 0 < len(may_call) < len(tree.leaves)
-    expected = [unit_text(tree, unit) for unit in _fault_units(tree, instance.fault_locations)] + may_call
+    units = {u.id: u for u in fault_units(tree, instance.fault_locations) if u is not None}
+    expected = [unit_text(tree, unit) for unit in units.values()] + may_call
 
     parsed = []
 

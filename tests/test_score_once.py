@@ -38,12 +38,11 @@ from ctxdistill.compressor import (
     ScoredSegment,
     ScorerError,
     WindowConfig,
-    build_query,
     compress,
     select_greedy,
     split_windows,
 )
-from ctxdistill.instance import FaultLocation, Instance
+from ctxdistill.instance import FaultLocation, Instance, build_query
 from ctxdistill.priority import _IDENT_RE, _KEYWORDS, lex_identifiers
 from ctxdistill.render import render, render_full
 from ctxdistill.tokens import count_tokens

@@ -5,7 +5,7 @@ Run from anywhere, with the checkout that holds this file as the subject:
     python3 tools/same_outputs.py
 
 It prints the Python version it runs under (``sys.version``'s first
-word), then five things; compare them with the same command run on the
+word), then six things; compare them with the same command run on the
 parent commit's checkout, or under another Python.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
@@ -35,6 +35,10 @@ parent commit's checkout, or under another Python.
    SHA-256 over each unit of ``decompose``'s output as its id, level,
    kind, span, parent id, child ids and ``meta``; the line also counts
    the files and units.
+6. A hash of the structured query of every seed-7 instance of the four
+   workloads, which no value above sees as text: SHA-256 over each
+   instance's ``build_query(...).rendered``; the line also counts the
+   instances.
 """
 
 from __future__ import annotations
@@ -171,6 +175,23 @@ def decomposition_hash() -> tuple[int, int, str]:
     return files, units, h.hexdigest()
 
 
+def query_hash() -> tuple[int, str]:
+    import gen
+    from ctxdistill import build_query
+    from ctxdistill.instance import load_instance
+
+    instances = 0
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        for workload in gen.WORKLOADS:
+            for planted in gen.generate(workload, SEED, Path(work) / workload):
+                instance = load_instance(planted.instance_path)
+                query = build_query(instance.issue_text, instance.fault_locations)
+                h.update(json.dumps(query.rendered).encode())
+                instances += 1
+    return instances, h.hexdigest()
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != str(SEED):
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
@@ -189,6 +210,8 @@ def main() -> int:
         print(f"roles without the facts hook: {mismatches} of {segments} segments differ")
     files, units, digest = decomposition_hash()
     print(f"decomposition: {units} units in {files} files hash={digest[:16]}")
+    instances, digest = query_hash()
+    print(f"queries: {instances} instances hash={digest[:16]}")
     return 0
 
 
