@@ -35,7 +35,6 @@ from .dataset import (
 from .instance import InstanceError, build_instance_tree, load_instance
 from .oracle import OracleEndpointError
 from .pipeline import distill_instance
-from .priority import PatchFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,7 +42,7 @@ EXIT_PARTIAL = 3
 EXIT_EXTERNAL = 4
 
 # bad input: a usage error for one instance, a failed instance in a batch
-_INPUT_ERRORS = (InstanceError, PatchFormatError, FileNotFoundError)
+_INPUT_ERRORS = (InstanceError, FileNotFoundError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

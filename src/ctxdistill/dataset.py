@@ -41,6 +41,16 @@ class ZeroPositivesError(ValueError):
     """Triple export needs at least one retained segment corpus-wide."""
 
 
+def _field(data: dict, key: str, kind: type, default: object = None):
+    """``data[key]``, which must have exactly the JSON type ``kind``:
+    ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so a field is
+    never coerced.  A missing key reads as ``default`` when one is given."""
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is not kind:
+        raise CorpusFormatError(f"{key} must be a JSON {kind.__name__}, not {value!r}")
+    return value
+
+
 class SemanticRole(str, Enum):
     SCHEMA = "schema"
     DEFINITION = "definition"
@@ -77,9 +87,9 @@ class SegmentRecord:
             id=data["id"],
             path=data["path"],
             kind=data["kind"],
-            start_line=int(data["start_line"]),
-            end_line=int(data["end_line"]),
-            line_count=int(data["line_count"]),
+            start_line=_field(data, "start_line", int),
+            end_line=_field(data, "end_line", int),
+            line_count=_field(data, "line_count", int),
             text=data["text"],
             role=data["role"],
         )
@@ -103,6 +113,10 @@ class DistilledInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.issue_text, str) or not self.issue_text:
             raise ValueError("issue_text must be a non-empty string")
+        if self.status not in (STATUS_MINIMIZED, STATUS_UNMINIMIZED):
+            raise ValueError(f"status {self.status!r} is neither minimized nor unminimized")
+        if not all(isinstance(uid, str) for uid in self.minimal_leaf_ids):
+            raise ValueError("minimal_leaf_ids must be strings")
         segment_ids = {seg.id for seg in self.context_segments}
         if not self.minimal_leaf_ids <= segment_ids:
             raise ValueError("minimal_leaf_ids must be a subset of context segment ids")
@@ -130,12 +144,12 @@ class DistilledInstance:
             issue_text=data["issue_text"],
             fault_locations=[FaultLocation.from_json(f) for f in data["fault_locations"]],
             context_segments=[SegmentRecord.from_json(s) for s in data["context_segments"]],
-            minimal_leaf_ids=frozenset(data["minimal_leaf_ids"]),
-            one_minimal_certified=bool(data["one_minimal_certified"]),
-            oracle_calls=int(data["oracle_calls"]),
+            minimal_leaf_ids=frozenset(_field(data, "minimal_leaf_ids", list)),
+            one_minimal_certified=_field(data, "one_minimal_certified", bool),
+            oracle_calls=_field(data, "oracle_calls", int),
             provenance=dict(data.get("provenance", {})),
             status=data.get("status", STATUS_MINIMIZED),
-            budget_exhausted=bool(data.get("budget_exhausted", False)),
+            budget_exhausted=_field(data, "budget_exhausted", bool, default=False),
         )
 
 

@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .code_model import Level, UnitTree
-from .oracle import OracleBudgetExhausted, OracleSession, OracleVerdict
+from .oracle import OracleBudgetExhausted, OracleSession, OracleVerdict, TraceWriter
 from .priority import PatchInfo
-
-# a trace sink takes one JSON-serializable record per evaluated candidate
-TraceWriter = Callable[[dict], None]
 
 
 @dataclass(frozen=True)

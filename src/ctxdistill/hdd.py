@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code_model import Level, UnitTree
-from .ga_search import TraceWriter
-from .oracle import OracleBudgetExhausted, OracleSession, verdict_cache_key
+from .oracle import OracleBudgetExhausted, OracleSession, TraceWriter, verdict_cache_key
 
 PASS_LEVELS = (Level.FILE, Level.FUNCTION, Level.BLOCK)
 
@@ -26,7 +25,6 @@ class InsufficientContextError(ValueError):
 @dataclass
 class MinimizationResult:
     retained_leaf_ids: frozenset[str]
-    oracle_calls: int
     per_level_removed: dict[str, int]
     one_minimal_certified: bool
     budget_exhausted: bool
@@ -136,7 +134,6 @@ def minimize(
     is returned uncertified, with ``budget_exhausted`` set.
     """
     retained = frozenset(initial_leaf_ids)
-    calls_before = session.invocations
     per_level_removed: dict[str, int] = {}
     certified = False
     budget_exhausted = False
@@ -164,7 +161,6 @@ def minimize(
 
     return MinimizationResult(
         retained_leaf_ids=retained,
-        oracle_calls=session.invocations - calls_before,
         per_level_removed=per_level_removed,
         one_minimal_certified=certified,
         budget_exhausted=budget_exhausted,

@@ -80,6 +80,9 @@ class Instance:
     mock_distractors: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # an instance built in code is checked here, before any oracle call
+        if not isinstance(self.issue_text, str) or not self.issue_text:
+            raise InstanceError("issue_text must be a non-empty string")
         if not self.repo:
             self.repo = Path(self.repo_root).name
 
@@ -171,7 +174,10 @@ def load_sources(instance: Instance) -> list[tuple[str, str]]:
         target = root / rel
         if not target.exists():
             raise InstanceError(f"context file not found: {target}")
-        sources.append((rel, target.read_text(encoding="utf-8")))
+        try:
+            sources.append((rel, target.read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InstanceError(f"cannot read context file {target}: {exc}") from exc
     return sources
 
 

@@ -71,7 +71,6 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class SampleOutcome:
-    patch_text: str | None
     applied: bool
     test_exit_status: int | None
     duration_seconds: float
@@ -112,6 +111,10 @@ def verdict_cache_key(instance_id: str, included_leaf_ids: Iterable[str]) -> str
     """Deterministic key over the instance and the sorted leaf-id set."""
     payload = instance_id + "\x00" + "\n".join(sorted(included_leaf_ids))
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
+
+
+# a trace sink takes one JSON-serializable record per evaluated candidate
+TraceWriter = Callable[[dict], None]
 
 
 class Oracle(Protocol):
@@ -382,7 +385,7 @@ class LLMOracle:
         start = time.perf_counter()
         patch = extract_patch(completion)
         if patch is None:
-            return SampleOutcome(None, False, None, time.perf_counter() - start)
+            return SampleOutcome(False, None, time.perf_counter() - start)
         if not self.config.cache_enabled:
             return self._test_patch(patch, start)
         with self._lock:
@@ -417,7 +420,7 @@ class LLMOracle:
                 apply_patch_text(repo_copy, patch)
             except PatchApplyError as exc:
                 self._write_log(patch, f"patch not applied: {exc}\n")
-                return SampleOutcome(patch, False, None, time.perf_counter() - start)
+                return SampleOutcome(False, None, time.perf_counter() - start)
             with (
                 tempfile.TemporaryFile("w+", errors="replace") as out,
                 tempfile.TemporaryFile("w+", errors="replace") as err,
@@ -435,9 +438,7 @@ class LLMOracle:
                     self._write_log(
                         patch, f"{head}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n"
                     )
-        return SampleOutcome(
-            patch, True, status, time.perf_counter() - start, timed_out=status is None
-        )
+        return SampleOutcome(True, status, time.perf_counter() - start, timed_out=status is None)
 
     def _run_test(self, cwd: Path, out, err) -> int | None:
         """Run the test command in its own process group, as

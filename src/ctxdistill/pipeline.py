@@ -23,10 +23,10 @@ from .dataset import (
     fault_facts,
     role_facts,
 )
-from .ga_search import GAResult, TraceWriter, run_ga
+from .ga_search import GAResult, run_ga
 from .hdd import InsufficientContextError, minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
-from .oracle import LLMOracle, MockOracle, Oracle, OracleSession
+from .oracle import LLMOracle, MockOracle, Oracle, OracleSession, TraceWriter
 from .priority import CoverageReport, PatchInfo, parse_patch, priority_map
 
 
@@ -61,13 +61,21 @@ def build_mock_oracle(instance: Instance, tree: UnitTree) -> MockOracle:
 
 
 def load_priority_inputs(instance: Instance) -> tuple[PatchInfo, CoverageReport]:
+    """The instance's gold patch and coverage report, each empty when the
+    instance names none.  A file that cannot be read, decoded or parsed
+    raises ``InstanceError`` naming it."""
     patch = PatchInfo.empty()
     if instance.gold_patch_path:
-        patch_text = Path(instance.gold_patch_path).read_text(encoding="utf-8")
-        patch = parse_patch(patch_text)
+        try:
+            patch = parse_patch(Path(instance.gold_patch_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise InstanceError(f"gold patch {instance.gold_patch_path}: {exc}") from exc
     coverage = CoverageReport.empty()
     if instance.coverage_report_path:
-        coverage = CoverageReport.load(instance.coverage_report_path)
+        try:
+            coverage = CoverageReport.load(instance.coverage_report_path)
+        except (OSError, ValueError) as exc:
+            raise InstanceError(f"coverage report {instance.coverage_report_path}: {exc}") from exc
     return patch, coverage
 
 

@@ -62,13 +62,17 @@ class CoverageReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverageReport":
-        files = data.get("files", {})
+        """Read ``{"files": {path: [line, ...]}}``.  A line must be a JSON
+        integer >= 1, as a fault line must: ``int()`` would read ``2.7``
+        as 2 and ``true`` as 1."""
+        files = data.get("files", {}) if isinstance(data, dict) else None
+        if not isinstance(files, dict):
+            raise ValueError("coverage report needs a files object")
         parsed: dict[str, frozenset[int]] = {}
         for path, nums in files.items():
-            lines = frozenset(int(n) for n in nums)
-            if any(n < 1 for n in lines):
-                raise ValueError(f"coverage for {path} contains non-positive line numbers")
-            parsed[path] = lines
+            if not isinstance(nums, list) or not all(type(n) is int and n >= 1 for n in nums):
+                raise ValueError(f"coverage for {path} must be a list of integer lines >= 1")
+            parsed[path] = frozenset(nums)
         return cls(parsed)
 
     @classmethod
@@ -199,13 +203,6 @@ def parse_patch(patch_text: str) -> PatchInfo:
             if line[0] in "+-":
                 identifiers.update(lex_identifiers(line[1:]))
     return PatchInfo(frozenset(p for s in sections for p in s.named), frozenset(identifiers))
-
-
-def sym_score(text: str, patch_identifiers: frozenset[str] | set[str]) -> float:
-    """Fraction of the patch identifier set that appears in ``text``."""
-    if not patch_identifiers:
-        return 0.0
-    return len(lex_identifiers(text) & frozenset(patch_identifiers)) / len(patch_identifiers)
 
 
 def covered_line_count(unit: CodeUnit, coverage: CoverageReport) -> int:

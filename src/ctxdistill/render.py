@@ -42,7 +42,6 @@ class RenderedFile:
 class RenderedContext:
     per_file: list[RenderedFile]
     total_tokens: int
-    included_leaf_ids: frozenset[str]
 
     def dump_text(self) -> str:
         """Plain-text dump with a separator line per file."""
@@ -115,7 +114,6 @@ def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
     _check_closed(tree, included_set)
 
     per_file: list[RenderedFile] = []
-    leaf_ids: set[str] = set()
     for file_unit in tree.files:
         if file_unit.id not in included_set:
             continue
@@ -123,11 +121,8 @@ def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
         out: list[str] = []
         _emit(tree, file_unit, included_set, lines, out)
         per_file.append(RenderedFile(file_unit.path, "".join(out)))
-        leaf_ids.update(
-            leaf.id for leaf in tree.leaves_under(file_unit.id) if leaf.id in included_set
-        )
 
-    rendered = RenderedContext(per_file, 0, frozenset(leaf_ids))
+    rendered = RenderedContext(per_file, 0)
     rendered.total_tokens = count_tokens(rendered.dump_text())
     return rendered
 
@@ -140,6 +135,6 @@ def render_full(tree: UnitTree) -> RenderedContext:
     and splits no file.
     """
     per_file = [RenderedFile(unit.path, tree.sources[unit.path]) for unit in tree.files]
-    rendered = RenderedContext(per_file, 0, frozenset(leaf.id for leaf in tree.leaves))
+    rendered = RenderedContext(per_file, 0)
     rendered.total_tokens = count_tokens(rendered.dump_text())
     return rendered

@@ -282,7 +282,6 @@ def test_compress_end_to_end_with_heuristic(tmp_path):
     # the compressed context never invents segments
     initial_leaves = {s.id for s in leaf_segments(tree)}
     assert set(result.selected_segment_ids) <= initial_leaves
-    assert result.rendered.included_leaf_ids <= initial_leaves
 
 
 def test_compress_rate_near_one_keeps_everything(tmp_path):

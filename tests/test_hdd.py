@@ -97,7 +97,6 @@ def test_minimize_drops_irrelevant_files():
     assert result.retained_leaf_ids == required
     assert result.one_minimal_certified
     assert result.per_level_removed["file"] >= 4  # both other files' leaves
-    assert result.oracle_calls == session.invocations
 
 
 def test_minimize_block_level_fixture():

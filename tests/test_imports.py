@@ -1,7 +1,11 @@
 """Every module-level import in the package and in the tests is used by its
-module, and the layers below the compressor do not import it."""
+module, the layers below the compressor do not import it, and importing a
+module loads only the package modules it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,28 @@ def test_the_query_readers_do_not_import_the_compressor(name):
     the corpus and the instance layer need nothing of the compressor."""
     module = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
     assert "ctxdistill.compressor" not in _imported_modules(module)
+
+
+def _loaded_by(module: str) -> set[str]:
+    """The package modules a fresh interpreter holds after ``import module``."""
+    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == 'ctxdistill'))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_the_package_root_imports_no_module():
+    """The instance layer loads only what it reads: the package root
+    re-exports nothing, so it pulls in no other module."""
+    expected = {"ctxdistill", "ctxdistill.code_model", "ctxdistill.priority", "ctxdistill.instance"}
+    assert _loaded_by("ctxdistill.instance") == expected
+
+
+def test_the_compressor_loads_no_distillation_module():
+    distill = {"oracle", "ga_search", "hdd", "dataset", "pipeline", "config", "cli"}
+    assert not _loaded_by("ctxdistill.compressor") & {f"ctxdistill.{name}" for name in distill}
+
+
+def test_ddmin_does_not_load_the_ga():
+    assert "ctxdistill.ga_search" not in _loaded_by("ctxdistill.hdd")

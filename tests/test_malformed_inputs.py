@@ -1,0 +1,153 @@
+"""Malformed files an instance or a corpus names are bad input, never a
+traceback and never silently coerced.
+
+A coverage report, gold patch or context file that does not read, decode
+or parse fails its instance: exit 2 alone, exit 3 in a batch that goes
+on with the next instance.  A corpus record whose flags, counts, lines,
+kept ids or status have the wrong JSON type is a corpus format error
+(exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so a
+coerced record would drop out of ``stats`` or name another line.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from ctxdistill.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from ctxdistill.instance import InstanceError, load_instance
+from ctxdistill.priority import CoverageReport
+
+from fixtures import module_with_functions, write_instance
+
+FILES = {
+    "pkg/core.py": module_with_functions(3, "core"),
+    "pkg/util.py": module_with_functions(2, "util"),
+}
+
+# fault -> (instance key naming the file, or None for a context file; bytes)
+SPOILS = {
+    "report-not-json": ("coverage_report_path", b"{not json"),
+    "report-a-list": ("coverage_report_path", b"[]"),
+    "files-a-list": ("coverage_report_path", b'{"files": [1, 2]}'),
+    "fraction-line": ("coverage_report_path", b'{"files": {"pkg/core.py": [2.7]}}'),
+    "boolean-line": ("coverage_report_path", b'{"files": {"pkg/core.py": [true]}}'),
+    "patch-not-utf8": ("gold_patch_path", b"--- a/pkg/core.py\n+++ b/pkg/core.py\n@@ -1 +1 @@\n-\xff\n+x\n"),
+    "context-not-utf8": (None, b"x = '\xff'\n"),
+}
+
+
+def _write(path, repo, instance_id="inst-0"):
+    return write_instance(
+        path,
+        repo,
+        FILES,
+        instance_id=instance_id,
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+    )
+
+
+def _spoil(instance_json: Path, fault: str) -> Path:
+    """Point an instance at a malformed file; returns that file."""
+    key, content = SPOILS[fault]
+    data = json.loads(instance_json.read_text(encoding="utf-8"))
+    if key is None:
+        bad = Path(data["repo_root"]) / "pkg/core.py"
+    else:
+        bad = instance_json.with_suffix(f".{fault}")
+        data[key] = str(bad)
+    bad.write_bytes(content)
+    instance_json.write_text(json.dumps(data), encoding="utf-8")
+    return bad
+
+
+def _run(args):
+    return main([str(a) for a in args])
+
+
+@pytest.mark.parametrize("nums", [[1, 2.7], [True], ["3"], 5], ids=["fraction", "boolean", "string", "not-a-list"])
+def test_a_coverage_line_must_be_a_json_integer(nums):
+    with pytest.raises(ValueError, match="a.py"):
+        CoverageReport.from_json({"files": {"a.py": nums}})
+
+
+@pytest.mark.parametrize("data", [{"files": [1, 2]}, [], "files"], ids=["files-a-list", "list", "string"])
+def test_a_coverage_report_needs_a_files_object(data):
+    with pytest.raises(ValueError, match="files object"):
+        CoverageReport.from_json(data)
+
+
+@pytest.mark.parametrize("fault", SPOILS)
+def test_a_single_instance_with_a_malformed_file_exits_2(tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.chdir(tmp_path)
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    bad = _spoil(instance, fault)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance, "--out", corpus]) == EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("fault", SPOILS)
+def test_a_batch_goes_on_past_a_malformed_file(tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.chdir(tmp_path)
+    batch = tmp_path / "batch"
+    paths = [_write(batch / f"inst{i}.json", tmp_path / f"repo{i}", f"batch-{i}") for i in range(3)]
+    bad = _spoil(paths[1], fault)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", "--batch", batch, "--out", corpus]) == EXIT_PARTIAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "batch-0: minimized" and lines[2] == "batch-2: minimized"
+    assert lines[1].startswith("batch-1: failed: ") and str(bad) in lines[1]
+    assert [json.loads(row)["instance_id"] for row in corpus.read_text().splitlines()] == [
+        "batch-0",
+        "batch-2",
+    ]
+
+
+def test_compress_with_an_undecodable_context_file_exits_2(tmp_path, capsys):
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    bad = _spoil(instance, "context-not-utf8")
+    out = tmp_path / "o.txt"
+    assert _run(["compress", instance, "--rate", 2.0, "--out", out]) == EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("issue_text", ["", None, 7])
+def test_an_instance_built_in_code_needs_an_issue_text(tmp_path, issue_text):
+    """Checked when the instance is made, so a distillation never starts."""
+    instance = load_instance(_write(tmp_path / "inst.json", tmp_path / "repo"))
+    with pytest.raises(InstanceError, match="issue_text"):
+        dataclasses.replace(instance, issue_text=issue_text)
+
+
+# field -> how a distilled record gets it with the wrong JSON type
+WRONG_TYPES = {
+    "one_minimal_certified": lambda r: r.update(one_minimal_certified="false"),
+    "budget_exhausted": lambda r: r.update(budget_exhausted="false"),
+    "oracle_calls": lambda r: r.update(oracle_calls=2.7),
+    "start_line": lambda r: r["context_segments"][0].update(start_line=True),
+    "minimal_leaf_ids": lambda r: r.update(minimal_leaf_ids=dict.fromkeys(r["minimal_leaf_ids"], True)),
+    "status": lambda r: r.update(status="weird"),
+}
+
+
+@pytest.mark.parametrize("command", ["export", "stats"])
+@pytest.mark.parametrize("field", WRONG_TYPES)
+def test_a_corpus_field_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys, command, field):
+    monkeypatch.chdir(tmp_path)
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance, "--out", corpus]) == EXIT_OK
+    record = json.loads(corpus.read_text())
+    WRONG_TYPES[field](record)
+    corpus.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert _run([command, corpus, "--out", tmp_path / "out.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "line 1" in err and field in err

@@ -18,7 +18,6 @@ from ctxdistill.priority import (
     parse_patch,
     priority,
     priority_map,
-    sym_score,
 )
 
 DIFF = """\
@@ -71,12 +70,6 @@ def test_lex_identifiers_excludes_keywords():
     assert ids == frozenset({"item", "items", "helper"})
 
 
-def test_sym_score_half_and_edges():
-    assert sym_score("a = 1", frozenset({"a", "b"})) == 0.5
-    assert sym_score("anything", frozenset()) == 0.0
-    assert sym_score("a b", frozenset({"a", "b"})) == 1.0
-
-
 @pytest.fixture
 def unit_and_tree():
     source = "def f(x):\n    val = x + 1\n    count = val\n    return count\n"
@@ -107,6 +100,19 @@ def test_priority_single_term(unit_and_tree):
     patch = PatchInfo(frozenset({"figure.py"}), frozenset())
     w = PriorityWeights(2.0, 0.0, 0.0)
     assert priority(unit, unit_text(tree, unit), patch, CoverageReport.empty(), w) == 2.0
+
+
+def test_priority_symbol_term_half_and_edges(unit_and_tree):
+    unit, _ = unit_and_tree
+    w = PriorityWeights(0, 0, 1)
+
+    def symbol_term(text, identifiers):
+        patch = PatchInfo(frozenset(), frozenset(identifiers))
+        return priority(unit, text, patch, CoverageReport.empty(), w)
+
+    assert symbol_term("a = 1", {"a", "b"}) == 0.5
+    assert symbol_term("anything", ()) == 0.0
+    assert symbol_term("a b", {"a", "b"}) == 1.0
 
 
 def test_priority_missing_coverage_file_means_zero_term(unit_and_tree):

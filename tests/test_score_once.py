@@ -317,7 +317,6 @@ def test_render_full_matches_full_render(tree):
     full = render_full(tree)
     expected = frozen_render_full(tree)
     assert full.per_file == expected.per_file
-    assert full.included_leaf_ids == expected.included_leaf_ids
     assert full.total_tokens == expected.total_tokens
     assert [rf.text for rf in full.per_file] == [tree.sources[f.path] for f in tree.files]
 
@@ -335,5 +334,4 @@ def test_render_full_covers_edge_files():
     expected = frozen_render_full(tree)
     assert full.per_file == expected.per_file
     assert [rf.text for rf in full.per_file] == [src for _, src in files]
-    assert full.included_leaf_ids == expected.included_leaf_ids
     assert full.total_tokens == expected.total_tokens

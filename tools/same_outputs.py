@@ -37,8 +37,9 @@ parent commit's checkout, or under another Python.
    the files and units.
 6. A hash of the structured query of every seed-7 instance of the four
    workloads, which no value above sees as text: SHA-256 over each
-   instance's ``build_query(...).rendered``; the line also counts the
-   instances.
+   instance's ``build_query(...).rendered``, with ``build_query``
+   imported from ``ctxdistill.instance``, its home; the line also counts
+   the instances.
 """
 
 from __future__ import annotations
@@ -177,8 +178,7 @@ def decomposition_hash() -> tuple[int, int, str]:
 
 def query_hash() -> tuple[int, str]:
     import gen
-    from ctxdistill import build_query
-    from ctxdistill.instance import load_instance
+    from ctxdistill.instance import build_query, load_instance
 
     instances = 0
     h = hashlib.sha256()
