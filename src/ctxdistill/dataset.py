@@ -84,14 +84,14 @@ class SegmentRecord:
     @classmethod
     def from_json(cls, data: dict) -> "SegmentRecord":
         return cls(
-            id=data["id"],
-            path=data["path"],
-            kind=data["kind"],
+            id=_field(data, "id", str),
+            path=_field(data, "path", str),
+            kind=_field(data, "kind", str),
             start_line=_field(data, "start_line", int),
             end_line=_field(data, "end_line", int),
             line_count=_field(data, "line_count", int),
-            text=data["text"],
-            role=data["role"],
+            text=_field(data, "text", str),
+            role=_field(data, "role", str),
         )
 
 

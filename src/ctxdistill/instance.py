@@ -124,6 +124,8 @@ def load_instance(path: str | Path) -> Instance:
         raise InstanceError(f"instance file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"instance file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"instance file {path} is not valid JSON: {exc}") from exc
 

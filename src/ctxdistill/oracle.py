@@ -4,10 +4,10 @@ a passing fix.
 Two implementations share one interface: a deterministic mock (a context
 is sufficient iff it covers a required leaf set and avoids optional
 distractors) and an LLM-backed oracle that samples repair patches from a
-chat-completion endpoint, applies each to a scratch copy of the repo,
-and majority-votes on test outcomes.  ``OracleSession`` wraps either one
-with a verdict cache and a hard evaluation budget shared across search
-phases.
+chat-completion endpoint, applies each to a scratch copy of the repo
+(one copy per evaluation, reset between patches), and majority-votes on
+test outcomes.  ``OracleSession`` wraps either one with a verdict cache
+and a hard evaluation budget shared across search phases.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -274,6 +275,130 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     return touched
 
 
+# --- scratch repository copy --------------------------------------------
+
+
+class _ScratchCopy:
+    """One evaluation's scratch copy of a repository.
+
+    ``checkout`` copies the repository at its first call and, at each
+    later call, resets the copy to the original; leaving the ``with``
+    block removes it.  The reset compares a walk of the copy with a
+    listing taken right after the copy: each entry's type and mode, and
+    for all but directories its size, ``st_mtime_ns`` and inode.
+    ``copy2`` keeps the source's mtime, so a write by a patch or a test
+    changes at least one of these.  The walk goes top-down and follows no
+    symlink.  An entry that is new or differs is removed (a symlink is
+    unlinked, never followed), and a listed entry that is missing or was
+    removed is copied again from the source, after which its inodes are
+    listed anew.  A listed directory stays; a changed mode is restored
+    before the directory is read.
+
+    A file whose mtime is not older than the copy is never trusted and is
+    copied again at every reset: a write within the same tick of a coarse
+    filesystem clock would keep its mtime (git calls such entries racy).
+    The listing starts at the scratch directory that holds the copy, so
+    a copy root that a test removed or replaced is restored, and so is
+    anything a test left beside it.  A write that keeps a file's size,
+    mtime and inode, as ``os.utime`` can, goes unseen.
+    """
+
+    def __init__(self, source: str | Path):
+        self.source = str(source)
+        self._scratch: tempfile.TemporaryDirectory | None = None
+        # path relative to the scratch directory -> (mode, names) for a
+        # directory, (mode, size, mtime_ns, inode) for anything else, and
+        # None for an untrusted file
+        self._listing: dict[str, tuple | None] = {}
+        # the filesystem's time when the copy began
+        self._copied_ns = 0
+
+    def __enter__(self) -> _ScratchCopy:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._scratch is not None:
+            self._scratch.cleanup()
+
+    def checkout(self) -> Path:
+        """The root of a copy that equals the source repository."""
+        if self._scratch is None:
+            self._scratch = tempfile.TemporaryDirectory(prefix="ctxdistill-oracle-")
+            shutil.copytree(self.source, self._path("repo"))
+            self._copied_ns = os.lstat(self._path("")).st_mtime_ns
+            self._record("")
+        else:
+            self._reset()
+        return Path(self._path("repo"))
+
+    def _path(self, rel: str) -> str:
+        return os.path.join(self._scratch.name, rel)
+
+    def _record(self, rel: str) -> None:
+        path = self._path(rel)
+        st = os.lstat(path)
+        if not stat.S_ISDIR(st.st_mode):
+            fingerprint = (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ino)
+            self._listing[rel] = fingerprint if st.st_mtime_ns < self._copied_ns else None
+            return
+        names = os.listdir(path)
+        self._listing[rel] = (st.st_mode, names)
+        for name in names:
+            self._record(os.path.join(rel, name))
+
+    def _reset(self) -> None:
+        pending = [""]
+        while pending:
+            rel = pending.pop()
+            kept = set()
+            with os.scandir(self._path(rel)) as entries:
+                for entry in entries:
+                    child = os.path.join(rel, entry.name)
+                    st = entry.stat(follow_symlinks=False)
+                    if not self._keep(child, st):
+                        _remove(entry.path)
+                        continue
+                    kept.add(entry.name)
+                    if stat.S_ISDIR(st.st_mode):
+                        pending.append(child)
+            for name in self._listing[rel][1]:
+                if name not in kept:
+                    self._restore(os.path.join(rel, name))
+
+    def _keep(self, rel: str, st: os.stat_result) -> bool:
+        """Whether the entry at ``rel`` matches its listing.  A listed
+        directory matches whatever its mode, which is restored here."""
+        listed = self._listing.get(rel)
+        if listed is None:
+            return False
+        if stat.S_ISDIR(st.st_mode) and stat.S_ISDIR(listed[0]):
+            if st.st_mode != listed[0]:
+                os.chmod(self._path(rel), stat.S_IMODE(listed[0]))
+            return True
+        return listed == (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ino)
+
+    def _restore(self, rel: str) -> None:
+        source = os.path.join(self.source, Path(rel).relative_to("repo"))
+        if os.path.isdir(source):
+            shutil.copytree(source, self._path(rel))
+        else:
+            shutil.copy2(source, self._path(rel))
+        self._record(rel)
+
+
+def _remove(path: str) -> None:
+    """Remove ``path`` without following symlinks.  A directory is opened
+    up first, since a test run may have left it unreadable or read-only."""
+    if not stat.S_ISDIR(os.lstat(path).st_mode):
+        os.unlink(path)
+        return
+    os.chmod(path, 0o700)
+    with os.scandir(path) as entries:
+        for entry in entries:
+            _remove(entry.path)
+    os.rmdir(path)
+
+
 # --- LLM oracle ---------------------------------------------------------
 
 _DIFF_FENCE = re.compile(r"```(?:diff|patch)?\n(.*?)```", re.DOTALL)
@@ -308,8 +433,10 @@ REPAIR_PROMPT = (
 
 class LLMOracle:
     """Samples n repair patches per evaluation and majority-votes on
-    test outcomes.  A patch is tested on a fresh scratch copy of the
-    repository; a patch that fails to apply or a test run that times out
+    test outcomes.  Each evaluation makes one scratch copy of the
+    repository, at its first sample that needs a test run, resets it to
+    the original before each later patch, and removes it before it
+    returns.  A patch that fails to apply or a test run that times out
     counts as a failing sample.
 
     An oracle belongs to one instance, so its repository and test command
@@ -355,7 +482,8 @@ class LLMOracle:
         rendered = render(self.tree, upward_closure(self.tree, included_leaf_ids))
         prompt = REPAIR_PROMPT.format(query=self.query, context=rendered.dump_text())
         completions = self._request_completions(prompt)
-        outcomes = [self._run_sample(c) for c in completions]
+        with _ScratchCopy(self.instance.repo_root) as repo:
+            outcomes = [self._run_sample(c, repo) for c in completions]
         passes = sum(1 for o in outcomes if o.test_exit_status == 0)
         return make_verdict(passes, len(outcomes), self.config.pass_threshold, outcomes)
 
@@ -381,26 +509,27 @@ class LLMOracle:
                     time.sleep(self.retry_sleep * (2**attempt))
         raise OracleEndpointError(f"LLM endpoint unreachable after 3 attempts: {last_error}")
 
-    def _run_sample(self, completion: str) -> SampleOutcome:
+    def _run_sample(self, completion: str, repo: _ScratchCopy) -> SampleOutcome:
         start = time.perf_counter()
         patch = extract_patch(completion)
         if patch is None:
             return SampleOutcome(False, None, time.perf_counter() - start)
         if not self.config.cache_enabled:
-            return self._test_patch(patch, start)
+            return self._test_patch(patch, start, repo)
         with self._lock:
             known = self._outcomes.get(patch)
         if known is not None:
             return replace(known, duration_seconds=time.perf_counter() - start, reused=True)
-        outcome = self._test_patch(patch, start)
+        outcome = self._test_patch(patch, start, repo)
         if not outcome.timed_out:
             with self._lock:
                 self._outcomes[patch] = outcome
         return outcome
 
-    def _test_patch(self, patch: str, start: float) -> SampleOutcome:
-        """Apply ``patch`` to a scratch copy of the repository and run the
-        test command there.
+    def _test_patch(self, patch: str, start: float, repo: _ScratchCopy) -> SampleOutcome:
+        """Apply ``patch`` to the evaluation's scratch copy of the
+        repository, which ``repo.checkout`` makes or resets to the
+        original, and run the test command there.
 
         The verdict is the shell's exit status.  Output goes to files, not
         pipes, so a background child that keeps them open cannot hold the
@@ -412,32 +541,32 @@ class LLMOracle:
         going when it fires, it marks the run as timed out and kills the
         process group, which ends the wait.  Once the wait returns, the
         watchdog is cancelled and what is left of the process group is
-        killed."""
-        with tempfile.TemporaryDirectory(prefix="ctxdistill-oracle-") as scratch:
-            repo_copy = Path(scratch) / "repo"
-            shutil.copytree(self.instance.repo_root, repo_copy)
-            try:
-                apply_patch_text(repo_copy, patch)
-            except PatchApplyError as exc:
-                self._write_log(patch, f"patch not applied: {exc}\n")
-                return SampleOutcome(False, None, time.perf_counter() - start)
-            with (
-                tempfile.TemporaryFile("w+", errors="replace") as out,
-                tempfile.TemporaryFile("w+", errors="replace") as err,
-            ):
-                status = self._run_test(repo_copy, out, err)
-                if self.log_dir is not None:
-                    out.seek(0)
-                    err.seek(0)
-                    head = (
-                        f"exit status: {status}"
-                        if status is not None
-                        else f"timed out after {self.config.timeout_seconds} s"
-                    )
-                    stdout, stderr = out.read(), err.read()
-                    self._write_log(
-                        patch, f"{head}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n"
-                    )
+        killed, so no process of this run writes to the copy while the
+        next patch's reset reads it.  A process that leaves the process
+        group, as ``setsid`` does, stays out of reach and out of scope."""
+        repo_copy = repo.checkout()
+        try:
+            apply_patch_text(repo_copy, patch)
+        except PatchApplyError as exc:
+            self._write_log(patch, f"patch not applied: {exc}\n")
+            return SampleOutcome(False, None, time.perf_counter() - start)
+        with (
+            tempfile.TemporaryFile("w+", errors="replace") as out,
+            tempfile.TemporaryFile("w+", errors="replace") as err,
+        ):
+            status = self._run_test(repo_copy, out, err)
+            if self.log_dir is not None:
+                out.seek(0)
+                err.seek(0)
+                head = (
+                    f"exit status: {status}"
+                    if status is not None
+                    else f"timed out after {self.config.timeout_seconds} s"
+                )
+                stdout, stderr = out.read(), err.read()
+                self._write_log(
+                    patch, f"{head}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n"
+                )
         return SampleOutcome(True, status, time.perf_counter() - start, timed_out=status is None)
 
     def _run_test(self, cwd: Path, out, err) -> int | None:

@@ -3,10 +3,12 @@ traceback and never silently coerced.
 
 A coverage report, gold patch or context file that does not read, decode
 or parse fails its instance: exit 2 alone, exit 3 in a batch that goes
-on with the next instance.  A corpus record whose flags, counts, lines,
-kept ids or status have the wrong JSON type is a corpus format error
-(exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so a
-coerced record would drop out of ``stats`` or name another line.
+on with the next instance.  An instance file that is not UTF-8 is bad
+input like one that is not JSON: exit 2, and a batch stops before it
+distills anything.  A corpus record whose flags, counts, lines, kept
+ids, status or segment fields have the wrong JSON type is a corpus
+format error (exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is
+2, so a coerced record would drop out of ``stats`` or name another line.
 """
 
 from __future__ import annotations
@@ -118,6 +120,41 @@ def test_compress_with_an_undecodable_context_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _spoil_instance_file(instance_json: Path) -> None:
+    """Put a byte that is not UTF-8 into the instance file's issue text."""
+    raw = instance_json.read_bytes()
+    instance_json.write_bytes(raw.replace(b'"issue_text": "', b'"issue_text": "\xff', 1))
+
+
+@pytest.mark.parametrize("command", ["segment", "compress", "distill"])
+def test_an_instance_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    _spoil_instance_file(instance)
+    out = tmp_path / "out"
+    args = {"segment": ["--out", out], "compress": ["--rate", 2.0, "--out", out], "distill": ["--out", out]}
+    assert _run(["--no-trace", command, instance, *args[command]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(instance) in err and "UTF-8" in err
+    assert not out.exists()
+
+
+def test_a_batch_with_an_instance_file_that_is_not_utf8_exits_2_before_distilling(
+    tmp_path, monkeypatch, capsys
+):
+    """A batch loads every instance file before it distills one, as it
+    does for an instance file that is not JSON."""
+    monkeypatch.chdir(tmp_path)
+    batch = tmp_path / "batch"
+    paths = [_write(batch / f"inst{i}.json", tmp_path / f"repo{i}", f"batch-{i}") for i in range(3)]
+    _spoil_instance_file(paths[1])
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert str(paths[1]) in captured.err and captured.out == ""
+    assert not corpus.exists()
+
+
 @pytest.mark.parametrize("issue_text", ["", None, 7])
 def test_an_instance_built_in_code_needs_an_issue_text(tmp_path, issue_text):
     """Checked when the instance is made, so a distillation never starts."""
@@ -126,12 +163,24 @@ def test_an_instance_built_in_code_needs_an_issue_text(tmp_path, issue_text):
         dataclasses.replace(instance, issue_text=issue_text)
 
 
+def _unkept_segment(record: dict) -> dict:
+    """A segment the record does not keep, so that no other check on the
+    kept ids sees a changed id."""
+    kept = set(record["minimal_leaf_ids"])
+    return next(seg for seg in record["context_segments"] if seg["id"] not in kept)
+
+
 # field -> how a distilled record gets it with the wrong JSON type
 WRONG_TYPES = {
     "one_minimal_certified": lambda r: r.update(one_minimal_certified="false"),
     "budget_exhausted": lambda r: r.update(budget_exhausted="false"),
     "oracle_calls": lambda r: r.update(oracle_calls=2.7),
     "start_line": lambda r: r["context_segments"][0].update(start_line=True),
+    "id": lambda r: _unkept_segment(r).update(id=3),
+    "path": lambda r: _unkept_segment(r).update(path=None),
+    "kind": lambda r: _unkept_segment(r).update(kind=["leaf"]),
+    "text": lambda r: _unkept_segment(r).update(text=5),
+    "role": lambda r: _unkept_segment(r).update(role=7),
     "minimal_leaf_ids": lambda r: r.update(minimal_leaf_ids=dict.fromkeys(r["minimal_leaf_ids"], True)),
     "status": lambda r: r.update(status="weird"),
 }

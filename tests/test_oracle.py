@@ -6,8 +6,10 @@ import hashlib
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -665,3 +667,95 @@ def test_llm_oracle_logs_each_distinct_patch_once(tmp_path):
     heads = [(tmp_path / "logs" / n).read_text().splitlines()[0] for n in names]
     assert heads[:2] == ["exit status: 0", "exit status: 1"]
     assert heads[2] == "patch not applied: removed-line mismatch at mod.py:1"
+
+
+# --- LLM oracle sandbox: one scratch copy per evaluation ----------------------
+
+
+def _count_copies(monkeypatch, oracle) -> list:
+    """The scratch copies of the oracle's repository, as they are made."""
+    copies = []
+    real = shutil.copytree
+
+    def copytree(src, dst, *args, **kwargs):
+        if Path(src) == Path(oracle.instance.repo_root):
+            copies.append(dst)
+        return real(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "copytree", copytree)
+    return copies
+
+
+UNAPPLIABLE = _completion(_diff("x = 1\n", "x = 2\n", "mod.py"))
+
+# completions, config -> copies and test runs after each of two evaluations
+COPY_CASES = {
+    "mixed": (MIXED, {}, [(1, 2), (1, 2)]),
+    "no patch": (["no patch"] * 3, {}, [(0, 0), (0, 0)]),
+    "unappliable": ([UNAPPLIABLE, UNAPPLIABLE], {}, [(1, 0), (1, 0)]),
+    "mixed without cache": (MIXED, {"cache_enabled": False}, [(1, 3), (2, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", COPY_CASES.values(), ids=COPY_CASES.keys())
+def test_llm_oracle_copies_the_repository_once_per_evaluation_that_tests(tmp_path, monkeypatch, case):
+    completions, config, expected = case
+    oracle, leaves = _counting_oracle(tmp_path, completions, **config)
+    copies = _count_copies(monkeypatch, oracle)
+    for copies_and_runs in expected:
+        oracle.evaluate(leaves)
+        assert (len(copies), _runs(tmp_path)) == copies_and_runs
+
+
+def test_llm_oracle_reset_does_not_follow_a_directory_the_test_pointed_outside(tmp_path, monkeypatch):
+    outside = tmp_path / "outside"
+    # the names the copy has, so a reset that followed the link would find
+    # entries there that differ from its listing
+    data = {"pkg/keep.txt": "keep\n", "pkg/sub/deep.txt": "deep\n"}
+    write_repo(outside, {k.removeprefix("pkg/"): v for k, v in data.items()})
+    before = {p: p.read_bytes() for p in outside.rglob("*") if p.is_file()}
+    # each run first checks that its copy has a real pkg directory
+    oracle, leaves = _counting_oracle(
+        tmp_path,
+        MIXED,
+        test_command=(
+            f"echo run >> {tmp_path / 'runs.txt'}; test -d pkg -a ! -L pkg || exit 3; "
+            f"rm -rf pkg; ln -s {outside} pkg; python3 check.py"
+        ),
+    )
+    write_repo(tmp_path / "repo", data)
+    copies = _count_copies(monkeypatch, oracle)
+    verdict = oracle.evaluate(leaves)
+    assert [o.test_exit_status for o in verdict.per_sample] == [0, 0, 1, None]
+    assert (len(copies), _runs(tmp_path)) == (1, 2)
+    assert {p: p.read_bytes() for p in outside.rglob("*") if p.is_file()} == before
+
+
+def _scratch_dirs(tmp_path) -> list:
+    return list((tmp_path / "tmp").glob("ctxdistill-oracle-*"))
+
+
+@pytest.mark.parametrize("case", ["passing", "timed out", "unappliable", "test run raises"])
+def test_llm_oracle_removes_its_scratch_copy_before_evaluate_returns(tmp_path, monkeypatch, case):
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    completions, config = MIXED, {}
+    if case == "timed out":
+        completions, config = MIXED[:1], {"test_command": "sleep 30", "timeout_seconds": 1}
+    elif case == "unappliable":
+        completions = [UNAPPLIABLE]
+    oracle, leaves = _counting_oracle(tmp_path, completions, **config)
+    copies = _count_copies(monkeypatch, oracle)
+    if case == "test run raises":
+
+        def fail(cwd, out, err):
+            assert _scratch_dirs(tmp_path)
+            raise RuntimeError("test runner failed")
+
+        monkeypatch.setattr(oracle, "_run_test", fail)
+        with pytest.raises(RuntimeError, match="test runner failed"):
+            oracle.evaluate(leaves)
+    else:
+        oracle.evaluate(leaves)
+    assert len(copies) == 1
+    assert _scratch_dirs(tmp_path) == []
