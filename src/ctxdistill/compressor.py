@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .code_model import CodeUnit, UnitTree, leaf_segments, unit_text, upward_closure
+from .code_model import CodeUnit, UnitTree, leaf_segments, split_lines, unit_text, upward_closure
 from .instance import Instance, StructuredQuery, build_query, fault_units
 from .priority import lex_identifiers
 from .render import RenderedContext, render, render_full
@@ -199,9 +199,9 @@ class RemoteScorer:
 
 
 def split_windows(text: str, cfg: WindowConfig) -> list[str]:
-    """Overlapping line-aligned windows of roughly ``window_tokens`` each,
-    advancing by roughly ``stride_tokens``."""
-    lines = text.splitlines(keepends=True)
+    """Overlapping windows of whole ``split_lines`` lines, roughly
+    ``window_tokens`` each, advancing by roughly ``stride_tokens``."""
+    lines = split_lines(text, keepends=True)
     if not lines:
         return [text]
     costs = [count_tokens(line) for line in lines]

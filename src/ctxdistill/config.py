@@ -1,19 +1,19 @@
 """Run configuration: JSON file plus ``--set key=value`` overrides.
 
-Unknown keys are rejected so typos fail fast.
+Unknown keys are rejected so typos fail fast.  A field's JSON type is
+the type of its default, and a value of another type is an error.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .compressor import WindowConfig
 from .ga_search import GAConfig
 from .oracle import OracleConfig
-from .priority import PriorityWeights
+from .priority import PriorityWeights, json_field, json_value, read_json
 
 
 class ConfigError(ValueError):
@@ -63,15 +63,9 @@ _SECTION_TYPES = {
 }
 
 
-def _build_section(cls, data: dict, section: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {', '.join(sorted(unknown))}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value in {section}: {exc}") from exc
+def _kinds(cls) -> dict[str, type]:
+    """Each field's JSON type: the type of its default."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
 
 
 _BOOLS = {
@@ -80,11 +74,11 @@ _BOOLS = {
 }
 
 
-def _coerce(key: str, raw: str, annotation: type):
+def _coerce(key: str, raw: str, kind: type):
     try:
-        return _BOOLS[raw.lower()] if annotation is bool else annotation(raw)
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"cannot parse {annotation.__name__} for {key} from {raw!r}") from None
+        raise ConfigError(f"cannot parse {kind.__name__} for {key} from {raw!r}") from None
 
 
 def load_run_config(
@@ -92,29 +86,21 @@ def load_run_config(
     overrides: list[str] | None = None,
     seed: int | None = None,
 ) -> RunConfig:
-    data: dict = {}
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-
-    unknown = set(data) - set(_SECTION_TYPES) - {"parallelism"}
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {', '.join(sorted(unknown))}")
-
+    data = {} if path is None else read_json(path, "config file", ConfigError)
     sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        raw = data.get(name, {})
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config section {name} must be an object")
-        sections[name] = dict(raw)
-    parallelism = data.get("parallelism", 1)
+    try:
+        for name, cls in _SECTION_TYPES.items():
+            raw, kinds = json_field(data, name, dict, {}), _kinds(cls)
+            unknown = set(raw) - set(kinds)
+            if unknown:
+                raise ValueError(f"unknown keys in {name}: {', '.join(sorted(unknown))}")
+            sections[name] = {key: json_value(v, kinds[key], f"{name}.{key}") for key, v in raw.items()}
+        parallelism = json_field(data, "parallelism", int, 1)
+        unknown = set(data) - set(_SECTION_TYPES) - {"parallelism"}
+        if unknown:
+            raise ValueError(f"unknown top-level config keys: {', '.join(sorted(unknown))}")
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
 
     # overrides apply before construction so dataclass validation still runs
     for item in overrides or []:
@@ -128,24 +114,18 @@ def load_run_config(
         if len(parts) != 2 or parts[0] not in _SECTION_TYPES:
             raise ConfigError(f"unknown override target: {dotted}")
         section, key = parts
-        cls = _SECTION_TYPES[section]
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        if key not in fields:
+        kinds = _kinds(_SECTION_TYPES[section])
+        if key not in kinds:
             raise ConfigError(f"unknown override key: {dotted}")
-        annotation = fields[key].type
-        resolved = {"int": int, "float": float, "bool": bool, "str": str}.get(
-            annotation if isinstance(annotation, str) else annotation.__name__, str
-        )
-        sections[section][key] = _coerce(dotted, raw_value, resolved)
+        sections[section][key] = _coerce(dotted, raw_value, kinds[key])
 
     if seed is not None:
         sections["ga"]["rng_seed"] = seed
 
-    built = {
-        name: _build_section(cls, sections[name], name) for name, cls in _SECTION_TYPES.items()
-    }
-    try:
-        parallelism = int(parallelism)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parallelism must be an integer: {parallelism!r}") from exc
+    built = {}
+    for name, cls in _SECTION_TYPES.items():
+        try:
+            built[name] = cls(**sections[name])
+        except ValueError as exc:
+            raise ConfigError(f"invalid value in {name}: {exc}") from exc
     return RunConfig(parallelism=parallelism, **built)

@@ -17,9 +17,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .code_model import CodeUnit, SegmentKind, UnitTree, unit_text
+from .code_model import CodeUnit, SegmentKind, UnitTree, split_lines, unit_text
 from .instance import FaultLocation, build_query, fault_units
-from .priority import lex_identifiers
+from .priority import json_field, lex_identifiers, read_input
 
 ROLE_RULES_VERSION = "1"
 
@@ -39,16 +39,6 @@ class CorpusFormatError(ValueError):
 
 class ZeroPositivesError(ValueError):
     """Triple export needs at least one retained segment corpus-wide."""
-
-
-def _field(data: dict, key: str, kind: type, default: object = None):
-    """``data[key]``, which must have exactly the JSON type ``kind``:
-    ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so a field is
-    never coerced.  A missing key reads as ``default`` when one is given."""
-    value = data[key] if default is None else data.get(key, default)
-    if type(value) is not kind:
-        raise CorpusFormatError(f"{key} must be a JSON {kind.__name__}, not {value!r}")
-    return value
 
 
 class SemanticRole(str, Enum):
@@ -84,14 +74,14 @@ class SegmentRecord:
     @classmethod
     def from_json(cls, data: dict) -> "SegmentRecord":
         return cls(
-            id=_field(data, "id", str),
-            path=_field(data, "path", str),
-            kind=_field(data, "kind", str),
-            start_line=_field(data, "start_line", int),
-            end_line=_field(data, "end_line", int),
-            line_count=_field(data, "line_count", int),
-            text=_field(data, "text", str),
-            role=_field(data, "role", str),
+            id=json_field(data, "id", str),
+            path=json_field(data, "path", str),
+            kind=json_field(data, "kind", str),
+            start_line=json_field(data, "start_line", int),
+            end_line=json_field(data, "end_line", int),
+            line_count=json_field(data, "line_count", int),
+            text=json_field(data, "text", str),
+            role=json_field(data, "role", str),
         )
 
 
@@ -139,17 +129,17 @@ class DistilledInstance:
     @classmethod
     def from_json(cls, data: dict) -> "DistilledInstance":
         return cls(
-            instance_id=data["instance_id"],
-            repo=data["repo"],
-            issue_text=data["issue_text"],
-            fault_locations=[FaultLocation.from_json(f) for f in data["fault_locations"]],
-            context_segments=[SegmentRecord.from_json(s) for s in data["context_segments"]],
-            minimal_leaf_ids=frozenset(_field(data, "minimal_leaf_ids", list)),
-            one_minimal_certified=_field(data, "one_minimal_certified", bool),
-            oracle_calls=_field(data, "oracle_calls", int),
-            provenance=dict(data.get("provenance", {})),
-            status=data.get("status", STATUS_MINIMIZED),
-            budget_exhausted=_field(data, "budget_exhausted", bool, default=False),
+            instance_id=json_field(data, "instance_id", str),
+            repo=json_field(data, "repo", str),
+            issue_text=json_field(data, "issue_text", str),
+            fault_locations=[FaultLocation.from_json(f) for f in json_field(data, "fault_locations", list)],
+            context_segments=[SegmentRecord.from_json(s) for s in json_field(data, "context_segments", list)],
+            minimal_leaf_ids=frozenset(json_field(data, "minimal_leaf_ids", list)),
+            one_minimal_certified=json_field(data, "one_minimal_certified", bool),
+            oracle_calls=json_field(data, "oracle_calls", int),
+            provenance=json_field(data, "provenance", dict, {}),
+            status=json_field(data, "status", str, STATUS_MINIMIZED),
+            budget_exhausted=json_field(data, "budget_exhausted", bool, False),
         )
 
 
@@ -370,18 +360,17 @@ def append_corpus(instance: DistilledInstance, path: str | Path) -> None:
 
 def load_corpus(path: str | Path) -> list[DistilledInstance]:
     corpus: list[DistilledInstance] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                corpus.append(DistilledInstance.from_json(data))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"line {lineno}: {exc!r}") from exc
+    for lineno, line in enumerate(split_lines(read_input(path, "corpus", CorpusFormatError)), start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"corpus {path}, line {lineno}: invalid JSON: {exc}") from exc
+        try:
+            corpus.append(DistilledInstance.from_json(data))
+        except (TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"corpus {path}, line {lineno}: {exc!r}") from exc
     return corpus
 
 
@@ -433,7 +422,12 @@ def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, f
 def export_triples(corpus: list[DistilledInstance]) -> Iterator[TrainingTriple]:
     """One weighted triple per (instance, segment); unminimized instances
     are skipped."""
-    class_weight_positive, role_weights = compute_weights(corpus)
+    yield from _weighted_triples(corpus, *compute_weights(corpus))
+
+
+def _weighted_triples(
+    corpus: list[DistilledInstance], class_weight_positive: float, role_weights: dict[str, float]
+) -> Iterator[TrainingTriple]:
     for inst in _exportable(corpus):
         query = build_query(inst.issue_text, inst.fault_locations).rendered
         for seg in inst.context_segments:
@@ -458,7 +452,7 @@ def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
     class_weight_positive, role_weights = compute_weights(corpus)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for triple in export_triples(corpus):
+        for triple in _weighted_triples(corpus, class_weight_positive, role_weights):
             fh.write(json.dumps(triple.to_json(), sort_keys=True) + "\n")
             count += 1
     meta = {

@@ -6,46 +6,39 @@ The query is read in three places: the LLM oracle's repair prompt, each
 exported training triple, and the compressor's segment scores.
 ``fault_units`` is the one map from fault locations to the tree.
 
-Instance input file, JSON schema::
+Instance input file, JSON schema.  Every value must have exactly its
+JSON type, as nothing is coerced; a ``?`` field may be null or absent::
 
     {
-      "instance_id": str,
-      "issue_text": str,              # non-empty
-      "fault_location": [{"path": str, "line": int, "symbol": str?}],
-      "context_files": [{"path": str}],
-      "repo_root": str,
-      "gold_patch_path": str?,        # distillation only
-      "coverage_report_path": str?,   # distillation only
-      "test_command": str?            # distillation only
+      "instance_id": string,
+      "issue_text": string,               # non-empty
+      "fault_location": [{"path": string, "line": integer, "symbol": string?}],
+      "context_files": [{"path": string} or string],
+      "repo_root": string,
+      "repo": string?,                    # defaults to repo_root's name
+      "gold_patch_path": string?,         # distillation only
+      "coverage_report_path": string?,    # distillation only
+      "test_command": string?             # distillation only
     }
 
-Mock-oracle runs may add ``mock_required`` / ``mock_distractors``: lists
-of leaf ids or ``{"path", "line"}`` locators resolved against the tree.
+Mock-oracle runs may add ``mock_required`` / ``mock_distractors``
+(arrays?): leaf ids or ``{"path": string, "line": integer}`` locators
+resolved against the tree.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .code_model import CodeUnit, Level, UnitTree, build_tree, enclosing_leaf, enclosing_unit
-from .priority import lex_identifiers
+from .priority import json_field, json_value, lex_identifiers, read_input, read_json
 
 
 class InstanceError(ValueError):
     pass
-
-
-def _line_number(value: object) -> int:
-    """A line number read from JSON: only a JSON integer, because ``int()``
-    would truncate ``2.7`` to 2 and read ``true`` as 1, naming another
-    line than the file does."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InstanceError(f"line {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,11 @@ class FaultLocation:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultLocation":
-        return cls(path=str(data["path"]), line=_line_number(data["line"]), symbol=data.get("symbol"))
+        try:
+            path, line = json_field(data, "path", str), json_field(data, "line", int)
+            return cls(path, line, json_field(data, "symbol", str, None))
+        except ValueError as exc:
+            raise InstanceError(f"fault_location entry {data!r}: {exc}") from None
 
 
 @dataclass
@@ -118,50 +115,32 @@ def fault_units(tree: UnitTree, faults: Iterable[FaultLocation]) -> list[CodeUni
     return [enclosing_unit(tree, fl.path, fl.line, level=Level.FUNCTION) for fl in faults]
 
 
-def load_instance(path: str | Path) -> Instance:
-    path = Path(path)
-    if not path.exists():
-        raise InstanceError(f"instance file not found: {path}")
+def _context_path(entry: object) -> str:
+    """A ``context_files`` entry: ``{"path": string}`` or a bare string."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"instance file {path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"instance file {path} is not valid JSON: {exc}") from exc
+        return json_field(entry, "path", str) if type(entry) is dict else json_value(entry, str, "path")
+    except ValueError as exc:
+        raise ValueError(f"context_files entry {entry!r}: {exc}") from None
 
-    for key in ("instance_id", "issue_text", "fault_location", "context_files", "repo_root"):
-        if key not in data:
-            raise InstanceError(f"instance file {path} missing required key: {key}")
-    if not isinstance(data["issue_text"], str) or not data["issue_text"]:
-        raise InstanceError(f"instance file {path}: issue_text must be a non-empty string")
 
-    faults = []
-    for entry in data["fault_location"]:
-        try:
-            faults.append(FaultLocation.from_json(entry))
-        except (KeyError, TypeError, ValueError):
-            raise InstanceError(
-                f"instance file {path}: fault_location entry {entry!r} needs a path and an integer line"
-            ) from None
-    context_files = []
-    for entry in data["context_files"]:
-        if isinstance(entry, dict) and "path" not in entry:
-            raise InstanceError(f"instance file {path}: context_files entry {entry!r} has no path")
-        context_files.append(entry["path"] if isinstance(entry, dict) else str(entry))
-
-    return Instance(
-        instance_id=str(data["instance_id"]),
-        issue_text=data["issue_text"],
-        fault_locations=faults,
-        context_files=context_files,
-        repo_root=str(data["repo_root"]),
-        gold_patch_path=data.get("gold_patch_path"),
-        coverage_report_path=data.get("coverage_report_path"),
-        test_command=data.get("test_command"),
-        repo=str(data.get("repo", "")),
-        mock_required=list(data.get("mock_required", [])),
-        mock_distractors=list(data.get("mock_distractors", [])),
-    )
+def load_instance(path: str | Path) -> Instance:
+    data = read_json(path, "instance file", InstanceError)
+    try:
+        return Instance(
+            instance_id=json_field(data, "instance_id", str),
+            issue_text=json_field(data, "issue_text", str),
+            fault_locations=[FaultLocation.from_json(e) for e in json_field(data, "fault_location", list)],
+            context_files=[_context_path(e) for e in json_field(data, "context_files", list)],
+            repo_root=json_field(data, "repo_root", str),
+            gold_patch_path=json_field(data, "gold_patch_path", str, None),
+            coverage_report_path=json_field(data, "coverage_report_path", str, None),
+            test_command=json_field(data, "test_command", str, None),
+            repo=json_field(data, "repo", str, None) or "",
+            mock_required=json_field(data, "mock_required", list, None) or [],
+            mock_distractors=json_field(data, "mock_distractors", list, None) or [],
+        )
+    except ValueError as exc:
+        raise InstanceError(f"instance file {path}: {exc}") from None
 
 
 def load_sources(instance: Instance) -> list[tuple[str, str]]:
@@ -173,13 +152,7 @@ def load_sources(instance: Instance) -> list[tuple[str, str]]:
         if rel in seen:
             raise InstanceError(f"context file listed twice: {rel}")
         seen.add(rel)
-        target = root / rel
-        if not target.exists():
-            raise InstanceError(f"context file not found: {target}")
-        try:
-            sources.append((rel, target.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InstanceError(f"cannot read context file {target}: {exc}") from exc
+        sources.append((rel, read_input(root / rel, "context file", InstanceError)))
     return sources
 
 
@@ -203,8 +176,8 @@ def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:
             resolved.add(loc)
         elif isinstance(loc, dict):
             try:
-                path, line = loc["path"], _line_number(loc["line"])
-            except (KeyError, TypeError, ValueError):
+                path, line = json_field(loc, "path", str), json_field(loc, "line", int)
+            except ValueError:
                 raise InstanceError(f"locator {loc!r} needs a path and a line number") from None
             leaf = enclosing_leaf(tree, path, line)
             if leaf is None:

@@ -27,7 +27,7 @@ from .ga_search import GAResult, run_ga
 from .hdd import InsufficientContextError, minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
 from .oracle import LLMOracle, MockOracle, Oracle, OracleSession, TraceWriter
-from .priority import CoverageReport, PatchInfo, parse_patch, priority_map
+from .priority import CoverageReport, PatchFormatError, PatchInfo, parse_patch, priority_map, read_input
 
 
 @dataclass
@@ -67,15 +67,15 @@ def load_priority_inputs(instance: Instance) -> tuple[PatchInfo, CoverageReport]
     patch = PatchInfo.empty()
     if instance.gold_patch_path:
         try:
-            patch = parse_patch(Path(instance.gold_patch_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+            patch = parse_patch(read_input(instance.gold_patch_path, "gold patch", InstanceError))
+        except PatchFormatError as exc:
             raise InstanceError(f"gold patch {instance.gold_patch_path}: {exc}") from exc
     coverage = CoverageReport.empty()
     if instance.coverage_report_path:
         try:
             coverage = CoverageReport.load(instance.coverage_report_path)
-        except (OSError, ValueError) as exc:
-            raise InstanceError(f"coverage report {instance.coverage_report_path}: {exc}") from exc
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from exc
     return patch, coverage
 
 

@@ -1,4 +1,5 @@
-"""Priority scores that bias the search toward fix-relevant units.
+"""Priority scores that bias the search toward fix-relevant units, and
+the readers every input file and JSON value goes through.
 
 A unit's score combines three signals: membership of its file in the
 gold patch, the (log-dampened) number of test-covered lines inside its
@@ -20,6 +21,53 @@ from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = frozenset(keyword.kwlist)
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+\d+(?:,(\d+))? @@")
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number", bool: "boolean"}
+_REQUIRED = object()
+
+
+def json_value(value: object, kind: type, name: str):
+    """``value`` if its JSON type is exactly ``kind``, else ``ValueError``
+    naming ``name``.  An integer is also a number; a boolean is neither.
+    Nothing is coerced: ``bool("false")`` is ``True`` and ``int(2.7)`` is 2."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}, not {value!r}")
+
+
+def json_field(data: dict, key: str, kind: type, default: object = _REQUIRED):
+    """``data[key]`` read by :func:`json_value`.  A missing key reads as
+    ``default``, and so does a null when ``default`` is ``None``; without
+    a default the key is required."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object with {key}, not {data!r}")
+    if key in data and (data[key] is not None or default is not None):
+        return json_value(data[key], kind, key)
+    if default is _REQUIRED:
+        raise ValueError(f"missing required key: {key}")
+    return default
+
+
+def read_input(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The text of the input file ``path``, read as UTF-8 with universal
+    newlines; every input file is read here.  A file that is missing,
+    cannot be read or is not UTF-8 raises ``error`` naming it as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str, error: type[Exception]) -> object:
+    """The JSON value in the input file ``path``; :func:`read_input`'s
+    errors, and ``error`` when the text is not JSON."""
+    try:
+        return json.loads(read_input(path, what, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 class PatchFormatError(ValueError):
@@ -77,8 +125,12 @@ class CoverageReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        """The report in ``path``; any fault in it raises ``ValueError`` naming it."""
+        data = read_json(path, "coverage report", ValueError)
+        try:
+            return cls.from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"coverage report {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

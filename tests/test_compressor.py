@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctxdistill.code_model import build_tree, leaf_segments, unit_text
+from ctxdistill.code_model import build_tree, leaf_segments, split_lines, unit_text
 from ctxdistill.compressor import (
     CompressionBudget,
     HeuristicScorer,
@@ -172,6 +174,43 @@ def test_split_windows_covers_text():
     # every line appears in at least one window
     for i in range(50):
         assert any(f"line_{i} = {i}\n" in w for w in windows)
+
+
+# str.splitlines breaks lines at each of these; ast and split_lines only at \n, \r\n and \r
+SPLITLINES_ONLY_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(
+    text=st.text(alphabet=SPLITLINES_ONLY_BREAKS + "\n\r ab", max_size=40),
+    window=st.integers(1, 4),
+    stride=st.integers(1, 4),
+)
+def test_split_windows_keeps_split_lines_lines_whole(text, window, stride):
+    """Each window is a run of whole ``split_lines`` lines, and the
+    windows cover the text: the first starts at its first line, each
+    starts after the one before starts and no later than it ends, and the
+    last ends at its last line."""
+    lines = split_lines(text, keepends=True)
+    windows = split_windows(text, WindowConfig(window, stride))
+    if not lines:
+        assert windows == [text]
+        return
+    offsets = [0]
+    for line in lines:
+        offsets.append(offsets[-1] + len(line))
+    # every (first line, line after the last) a window so far may span;
+    # equal lines can make a window's place ambiguous
+    places = {(-1, 0)}
+    for i, window_text in enumerate(windows):
+        places = {
+            (a, offsets.index(offsets[a] + len(window_text)))
+            for start, end in places
+            for a in range(start + 1, end + 1)
+            if text.startswith(window_text, offsets[a]) and offsets[a] + len(window_text) in offsets
+        }
+        assert places, f"window {i} {window_text!r} is not a run of whole lines that follows window {i - 1}"
+    assert any(end == len(lines) for _, end in places)
 
 
 def _scored(items):

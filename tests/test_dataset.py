@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ctxdistill import dataset
 from ctxdistill.code_model import SegmentKind, build_tree, leaf_segments
 from ctxdistill.dataset import (
     CorpusFormatError,
@@ -315,6 +316,23 @@ def test_write_triples_files(tmp_path):
     meta = json.loads((tmp_path / "triples.jsonl.meta.json").read_text())
     assert meta["triples"] == 4
     assert meta["role_rules_version"]
+
+
+def test_write_triples_computes_the_weights_once(tmp_path, monkeypatch):
+    """Weighting is a full pass over every segment; the triples and the
+    sidecar share one."""
+    calls = []
+
+    def counted(corpus):
+        calls.append(len(corpus))
+        return compute_weights(corpus)
+
+    monkeypatch.setattr(dataset, "compute_weights", counted)
+    corpus = [_instance("i1", 4, 1), _instance("i2", 3, 2)]
+    assert write_triples(corpus, tmp_path / "triples.jsonl") == 7
+    assert calls == [2]
+    meta = json.loads((tmp_path / "triples.jsonl.meta.json").read_text())
+    assert (meta["class_weight_positive"], meta["role_weights"]) == compute_weights(corpus)
 
 
 # --- statistics -------------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""Malformed files an instance or a corpus names are bad input, never a
-traceback and never silently coerced.
+"""Malformed input files are bad input, never a traceback and never
+silently coerced.
 
 A coverage report, gold patch or context file that does not read, decode
 or parse fails its instance: exit 2 alone, exit 3 in a batch that goes
-on with the next instance.  An instance file that is not UTF-8 is bad
-input like one that is not JSON: exit 2, and a batch stops before it
-distills anything.  A corpus record whose flags, counts, lines, kept
-ids, status or segment fields have the wrong JSON type is a corpus
-format error (exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is
-2, so a coerced record would drop out of ``stats`` or name another line.
+on with the next instance.  An instance file that is not UTF-8, is a
+directory or holds a value of the wrong JSON type is bad input like one
+that is not JSON: exit 2, and a batch stops before it distills anything.
+A config file or corpus that does not read, decode or parse, or a config
+value of the wrong JSON type, exits 2 naming the file.  A corpus record
+whose ids, flags, counts, lines, kept ids, status, provenance, fault
+locations or segment fields have the wrong JSON type is a corpus format
+error (exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so
+a coerced record would drop out of ``stats`` or name another line.
 """
 
 from __future__ import annotations
@@ -155,6 +158,84 @@ def test_a_batch_with_an_instance_file_that_is_not_utf8_exits_2_before_distillin
     assert not corpus.exists()
 
 
+def _make_directory(path: Path) -> None:
+    path.unlink(missing_ok=True)
+    path.mkdir(parents=True)
+
+
+def _update(change):
+    """A fault that rewrites a JSON instance file through ``change``."""
+
+    def spoil(path: Path) -> None:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        change(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+    return spoil
+
+
+# fault -> how an instance file gets it
+INSTANCE_FAULTS = {
+    "gold-patch-path-a-number": _update(lambda d: d.update(gold_patch_path=5)),
+    "instance-id-null": _update(lambda d: d.update(instance_id=None)),
+    "symbol-a-list": _update(lambda d: d["fault_location"][0].update(symbol=["x"])),
+    "a-directory": _make_directory,
+}
+
+
+@pytest.mark.parametrize("fault", INSTANCE_FAULTS)
+def test_an_instance_file_with_a_fault_exits_2(tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.chdir(tmp_path)
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    INSTANCE_FAULTS[fault](instance)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance, "--out", corpus]) == EXIT_USAGE
+    assert str(instance) in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+# fault -> the config file's bytes, or None for a directory
+CONFIG_FAULTS = {
+    "fractional-population-size": b'{"ga": {"population_size": 2.5}}',
+    "fractional-parallelism": b'{"parallelism": 2.7}',
+    "not-utf8": b'{"paths": {"traces": "\xff"}}',
+    "a-directory": None,
+}
+
+
+@pytest.mark.parametrize("fault", CONFIG_FAULTS)
+def test_a_config_file_with_a_fault_exits_2(tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.chdir(tmp_path)
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    config = tmp_path / "run.json"
+    if CONFIG_FAULTS[fault] is None:
+        config.mkdir()
+    else:
+        config.write_bytes(CONFIG_FAULTS[fault])
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--config", config, "--no-trace", "distill", instance, "--out", corpus]) == EXIT_USAGE
+    assert str(config) in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+# fault -> the corpus file's bytes, or None for a directory
+CORPUS_FAULTS = {"not-utf8": b'{"instance_id": "\xff"}\n', "a-directory": None}
+
+
+@pytest.mark.parametrize("command", ["export", "stats"])
+@pytest.mark.parametrize("fault", CORPUS_FAULTS)
+def test_a_corpus_file_with_a_fault_exits_2(tmp_path, capsys, command, fault):
+    corpus = tmp_path / "corpus.jsonl"
+    if CORPUS_FAULTS[fault] is None:
+        corpus.mkdir()
+    else:
+        corpus.write_bytes(CORPUS_FAULTS[fault])
+    out = tmp_path / "out.json"
+    assert _run([command, corpus, "--out", out]) == EXIT_USAGE
+    assert str(corpus) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("issue_text", ["", None, 7])
 def test_an_instance_built_in_code_needs_an_issue_text(tmp_path, issue_text):
     """Checked when the instance is made, so a distillation never starts."""
@@ -183,6 +264,11 @@ WRONG_TYPES = {
     "role": lambda r: _unkept_segment(r).update(role=7),
     "minimal_leaf_ids": lambda r: r.update(minimal_leaf_ids=dict.fromkeys(r["minimal_leaf_ids"], True)),
     "status": lambda r: r.update(status="weird"),
+    "instance_id": lambda r: r.update(instance_id=5),
+    "repo": lambda r: r.update(repo=5),
+    "provenance": lambda r: r.update(provenance=[]),
+    # the error names the entry as an instance file does
+    "fault_location": lambda r: r["fault_locations"][0].update(path=5),
 }
 
 
@@ -199,4 +285,4 @@ def test_a_corpus_field_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
     assert _run([command, corpus, "--out", tmp_path / "out.json"]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "line 1" in err and field in err
+    assert str(corpus) in err and "line 1" in err and field in err
