@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -164,8 +165,8 @@ def _cmd_distill(args, config: RunConfig) -> int:
 
 def _cmd_compress(args, config: RunConfig) -> int:
     rate = args.rate if args.rate is not None else config.compression.rate
-    if rate <= 1:
-        print("compression rate must be > 1", file=sys.stderr)
+    if not 1 < rate < math.inf:
+        print(f"error: --rate must be a finite number > 1, not {rate}", file=sys.stderr)
         return EXIT_USAGE
     instance = load_instance(args.instance)
     tree = build_instance_tree(instance)

@@ -15,6 +15,7 @@ document order reproduces the file byte for byte.
 from __future__ import annotations
 
 import ast
+import gc
 import hashlib
 import re
 from bisect import bisect_right
@@ -119,8 +120,9 @@ class UnitTree:
     Tables built once, with the tree, so queries never walk subtrees,
     rescan the tree or re-split a file:
 
-    - ``lines`` holds each file's source split into lines; unit text is a
-      slice of it.
+    - ``lines`` holds each file's source split into lines: the one split
+      ``decompose`` made of it, handed over by ``build_tree``, the only
+      constructor.  Unit text is a slice of it.
     - ``leaves`` holds every leaf segment in document order, and
       ``leaf_slice`` maps each unit id to the ``(lo, hi)`` slice of
       ``leaves`` under it.  Preorder keeps a subtree's leaves contiguous,
@@ -142,29 +144,32 @@ class UnitTree:
     index: dict[str, CodeUnit]
     unit_order: list[str]
     sources: dict[str, str]
-    order_pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    lines: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    lines: dict[str, list[str]] = field(repr=False, compare=False)
     leaf_facts: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    order_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     leaves: list[CodeUnit] = field(init=False, repr=False, compare=False)
     leaf_slice: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.order_pos = {uid: i for i, uid in enumerate(self.unit_order)}
-        self.lines = {path: split_lines(source) for path, source in self.sources.items()}
         self.leaves = []
         self.leaf_slice = {}
-        for file_unit in self.files:
-            self._add_leaves(file_unit)
+        # in preorder a unit's leaves follow it: a leaf's slice is itself,
+        # an internal unit's starts here
+        for uid in self.unit_order:
+            unit = self.index[uid]
+            lo = len(self.leaves)
+            if unit.is_leaf and unit.level is not Level.FILE:
+                self.leaves.append(unit)
+            self.leaf_slice[uid] = (lo, len(self.leaves))
+        # reversed preorder meets a unit's last child before the unit, whose
+        # slice ends where that child's does
+        for uid in reversed(self.unit_order):
+            child_ids = self.index[uid].child_ids
+            if child_ids:
+                self.leaf_slice[uid] = (self.leaf_slice[uid][0], self.leaf_slice[child_ids[-1]][1])
         self._leaf_starts = [unit.span.start_line for unit in self.leaves]
         self._file_units = {unit.path: unit for unit in self.files}
-
-    def _add_leaves(self, unit: CodeUnit) -> None:
-        lo = len(self.leaves)
-        if unit.is_leaf and unit.level is not Level.FILE:
-            self.leaves.append(unit)
-        for child_id in unit.child_ids:
-            self._add_leaves(self.index[child_id])
-        self.leaf_slice[unit.id] = (lo, len(self.leaves))
 
     def unit(self, unit_id: str) -> CodeUnit:
         try:
@@ -239,9 +244,29 @@ def _definition_start(stmt: ast.stmt) -> int:
     return stmt.lineno
 
 
-def _unit_id(path: str, level: Level, kind: SegmentKind | None, span: Span, text: str) -> str:
-    norm = " ".join(text.split())[:64]
-    key = f"{path}|{level.value}|{kind.value if kind else '-'}|{span.start_line}:{span.end_line}|{norm}"
+_TAGS = {None: "-", **{member: member.value for enum in (Level, SegmentKind) for member in enum}}
+_ID_CHARS = 64
+_ID_LINES = 4
+
+
+def _unit_id(path: str, level: Level, kind: SegmentKind | None, span: Span, lines: list[str]) -> str:
+    """Hash of the unit's path, level, kind, span and the first 64
+    characters of its text with each whitespace run made one space.
+
+    Lines are joined by a line break, which is whitespace, so no word
+    spans two lines, and the first lines of the span give those
+    characters as soon as they normalise to at least 64: the first
+    ``_ID_LINES`` lines, twice as many while they fall short, and at
+    most the whole span."""
+    start, end = span.start_line - 1, span.end_line
+    count = _ID_LINES
+    while True:
+        stop = min(start + count, end)
+        norm = " ".join("\n".join(lines[start:stop]).split())
+        if len(norm) >= _ID_CHARS or stop == end:
+            break
+        count *= 2
+    key = f"{path}|{_TAGS[level]}|{_TAGS[kind]}|{span.start_line}:{span.end_line}|{norm[:_ID_CHARS]}"
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
 
 
@@ -252,7 +277,7 @@ def _span_text(lines: list[str], span: Span) -> str:
 def _make_unit(
     path: str, lines: list[str], level: Level, kind: SegmentKind | None, span: Span
 ) -> CodeUnit:
-    unit_id = _unit_id(path, level, kind, span, _span_text(lines, span))
+    unit_id = _unit_id(path, level, kind, span, lines)
     return CodeUnit(id=unit_id, level=level, kind=kind, span=span, path=path)
 
 
@@ -390,9 +415,17 @@ def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[Co
     ``textwrap.dedent`` does not know), or for a leaf whose last non-blank
     line ends in a backslash.  The statements are only valid during the
     call.
+
+    The file is split into lines once; ``build_tree`` keeps that split as
+    the tree's ``lines`` table.
     """
+    return _decompose(path, source, on_leaf)[0]
+
+
+def _decompose(path: str, source: str, on_leaf: _OnLeaf | None) -> tuple[list[CodeUnit], list[str]]:
+    """``decompose``'s units, and the lines it split the source into."""
     if source == "":
-        return [_make_unit(path, [], Level.FILE, None, Span(1, 1))]
+        return [_make_unit(path, [], Level.FILE, None, Span(1, 1))], []
 
     lines = split_lines(source)
     try:
@@ -414,39 +447,55 @@ def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[Co
         units += built
     if body is None:
         units[1].meta["fallback"] = True
-    return units
+    return units, lines
 
 
 def build_tree(
     instance_id: str, files: Iterable[tuple[str, str]], facts: Callable[[Sequence[ast.stmt]], object] | None = None
 ) -> UnitTree:
-    """Assemble the per-file decompositions into one indexed tree.
+    """Assemble the per-file decompositions into one indexed tree, whose
+    ``lines`` table holds the lines each ``decompose`` split its file into.
 
     ``facts``, if given, maps a leaf's top-level statements, as
     ``decompose`` defines them for ``on_leaf``, to what the tree keeps in
     ``leaf_facts`` for that leaf; it must keep no AST node.  Leaves
-    ``decompose`` passes over get no entry."""
+    ``decompose`` passes over get no entry.
+
+    The cyclic garbage collector is paused while the tree is built, as
+    its passes over the parses' many young objects would find nothing to
+    free: AST nodes hold no reference to their parents, and units name
+    each other by id, so reference counting frees all of it.  A cycle a
+    ``facts`` hook makes waits for the next collection.  When
+    ``build_tree`` returns or raises, the collector is enabled again if
+    it was enabled on entry."""
     roots: list[CodeUnit] = []
     index: dict[str, CodeUnit] = {}
     order: list[str] = []
     sources: dict[str, str] = {}
+    lines: dict[str, list[str]] = {}
     leaf_facts: dict[str, object] = {}
 
     def on_leaf(unit: CodeUnit, stmts: Sequence[ast.stmt]) -> None:
         leaf_facts[unit.id] = facts(stmts)
 
-    for path, source in files:
-        if path in sources:
-            raise ValueError(f"duplicate context file: {path}")
-        units = decompose(path, source, on_leaf if facts is not None else None)
-        roots.append(units[0])
-        for unit in units:
-            if unit.id in index:
-                raise ValueError(f"unit id collision: {unit.id}")
-            index[unit.id] = unit
-            order.append(unit.id)
-        sources[path] = source
-    return UnitTree(instance_id, roots, index, order, sources, leaf_facts)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for path, source in files:
+            if path in sources:
+                raise ValueError(f"duplicate context file: {path}")
+            units, lines[path] = _decompose(path, source, on_leaf if facts is not None else None)
+            roots.append(units[0])
+            for unit in units:
+                if unit.id in index:
+                    raise ValueError(f"unit id collision: {unit.id}")
+                index[unit.id] = unit
+                order.append(unit.id)
+            sources[path] = source
+        return UnitTree(instance_id, roots, index, order, sources, lines, leaf_facts)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # --- queries -----------------------------------------------------------

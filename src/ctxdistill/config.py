@@ -1,12 +1,14 @@
 """Run configuration: JSON file plus ``--set key=value`` overrides.
 
 Unknown keys are rejected so typos fail fast.  A field's JSON type is
-the type of its default, and a value of another type is an error.
+the type of its default, and a value of another type is an error, as is
+a number, in the file or an override, that is NaN or infinite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,9 +78,12 @@ _BOOLS = {
 
 def _coerce(key: str, raw: str, kind: type):
     try:
-        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {kind.__name__} for {key} from {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, not {raw!r}")
+    return value
 
 
 def load_run_config(

@@ -209,11 +209,9 @@ def _parse_segment(text: str) -> ast.Module | None:
     return shim
 
 
-def _defined_names(module: ast.Module | None) -> frozenset[str]:
-    if module is None:
-        return frozenset()
+def _defined_names(stmts: Sequence[ast.stmt]) -> frozenset[str]:
     names: set[str] = set()
-    for stmt in module.body:
+    for stmt in stmts:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
@@ -242,21 +240,21 @@ def _called_names(module: ast.Module | None) -> frozenset[str]:
 _LITERALISH = (ast.Constant, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.Name, ast.Attribute, ast.UnaryOp)
 
 
-def _declaration_ratio(module: ast.Module | None) -> float:
+def _declaration_ratio(stmts: Sequence[ast.stmt]) -> float:
     """Fraction of top-level statements that look like field/attribute/type
     declarations: annotated assignments, or plain assignments of literal-ish
     values to simple targets."""
-    if module is None or not module.body:
+    if not stmts:
         return 0.0
     decls = 0
-    for stmt in module.body:
+    for stmt in stmts:
         if isinstance(stmt, ast.AnnAssign):
             decls += 1
         elif isinstance(stmt, ast.Assign):
             simple = all(isinstance(t, (ast.Name, ast.Attribute)) for t in stmt.targets)
             if simple and isinstance(stmt.value, _LITERALISH):
                 decls += 1
-    return decls / len(module.body)
+    return decls / len(stmts)
 
 
 @dataclass(frozen=True)
@@ -274,8 +272,7 @@ def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
     Passed as the ``facts`` hook to ``build_instance_tree``, it records
     each leaf's facts from the parse ``decompose`` already made; the
     hook's contract, per leaf kind, is ``decompose``'s ``on_leaf``."""
-    module = ast.Module(body=stmts, type_ignores=[])
-    return RoleFacts(_declaration_ratio(module) >= 0.5, _defined_names(module))
+    return RoleFacts(_declaration_ratio(stmts) >= 0.5, _defined_names(stmts))
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,7 @@ def fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> FaultFacts:
     return FaultFacts(
         calls=frozenset().union(*(_called_names(m) for m in modules)),
         identifiers=frozenset().union(*(lex_identifiers(t) for t in texts)),
-        defined=frozenset().union(*(_defined_names(m) for m in modules)),
+        defined=frozenset().union(*(_defined_names(m.body) for m in modules if m is not None)),
     )
 
 

@@ -27,8 +27,12 @@ _REQUIRED = object()
 
 def json_value(value: object, kind: type, name: str):
     """``value`` if its JSON type is exactly ``kind``, else ``ValueError``
-    naming ``name``.  An integer is also a number; a boolean is neither.
-    Nothing is coerced: ``bool("false")`` is ``True`` and ``int(2.7)`` is 2."""
+    naming ``name``.  An integer is also a number; a boolean is neither,
+    and nor is the NaN or infinity ``json`` reads from ``NaN``,
+    ``Infinity`` or ``1e999``.  Nothing is coerced: ``bool("false")`` is
+    ``True`` and ``int(2.7)`` is 2."""
+    if kind is float and type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite JSON number, not {value!r}")
     if type(value) is kind or (kind is float and type(value) is int):
         return value
     raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}, not {value!r}")

@@ -70,10 +70,11 @@ def frozen_classify_role(segment, tree, facts):
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
     module = _parse_segment(unit_text(tree, segment))
-    if _declaration_ratio(module) >= 0.5:
+    stmts = [] if module is None else module.body
+    if _declaration_ratio(stmts) >= 0.5:
         return SemanticRole.SCHEMA
 
-    defined = _defined_names(module)
+    defined = _defined_names(stmts)
     # calls are handled by the call-chain rule, not the definition rule
     if defined & (facts.identifiers - facts.calls):
         return SemanticRole.DEFINITION

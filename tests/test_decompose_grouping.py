@@ -4,15 +4,18 @@ implementation built.
 The reference below is a frozen copy of that implementation, kept here on
 purpose: it wrote the "a run of plain statements becomes one fragment"
 rule once per body kind (module, class, function) and built unparseable
-files on a path of their own.  Every unit must match it in id, level,
-kind, span, path, parent, child order and ``meta``, on random modules and
-on the fixed cases that exercise the signature rules.
+files on a path of their own.  It computes each unit id by the original
+rule, from the unit's whole text, written out here rather than imported.
+Every unit must match it in id, level, kind, span, path, parent, child
+order and ``meta``, on random modules and on the fixed cases that
+exercise the signature rules and the unit-id rule.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 
 import pytest
@@ -23,8 +26,6 @@ from ctxdistill.code_model import (
     Level,
     SegmentKind,
     Span,
-    _span_text,
-    _unit_id,
     decompose,
     split_lines,
 )
@@ -55,6 +56,12 @@ def _definition_start(stmt: ast.stmt) -> int:
     return stmt.lineno
 
 
+def _unit_id(path: str, level: Level, kind: SegmentKind | None, span: Span, text: str) -> str:
+    norm = " ".join(text.split())[:64]
+    key = f"{path}|{level.value}|{kind.value if kind else '-'}|{span.start_line}:{span.end_line}|{norm}"
+    return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
+
+
 def _make_unit(
     path: str,
     lines: list[str],
@@ -63,7 +70,7 @@ def _make_unit(
     span: Span,
     meta: dict | None = None,
 ) -> CodeUnit:
-    text = _span_text(lines, span)
+    text = "\n".join(lines[span.start_line - 1 : span.end_line])
     return CodeUnit(
         id=_unit_id(path, level, kind, span, text),
         level=level,
@@ -264,6 +271,14 @@ FIXED_CASES = {
     "unparseable": BROKEN_SOURCE,
     "unparseable null byte": "x = 1\x00\n",
     "CRLF breaks": "def f():\r\n    x = 1\r\n    if x:\r\n        pass\r\n",
+    # the first seven lines normalise to fewer than 64 characters
+    "short first lines": "def f():\n\n    a = 1\n\n    # b\n    c = 2\n\n    if a:\n" + "        c = a + c\n" * 6,
+    "long first line": "def f():\n    x = " + " + ".join(f"value_{i}" for i in range(12)) + "\n    if x:\n        pass\n",
+    # whitespace to ``str.split``, but not a line break to ``split_lines``
+    "separator characters": (
+        "def f():\n    a = 1  #\x1c\x1c\x1c\n    # \u2028 \u2028\n    b = 2  # \x1cword\x1c\n"
+        "    if a:\n        return b\n    return a  # \u2028 last \x1c\n"
+    ),
 }
 
 

@@ -204,7 +204,8 @@ def per_segment_role(segment, faults, tree):
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
     module = _parse_segment(resplit_unit_text(tree, segment))
-    if _declaration_ratio(module) >= 0.5:
+    stmts = [] if module is None else module.body
+    if _declaration_ratio(stmts) >= 0.5:
         return SemanticRole.SCHEMA
 
     fault_units, seen = [], set()
@@ -219,9 +220,9 @@ def per_segment_role(segment, faults, tree):
     fault_modules = [_parse_segment(t) for t in fault_texts]
     fault_calls = frozenset().union(*(_called_names(m) for m in fault_modules))
     fault_ids = frozenset().union(*(lex_identifiers(t) for t in fault_texts))
-    fault_defs = frozenset().union(*(_defined_names(m) for m in fault_modules))
+    fault_defs = frozenset().union(*(_defined_names(m.body) for m in fault_modules if m is not None))
 
-    defined = _defined_names(module)
+    defined = _defined_names(stmts)
     if defined & (fault_ids - fault_calls):
         return SemanticRole.DEFINITION
     if _called_names(module) & fault_defs or defined & fault_calls:

@@ -50,6 +50,15 @@ def test_json_value_returns_the_same_object_exactly_when_the_type_matches(value,
             json_value(value, kind, "field")
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_a_non_finite_number_is_no_json_number(text):
+    value = json.loads(text)
+    with pytest.raises(ValueError, match="^n must be a finite JSON number"):
+        json_value(value, float, "n")
+    with pytest.raises(ValueError, match="^n must be a JSON integer"):
+        json_value(value, int, "n")
+
+
 @given(flag=st.booleans(), kind=st.sampled_from([int, float]))
 def test_a_boolean_is_never_a_number(flag, kind):
     with pytest.raises(ValueError):

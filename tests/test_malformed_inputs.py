@@ -7,7 +7,9 @@ on with the next instance.  An instance file that is not UTF-8, is a
 directory or holds a value of the wrong JSON type is bad input like one
 that is not JSON: exit 2, and a batch stops before it distills anything.
 A config file or corpus that does not read, decode or parse, or a config
-value of the wrong JSON type, exits 2 naming the file.  A corpus record
+value of the wrong JSON type, exits 2 naming the file.  A number that is
+NaN or infinite, in a config file, a ``--set`` override or ``--rate``,
+exits 2 naming its key or flag.  A corpus record
 whose ids, flags, counts, lines, kept ids, status, provenance, fault
 locations or segment fields have the wrong JSON type is a corpus format
 error (exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so
@@ -200,7 +202,12 @@ CONFIG_FAULTS = {
     "fractional-parallelism": b'{"parallelism": 2.7}',
     "not-utf8": b'{"paths": {"traces": "\xff"}}',
     "a-directory": None,
+    "nan-weight": b'{"weights": {"w_p": NaN}}',
+    "infinite-rate": b'{"compression": {"rate": Infinity}}',
+    "overflowing-weight": b'{"weights": {"w_c": 1e999}}',
 }
+# fault -> the key its error must name, where there is one
+CONFIG_FAULT_KEYS = {"nan-weight": "weights.w_p", "infinite-rate": "compression.rate", "overflowing-weight": "weights.w_c"}
 
 
 @pytest.mark.parametrize("fault", CONFIG_FAULTS)
@@ -214,8 +221,28 @@ def test_a_config_file_with_a_fault_exits_2(tmp_path, monkeypatch, capsys, fault
         config.write_bytes(CONFIG_FAULTS[fault])
     corpus = tmp_path / "corpus.jsonl"
     assert _run(["--config", config, "--no-trace", "distill", instance, "--out", corpus]) == EXIT_USAGE
-    assert str(config) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(config) in err and CONFIG_FAULT_KEYS.get(fault, "") in err
     assert not corpus.exists()
+
+
+# case -> (options before and after ``compress``, the key or flag the error must name)
+NON_FINITE_OPTIONS = {
+    "set-nan-weight": (["--set", "weights.w_p=nan"], [], "weights.w_p"),
+    "set-infinite-rate": (["--set", "compression.rate=inf"], [], "compression.rate"),
+    "nan-rate": ([], ["--rate", "nan"], "--rate"),
+    "infinite-rate": ([], ["--rate", "inf"], "--rate"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_OPTIONS)
+def test_a_non_finite_number_on_the_command_line_exits_2(tmp_path, capsys, case):
+    before, after, name = NON_FINITE_OPTIONS[case]
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    out = tmp_path / "o.txt"
+    assert _run([*before, "compress", instance, *after, "--out", out]) == EXIT_USAGE
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 # fault -> the corpus file's bytes, or None for a directory

@@ -71,7 +71,7 @@ def frozen_fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> Fault
     return FaultFacts(
         calls=frozenset().union(*(_called_names(m) for m in modules)),
         identifiers=frozenset().union(*(lex_identifiers(t) for t in texts)),
-        defined=frozenset().union(*(_defined_names(m) for m in modules)),
+        defined=frozenset().union(*(_defined_names(m.body) for m in modules if m is not None)),
     )
 
 

@@ -18,6 +18,10 @@ median wall time and host scale behind the rescaled timings) and,
 per workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won (ties count for neither side) and the
 change of the median.  Which way is better comes from ``BENCHMARK.json``.
+The summary it prints ends, per workload, with whether the two sides'
+digests agree and how many runs and instances failed on each side.
+``host`` records ``sys.flags.dont_write_bytecode``: with it set, every
+``setup_s`` probe compiles the package from source.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ def spread(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
     """Per workload: each end-to-end metric's spread per side, the pairs
-    the change won and the relative change of the median; the digests and
-    failure counts each side saw."""
+    the change won and the relative change of the median; the digests,
+    failed runs (a non-zero exit) and failed instances each side saw."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -105,6 +109,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
             side_runs = [p[side] for p in complete]
             row[f"{side}_digests"] = sorted({r["digest"][:16] for r in side_runs})
             row[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
+            row[f"{side}_failed_runs"] = sum(r["exit"] != 0 for r in side_runs)
             row[f"{side}_attempted"] = sum(r["attempted"] for r in side_runs)
         summary[workload] = row
     return summary
@@ -130,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "command": f"perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": len(os.sched_getaffinity(0))},
+                 "cpus": len(os.sched_getaffinity(0)), "dont_write_bytecode": sys.flags.dont_write_bytecode},
         "summary": {},
         "runs": [],
     }
@@ -158,6 +163,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{m['parent']['q3']:.6g}]  change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
                 f"{m['change']['q3']:.6g}]  {m['median_change']:+.1%}  change won {m['change_wins']}/{row['pairs']}"
             )
+        agree = "agree" if row["parent_digests"] == row["change_digests"] else "differ"
+        failures = "  ".join(
+            f"{side} {row[f'{side}_failed_runs']}/{row['pairs']} runs, "
+            f"{row[f'{side}_failed']}/{row[f'{side}_attempted']} instances failed"
+            for side in SIDES
+        )
+        print(f"{workload} digests {agree} (parent {row['parent_digests']}, change {row['change_digests']})  {failures}")
     print(f"wrote {out}")
     return 0
 
