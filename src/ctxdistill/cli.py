@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .code_model import segment_records
 from .compressor import (
+    CompressionBudget,
     HeuristicScorer,
     RemoteScorer,
     ScorerUnavailableError,
@@ -165,8 +165,10 @@ def _cmd_distill(args, config: RunConfig) -> int:
 
 def _cmd_compress(args, config: RunConfig) -> int:
     rate = args.rate if args.rate is not None else config.compression.rate
-    if not 1 < rate < math.inf:
-        print(f"error: --rate must be a finite number > 1, not {rate}", file=sys.stderr)
+    try:
+        CompressionBudget.from_rate(0, rate)  # from_rate owns the rate rule
+    except ValueError as exc:
+        print(f"error: --rate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     instance = load_instance(args.instance)
     tree = build_instance_tree(instance)

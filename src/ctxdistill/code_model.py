@@ -8,7 +8,7 @@ no children are the *segments* -- the atomic pieces everything downstream
 scores, retains, or drops.
 
 The leaf spans of a file partition its lines exactly, by the grouping and
-partition rules stated on ``_Entry``, so re-emitting every leaf in
+partition rules stated on ``decompose``, so re-emitting every leaf in
 document order reproduces the file byte for byte.
 """
 
@@ -30,9 +30,14 @@ _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 def split_lines(text: str, keepends: bool = False) -> list[str]:
     """Split ``text`` into lines the way ``ast`` numbers them: only at
-    ``\\n``, ``\\r\\n`` and ``\\r``, so a form feed stays inside its line."""
-    lines = _LINE_RE.findall(text)
-    return lines if keepends else [line.rstrip("\r\n") for line in lines]
+    ``\\n``, ``\\r\\n`` and ``\\r``, so a form feed stays inside its line.
+    A break that ends the text starts no line."""
+    if keepends:
+        return _LINE_RE.findall(text)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 class Level(str, Enum):
@@ -211,32 +216,6 @@ _BLOCK_KINDS = {
 _OnLeaf = Callable[[CodeUnit, Sequence[ast.stmt]], None]
 
 
-@dataclass
-class _Entry:
-    """A line range and the segment kind it becomes.  ``stmt`` is set only
-    for top-level functions and methods, whose bodies may split further.
-    ``stmts`` are the top-level statements a parse of the entry's text on
-    its own sees (see ``decompose``).
-
-    Grouping (``_group``): in a module, class or function body each
-    statement either forms entries of its own -- a definition, or in a
-    function a compound statement -- or joins the run of plain statements
-    around it, and each run becomes one entry.  The entries of a class or
-    function body also cover its signature (``_signed``).
-
-    Partition (``_spans``): each entry's unit runs from the line after the
-    previous entry's end to its own end, and the last one to the end of
-    its parent, so blank lines and comments go to the unit after them and
-    trailing ones to the last unit.
-    """
-
-    start: int
-    end: int
-    kind: SegmentKind
-    stmt: ast.stmt | None = None
-    stmts: Sequence[ast.stmt] = ()
-
-
 def _definition_start(stmt: ast.stmt) -> int:
     deco = getattr(stmt, "decorator_list", None)
     if deco:
@@ -249,57 +228,32 @@ _ID_CHARS = 64
 _ID_LINES = 4
 
 
-def _unit_id(path: str, level: Level, kind: SegmentKind | None, span: Span, lines: list[str]) -> str:
-    """Hash of the unit's path, level, kind, span and the first 64
-    characters of its text with each whitespace run made one space.
-
-    Lines are joined by a line break, which is whitespace, so no word
-    spans two lines, and the first lines of the span give those
-    characters as soon as they normalise to at least 64: the first
-    ``_ID_LINES`` lines, twice as many while they fall short, and at
-    most the whole span."""
-    start, end = span.start_line - 1, span.end_line
-    count = _ID_LINES
-    while True:
-        stop = min(start + count, end)
-        norm = " ".join("\n".join(lines[start:stop]).split())
-        if len(norm) >= _ID_CHARS or stop == end:
-            break
-        count *= 2
-    key = f"{path}|{_TAGS[level]}|{_TAGS[kind]}|{span.start_line}:{span.end_line}|{norm[:_ID_CHARS]}"
-    return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
-
-
-def _span_text(lines: list[str], span: Span) -> str:
-    return "\n".join(lines[span.start_line - 1 : span.end_line])
-
-
-def _make_unit(
-    path: str, lines: list[str], level: Level, kind: SegmentKind | None, span: Span
-) -> CodeUnit:
-    unit_id = _unit_id(path, level, kind, span, lines)
-    return CodeUnit(id=unit_id, level=level, kind=kind, span=span, path=path)
-
-
-def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[_Entry]:
+def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[tuple]:
     """The entries of a body: ``own(stmt)`` returns the entries a statement
     forms by itself, or ``None`` if it joins the run of plain statements
-    around it; each run becomes one ``run_kind`` entry."""
-    entries: list[_Entry] = []
+    around it; each run becomes one ``run_kind`` entry.
+
+    An entry is ``(start, end, kind, stmt, stmts)``: a line range, the
+    segment kind it becomes, the function whose body may split further
+    (set only for top-level functions and methods) and the statements
+    ``on_leaf`` gets for it."""
+    entries: list[tuple] = []
     run: list[ast.stmt] = []
-    for stmt in [*stmts, None]:
-        formed = [] if stmt is None else own(stmt)
+    for stmt in stmts:
+        formed = own(stmt)
         if formed is None:
             run.append(stmt)
             continue
         if run:
-            entries.append(_Entry(run[0].lineno, run[-1].end_lineno, run_kind, stmts=run))
+            entries.append((run[0].lineno, run[-1].end_lineno, run_kind, None, run))
             run = []
-        entries.extend(formed)
+        entries += formed
+    if run:
+        entries.append((run[0].lineno, run[-1].end_lineno, run_kind, None, run))
     return entries
 
 
-def _signed(node: ast.stmt, entries: list[_Entry], kind: SegmentKind) -> list[_Entry]:
+def _signed(node: ast.stmt, entries: list[tuple], kind: SegmentKind) -> list[tuple]:
     """Make the entries of ``node``'s body cover its signature, decorators
     included: a body that opens with a definition gets a ``kind`` entry
     for the signature, otherwise its first entry is extended to it.  A
@@ -307,86 +261,42 @@ def _signed(node: ast.stmt, entries: list[_Entry], kind: SegmentKind) -> list[_E
     as ``node``."""
     start = _definition_start(node)
     if isinstance(node.body[0], _DEFINITION):
-        entries.insert(0, _Entry(start, entries[0].start - 1, kind))
+        entries.insert(0, (start, entries[0][0] - 1, kind, None, ()))
     else:
-        entries[0].start = start
-        entries[0].stmts = [node]
+        _, end, first_kind, stmt, _ = entries[0]
+        entries[0] = (start, end, first_kind, stmt, [node])
     return entries
 
 
-def _definitions(def_kind: SegmentKind, stmt: ast.stmt) -> list[_Entry] | None:
+def _definitions(def_kind: SegmentKind, stmt: ast.stmt) -> list[tuple] | None:
     """``own`` for module and class bodies: a function is one ``def_kind``
     entry that may split further; a class flattens into its header runs
     and its members."""
     if isinstance(stmt, _DEF):
-        return [_Entry(_definition_start(stmt), stmt.end_lineno, def_kind, stmt, [stmt])]
+        return [(_definition_start(stmt), stmt.end_lineno, def_kind, stmt, [stmt])]
     if isinstance(stmt, ast.ClassDef):
-        own = partial(_definitions, SegmentKind.METHOD)
-        members = _group(stmt.body, SegmentKind.CLASS_HEADER, own)
-        return _signed(stmt, members, SegmentKind.CLASS_HEADER)
+        return _signed(stmt, _group(stmt.body, SegmentKind.CLASS_HEADER, _member), SegmentKind.CLASS_HEADER)
     return None
 
 
-def _block(stmt: ast.stmt) -> list[_Entry] | None:
+_top_level = partial(_definitions, SegmentKind.FUNCTION)
+_member = partial(_definitions, SegmentKind.METHOD)
+
+
+def _block(stmt: ast.stmt) -> list[tuple] | None:
     """``own`` for function bodies: a nested definition or a compound
     statement is one block; nested bodies do not split further."""
     kind = _BLOCK_KINDS.get(type(stmt))
-    return None if kind is None else [_Entry(_definition_start(stmt), stmt.end_lineno, kind, stmts=[stmt])]
+    return None if kind is None else [(_definition_start(stmt), stmt.end_lineno, kind, None, [stmt])]
 
 
-def _spans(entries: list[_Entry], first: int, last: int) -> list[Span]:
-    """The spans of ``entries`` over lines ``first..last`` by the partition
-    rule (see ``_Entry``)."""
-    spans = []
-    for entry in entries[:-1]:
-        spans.append(Span(first, entry.end))
-        first = entry.end + 1
-    return spans + [Span(first, last)]
-
-
-def _adopt(parent: CodeUnit, children: list[CodeUnit]) -> None:
-    for child in children:
-        child.parent_id = parent.id
-        parent.child_ids.append(child.id)
-
-
-def _ends_in_backslash(lines: list[str], span: Span) -> bool:
-    """Whether the last non-blank line of ``span`` ends in a backslash: a
-    line continuation there runs past the end of the text, so the text may
-    not parse on its own."""
-    end = span.end_line
-    while end > span.start_line and not lines[end - 1].strip():
+def _ends_in_backslash(lines: list[str], start: int, end: int) -> bool:
+    """Whether the last non-blank line of lines ``start..end`` ends in a
+    backslash: a line continuation there runs past the end of the text,
+    so the text may not parse on its own."""
+    while end > start and not lines[end - 1].strip():
         end -= 1
     return lines[end - 1].endswith("\\")
-
-
-def _leaf(
-    path: str, lines: list[str], level: Level, entry: _Entry, span: Span, on_leaf: _OnLeaf | None
-) -> CodeUnit:
-    unit = _make_unit(path, lines, level, entry.kind, span)
-    if on_leaf is not None and not _ends_in_backslash(lines, span):
-        on_leaf(unit, entry.stmts)
-    return unit
-
-
-def _build(
-    path: str, lines: list[str], entry: _Entry, span: Span, on_leaf: _OnLeaf | None
-) -> list[CodeUnit]:
-    """The units of one function-level entry, in preorder: a leaf, or a
-    function whose body, signature included, forms more than one block,
-    over its block leaves."""
-    if entry.stmt is not None:
-        parts = _group(entry.stmt.body, SegmentKind.BLOCK, _block)
-        parts = _signed(entry.stmt, parts, SegmentKind.BLOCK)
-        if len(parts) > 1:
-            func = _make_unit(path, lines, Level.FUNCTION, None, span)
-            blocks = [
-                _leaf(path, lines, Level.BLOCK, part, part_span, on_leaf)
-                for part, part_span in zip(parts, _spans(parts, span.start_line, span.end_line))
-            ]
-            _adopt(func, blocks)
-            return [func, *blocks]
-    return [_leaf(path, lines, Level.FUNCTION, entry, span, on_leaf)]
 
 
 def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[CodeUnit]:
@@ -396,6 +306,25 @@ def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[Co
     is one file-kind leaf over the whole file, and so is an unparseable
     one, flagged with ``meta['fallback']``.  Empty sources yield a bare
     file unit.
+
+    Grouping: in a module, class or function body each statement either
+    forms units of its own -- a definition, or in a function a compound
+    statement -- or joins the run of plain statements around it, and each
+    run becomes one unit.  A class flattens into its header runs and its
+    members; a top-level function or method whose body, signature
+    included, forms more than one block becomes a function unit over its
+    block leaves.  The units of a class or function body also cover its
+    signature: a body that opens with a definition gets a unit for the
+    bare signature, otherwise its first unit is extended to it.
+
+    Partition: each unit runs from the line after the previous sibling
+    ends to the last line of its own statements (or signature), and the
+    last one to the end of its parent, so blank lines and comments go to
+    the unit after them and trailing ones to the last unit.  The leaf
+    spans of a file therefore partition its lines.
+
+    A unit's id hashes its path, level, kind, span and the first 64
+    characters of its text with each whitespace run made one space.
 
     ``on_leaf(unit, stmts)`` is called for each leaf with the top-level
     statements that ``ast.parse`` of the leaf's text on its own (after
@@ -423,11 +352,53 @@ def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[Co
 
 
 def _decompose(path: str, source: str, on_leaf: _OnLeaf | None) -> tuple[list[CodeUnit], list[str]]:
-    """``decompose``'s units, and the lines it split the source into."""
-    if source == "":
-        return [_make_unit(path, [], Level.FILE, None, Span(1, 1))], []
+    """``decompose``'s units, and the lines it split the source into.
 
-    lines = split_lines(source)
+    ``add`` makes each unit.  Its id text normalises the span's first
+    ``_ID_LINES`` lines, twice as many while they give fewer than 64
+    characters, and at most the whole span: lines are joined by a line
+    break, which is whitespace, so no word spans two lines."""
+    lines = split_lines(source) if source else []
+    units: list[CodeUnit] = []
+
+    def add(level, kind, start, end, parent, stmts=None) -> CodeUnit:
+        count = _ID_LINES
+        while True:
+            stop = min(start - 1 + count, end)
+            norm = " ".join("\n".join(lines[start - 1 : stop]).split())
+            if len(norm) >= _ID_CHARS or stop == end:
+                break
+            count *= 2
+        key = f"{path}|{_TAGS[level]}|{_TAGS[kind]}|{start}:{end}|{norm[:_ID_CHARS]}"
+        unit_id = hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
+        span = Span(start, end)
+        unit = CodeUnit(unit_id, level, kind, span, path, None if parent is None else parent.id)
+        if parent is not None:
+            parent.child_ids.append(unit_id)
+        units.append(unit)
+        if stmts is not None and on_leaf is not None and not _ends_in_backslash(lines, start, end):
+            on_leaf(unit, stmts)
+        return unit
+
+    def place(entries: list[tuple], level: Level, first: int, last: int, parent: CodeUnit) -> None:
+        """The units of ``entries`` over lines ``first..last``, in preorder,
+        by the partition rule."""
+        final = len(entries) - 1
+        for i, (_, end, kind, stmt, stmts) in enumerate(entries):
+            if i == final:
+                end = last
+            parts = ()
+            if stmt is not None:
+                parts = _signed(stmt, _group(stmt.body, SegmentKind.BLOCK, _block), SegmentKind.BLOCK)
+            if len(parts) > 1:
+                place(parts, Level.BLOCK, first, end, add(Level.FUNCTION, None, first, end, parent))
+            else:
+                add(level, kind, first, end, parent, stmts)
+            first = end + 1
+
+    if not lines:
+        add(Level.FILE, None, 1, 1, None)
+        return units, lines
     try:
         body = ast.parse(source).body
     except (SyntaxError, ValueError):
@@ -436,15 +407,9 @@ def _decompose(path: str, source: str, on_leaf: _OnLeaf | None) -> tuple[list[Co
         on_leaf = None
     # TODO: split import runs into their own fragments so imports can be
     # retained or dropped independently of neighbouring top-level code
-    own = partial(_definitions, SegmentKind.FUNCTION)
-    entries = _group(body or [], SegmentKind.FILE, own) or [_Entry(1, len(lines), SegmentKind.FILE)]
-
-    file_unit = _make_unit(path, lines, Level.FILE, None, Span(1, len(lines)))
-    units = [file_unit]
-    for entry, span in zip(entries, _spans(entries, 1, len(lines))):
-        built = _build(path, lines, entry, span, on_leaf)
-        _adopt(file_unit, built[:1])
-        units += built
+    last = len(lines)
+    entries = _group(body or [], SegmentKind.FILE, _top_level) or [(1, last, SegmentKind.FILE, None, ())]
+    place(entries, Level.FUNCTION, 1, last, add(Level.FILE, None, 1, last, None))
     if body is None:
         units[1].meta["fallback"] = True
     return units, lines
@@ -509,7 +474,8 @@ def leaf_segments(tree: UnitTree) -> list[CodeUnit]:
 def unit_text(tree: UnitTree, unit: CodeUnit | str) -> str:
     if isinstance(unit, str):
         unit = tree.unit(unit)
-    return _span_text(tree.lines[unit.path], unit.span)
+    span = unit.span
+    return "\n".join(tree.lines[unit.path][span.start_line - 1 : span.end_line])
 
 
 def ancestors(tree: UnitTree, unit_id: str) -> list[str]:

@@ -28,7 +28,7 @@ from typing import Callable, Protocol, Sequence
 
 from .code_model import CodeUnit, UnitTree, leaf_segments, split_lines, unit_text, upward_closure
 from .instance import Instance, StructuredQuery, build_query, fault_units
-from .priority import lex_identifiers
+from .priority import identifiers_in
 from .render import RenderedContext, render, render_full
 from .tokens import count_tokens
 
@@ -62,13 +62,19 @@ class CompressionBudget:
 
     @classmethod
     def from_rate(cls, initial_tokens: int, target_rate: float) -> "CompressionBudget":
-        if target_rate <= 1:
-            raise ValueError("compression rate must be > 1")
+        """The rate rule's one home, which the CLI and the config call: a
+        rate that is not a finite number > 1 raises ``ValueError``."""
+        if not 1 < target_rate < math.inf:
+            raise ValueError(f"compression rate must be a finite number > 1, not {target_rate}")
         return cls(target_rate, math.floor(initial_tokens / target_rate))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScoredSegment:
+    """One leaf's score and tiebreaks.  Per-leaf records (this one,
+    ``SegmentRecord``, ``RoleFacts``) are not frozen: a frozen dataclass
+    pays ``object.__setattr__`` per field, and none of them is hashed."""
+
     unit_id: str
     score: float
     token_cost: int
@@ -107,9 +113,9 @@ def _near_fault(unit: CodeUnit, query: StructuredQuery, enclosing: Sequence[Code
 def _score(
     query: StructuredQuery, text: str, unit: CodeUnit | None, enclosing: Sequence[CodeUnit | None]
 ) -> float:
-    issue_ids = query.issue_identifiers
+    issue_ids = query.issue_identifiers  # lexed, so without keywords
     if issue_ids:
-        overlap = len(lex_identifiers(text) & issue_ids) / len(issue_ids)
+        overlap = len(identifiers_in(text, issue_ids)) / len(issue_ids)
     else:
         overlap = 0.0
     fault = 1.0 if unit is not None and _near_fault(unit, query, enclosing) else 0.0

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .compressor import WindowConfig
+from .compressor import CompressionBudget, WindowConfig
 from .ga_search import GAConfig
 from .oracle import OracleConfig
 from .priority import PriorityWeights, json_field, json_value, read_json
@@ -29,8 +29,10 @@ class CompressionConfig:
     stride_tokens: int = 256
 
     def __post_init__(self) -> None:
-        if self.rate <= 1:
-            raise ConfigError("compression rate must be > 1")
+        try:
+            CompressionBudget.from_rate(0, self.rate)  # from_rate owns the rate rule
+        except ValueError as exc:
+            raise ConfigError(f"compression.rate: {exc}") from None
         self.window_config()  # WindowConfig owns the window rule
 
     def window_config(self) -> WindowConfig:

@@ -48,7 +48,7 @@ class SemanticRole(str, Enum):
     GENERIC_UTILITY = "generic_utility"
 
 
-@dataclass(frozen=True)
+@dataclass
 class SegmentRecord:
     id: str
     path: str
@@ -257,7 +257,7 @@ def _declaration_ratio(stmts: Sequence[ast.stmt]) -> float:
     return decls / len(stmts)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoleFacts:
     """What the role rules read of a segment's own code."""
 

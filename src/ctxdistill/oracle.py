@@ -109,7 +109,8 @@ def make_verdict(
 
 
 def verdict_cache_key(instance_id: str, included_leaf_ids: Iterable[str]) -> str:
-    """Deterministic key over the instance and the sorted leaf-id set."""
+    """Deterministic key over the instance and the sorted leaf-id set: a
+    candidate's ``candidate_hash`` in the ddmin trace."""
     payload = instance_id + "\x00" + "\n".join(sorted(included_leaf_ids))
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
@@ -151,7 +152,11 @@ class OracleSession:
 
     ``fresh=True`` bypasses the cache lookup (the verdict is still
     stored), which the certification sweep uses to re-test with new
-    evaluations.  Cache hits do not count against the budget.
+    evaluations.  Cache hits do not count against the budget.  The cache
+    is keyed by the leaf-id frozenset, which hashes once per set object,
+    so it keeps every evaluated set alive until the session goes: memory
+    grows with evaluations times leaves, at most ``eval_budget`` sets
+    (about 10 MB for 300 sets of 860 ids).
     """
 
     def __init__(self, oracle: Oracle, instance_id: str, config: OracleConfig | None = None):
@@ -159,11 +164,11 @@ class OracleSession:
         self.instance_id = instance_id
         self.config = config or OracleConfig()
         self.invocations = 0
-        self._cache: dict[str, OracleVerdict] = {}
+        self._cache: dict[frozenset[str], OracleVerdict] = {}
         self._lock = Lock()
 
     def evaluate(self, included_leaf_ids: frozenset[str], fresh: bool = False) -> OracleVerdict:
-        key = verdict_cache_key(self.instance_id, included_leaf_ids)
+        key = frozenset(included_leaf_ids)
         if self.config.cache_enabled and not fresh:
             with self._lock:
                 cached = self._cache.get(key)

@@ -157,6 +157,12 @@ def lex_identifiers(text: str) -> frozenset[str]:
     return frozenset(_IDENT_RE.findall(text)) - _KEYWORDS
 
 
+def identifiers_in(text: str, names: frozenset[str]) -> frozenset[str]:
+    """``lex_identifiers(text) & names`` for ``names`` without keywords,
+    without building the text's whole identifier set."""
+    return names.intersection(_IDENT_RE.findall(text))
+
+
 @dataclass
 class Hunk:
     """One ``@@`` hunk: its old-side start and length, its body lines,
@@ -307,10 +313,9 @@ def priority_map(
     identifier spans a line break, so the patch identifiers a unit's
     text mentions are exactly the union of those its leaves mention (an
     empty file's unit has no leaves and mentions none)."""
-    if patch.identifiers:
-        leaf_matched = [
-            lex_identifiers(unit_text(tree, leaf)) & patch.identifiers for leaf in tree.leaves
-        ]
+    targets = patch.identifiers - _KEYWORDS
+    if targets:
+        leaf_matched = [identifiers_in(unit_text(tree, leaf), targets) for leaf in tree.leaves]
     else:
         leaf_matched = [frozenset()] * len(tree.leaves)
     scores = {}

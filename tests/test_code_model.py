@@ -245,3 +245,15 @@ def test_split_lines_breaks_only_where_ast_does(text):
         expected.pop()
     assert split_lines(text) == expected
     assert [line.rstrip("\r\n") for line in kept] == expected
+
+
+# the definition split_lines must keep: a line ends at \r\n, \r or \n
+LINE_DEFINITION = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+LINE_PIECES = ["a", " ", "\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x85", "\u2028"]
+
+
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join))
+def test_split_lines_equals_its_definition(text):
+    lines = LINE_DEFINITION.findall(text)
+    assert split_lines(text, keepends=True) == lines
+    assert split_lines(text) == [line.rstrip("\r\n") for line in lines]

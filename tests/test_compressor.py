@@ -1,5 +1,6 @@
 """Query building, scoring, windowing, greedy selection, and compression."""
 
+import math
 import random
 
 import pytest
@@ -273,6 +274,12 @@ def test_compression_budget_validation():
     assert budget.budget_tokens == 200
 
 
+@pytest.mark.parametrize("rate", [1.0, 0.5, math.inf, -math.inf, math.nan])
+def test_from_rate_takes_only_a_finite_rate_above_1(rate):
+    with pytest.raises(ValueError, match="finite number > 1"):
+        CompressionBudget.from_rate(1000, rate)
+
+
 def _fixture_instance(tmp_path, files, issue="compute sum wrong", faults=()):
     write_repo(tmp_path / "repo", files)
     return Instance(
@@ -321,6 +328,15 @@ def test_compress_end_to_end_with_heuristic(tmp_path):
     # the compressed context never invents segments
     initial_leaves = {s.id for s in leaf_segments(tree)}
     assert set(result.selected_segment_ids) <= initial_leaves
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_compress_refuses_a_rate_that_is_not_finite(tmp_path, rate):
+    files = {"calc.py": "def compute_sum(values):\n    return sum(values)\n"}
+    instance = _fixture_instance(tmp_path, files)
+    tree = build_tree(instance.instance_id, [(p, text) for p, text in files.items()])
+    with pytest.raises(ValueError, match="finite number > 1"):
+        compress(instance, tree, HeuristicScorer(tree), rate=rate)
 
 
 def test_compress_rate_near_one_keeps_everything(tmp_path):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from ctxdistill.instance import FaultLocation, Instance
 from ctxdistill.code_model import build_tree, leaf_segments, split_lines, upward_closure
+from ctxdistill.hdd import minimize
 from ctxdistill.oracle import (
     LLMOracle,
     MockOracle,
@@ -39,7 +40,7 @@ from ctxdistill.oracle import (
 from ctxdistill.priority import parse_diff, parse_patch
 from ctxdistill.render import render
 
-from fixtures import FORM_FEED_SOURCE, write_repo
+from fixtures import FORM_FEED_SOURCE, module_with_functions, write_repo
 
 
 def test_mock_oracle_superset_rule():
@@ -117,6 +118,66 @@ def test_session_budget_exhaustion():
         session.evaluate(frozenset({"leaf99"}))
     # cache hits stay free
     assert session.evaluate(frozenset({"leaf0"})).cache_hit
+
+
+def test_one_leaf_set_built_in_two_orders_is_one_cache_entry():
+    ids = [f"leaf{i}" for i in range(300)]
+    oracle = MockOracle(required={"leaf7"})
+    session = OracleSession(oracle, "inst", OracleConfig(eval_budget=1))
+    first = frozenset(ids)
+    again = frozenset(reversed(ids))
+    assert first is not again
+    assert not session.evaluate(first).cache_hit
+    # the budget is spent: only a cache hit can answer now
+    verdict = session.evaluate(again)
+    assert verdict.cache_hit and verdict.sufficient
+    assert oracle.calls == 1 and session.invocations == 1
+
+
+class _FlippingOracle:
+    """Insufficient on its first call, sufficient on every later one."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, included_leaf_ids):
+        self.calls += 1
+        ok = self.calls > 1
+        return make_verdict(int(ok), 1, 0.5)
+
+
+def test_a_fresh_evaluation_bypasses_the_cache_and_stores_its_verdict():
+    oracle = _FlippingOracle()
+    session = OracleSession(oracle, "inst")
+    leaves = frozenset({"a", "b"})
+    assert not session.evaluate(leaves).sufficient
+    fresh = session.evaluate(frozenset({"b", "a"}), fresh=True)
+    assert fresh.sufficient and not fresh.cache_hit
+    stored = session.evaluate(leaves)
+    assert stored.cache_hit and stored.sufficient
+    # a set first seen fresh is stored too
+    session.evaluate(frozenset({"c"}), fresh=True)
+    assert session.evaluate(frozenset({"c"})).cache_hit
+    assert oracle.calls == session.invocations == 3
+
+
+def test_minimize_traces_each_candidate_by_its_verdict_cache_key():
+    tree = build_tree("t", [("m.py", module_with_functions(4))])
+    leaves = [seg.id for seg in leaf_segments(tree)]
+    session = OracleSession(MockOracle(leaves[2:4]), "inst-7")
+    candidates = []
+    evaluate = session.evaluate
+
+    def recording(candidate, fresh=False):
+        candidates.append(candidate)
+        return evaluate(candidate, fresh=fresh)
+
+    session.evaluate = recording
+    trace = []
+    minimize(frozenset(leaves), tree, session, dict.fromkeys(tree.unit_order, 0.0), trace=trace.append)
+    assert len(trace) == len(candidates) > 3
+    for record, candidate in zip(trace, candidates):
+        assert record["candidate_hash"] == verdict_cache_key("inst-7", candidate)
 
 
 # --- unified diff application ----------------------------------------------

@@ -43,7 +43,7 @@ from ctxdistill.compressor import (
     split_windows,
 )
 from ctxdistill.instance import FaultLocation, Instance, build_query
-from ctxdistill.priority import _IDENT_RE, _KEYWORDS, lex_identifiers
+from ctxdistill.priority import _IDENT_RE, _KEYWORDS, identifiers_in, lex_identifiers
 from ctxdistill.render import render, render_full
 from ctxdistill.tokens import count_tokens
 
@@ -309,6 +309,15 @@ def test_heuristic_score_matches_frozen_score(case):
 )
 def test_lex_identifiers_matches_finditer(text):
     assert lex_identifiers(text) == finditer_lex_identifiers(text)
+
+
+@SETTINGS
+@given(
+    st.lists(st.sampled_from([*NAMES, "def", "class", "None", "x1", "_", "9a", " ", "\n"])).map("".join),
+    st.frozensets(st.sampled_from([*NAMES, "x1", "_", "a"])),
+)
+def test_identifiers_in_is_the_lexed_set_met_with_the_names(text, names):
+    assert identifiers_in(text, names) == finditer_lex_identifiers(text) & names
 
 
 @SETTINGS

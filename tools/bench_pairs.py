@@ -22,6 +22,14 @@ The summary it prints ends, per workload, with whether the two sides'
 digests agree and how many runs and instances failed on each side.
 ``host`` records ``sys.flags.dont_write_bytecode``: with it set, every
 ``setup_s`` probe compiles the package from source.
+
+After the pairs, each workload runs once more on each side with
+``--seconds 2 --trace 1``.  A traced run checks what the timed runs do
+not: that the self times of the traced layers add up to each instance's
+time, which a public function called outside the ``bench.instance`` span
+breaks.  ``traced`` records each such run's exit status and the checks
+that failed, the summary prints them, and the exit status is 1 when a
+traced run of the change side failed.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_SECONDS = 2
 
 
 def git(*args: str) -> str:
@@ -75,6 +84,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "wall_p50_s": report["wall_p50_s"],
         "host_scale": report["host_scale"],
     }
+
+
+def run_traced(checkout: Path, workload: str, seed: int) -> dict:
+    """One traced run in ``checkout``: its exit status and failed checks."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(TRACED_SECONDS), "--trace", "1"],
+        cwd=checkout, capture_output=True, text=True, timeout=30 * TRACED_SECONDS + 600,
+    )
+    failures = [line for line in proc.stderr.splitlines() if line.startswith("check failed")]
+    if proc.returncode and not failures:
+        failures = proc.stderr.splitlines()[-1:]
+    return {"exit": proc.returncode, "failures": failures}
 
 
 def spread(values: list[float]) -> dict:
@@ -154,6 +176,14 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"pair {pair} {workload} {side}: instance_s.p50={p50:.6g} s", flush=True)
                     # written after every run, so an interrupted session keeps what it measured
                     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        result["traced_command"] = f"perfbench/run.py --workload W --seed {args.seed} --seconds {TRACED_SECONDS} --trace 1"
+        result["traced"] = []
+        for workload in args.workload:
+            for side in SIDES:
+                traced = run_traced(checkouts[side], workload, args.seed)
+                result["traced"].append({"workload": workload, "side": side, **traced})
+                print(f"traced {workload} {side}: exit {traced['exit']}", flush=True)
+                out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     result["summary"] = summarize(result["runs"], metrics)
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for workload, row in result["summary"].items():
@@ -170,8 +200,11 @@ def main(argv: list[str] | None = None) -> int:
             for side in SIDES
         )
         print(f"{workload} digests {agree} (parent {row['parent_digests']}, change {row['change_digests']})  {failures}")
+    for run in result["traced"]:
+        failures = "".join(f"\n    {line}" for line in run["failures"])
+        print(f"traced {run['workload']} {run['side']}: exit {run['exit']}{failures}")
     print(f"wrote {out}")
-    return 0
+    return int(any(run["exit"] for run in result["traced"] if run["side"] == "change"))
 
 
 if __name__ == "__main__":
