@@ -130,35 +130,39 @@ def _cmd_distill(args, config: RunConfig) -> int:
     else:
         paths = [args.instance]
 
-    instances = [load_instance(p) for p in paths]
     trace_dir = None if args.no_trace else Path(config.paths.traces)
 
-    def run(instance):
-        """The instance's outcome, or, in a batch, the input error that
-        stopped it, so that one bad instance does not lose the others."""
+    def run(path):
+        """The instance's id and outcome.  In a batch the outcome may be the
+        input error that stopped the instance, a bad instance file's
+        included, so one bad instance does not lose the others; an
+        instance file that did not load is named by its path."""
+        label = path
         try:
-            return distill_instance(
+            instance = load_instance(path)
+            label = instance.instance_id
+            return label, distill_instance(
                 instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
             )
         except _INPUT_ERRORS as exc:
             if not args.batch:
                 raise
-            return exc
+            return label, exc
 
     # map yields in input order, so records append in instance order; a
     # serial run stays on this thread, so Ctrl-C or an error stops it at once
     partial = False
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        serial = config.parallelism == 1 or len(instances) == 1
-        for instance, outcome in zip(instances, (map if serial else pool.map)(run, instances)):
+        serial = config.parallelism == 1 or len(paths) == 1
+        for label, outcome in (map if serial else pool.map)(run, paths):
             if isinstance(outcome, Exception):
-                print(f"{instance.instance_id}: failed: {outcome}")
+                print(f"{label}: failed: {outcome}")
                 partial = True
                 continue
             record = outcome.record
             append_corpus(record, args.out)
             status = record.status + (" (budget exhausted)" if record.budget_exhausted else "")
-            print(f"{instance.instance_id}: {status}")
+            print(f"{label}: {status}")
             partial = partial or record.budget_exhausted
     return EXIT_PARTIAL if partial else EXIT_OK
 

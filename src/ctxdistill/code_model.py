@@ -213,9 +213,6 @@ _BLOCK_KINDS = {
 }
 
 
-_OnLeaf = Callable[[CodeUnit, Sequence[ast.stmt]], None]
-
-
 def _definition_start(stmt: ast.stmt) -> int:
     deco = getattr(stmt, "decorator_list", None)
     if deco:
@@ -236,7 +233,7 @@ def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[tuple]:
     An entry is ``(start, end, kind, stmt, stmts)``: a line range, the
     segment kind it becomes, the function whose body may split further
     (set only for top-level functions and methods) and the statements
-    ``on_leaf`` gets for it."""
+    ``build_tree``'s ``facts`` hook gets for it."""
     entries: list[tuple] = []
     run: list[ast.stmt] = []
     for stmt in stmts:
@@ -290,16 +287,7 @@ def _block(stmt: ast.stmt) -> list[tuple] | None:
     return None if kind is None else [(_definition_start(stmt), stmt.end_lineno, kind, None, [stmt])]
 
 
-def _ends_in_backslash(lines: list[str], start: int, end: int) -> bool:
-    """Whether the last non-blank line of lines ``start..end`` ends in a
-    backslash: a line continuation there runs past the end of the text,
-    so the text may not parse on its own."""
-    while end > start and not lines[end - 1].strip():
-        end -= 1
-    return lines[end - 1].endswith("\\")
-
-
-def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[CodeUnit]:
+def decompose(path: str, source: str) -> list[CodeUnit]:
     """Decompose one source file into its unit tree (preorder list).
 
     The first element is always the file unit.  A file without statements
@@ -326,33 +314,18 @@ def decompose(path: str, source: str, on_leaf: _OnLeaf | None = None) -> list[Co
     A unit's id hashes its path, level, kind, span and the first 64
     characters of its text with each whitespace run made one space.
 
-    ``on_leaf(unit, stmts)`` is called for each leaf with the top-level
-    statements that ``ast.parse`` of the leaf's text on its own (after
-    ``textwrap.dedent``, inside a function if need be) sees, taken from
-    this file's parse:
-
-    - a run of plain statements: its statements
-    - a definition or compound block: ``[stmt]``
-    - a block or class header run that carries a function's or class's
-      signature: ``[the def or class node]``
-    - a bare signature, the leaf before a body that opens with a
-      definition: ``[]``, because it does not parse on its own
-    - the leaf of a file without statements: ``[]``
-
-    It is not called for an unparseable file, for a file with a form
-    feed (the tokenizer resets its column count at one, which
-    ``textwrap.dedent`` does not know), or for a leaf whose last non-blank
-    line ends in a backslash.  The statements are only valid during the
-    call.
-
     The file is split into lines once; ``build_tree`` keeps that split as
     the tree's ``lines`` table.
     """
-    return _decompose(path, source, on_leaf)[0]
+    return _decompose(path, source, None, {})[0]
 
 
-def _decompose(path: str, source: str, on_leaf: _OnLeaf | None) -> tuple[list[CodeUnit], list[str]]:
+def _decompose(
+    path: str, source: str, facts: Callable[[Sequence[ast.stmt]], object] | None, leaf_facts: dict[str, object]
+) -> tuple[list[CodeUnit], list[str]]:
     """``decompose``'s units, and the lines it split the source into.
+    With ``facts``, ``leaf_facts`` gets each leaf's entry, as
+    ``build_tree`` states it.
 
     ``add`` makes each unit.  Its id text normalises the span's first
     ``_ID_LINES`` lines, twice as many while they give fewer than 64
@@ -376,8 +349,8 @@ def _decompose(path: str, source: str, on_leaf: _OnLeaf | None) -> tuple[list[Co
         if parent is not None:
             parent.child_ids.append(unit_id)
         units.append(unit)
-        if stmts is not None and on_leaf is not None and not _ends_in_backslash(lines, start, end):
-            on_leaf(unit, stmts)
+        if stmts is not None and facts is not None:
+            leaf_facts[unit_id] = facts(stmts)
         return unit
 
     def place(entries: list[tuple], level: Level, first: int, last: int, parent: CodeUnit) -> None:
@@ -403,8 +376,6 @@ def _decompose(path: str, source: str, on_leaf: _OnLeaf | None) -> tuple[list[Co
         body = ast.parse(source).body
     except (SyntaxError, ValueError):
         body = None
-    if body is None or "\f" in source:
-        on_leaf = None
     # TODO: split import runs into their own fragments so imports can be
     # retained or dropped independently of neighbouring top-level code
     last = len(lines)
@@ -421,16 +392,35 @@ def build_tree(
     """Assemble the per-file decompositions into one indexed tree, whose
     ``lines`` table holds the lines each ``decompose`` split its file into.
 
-    ``facts``, if given, maps a leaf's top-level statements, as
-    ``decompose`` defines them for ``on_leaf``, to what the tree keeps in
-    ``leaf_facts`` for that leaf; it must keep no AST node.  Leaves
-    ``decompose`` passes over get no entry.
+    ``facts``, if given, is called once for every leaf with the leaf's
+    top-level statements, taken from its file's parse, and the tree keeps
+    what it returns in ``leaf_facts``.  The statements are only valid
+    during the call, so it must keep no AST node.  Per leaf:
+
+    - a run of plain statements: its statements
+    - a definition or compound block: ``[stmt]``
+    - a block or class header run that carries a function's or class's
+      signature: ``[the def or class node]``
+    - a bare signature, the leaf before a body that opens with a
+      definition: ``[]``
+    - the leaf of a file without statements, or of an unparseable file:
+      ``[]``
+
+    A standalone ``ast.parse`` of a leaf's text (dedented, inside a
+    function if need be) sees the same statements, except in a file with
+    a form feed (the tokenizer resets its column count at one, which
+    ``textwrap.dedent`` does not know), in an unparseable file, and for a
+    leaf whose last non-blank line ends in a backslash.  There the file's
+    parse is the one that counts.
 
     The cyclic garbage collector is paused while the tree is built, as
     its passes over the parses' many young objects would find nothing to
     free: AST nodes hold no reference to their parents, and units name
-    each other by id, so reference counting frees all of it.  A cycle a
-    ``facts`` hook makes waits for the next collection.  When
+    each other by id, so reference counting frees all of it.  The pause
+    defers a collection, it does not save one: the objects the tree keeps
+    still count towards the next young-generation collection, which comes
+    soon after ``build_tree`` returns and scans the new tree.  A cycle a
+    ``facts`` hook makes waits for that collection too.  When
     ``build_tree`` returns or raises, the collector is enabled again if
     it was enabled on entry."""
     roots: list[CodeUnit] = []
@@ -439,17 +429,13 @@ def build_tree(
     sources: dict[str, str] = {}
     lines: dict[str, list[str]] = {}
     leaf_facts: dict[str, object] = {}
-
-    def on_leaf(unit: CodeUnit, stmts: Sequence[ast.stmt]) -> None:
-        leaf_facts[unit.id] = facts(stmts)
-
     collecting = gc.isenabled()
     gc.disable()
     try:
         for path, source in files:
             if path in sources:
                 raise ValueError(f"duplicate context file: {path}")
-            units, lines[path] = _decompose(path, source, on_leaf if facts is not None else None)
+            units, lines[path] = _decompose(path, source, facts, leaf_facts)
             roots.append(units[0])
             for unit in units:
                 if unit.id in index:

@@ -21,7 +21,7 @@ from .code_model import CodeUnit, SegmentKind, UnitTree, split_lines, unit_text
 from .instance import FaultLocation, build_query, fault_units
 from .priority import json_field, lex_identifiers, read_input
 
-ROLE_RULES_VERSION = "1"
+ROLE_RULES_VERSION = "2"
 
 STATUS_MINIMIZED = "minimized"
 STATUS_UNMINIMIZED = "unminimized"
@@ -271,7 +271,7 @@ def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
 
     Passed as the ``facts`` hook to ``build_instance_tree``, it records
     each leaf's facts from the parse ``decompose`` already made; the
-    hook's contract, per leaf kind, is ``decompose``'s ``on_leaf``."""
+    hook's contract, per leaf kind, is ``build_tree``'s ``facts``."""
     return RoleFacts(_declaration_ratio(stmts) >= 0.5, _defined_names(stmts))
 
 
@@ -312,21 +312,15 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
 
     ``facts`` come from :func:`fault_facts`, computed once per instance and
     shared by all of its segments.  The segment's own :class:`RoleFacts`
-    come from one of two sources: ``tree.leaf_facts``, which a tree built
-    with ``facts=role_facts`` fills from the parse ``decompose`` made, or,
-    for a leaf without an entry there, :func:`_parse_segment` of its
-    text; both give the same facts.  The call-chain rule walks the
-    segment's own parse for called names only when :func:`_may_call`
-    allows a call to a name in ``facts.defined``; otherwise the walk could
-    find none, so skipping it gives the same role."""
+    come from ``tree.leaf_facts``, so ``tree`` must be built with
+    ``facts=role_facts``, which records them from its file's parse.  The
+    call-chain rule walks the segment's own parse for called names only
+    when :func:`_may_call` allows a call to a name in ``facts.defined``;
+    otherwise the walk could find none, so skipping it gives the same
+    role."""
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
-    text = unit_text(tree, segment)
-    module = None
-    own = tree.leaf_facts.get(segment.id)
-    if own is None:
-        module = _parse_segment(text)
-        own = role_facts([] if module is None else module.body)
+    own = tree.leaf_facts[segment.id]
     if own.declaration:
         return SemanticRole.SCHEMA
 
@@ -336,11 +330,9 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
 
     if own.defined & facts.calls:
         return SemanticRole.CALL_CHAIN
-    if _may_call(text, facts.defined):
-        if module is None:
-            module = _parse_segment(text)
-        if _called_names(module) & facts.defined:
-            return SemanticRole.CALL_CHAIN
+    text = unit_text(tree, segment)
+    if _may_call(text, facts.defined) and _called_names(_parse_segment(text)) & facts.defined:
+        return SemanticRole.CALL_CHAIN
 
     return SemanticRole.GENERIC_UTILITY
 

@@ -30,14 +30,17 @@ class MinimizationResult:
     budget_exhausted: bool
 
 
-def _level_units(tree: UnitTree, level: Level, retained: frozenset[str]) -> list[str]:
-    """Units of ``level`` that still own at least one retained leaf."""
-    return [
-        uid
-        for uid in tree.unit_order
-        if tree.index[uid].level is level
-        and any(leaf.id in retained for leaf in tree.leaves_under(uid))
-    ]
+def _level_units(tree: UnitTree, level: Level, retained: frozenset[str]) -> set[str]:
+    """Units of ``level`` that still own at least one retained leaf: the
+    unit at ``level`` on each retained leaf's way up, where it has one."""
+    units = set()
+    for uid in retained:
+        unit = tree.index[uid]
+        while unit.level is not level and unit.parent_id is not None:
+            unit = tree.index[unit.parent_id]
+        if unit.level is level:
+            units.add(unit.id)
+    return units
 
 
 def _chunks(units: list[str], n: int) -> list[list[str]]:

@@ -233,14 +233,17 @@ def test_distill_parallelism_zero_exits_2(tmp_path, instance_path, capsys):
     assert not corpus.exists()
 
 
-def test_distill_batch_with_malformed_instance_exits_2_before_distilling(tmp_path, monkeypatch):
+def test_distill_batch_with_malformed_instance_distills_the_others(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    batch = _batch(tmp_path, n=2)
-    (batch / "inst1.json").write_text("{not json", encoding="utf-8")
+    batch = _batch(tmp_path, n=3)
+    bad = batch / "inst1.json"
+    bad.write_text("{not json", encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
-    assert _run(["--parallelism", 2, "distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
-    assert not corpus.exists()
-    assert not (tmp_path / "traces").exists()
+    assert _run(["--parallelism", 2, "distill", "--batch", batch, "--out", corpus]) == EXIT_PARTIAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "batch-0: minimized" and lines[2] == "batch-2: minimized"
+    assert lines[1].startswith(f"{bad}: failed: instance file {bad} is not valid JSON")
+    assert [json.loads(row)["instance_id"] for row in corpus.read_text().splitlines()] == ["batch-0", "batch-2"]
 
 
 MALFORMED_ENTRIES = {
@@ -260,14 +263,29 @@ def test_distill_malformed_instance_entry_exits_2(tmp_path, monkeypatch, capsys,
     corpus = tmp_path / "corpus.jsonl"
     assert _run(["distill", bad, "--out", corpus]) == EXIT_USAGE
     assert str(bad) in capsys.readouterr().err
-    assert _run(["distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
     assert not corpus.exists()
-    assert not (tmp_path / "traces").exists()
+    assert _run(["distill", "--batch", batch, "--out", corpus]) == EXIT_PARTIAL
+    distilled, failed = capsys.readouterr().out.splitlines()
+    assert distilled == "batch-0: minimized" and failed.startswith(f"{bad}: failed: instance file {bad}: ")
+    assert [json.loads(row)["instance_id"] for row in corpus.read_text().splitlines()] == ["batch-0"]
 
 
 def test_distill_requires_instance_xor_batch(tmp_path, instance_path):
     assert _run(["distill", instance_path, "--batch", tmp_path, "--out", tmp_path / "c.jsonl"]) == EXIT_USAGE
     assert _run(["distill", "--out", tmp_path / "c.jsonl"]) == EXIT_USAGE
+
+
+def test_a_batch_without_its_directory_or_with_a_bad_config_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    batch = _batch(tmp_path, n=2)
+    config = tmp_path / "config.json"
+    config.write_text("{not json", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["distill", "--batch", tmp_path / "nope", "--out", corpus]) == EXIT_USAGE
+    assert "batch directory not found" in capsys.readouterr().err
+    assert _run(["--config", config, "distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
+    assert str(config) in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def test_distill_budget_exhaustion_exits_3(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from ctxdistill.dataset import (
     export_triples,
     fault_facts,
     load_corpus,
+    role_facts,
     write_triples,
 )
 from ctxdistill.instance import FaultLocation, Instance
@@ -84,7 +85,7 @@ def tidy(text):
 
 
 def _role_fixture():
-    tree = build_tree("t", [("m.py", FAULTY_SOURCE)])
+    tree = build_tree("t", [("m.py", FAULTY_SOURCE)], facts=role_facts)
     instance = Instance(
         instance_id="t",
         issue_text="fetch returns the wrong size",
@@ -135,7 +136,7 @@ def test_classify_definition_referenced_by_fault():
         "def check(x):\n"
         "    return x > THRESHOLD\n"
     )
-    tree = build_tree("t", [("m.py", source)])
+    tree = build_tree("t", [("m.py", source)], facts=role_facts)
     instance = Instance(
         instance_id="t",
         issue_text="check misbehaves",

@@ -29,6 +29,7 @@ from ctxdistill.dataset import (
     _parse_segment,
     classify_role,
     fault_facts,
+    role_facts,
 )
 from ctxdistill.ga_search import (
     GAConfig,
@@ -177,7 +178,9 @@ ligature_module = st.just(
 )
 role_trees = st.lists(
     st.one_of(module_source(), module_source(), callers, ligature_module), min_size=1, max_size=4
-).map(lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)]))
+).map(
+    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)], facts=role_facts)
+)
 
 
 @st.composite
@@ -215,7 +218,7 @@ def test_role_cases_reach_every_role(role):
 
 def test_a_non_ascii_call_to_the_fault_function_is_a_call_chain():
     source = f"def file():\n    return 1\n\ndef opener():\n    return {LIGATURE}le()\n"
-    tree = build_tree("t", [("m.py", source)])
+    tree = build_tree("t", [("m.py", source)], facts=role_facts)
     facts = fault_facts(tree, [FaultLocation("m.py", 2)])
     assert facts.defined == {"file"}
     fault, opener = tree.leaves

@@ -62,8 +62,11 @@ def test_a_bad_fault_line_exits_2(tmp_path, monkeypatch, capsys, line):
     corpus = tmp_path / "corpus.jsonl"
     assert _run(["distill", bad, "--out", corpus]) == EXIT_USAGE
     assert f"fault_location entry {{'path': 'pkg/core.py', 'line': {line!r}}}" in capsys.readouterr().err
-    assert _run(["distill", "--batch", tmp_path / "batch", "--out", corpus]) == EXIT_USAGE
     assert not corpus.exists()
+    assert _run(["distill", "--batch", tmp_path / "batch", "--out", corpus]) == EXIT_PARTIAL
+    failed, distilled = capsys.readouterr().out.splitlines()
+    assert failed.startswith(f"{bad}: failed: instance file {bad}: ") and distilled == "batch-1: minimized"
+    assert [json.loads(row)["instance_id"] for row in corpus.read_text().splitlines()] == ["batch-1"]
 
 
 @pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES.keys())

@@ -3,9 +3,10 @@ scans they replace.
 
 Each reference below is the straightforward version kept here on
 purpose: a linear scan over the whole tree, a re-split of the whole
-file, fault facts recomputed for every segment, a per-line count, and
-frozen copies of the parent-and-child walks that the tree's leaf table
-replaced (subtree leaves, render placeholders, GA genome governors).
+file, fault facts recomputed for every segment, a per-line count, a
+scan of every unit for ddmin's units of a level, and frozen copies of
+the parent-and-child walks that the tree's leaf table replaced (subtree
+leaves, render placeholders, GA genome governors).
 Random modules mix functions, classes, nested definitions, compound
 blocks, decorators, comments and blank lines, plus empty, blank-only,
 comment-only and unparseable files.
@@ -40,6 +41,7 @@ from ctxdistill.dataset import (
     _parse_segment,
     classify_role,
     fault_facts,
+    role_facts,
 )
 from ctxdistill.ga_search import (
     Genome,
@@ -49,6 +51,7 @@ from ctxdistill.ga_search import (
     repair,
     retained_leaf_ids,
 )
+from ctxdistill.hdd import _level_units
 from ctxdistill.instance import FaultLocation
 from ctxdistill.priority import CoverageReport, covered_line_count, lex_identifiers
 from ctxdistill.render import _indent_of, placeholder_line, render
@@ -167,7 +170,7 @@ def module_source(draw) -> str:
 
 
 trees = st.lists(module_source(), min_size=1, max_size=3).map(
-    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)])
+    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)], facts=role_facts)
 )
 
 
@@ -228,6 +231,14 @@ def per_segment_role(segment, faults, tree):
     if _called_names(module) & fault_defs or defined & fault_calls:
         return SemanticRole.CALL_CHAIN
     return SemanticRole.GENERIC_UTILITY
+
+
+def scan_level_units(tree, level, retained):
+    return [
+        uid
+        for uid in tree.unit_order
+        if tree.index[uid].level is level and any(leaf.id in retained for leaf in tree.leaves_under(uid))
+    ]
 
 
 def walk_subtree(tree, unit_id):
@@ -438,3 +449,13 @@ def test_genome_slices_match_governor_walks(tree, rng):
         for candidate in (genome, repaired):
             assert retained_leaf_ids(candidate, space) == frozenset(governor_kept_leaves(candidate, reference))
             assert float(fitness(candidate, space, phi)).hex() == float(governor_fitness(candidate, reference, phi)).hex()
+
+
+@SETTINGS
+@given(trees, st.randoms(use_true_random=False))
+def test_level_units_match_the_tree_scan(tree, rng):
+    leaves = [u.id for u in leaf_segments(tree)]
+    for _ in range(5):
+        retained = frozenset(rng.sample(leaves, rng.randint(0, len(leaves))))
+        for level in Level:
+            assert _level_units(tree, level, retained) == set(scan_level_units(tree, level, retained))

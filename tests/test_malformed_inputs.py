@@ -144,20 +144,21 @@ def test_an_instance_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
-def test_a_batch_with_an_instance_file_that_is_not_utf8_exits_2_before_distilling(
-    tmp_path, monkeypatch, capsys
-):
-    """A batch loads every instance file before it distills one, as it
-    does for an instance file that is not JSON."""
+def test_a_batch_with_an_instance_file_that_is_not_utf8_distills_the_others(tmp_path, monkeypatch, capsys):
+    """An instance file fails only its own instance, as the files it
+    names do."""
     monkeypatch.chdir(tmp_path)
     batch = tmp_path / "batch"
     paths = [_write(batch / f"inst{i}.json", tmp_path / f"repo{i}", f"batch-{i}") for i in range(3)]
     _spoil_instance_file(paths[1])
     corpus = tmp_path / "corpus.jsonl"
-    assert _run(["--no-trace", "distill", "--batch", batch, "--out", corpus]) == EXIT_USAGE
+    assert _run(["--no-trace", "distill", "--batch", batch, "--out", corpus]) == EXIT_PARTIAL
     captured = capsys.readouterr()
-    assert str(paths[1]) in captured.err and captured.out == ""
-    assert not corpus.exists()
+    lines = captured.out.splitlines()
+    assert lines[0] == "batch-0: minimized" and lines[2] == "batch-2: minimized"
+    assert lines[1].startswith(f"{paths[1]}: failed: instance file {paths[1]} is not UTF-8")
+    assert captured.err == ""
+    assert [json.loads(row)["instance_id"] for row in corpus.read_text().splitlines()] == ["batch-0", "batch-2"]
 
 
 def _make_directory(path: Path) -> None:

@@ -1,15 +1,18 @@
-"""Property tests: the role facts ``decompose`` records from the file's
-parse are the facts a standalone parse of each leaf gives.
+"""Property tests: every leaf's role facts come from its file's parse,
+and they are the facts a standalone parse of the leaf gives wherever
+that parse sees what the file's parse sees.
 
-``distill_instance`` builds its tree with ``facts=role_facts``, so
-``classify_role`` reads each leaf's facts from ``tree.leaf_facts``
-instead of re-parsing the leaf.  The reference is ``_parse_segment`` of
-the leaf's text, the path ``classify_role`` takes on a tree built
-without the hook.  Trees come from the other property modules plus
-adversarial shapes: flush-left comments and strings inside bodies, tabs,
-form feeds, backslash continuations, ``;``-joined statements, one-line
-and ``async`` definitions, nested classes, bare signatures with
-decorators and comments, and unparseable and comment-only files.
+``classify_role`` reads each leaf's facts from ``tree.leaf_facts``, which
+a tree built with ``facts=role_facts`` fills for every leaf.  The
+reference is ``_parse_segment`` of the leaf's text.  It agrees with the
+file's parse except in a file with a form feed, in an unparseable file,
+and on a leaf whose last non-blank line ends in a backslash; a table
+pins the roles of such leaves.  Trees come from the other property
+modules plus adversarial shapes: flush-left comments and strings inside
+bodies, tabs, form feeds, backslash continuations, ``;``-joined
+statements, one-line and ``async`` definitions, nested classes, bare
+signatures with decorators and comments, and unparseable and
+comment-only files.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ctxdistill.instance import FaultLocation, build_instance_tree, fault_units,
 from ctxdistill.pipeline import distill_instance
 
 from fixtures import CLASS_SOURCE, MULTI_BLOCK_SOURCE, NESTED_SOURCE, write_instance
-from test_decided_work import role_trees
+from test_decided_work import frozen_classify_role, role_trees
 from test_indexes import NAMES, SETTINGS
 from test_indexes import trees as module_trees
 from test_score_once import trees as scoring_trees
@@ -158,6 +161,14 @@ def standalone_facts(tree, leaf):
     return role_facts([] if module is None else module.body)
 
 
+def parses_alike(tree, leaf):
+    """Whether a standalone parse of the leaf's text sees the statements
+    its file's parse gives the leaf."""
+    lines = [line for line in unit_text(tree, leaf).split("\n") if line.strip()]
+    ends_in_backslash = bool(lines) and lines[-1].endswith("\\")
+    return not (leaf.meta.get("fallback") or "\f" in tree.sources[leaf.path] or ends_in_backslash)
+
+
 @st.composite
 def role_cases(draw):
     tree = draw(any_tree)
@@ -177,56 +188,60 @@ def role_cases(draw):
 @given(any_tree)
 def test_recorded_facts_are_the_facts_of_a_standalone_parse(tree):
     with_facts = hooked(tree)
-    assert with_facts.unit_order == tree.unit_order
-    assert tree.leaf_facts == {}
-    assert set(with_facts.leaf_facts) <= {leaf.id for leaf in tree.leaves}
-    for leaf_id, facts in with_facts.leaf_facts.items():
-        assert facts == standalone_facts(tree, tree.index[leaf_id]), unit_text(tree, leaf_id)
+    plain = build_tree(tree.instance_id, tree.sources.items())
+    assert with_facts.unit_order == plain.unit_order
+    assert plain.leaf_facts == {}
+    for leaf in with_facts.leaves:
+        if parses_alike(with_facts, leaf):
+            assert with_facts.leaf_facts[leaf.id] == standalone_facts(with_facts, leaf), unit_text(tree, leaf)
 
 
 @SETTINGS
 @given(any_tree)
 def test_facts_are_recorded_for_every_leaf_the_contract_covers(tree):
-    """Only unparseable files, files with a form feed and leaves whose
-    last non-blank line ends in a backslash go without facts."""
+    """The contract covers every leaf, including those of unparseable
+    files, of files with a form feed, and those whose last non-blank line
+    ends in a backslash."""
     with_facts = hooked(tree)
-    for leaf in with_facts.leaves:
-        lines = [line for line in unit_text(with_facts, leaf).split("\n") if line.strip()]
-        ends_in_backslash = bool(lines) and lines[-1].endswith("\\")
-        skipped = leaf.meta.get("fallback") or "\f" in with_facts.sources[leaf.path] or ends_in_backslash
-        assert (leaf.id not in with_facts.leaf_facts) == bool(skipped)
+    assert set(with_facts.leaf_facts) == {leaf.id for leaf in with_facts.leaves}
 
 
 @SETTINGS
 @given(role_cases())
 def test_roles_do_not_depend_on_the_hook(case):
+    """Where the two parses agree, the role is the one a standalone parse
+    of every leaf gives."""
     tree, faults = case
     with_facts = hooked(tree)
-    facts = fault_facts(tree, faults)
+    facts = fault_facts(build_tree(tree.instance_id, tree.sources.items()), faults)
     assert fault_facts(with_facts, faults) == facts
-    for leaf, same in zip(tree.leaves, with_facts.leaves):
-        assert classify_role(same, with_facts, facts) is classify_role(leaf, tree, facts)
+    for leaf in with_facts.leaves:
+        if parses_alike(with_facts, leaf):
+            assert classify_role(leaf, with_facts, facts) is frozen_classify_role(leaf, with_facts, facts)
 
 
-# each source's leaf at the line given has a text that, parsed on its own,
-# sees none of its statements
-UNRECORDED = {
-    "form feed inside an indent": ("def f():\n    if a: pass\n    x = 4\n    \f    y = 5\n", 3),
-    "continuation into a blank line": ("x = 1 \\\n\ndef g(): pass\n", 1),
-    "continuation into a comment": ("def f():\n    if a: pass\n    x = 1 \\\n# c\n    if b: pass\n", 3),
+# each source's leaf at the line given parses on its own unlike in its file,
+# and gets the role its file's parse gives it, not the standalone parse's
+PARSED_APART = {
+    "form feed inside an indent": ("def f():\n    if a: pass\n    x = 4\n    \f    y = 5\n", 3, SemanticRole.SCHEMA),
+    "continuation into a blank line": ("x = 1 \\\n\ndef g(): pass\n", 1, SemanticRole.SCHEMA),
+    "continuation into a comment": (
+        "def f():\n    if a: pass\n    x = 1 \\\n# c\n    if b: pass\n",
+        3,
+        SemanticRole.SCHEMA,
+    ),
+    "indented file that does not parse": ("    x = 1\n    y = 2\n", 1, SemanticRole.GENERIC_UTILITY),
 }
 
 
-@pytest.mark.parametrize("source, line", UNRECORDED.values(), ids=UNRECORDED.keys())
-def test_a_leaf_whose_text_does_not_parse_like_the_file_gets_no_facts(source, line):
-    tree = build_tree("t", [("m.py", source)])
-    with_facts = hooked(tree)
-    leaf = with_facts.innermost_unit("m.py", line)
-    assert _parse_segment(unit_text(tree, leaf)) is None
-    assert leaf.id not in with_facts.leaf_facts
+@pytest.mark.parametrize("source, line, role", PARSED_APART.values(), ids=PARSED_APART.keys())
+def test_a_leaf_that_parses_unlike_its_file_gets_the_file_s_role(source, line, role):
+    tree = build_tree("t", [("m.py", source)], facts=role_facts)
+    leaf = tree.innermost_unit("m.py", line)
+    assert not parses_alike(tree, leaf)
     facts = fault_facts(tree, [FaultLocation("m.py", 1)])
-    for plain, same in zip(tree.leaves, with_facts.leaves):
-        assert classify_role(same, with_facts, facts) is classify_role(plain, tree, facts)
+    assert classify_role(leaf, tree, facts) is role
+    assert frozen_classify_role(leaf, tree, facts) is not role
 
 
 def test_a_bare_signature_records_the_facts_of_no_statement():
@@ -267,11 +282,11 @@ def test_build_instance_tree_records_no_facts(tmp_path):
 
 def test_distill_parses_only_the_fault_units_and_the_leaves_that_may_call(tmp_path):
     instance = _instance(tmp_path)
-    tree = build_instance_tree(instance)
+    tree = build_instance_tree(instance, facts=role_facts)
     facts = fault_facts(tree, instance.fault_locations)
     may_call = []
     for leaf in tree.leaves:
-        own = standalone_facts(tree, leaf)
+        own = tree.leaf_facts[leaf.id]
         decided = (
             leaf.kind is SegmentKind.CLASS_HEADER
             or own.declaration

@@ -27,9 +27,8 @@ parent commit's checkout, or under another Python.
    search order: SHA-256 over each leaf's ``classify_role`` value and
    each unit's ``priority_map`` value (with ``RunConfig()``'s weights) as
    ``float.hex``; the line also counts the segments.  The trees are built
-   as ``distill_instance`` builds them, with the ``role_facts`` hook; every
-   role is also computed on a tree built without it, and a further line
-   counts the segments whose two roles differ, if any do.
+   as ``distill_instance`` builds them, with the ``role_facts`` hook,
+   which ``classify_role`` requires.
 5. A hash of the decomposition of every seed-7 context file of the four
    workloads, which the role/priority hash sees only through unit ids:
    SHA-256 over each unit of ``decompose``'s output as its id, level,
@@ -125,7 +124,7 @@ def windowed_compress_hash() -> tuple[int, int, str]:
     return leaves, windowed, h.hexdigest()
 
 
-def role_priority_hash() -> tuple[int, int, str]:
+def role_priority_hash() -> tuple[int, str]:
     import gen
     from ctxdistill.config import RunConfig
     from ctxdistill.dataset import classify_role, fault_facts, role_facts
@@ -133,25 +132,20 @@ def role_priority_hash() -> tuple[int, int, str]:
     from ctxdistill.pipeline import load_priority_inputs
     from ctxdistill.priority import priority_map
 
-    def roles_of(tree, instance):
-        facts = fault_facts(tree, instance.fault_locations)
-        return [[leaf.id, classify_role(leaf, tree, facts).value] for leaf in tree.leaves]
-
     weights = RunConfig().weights
-    segments = mismatches = 0
+    segments = 0
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
         for workload in gen.WORKLOADS:
             for planted in gen.generate(workload, SEED, Path(work) / workload):
                 instance = load_instance(planted.instance_path)
                 tree = build_instance_tree(instance, facts=role_facts)
-                roles = roles_of(tree, instance)
-                unhooked = roles_of(build_instance_tree(instance), instance)
-                mismatches += sum(a != b for a, b in zip(roles, unhooked))
+                facts = fault_facts(tree, instance.fault_locations)
+                roles = [[leaf.id, classify_role(leaf, tree, facts).value] for leaf in tree.leaves]
                 phi = priority_map(tree, *load_priority_inputs(instance), weights)
                 segments += len(roles)
                 h.update(json.dumps([roles, [[uid, p.hex()] for uid, p in phi.items()]]).encode())
-    return segments, mismatches, h.hexdigest()
+    return segments, h.hexdigest()
 
 
 def decomposition_hash() -> tuple[int, int, str]:
@@ -204,10 +198,8 @@ def main() -> int:
     print(f"trace files: {count} hash={digest[:16]}")
     leaves, windowed, digest = windowed_compress_hash()
     print(f"windowed compress: {windowed} of {leaves} leaves windowed hash={digest[:16]}")
-    segments, mismatches, digest = role_priority_hash()
+    segments, digest = role_priority_hash()
     print(f"roles and priorities: {segments} segments hash={digest[:16]}")
-    if mismatches:
-        print(f"roles without the facts hook: {mismatches} of {segments} segments differ")
     files, units, digest = decomposition_hash()
     print(f"decomposition: {units} units in {files} files hash={digest[:16]}")
     instances, digest = query_hash()
