@@ -182,7 +182,7 @@ def _cmd_compress(args, config: RunConfig) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(result.rendered.dump_text(), encoding="utf-8")
     Path(str(out) + ".stats.json").write_text(
-        json.dumps(result.stats(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(result.stats(), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
@@ -91,13 +91,63 @@ class Span:
         return self.start_line <= other.start_line and other.end_line <= self.end_line
 
 
+_LITERALISH = (ast.Constant, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.Name, ast.Attribute, ast.UnaryOp)
+
+
+def _declaration_ratio(stmts: Sequence[ast.stmt]) -> float:
+    """Fraction of top-level statements that look like field/attribute/type
+    declarations: annotated assignments, or plain assignments of literal-ish
+    values to simple targets."""
+    if not stmts:
+        return 0.0
+    decls = 0
+    for stmt in stmts:
+        if isinstance(stmt, ast.AnnAssign):
+            decls += 1
+        elif isinstance(stmt, ast.Assign):
+            simple = all(isinstance(t, (ast.Name, ast.Attribute)) for t in stmt.targets)
+            if simple and isinstance(stmt.value, _LITERALISH):
+                decls += 1
+    return decls / len(stmts)
+
+
+def _defined_names(stmts: Sequence[ast.stmt]) -> frozenset[str]:
+    names: set[str] = set()
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return frozenset(names)
+
+
+@dataclass
+class RoleFacts:
+    """What the role rules read of a segment's own code."""
+
+    # a declaration run: ``_declaration_ratio >= 0.5``
+    declaration: bool
+    defined: frozenset[str]
+
+
+def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
+    """The role facts of code whose top-level statements are ``stmts``."""
+    return RoleFacts(_declaration_ratio(stmts) >= 0.5, _defined_names(stmts))
+
+
 @dataclass
 class CodeUnit:
     """One node of the decomposition tree.
 
-    ``kind`` is set for leaves only; internal units carry ``None``.  The
-    unit spans ``span.line_count`` source lines, except the file unit of
-    an empty file, which has no lines and no leaves.
+    ``kind`` and ``facts`` are set for leaves only; internal units carry
+    ``None``.  A leaf's ``facts`` are its role facts, taken from its
+    file's parse as ``build_tree`` states.  The unit spans
+    ``span.line_count`` source lines, except the file unit of an empty
+    file, which has no lines and no leaves.
     """
 
     id: str
@@ -108,6 +158,7 @@ class CodeUnit:
     parent_id: str | None = None
     child_ids: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    facts: RoleFacts | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -139,9 +190,6 @@ class UnitTree:
       the leaf and its ancestors.  The innermost unit therefore wins, and
       on equal spans the later unit in document order wins: a fragment
       spanning a whole comment-only file beats its file unit.
-
-    ``leaf_facts`` maps leaf ids to what ``build_tree``'s ``facts`` hook
-    returned for them; it is empty on a tree built without the hook.
     """
 
     instance_id: str
@@ -150,7 +198,6 @@ class UnitTree:
     unit_order: list[str]
     sources: dict[str, str]
     lines: dict[str, list[str]] = field(repr=False, compare=False)
-    leaf_facts: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
     order_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     leaves: list[CodeUnit] = field(init=False, repr=False, compare=False)
     leaf_slice: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
@@ -233,7 +280,7 @@ def _group(stmts: list[ast.stmt], run_kind: SegmentKind, own) -> list[tuple]:
     An entry is ``(start, end, kind, stmt, stmts)``: a line range, the
     segment kind it becomes, the function whose body may split further
     (set only for top-level functions and methods) and the statements
-    ``build_tree``'s ``facts`` hook gets for it."""
+    its leaf's ``facts`` are read from, as ``build_tree`` states."""
     entries: list[tuple] = []
     run: list[ast.stmt] = []
     for stmt in stmts:
@@ -314,23 +361,21 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
     A unit's id hashes its path, level, kind, span and the first 64
     characters of its text with each whitespace run made one space.
 
-    The file is split into lines once; ``build_tree`` keeps that split as
-    the tree's ``lines`` table.
+    Each leaf carries its ``facts``, as ``build_tree`` states them.  The
+    file is split into lines once; ``build_tree`` keeps that split as the
+    tree's ``lines`` table.
     """
-    return _decompose(path, source, None, {})[0]
+    return _decompose(path, source)[0]
 
 
-def _decompose(
-    path: str, source: str, facts: Callable[[Sequence[ast.stmt]], object] | None, leaf_facts: dict[str, object]
-) -> tuple[list[CodeUnit], list[str]]:
+def _decompose(path: str, source: str) -> tuple[list[CodeUnit], list[str]]:
     """``decompose``'s units, and the lines it split the source into.
-    With ``facts``, ``leaf_facts`` gets each leaf's entry, as
-    ``build_tree`` states it.
 
-    ``add`` makes each unit.  Its id text normalises the span's first
-    ``_ID_LINES`` lines, twice as many while they give fewer than 64
-    characters, and at most the whole span: lines are joined by a line
-    break, which is whitespace, so no word spans two lines."""
+    ``add`` makes each unit, and a leaf's ``facts`` from its ``stmts``.
+    Its id text normalises the span's first ``_ID_LINES`` lines, twice as
+    many while they give fewer than 64 characters, and at most the whole
+    span: lines are joined by a line break, which is whitespace, so no
+    word spans two lines."""
     lines = split_lines(source) if source else []
     units: list[CodeUnit] = []
 
@@ -349,8 +394,8 @@ def _decompose(
         if parent is not None:
             parent.child_ids.append(unit_id)
         units.append(unit)
-        if stmts is not None and facts is not None:
-            leaf_facts[unit_id] = facts(stmts)
+        if stmts is not None:
+            unit.facts = role_facts(stmts)
         return unit
 
     def place(entries: list[tuple], level: Level, first: int, last: int, parent: CodeUnit) -> None:
@@ -386,16 +431,12 @@ def _decompose(
     return units, lines
 
 
-def build_tree(
-    instance_id: str, files: Iterable[tuple[str, str]], facts: Callable[[Sequence[ast.stmt]], object] | None = None
-) -> UnitTree:
+def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
     """Assemble the per-file decompositions into one indexed tree, whose
     ``lines`` table holds the lines each ``decompose`` split its file into.
 
-    ``facts``, if given, is called once for every leaf with the leaf's
-    top-level statements, taken from its file's parse, and the tree keeps
-    what it returns in ``leaf_facts``.  The statements are only valid
-    during the call, so it must keep no AST node.  Per leaf:
+    Every leaf's ``facts`` are ``role_facts`` of the leaf's top-level
+    statements, taken from its file's parse.  Per leaf:
 
     - a run of plain statements: its statements
     - a definition or compound block: ``[stmt]``
@@ -419,8 +460,7 @@ def build_tree(
     each other by id, so reference counting frees all of it.  The pause
     defers a collection, it does not save one: the objects the tree keeps
     still count towards the next young-generation collection, which comes
-    soon after ``build_tree`` returns and scans the new tree.  A cycle a
-    ``facts`` hook makes waits for that collection too.  When
+    soon after ``build_tree`` returns and scans the new tree.  When
     ``build_tree`` returns or raises, the collector is enabled again if
     it was enabled on entry."""
     roots: list[CodeUnit] = []
@@ -428,14 +468,13 @@ def build_tree(
     order: list[str] = []
     sources: dict[str, str] = {}
     lines: dict[str, list[str]] = {}
-    leaf_facts: dict[str, object] = {}
     collecting = gc.isenabled()
     gc.disable()
     try:
         for path, source in files:
             if path in sources:
                 raise ValueError(f"duplicate context file: {path}")
-            units, lines[path] = _decompose(path, source, facts, leaf_facts)
+            units, lines[path] = _decompose(path, source)
             roots.append(units[0])
             for unit in units:
                 if unit.id in index:
@@ -443,7 +482,7 @@ def build_tree(
                 index[unit.id] = unit
                 order.append(unit.id)
             sources[path] = source
-        return UnitTree(instance_id, roots, index, order, sources, lines, leaf_facts)
+        return UnitTree(instance_id, roots, index, order, sources, lines)
     finally:
         if collecting:
             gc.enable()

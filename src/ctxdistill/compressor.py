@@ -349,10 +349,12 @@ class CompressionResult:
     selected_segment_ids: list[str]
 
     def stats(self) -> dict:
+        """JSON-ready; an infinite rate (nothing kept) is ``None``, as JSON
+        has no such number."""
         return {
             "initial_tokens": self.initial_tokens,
             "compressed_tokens": self.compressed_tokens,
-            "achieved_rate": self.achieved_rate,
+            "achieved_rate": self.achieved_rate if math.isfinite(self.achieved_rate) else None,
             "latency_seconds": self.latency_seconds,
             "selected_segment_ids": self.selected_segment_ids,
         }

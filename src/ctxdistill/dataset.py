@@ -15,9 +15,9 @@ import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .code_model import CodeUnit, SegmentKind, UnitTree, split_lines, unit_text
+from .code_model import CodeUnit, SegmentKind, UnitTree, role_facts, split_lines, unit_text
 from .instance import FaultLocation, build_query, fault_units
 from .priority import json_field, lex_identifiers, read_input
 
@@ -209,20 +209,6 @@ def _parse_segment(text: str) -> ast.Module | None:
     return shim
 
 
-def _defined_names(stmts: Sequence[ast.stmt]) -> frozenset[str]:
-    names: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            names.add(stmt.target.id)
-    return frozenset(names)
-
-
 def _called_names(module: ast.Module | None) -> frozenset[str]:
     if module is None:
         return frozenset()
@@ -235,44 +221,6 @@ def _called_names(module: ast.Module | None) -> frozenset[str]:
             elif isinstance(func, ast.Attribute):
                 names.add(func.attr)
     return frozenset(names)
-
-
-_LITERALISH = (ast.Constant, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.Name, ast.Attribute, ast.UnaryOp)
-
-
-def _declaration_ratio(stmts: Sequence[ast.stmt]) -> float:
-    """Fraction of top-level statements that look like field/attribute/type
-    declarations: annotated assignments, or plain assignments of literal-ish
-    values to simple targets."""
-    if not stmts:
-        return 0.0
-    decls = 0
-    for stmt in stmts:
-        if isinstance(stmt, ast.AnnAssign):
-            decls += 1
-        elif isinstance(stmt, ast.Assign):
-            simple = all(isinstance(t, (ast.Name, ast.Attribute)) for t in stmt.targets)
-            if simple and isinstance(stmt.value, _LITERALISH):
-                decls += 1
-    return decls / len(stmts)
-
-
-@dataclass
-class RoleFacts:
-    """What the role rules read of a segment's own code."""
-
-    # a declaration run: ``_declaration_ratio >= 0.5``
-    declaration: bool
-    defined: frozenset[str]
-
-
-def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
-    """The role facts of code whose top-level statements are ``stmts``.
-
-    Passed as the ``facts`` hook to ``build_instance_tree``, it records
-    each leaf's facts from the parse ``decompose`` already made; the
-    hook's contract, per leaf kind, is ``build_tree``'s ``facts``."""
-    return RoleFacts(_declaration_ratio(stmts) >= 0.5, _defined_names(stmts))
 
 
 @dataclass(frozen=True)
@@ -294,7 +242,7 @@ def fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> FaultFacts:
     return FaultFacts(
         calls=frozenset().union(*(_called_names(m) for m in modules)),
         identifiers=frozenset().union(*(lex_identifiers(t) for t in texts)),
-        defined=frozenset().union(*(_defined_names(m.body) for m in modules if m is not None)),
+        defined=frozenset().union(*(role_facts(m.body).defined for m in modules if m is not None)),
     )
 
 
@@ -311,16 +259,15 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
     fault code references, then call-graph neighbours, else generic.
 
     ``facts`` come from :func:`fault_facts`, computed once per instance and
-    shared by all of its segments.  The segment's own :class:`RoleFacts`
-    come from ``tree.leaf_facts``, so ``tree`` must be built with
-    ``facts=role_facts``, which records them from its file's parse.  The
+    shared by all of its segments.  The segment's own role facts are its
+    ``facts``, which ``build_tree`` records from its file's parse.  The
     call-chain rule walks the segment's own parse for called names only
     when :func:`_may_call` allows a call to a name in ``facts.defined``;
     otherwise the walk could find none, so skipping it gives the same
     role."""
     if segment.kind is SegmentKind.CLASS_HEADER:
         return SemanticRole.SCHEMA
-    own = tree.leaf_facts[segment.id]
+    own = segment.facts
     if own.declaration:
         return SemanticRole.SCHEMA
 

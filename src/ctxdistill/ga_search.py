@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .code_model import Level, UnitTree
 from .oracle import OracleBudgetExhausted, OracleSession, OracleVerdict, TraceWriter
@@ -221,7 +221,6 @@ def run_ga(
     session: OracleSession,
     config: GAConfig,
     trace: TraceWriter | None = None,
-    on_candidate: Callable[[Genome, OracleVerdict], None] | None = None,
 ) -> GAResult:
     """Evolve genomes until the oracle accepts one; stop immediately on
     the first success.  Fully deterministic given the seed and a
@@ -234,8 +233,8 @@ def run_ga(
     ties go to the lower index.  So it is judged before the rest of
     generation 0 is drawn, and when the oracle accepts it, that draw and
     those fitness sums are skipped.  Nothing else draws from the RNG in
-    between, so the evaluations, trace records and ``on_candidate`` calls
-    are those of judging generation 0 in rank order."""
+    between, so the evaluations and trace records are those of judging
+    generation 0 in rank order."""
     if not all(p >= 0 for p in phi.values()):
         raise ValueError("priorities must be non-negative")
     space = GenomeSpace(tree)
@@ -261,8 +260,6 @@ def run_ga(
         except OracleBudgetExhausted:
             return GAResult(None, None, generation + 1, budget_exhausted=True)
         _trace_candidate(trace, generation, genome, verdict)
-        if on_candidate:
-            on_candidate(genome, verdict)
         if verdict.sufficient:
             return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
         return None

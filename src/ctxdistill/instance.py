@@ -28,10 +28,9 @@ resolved against the tree.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .code_model import CodeUnit, Level, UnitTree, build_tree, enclosing_leaf, enclosing_unit
 from .priority import json_field, json_value, lex_identifiers, read_input, read_json
@@ -156,11 +155,9 @@ def load_sources(instance: Instance) -> list[tuple[str, str]]:
     return sources
 
 
-def build_instance_tree(
-    instance: Instance, facts: Callable[[Sequence[ast.stmt]], object] | None = None
-) -> UnitTree:
-    """The instance's unit tree; ``facts`` is ``build_tree``'s hook."""
-    return build_tree(instance.instance_id, load_sources(instance), facts)
+def build_instance_tree(instance: Instance) -> UnitTree:
+    """The instance's unit tree."""
+    return build_tree(instance.instance_id, load_sources(instance))
 
 
 def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:

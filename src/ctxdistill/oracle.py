@@ -42,7 +42,7 @@ class OracleBudgetExhausted(RuntimeError):
 
 
 class OracleEndpointError(RuntimeError):
-    """The LLM endpoint stayed unreachable after retries."""
+    """The LLM endpoint gave no usable reply after retries."""
 
 
 class PatchApplyError(ValueError):
@@ -493,6 +493,9 @@ class LLMOracle:
         return make_verdict(passes, len(outcomes), self.config.pass_threshold, outcomes)
 
     def _request_completions(self, prompt: str) -> list[str]:
+        """The endpoint's completions, in up to 3 attempts.  A reply with
+        no completions is a failed attempt: it would give a verdict of 0
+        passes in 0 samples, which the pass threshold calls sufficient."""
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -507,12 +510,15 @@ class LLMOracle:
         for attempt in range(3):
             try:
                 data = self.transport(self.endpoint, payload, headers, self.config.timeout_seconds)
-                return [c["message"]["content"] for c in data["choices"]]
+                completions = [c["message"]["content"] for c in data["choices"]]
+                if not completions:
+                    raise ValueError("endpoint returned no completions")
+                return completions
             except Exception as exc:  # noqa: BLE001 - endpoint errors vary by client
                 last_error = exc
                 if attempt < 2:
                     time.sleep(self.retry_sleep * (2**attempt))
-        raise OracleEndpointError(f"LLM endpoint unreachable after 3 attempts: {last_error}")
+        raise OracleEndpointError(f"LLM endpoint gave no usable reply in 3 attempts: {last_error}")
 
     def _run_sample(self, completion: str, repo: _ScratchCopy) -> SampleOutcome:
         start = time.perf_counter()

@@ -21,7 +21,6 @@ from .dataset import (
     SegmentRecord,
     classify_role,
     fault_facts,
-    role_facts,
 )
 from .ga_search import GAResult, run_ga
 from .hdd import InsufficientContextError, minimize
@@ -99,7 +98,7 @@ def distill_instance(
     use_ga: bool = True,
     trace_dir: str | Path | None = None,
 ) -> DistillOutcome:
-    tree = build_instance_tree(instance, facts=role_facts)
+    tree = build_instance_tree(instance)
     if oracle is None and oracle_kind == "llm":
         _require_llm_inputs(instance)
     patch, coverage = load_priority_inputs(instance)

@@ -167,12 +167,11 @@ def identifiers_in(text: str, names: frozenset[str]) -> frozenset[str]:
 class Hunk:
     """One ``@@`` hunk: its old-side start and length, its body lines,
     each prefixed with ``" "``, ``"+"`` or ``"-"``, and whether a
-    ``\\ No newline at end of file`` marker ends its old or new side."""
+    ``\\ No newline at end of file`` marker ends its new side."""
 
     old_start: int
     old_len: int
     lines: list[str] = field(default_factory=list)
-    old_missing_newline: bool = False
     new_missing_newline: bool = False
 
 
@@ -246,7 +245,6 @@ def parse_diff(patch_text: str) -> list[FilePatch]:
             elif line.startswith("\\"):
                 # the marker applies to the body line before it
                 tag = hunk.lines[-1][0] if hunk.lines else ""
-                hunk.old_missing_newline |= tag in (" ", "-")
                 hunk.new_missing_newline |= tag in (" ", "+")
             else:
                 hunk = None

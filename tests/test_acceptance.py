@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from ctxdistill import ga_search
 from ctxdistill.cli import EXIT_OK, main
 from ctxdistill.code_model import (
     CodeUnit,
@@ -184,7 +185,7 @@ def test_c03_ga_seeding_guarantee():
 # --- 4. upward consistency -----------------------------------------------------
 
 
-def test_c04_upward_consistency_and_repair_idempotence():
+def test_c04_upward_consistency_and_repair_idempotence(monkeypatch):
     """Every genome submitted to the oracle is upward-consistent and
     non-degenerate; repair is idempotent.  1,000 random genomes."""
     rng = random.Random(4096)
@@ -202,6 +203,13 @@ def test_c04_upward_consistency_and_repair_idempotence():
         assert repair(repaired, space, phi).bits == repaired.bits
 
     submitted = []
+
+    def submit(genome, genome_space):
+        # run_ga reads each genome's leaves here, just before the oracle judges them
+        submitted.append(genome)
+        return retained_leaf_ids(genome, genome_space)
+
+    monkeypatch.setattr(ga_search, "retained_leaf_ids", submit)
     for seed in range(3):
         session = _session(frozenset({"unsatisfiable"}))
         run_ga(
@@ -210,7 +218,6 @@ def test_c04_upward_consistency_and_repair_idempotence():
             PatchInfo.empty(),
             session,
             GAConfig(population_size=10, max_generations=4, rng_seed=seed),
-            on_candidate=lambda g, v: submitted.append(g),
         )
     assert submitted
     for genome in submitted:

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 from ctxdistill import code_model
-from ctxdistill.code_model import build_tree, split_lines
+from ctxdistill.code_model import build_tree, role_facts, split_lines
 
 from fixtures import BROKEN_SOURCE, CLASS_SOURCE, FORM_FEED_SOURCE, MULTI_BLOCK_SOURCE
 
@@ -38,27 +38,16 @@ def collector_disabled():
         gc.enable()
 
 
-def failing_facts(stmts):
-    raise RuntimeError("facts hook failed")
-
-
 def test_the_collector_is_enabled_after_build_tree_returns():
     assert gc.isenabled()
     build_tree("t", FILES)
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize(
-    "files, facts, error",
-    [
-        (FILES + [FILES[0]], None, ValueError),
-        (FILES, failing_facts, RuntimeError),
-    ],
-    ids=["a file listed twice", "a facts hook that raises"],
-)
-def test_the_collector_is_enabled_after_build_tree_raises(files, facts, error):
-    with pytest.raises(error):
-        build_tree("t", files, facts)
+@pytest.mark.parametrize("files", [FILES + [FILES[0]]], ids=["a file listed twice"])
+def test_the_collector_is_enabled_after_build_tree_raises(files):
+    with pytest.raises(ValueError):
+        build_tree("t", files)
     assert gc.isenabled()
 
 
@@ -72,7 +61,13 @@ def test_the_collector_stays_disabled_when_the_caller_disabled_it(collector_disa
 
 def test_the_collector_is_paused_while_the_tree_is_built():
     seen = []
-    build_tree("t", FILES, lambda stmts: seen.append(gc.isenabled()))
+
+    def recording(stmts):
+        seen.append(gc.isenabled())
+        return role_facts(stmts)
+
+    with mock.patch.object(code_model, "role_facts", recording):
+        build_tree("t", FILES)
     assert seen and not any(seen)
 
 

@@ -332,6 +332,20 @@ def test_compress_writes_output_and_stats(tmp_path, instance_path):
     assert stats["achieved_rate"] == stats["initial_tokens"] / stats["compressed_tokens"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.parametrize("files", [{"pkg/empty.py": ""}, {}], ids=["an empty context file", "no context files"])
+def test_compress_that_keeps_nothing_writes_valid_json(tmp_path, files):
+    path = write_instance(tmp_path / "inst.json", tmp_path / "repo", files)
+    out = tmp_path / "compressed.txt"
+    assert _run(["compress", path, "--out", out]) == EXIT_OK
+    stats = json.loads((tmp_path / "compressed.txt.stats.json").read_text(), parse_constant=_reject_constant)
+    assert stats["compressed_tokens"] == 0
+    assert stats["achieved_rate"] is None
+
+
 def test_compress_rate_validation(tmp_path, instance_path, capsys):
     assert _run(["compress", instance_path, "--rate", 1.0, "--out", tmp_path / "o.txt"]) == EXIT_USAGE
 

@@ -22,7 +22,6 @@ from ctxdistill.dataset import (
     export_triples,
     fault_facts,
     load_corpus,
-    role_facts,
     write_triples,
 )
 from ctxdistill.instance import FaultLocation, Instance
@@ -85,7 +84,7 @@ def tidy(text):
 
 
 def _role_fixture():
-    tree = build_tree("t", [("m.py", FAULTY_SOURCE)], facts=role_facts)
+    tree = build_tree("t", [("m.py", FAULTY_SOURCE)])
     instance = Instance(
         instance_id="t",
         issue_text="fetch returns the wrong size",
@@ -136,7 +135,7 @@ def test_classify_definition_referenced_by_fault():
         "def check(x):\n"
         "    return x > THRESHOLD\n"
     )
-    tree = build_tree("t", [("m.py", source)], facts=role_facts)
+    tree = build_tree("t", [("m.py", source)])
     instance = Instance(
         instance_id="t",
         issue_text="check misbehaves",

@@ -20,16 +20,13 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ctxdistill.code_model import SegmentKind, build_tree, unit_text
+from ctxdistill.code_model import SegmentKind, _declaration_ratio, _defined_names, build_tree, unit_text
 from ctxdistill.dataset import (
     SemanticRole,
     _called_names,
-    _declaration_ratio,
-    _defined_names,
     _parse_segment,
     classify_role,
     fault_facts,
-    role_facts,
 )
 from ctxdistill.ga_search import (
     GAConfig,
@@ -108,7 +105,7 @@ def frozen_priority_map(tree, patch, coverage, weights):
     }
 
 
-def frozen_run_ga(tree, phi, patch, session, config, trace=None, on_candidate=None):
+def frozen_run_ga(tree, phi, patch, session, config, trace=None):
     space = GenomeSpace(tree)
     rng = random.Random(config.rng_seed)
 
@@ -141,8 +138,6 @@ def frozen_run_ga(tree, phi, patch, session, config, trace=None, on_candidate=No
             except OracleBudgetExhausted:
                 return GAResult(None, None, generation + 1, budget_exhausted=True)
             _trace_candidate(trace, generation, genome, verdict)
-            if on_candidate:
-                on_candidate(genome, verdict)
             if verdict.sufficient:
                 return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
 
@@ -179,7 +174,7 @@ ligature_module = st.just(
 role_trees = st.lists(
     st.one_of(module_source(), module_source(), callers, ligature_module), min_size=1, max_size=4
 ).map(
-    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)], facts=role_facts)
+    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)])
 )
 
 
@@ -218,7 +213,7 @@ def test_role_cases_reach_every_role(role):
 
 def test_a_non_ascii_call_to_the_fault_function_is_a_call_chain():
     source = f"def file():\n    return 1\n\ndef opener():\n    return {LIGATURE}le()\n"
-    tree = build_tree("t", [("m.py", source)], facts=role_facts)
+    tree = build_tree("t", [("m.py", source)])
     facts = fault_facts(tree, [FaultLocation("m.py", 2)])
     assert facts.defined == {"file"}
     fault, opener = tree.leaves
@@ -306,12 +301,8 @@ def _search(run, case):
     tree, phi, patch, config, (required, distractors), budget = case
     oracle = RecordingOracle(required, distractors)
     session = OracleSession(oracle, "t", OracleConfig(eval_budget=budget))
-    trace, candidates = [], []
-    result = run(
-        tree, phi, patch, session, config,
-        trace=trace.append,
-        on_candidate=lambda genome, verdict: candidates.append((genome.bits, genome.fitness, verdict)),
-    )
+    trace = []
+    result = run(tree, phi, patch, session, config, trace=trace.append)
     genome = (result.genome.bits, result.genome.fitness) if result.genome else None
     return (
         genome,
@@ -320,7 +311,6 @@ def _search(run, case):
         result.budget_exhausted,
         result.retained_leaf_ids,
         trace,
-        candidates,
         oracle.asked,
         session.invocations,
     )

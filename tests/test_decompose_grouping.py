@@ -235,8 +235,11 @@ def reference_decompose(path: str, source: str) -> list[CodeUnit]:
 
 
 def assert_same_units(source: str) -> None:
+    """Every field but ``facts``, which the reference predates and
+    ``tests/test_role_facts.py`` checks."""
     expected = [dataclasses.asdict(u) for u in reference_decompose("pkg/m.py", source)]
-    assert [dataclasses.asdict(u) for u in decompose("pkg/m.py", source)] == expected
+    units = [dataclasses.replace(u, facts=None) for u in decompose("pkg/m.py", source)]
+    assert [dataclasses.asdict(u) for u in units] == expected
 
 
 FIXED_CASES = {

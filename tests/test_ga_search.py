@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from ctxdistill import ga_search
 from ctxdistill.code_model import build_tree
 from ctxdistill.ga_search import (
     GAConfig,
@@ -242,7 +243,7 @@ def test_run_ga_reproducible_trace():
     assert run_once() == run_once()
 
 
-def test_run_ga_submits_only_consistent_nondegenerate_genomes():
+def test_run_ga_submits_only_consistent_nondegenerate_genomes(monkeypatch):
     rng = random.Random(19)
     for trial in range(5):
         tree = random_tree(rng)
@@ -252,18 +253,20 @@ def test_run_ga_submits_only_consistent_nondegenerate_genomes():
         session, _ = _session(required=frozenset({"unsatisfiable"}))
         seen = []
 
-        def check(genome, verdict):
+        def check(genome, genome_space):
+            # run_ga reads each genome's leaves here, just before the oracle judges them
             seen.append(genome)
             assert is_upward_consistent(genome, space)
             assert any(genome.bits)
+            return retained_leaf_ids(genome, genome_space)
 
+        monkeypatch.setattr(ga_search, "retained_leaf_ids", check)
         run_ga(
             tree,
             {uid: 0.0 for uid in tree.unit_order},
             PatchInfo.empty(),
             session,
             GAConfig(population_size=5, max_generations=3, rng_seed=trial),
-            on_candidate=check,
         )
         assert seen
 

@@ -24,6 +24,8 @@ from ctxdistill.code_model import (
     Level,
     SegmentKind,
     Span,
+    _declaration_ratio,
+    _defined_names,
     build_tree,
     enclosing_leaf,
     enclosing_unit,
@@ -36,12 +38,9 @@ from ctxdistill.code_model import (
 from ctxdistill.dataset import (
     SemanticRole,
     _called_names,
-    _declaration_ratio,
-    _defined_names,
     _parse_segment,
     classify_role,
     fault_facts,
-    role_facts,
 )
 from ctxdistill.ga_search import (
     Genome,
@@ -170,7 +169,7 @@ def module_source(draw) -> str:
 
 
 trees = st.lists(module_source(), min_size=1, max_size=3).map(
-    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)], facts=role_facts)
+    lambda sources: build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)])
 )
 
 

@@ -286,20 +286,20 @@ _NO_EOL = "\\ No newline at end of file\n"
 
 
 @pytest.mark.parametrize(
-    "old, body, new, markers",
+    "old, body, new, new_missing_newline",
     [
-        ("a = 1\nb = 2\n", " a = 1\n-b = 2\n+b = 3\n" + _NO_EOL, "a = 1\nb = 3", (False, True)),
-        ("a = 1\nb = 2", " a = 1\n-b = 2\n" + _NO_EOL + "+b = 3\n", "a = 1\nb = 3\n", (True, False)),
-        ("a = 1\nb = 2", "-a = 1\n+a = 0\n b = 2\n" + _NO_EOL, "a = 0\nb = 2", (True, True)),
-        ("a = 1\nb = 2\nc = 3", "-a = 1\n+a = 0\n b = 2\n", "a = 0\nb = 2\nc = 3", (False, False)),
+        ("a = 1\nb = 2\n", " a = 1\n-b = 2\n+b = 3\n" + _NO_EOL, "a = 1\nb = 3", True),
+        ("a = 1\nb = 2", " a = 1\n-b = 2\n" + _NO_EOL + "+b = 3\n", "a = 1\nb = 3\n", False),
+        ("a = 1\nb = 2", "-a = 1\n+a = 0\n b = 2\n" + _NO_EOL, "a = 0\nb = 2", True),
+        ("a = 1\nb = 2\nc = 3", "-a = 1\n+a = 0\n b = 2\n", "a = 0\nb = 2\nc = 3", False),
     ],
     ids=["remove", "add", "context", "untouched-tail"],
 )
-def test_apply_patch_honours_no_newline_marker(tmp_path, old, body, new, markers):
+def test_apply_patch_honours_no_newline_marker(tmp_path, old, body, new, new_missing_newline):
     write_repo(tmp_path, {"m.py": old})
     patch = "--- a/m.py\n+++ b/m.py\n@@ -1,2 +1,2 @@\n" + body
     hunk = parse_diff(patch)[0].hunks[0]
-    assert (hunk.old_missing_newline, hunk.new_missing_newline) == markers
+    assert hunk.new_missing_newline is new_missing_newline
     assert apply_patch_text(tmp_path, patch) == ["m.py"]
     assert (tmp_path / "m.py").read_bytes() == new.encode()
 
@@ -468,6 +468,31 @@ def test_llm_oracle_retries_then_raises(tmp_path):
         retry_sleep=0.0,
     )
     with pytest.raises(OracleEndpointError):
+        oracle.evaluate(frozenset())
+    assert len(attempts) == 3
+
+
+def test_a_reply_without_completions_is_a_failed_attempt(tmp_path):
+    """Zero passes in zero samples would meet the pass threshold, so an
+    empty reply must not become a verdict."""
+    instance = _instance(tmp_path)
+    tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])
+    attempts = []
+
+    def empty_transport(url, payload, headers, timeout):
+        attempts.append(url)
+        return {"choices": []}
+
+    oracle = LLMOracle(
+        instance,
+        tree,
+        OracleConfig(samples_n=1, timeout_seconds=60),
+        endpoint="http://stub.local/v1/chat",
+        model="stub-model",
+        transport=empty_transport,
+        retry_sleep=0.0,
+    )
+    with pytest.raises(OracleEndpointError, match="no completions"):
         oracle.evaluate(frozenset())
     assert len(attempts) == 3
 

@@ -19,9 +19,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctxdistill import compressor
-from ctxdistill.code_model import CodeUnit, Level, UnitTree, build_tree, enclosing_unit, leaf_segments, unit_text
+from ctxdistill.code_model import (
+    CodeUnit,
+    Level,
+    UnitTree,
+    _defined_names,
+    build_tree,
+    enclosing_unit,
+    leaf_segments,
+    unit_text,
+)
 from ctxdistill.compressor import HeuristicScorer
-from ctxdistill.dataset import FaultFacts, _called_names, _defined_names, _parse_segment, fault_facts
+from ctxdistill.dataset import FaultFacts, _called_names, _parse_segment, fault_facts
 from ctxdistill.instance import FaultLocation, build_query, fault_units
 from ctxdistill.priority import lex_identifiers
 

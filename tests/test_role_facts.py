@@ -2,12 +2,11 @@
 and they are the facts a standalone parse of the leaf gives wherever
 that parse sees what the file's parse sees.
 
-``classify_role`` reads each leaf's facts from ``tree.leaf_facts``, which
-a tree built with ``facts=role_facts`` fills for every leaf.  The
-reference is ``_parse_segment`` of the leaf's text.  It agrees with the
-file's parse except in a file with a form feed, in an unparseable file,
-and on a leaf whose last non-blank line ends in a backslash; a table
-pins the roles of such leaves.  Trees come from the other property
+``classify_role`` reads each leaf's ``facts``, which every tree records
+for every leaf.  The reference is ``_parse_segment`` of the leaf's text.
+It agrees with the file's parse except in a file with a form feed, in an
+unparseable file, and on a leaf whose last non-blank line ends in a
+backslash; a table pins the roles of such leaves.  Trees come from the other property
 modules plus adversarial shapes: flush-left comments and strings inside
 bodies, tabs, form feeds, backslash continuations, ``;``-joined
 statements, one-line and ``async`` definitions, nested classes, bare
@@ -24,16 +23,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctxdistill import dataset
-from ctxdistill.code_model import SegmentKind, build_tree, unit_text
+from ctxdistill.code_model import RoleFacts, SegmentKind, build_tree, decompose, role_facts, unit_text
 from ctxdistill.config import RunConfig
-from ctxdistill.dataset import (
-    SemanticRole,
-    _may_call,
-    _parse_segment,
-    classify_role,
-    fault_facts,
-    role_facts,
-)
+from ctxdistill.dataset import SemanticRole, _may_call, _parse_segment, classify_role, fault_facts
 from ctxdistill.instance import FaultLocation, build_instance_tree, fault_units, load_instance
 from ctxdistill.pipeline import distill_instance
 
@@ -152,10 +144,6 @@ adversarial_trees = st.lists(
 any_tree = st.one_of(module_trees, scoring_trees, role_trees, adversarial_trees, adversarial_trees)
 
 
-def hooked(tree):
-    return build_tree(tree.instance_id, tree.sources.items(), facts=role_facts)
-
-
 def standalone_facts(tree, leaf):
     module = _parse_segment(unit_text(tree, leaf))
     return role_facts([] if module is None else module.body)
@@ -187,13 +175,9 @@ def role_cases(draw):
 @SETTINGS
 @given(any_tree)
 def test_recorded_facts_are_the_facts_of_a_standalone_parse(tree):
-    with_facts = hooked(tree)
-    plain = build_tree(tree.instance_id, tree.sources.items())
-    assert with_facts.unit_order == plain.unit_order
-    assert plain.leaf_facts == {}
-    for leaf in with_facts.leaves:
-        if parses_alike(with_facts, leaf):
-            assert with_facts.leaf_facts[leaf.id] == standalone_facts(with_facts, leaf), unit_text(tree, leaf)
+    for leaf in tree.leaves:
+        if parses_alike(tree, leaf):
+            assert leaf.facts == standalone_facts(tree, leaf), unit_text(tree, leaf)
 
 
 @SETTINGS
@@ -201,23 +185,24 @@ def test_recorded_facts_are_the_facts_of_a_standalone_parse(tree):
 def test_facts_are_recorded_for_every_leaf_the_contract_covers(tree):
     """The contract covers every leaf, including those of unparseable
     files, of files with a form feed, and those whose last non-blank line
-    ends in a backslash."""
-    with_facts = hooked(tree)
-    assert set(with_facts.leaf_facts) == {leaf.id for leaf in with_facts.leaves}
+    ends in a backslash; no internal unit, and no file unit, has facts.
+    ``decompose`` records the same facts as ``build_tree``."""
+    leaf_ids = {leaf.id for leaf in tree.leaves}
+    assert {uid for uid, unit in tree.index.items() if unit.facts is not None} == leaf_ids
+    assert all(isinstance(leaf.facts, RoleFacts) for leaf in tree.leaves)
+    for path, source in tree.sources.items():
+        units = decompose(path, source)
+        assert [u.facts for u in units] == [tree.index[u.id].facts for u in units]
 
 
 @SETTINGS
 @given(role_cases())
-def test_roles_do_not_depend_on_the_hook(case):
-    """Where the two parses agree, the role is the one a standalone parse
-    of every leaf gives."""
+def test_roles_match_a_standalone_parse_where_the_parses_agree(case):
     tree, faults = case
-    with_facts = hooked(tree)
-    facts = fault_facts(build_tree(tree.instance_id, tree.sources.items()), faults)
-    assert fault_facts(with_facts, faults) == facts
-    for leaf in with_facts.leaves:
-        if parses_alike(with_facts, leaf):
-            assert classify_role(leaf, with_facts, facts) is frozen_classify_role(leaf, with_facts, facts)
+    facts = fault_facts(tree, faults)
+    for leaf in tree.leaves:
+        if parses_alike(tree, leaf):
+            assert classify_role(leaf, tree, facts) is frozen_classify_role(leaf, tree, facts)
 
 
 # each source's leaf at the line given parses on its own unlike in its file,
@@ -236,7 +221,7 @@ PARSED_APART = {
 
 @pytest.mark.parametrize("source, line, role", PARSED_APART.values(), ids=PARSED_APART.keys())
 def test_a_leaf_that_parses_unlike_its_file_gets_the_file_s_role(source, line, role):
-    tree = build_tree("t", [("m.py", source)], facts=role_facts)
+    tree = build_tree("t", [("m.py", source)])
     leaf = tree.innermost_unit("m.py", line)
     assert not parses_alike(tree, leaf)
     facts = fault_facts(tree, [FaultLocation("m.py", 1)])
@@ -246,10 +231,10 @@ def test_a_leaf_that_parses_unlike_its_file_gets_the_file_s_role(source, line, r
 
 def test_a_bare_signature_records_the_facts_of_no_statement():
     source = "@deco\ndef outer(x):  # outer\n    # about inner\n    def inner(y):\n        return y\n    return inner\n"
-    tree = build_tree("t", [("m.py", source)], facts=role_facts)
+    tree = build_tree("t", [("m.py", source)])
     signature = tree.leaves[0]
     assert unit_text(tree, signature) == "@deco\ndef outer(x):  # outer\n    # about inner"
-    assert tree.leaf_facts[signature.id] == role_facts([]) == standalone_facts(tree, signature)
+    assert signature.facts == role_facts([]) == standalone_facts(tree, signature)
 
 
 # --- guards ------------------------------------------------------------------------------
@@ -276,17 +261,25 @@ def _instance(tmp_path):
     )
 
 
-def test_build_instance_tree_records_no_facts(tmp_path):
-    assert build_instance_tree(_instance(tmp_path)).leaf_facts == {}
+def test_classify_role_reads_the_tree_a_caller_builds(tmp_path):
+    """A caller's ``build_instance_tree`` is the tree ``distill_instance``
+    builds, so its roles are the record's."""
+    instance = _instance(tmp_path)
+    tree = build_instance_tree(instance)
+    facts = fault_facts(tree, instance.fault_locations)
+    roles = {leaf.id: classify_role(leaf, tree, facts).value for leaf in tree.leaves}
+    record = distill_instance(instance, RunConfig()).record
+    assert roles == {seg.id: seg.role for seg in record.context_segments}
+    assert set(roles.values()) == {role.value for role in SemanticRole}
 
 
 def test_distill_parses_only_the_fault_units_and_the_leaves_that_may_call(tmp_path):
     instance = _instance(tmp_path)
-    tree = build_instance_tree(instance, facts=role_facts)
+    tree = build_instance_tree(instance)
     facts = fault_facts(tree, instance.fault_locations)
     may_call = []
     for leaf in tree.leaves:
-        own = tree.leaf_facts[leaf.id]
+        own = leaf.facts
         decided = (
             leaf.kind is SegmentKind.CLASS_HEADER
             or own.declaration

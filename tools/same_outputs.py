@@ -26,9 +26,7 @@ parent commit's checkout, or under another Python.
    of the four workloads, which the digests above see only through the
    search order: SHA-256 over each leaf's ``classify_role`` value and
    each unit's ``priority_map`` value (with ``RunConfig()``'s weights) as
-   ``float.hex``; the line also counts the segments.  The trees are built
-   as ``distill_instance`` builds them, with the ``role_facts`` hook,
-   which ``classify_role`` requires.
+   ``float.hex``; the line also counts the segments.
 5. A hash of the decomposition of every seed-7 context file of the four
    workloads, which the role/priority hash sees only through unit ids:
    SHA-256 over each unit of ``decompose``'s output as its id, level,
@@ -127,7 +125,7 @@ def windowed_compress_hash() -> tuple[int, int, str]:
 def role_priority_hash() -> tuple[int, str]:
     import gen
     from ctxdistill.config import RunConfig
-    from ctxdistill.dataset import classify_role, fault_facts, role_facts
+    from ctxdistill.dataset import classify_role, fault_facts
     from ctxdistill.instance import build_instance_tree, load_instance
     from ctxdistill.pipeline import load_priority_inputs
     from ctxdistill.priority import priority_map
@@ -139,7 +137,7 @@ def role_priority_hash() -> tuple[int, str]:
         for workload in gen.WORKLOADS:
             for planted in gen.generate(workload, SEED, Path(work) / workload):
                 instance = load_instance(planted.instance_path)
-                tree = build_instance_tree(instance, facts=role_facts)
+                tree = build_instance_tree(instance)
                 facts = fault_facts(tree, instance.fault_locations)
                 roles = [[leaf.id, classify_role(leaf, tree, facts).value] for leaf in tree.leaves]
                 phi = priority_map(tree, *load_priority_inputs(instance), weights)
