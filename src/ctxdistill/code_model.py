@@ -69,7 +69,7 @@ class UnknownUnitError(KeyError):
         return f"unknown unit id: {self.unit_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Inclusive 1-based line range."""
 
@@ -91,55 +91,49 @@ class Span:
         return self.start_line <= other.start_line and other.end_line <= self.end_line
 
 
-_LITERALISH = (ast.Constant, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.Name, ast.Attribute, ast.UnaryOp)
+_LITERALISH = frozenset(
+    (ast.Constant, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.Name, ast.Attribute, ast.UnaryOp)
+)
+_NO_NAMES: frozenset[str] = frozenset()
 
 
-def _declaration_ratio(stmts: Sequence[ast.stmt]) -> float:
-    """Fraction of top-level statements that look like field/attribute/type
-    declarations: annotated assignments, or plain assignments of literal-ish
-    values to simple targets."""
-    if not stmts:
-        return 0.0
-    decls = 0
-    for stmt in stmts:
-        if isinstance(stmt, ast.AnnAssign):
-            decls += 1
-        elif isinstance(stmt, ast.Assign):
-            simple = all(isinstance(t, (ast.Name, ast.Attribute)) for t in stmt.targets)
-            if simple and isinstance(stmt.value, _LITERALISH):
-                decls += 1
-    return decls / len(stmts)
-
-
-def _defined_names(stmts: Sequence[ast.stmt]) -> frozenset[str]:
-    names: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            names.add(stmt.target.id)
-    return frozenset(names)
-
-
-@dataclass
+@dataclass(slots=True)
 class RoleFacts:
     """What the role rules read of a segment's own code."""
 
-    # a declaration run: ``_declaration_ratio >= 0.5``
     declaration: bool
     defined: frozenset[str]
 
 
 def role_facts(stmts: Sequence[ast.stmt]) -> RoleFacts:
-    """The role facts of code whose top-level statements are ``stmts``."""
-    return RoleFacts(_declaration_ratio(stmts) >= 0.5, _defined_names(stmts))
+    """The role facts of code whose top-level statements are ``stmts``:
+    whether at least half of them declare, as an annotated assignment or
+    a literal-ish value assigned to names and attributes only does, and
+    the names its definitions and assignments bind.  One pass, on exact
+    node types: ``ast.parse`` makes no subclasses."""
+    decls = 0
+    names: set[str] = set()
+    for stmt in stmts:
+        kind = type(stmt)
+        if kind is ast.Assign:
+            simple = True
+            for target in stmt.targets:
+                if type(target) is ast.Name:
+                    names.add(target.id)
+                elif type(target) is not ast.Attribute:
+                    simple = False
+            if simple and type(stmt.value) in _LITERALISH:
+                decls += 1
+        elif kind is ast.AnnAssign:
+            decls += 1
+            if type(stmt.target) is ast.Name:
+                names.add(stmt.target.id)
+        elif kind in _DEFINITION:
+            names.add(stmt.name)
+    return RoleFacts(0 < len(stmts) <= 2 * decls, frozenset(names) if names else _NO_NAMES)
 
 
-@dataclass
+@dataclass(slots=True)
 class CodeUnit:
     """One node of the decomposition tree.
 

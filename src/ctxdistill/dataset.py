@@ -48,7 +48,7 @@ class SemanticRole(str, Enum):
     GENERIC_UTILITY = "generic_utility"
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentRecord:
     id: str
     path: str
@@ -254,12 +254,13 @@ def _may_call(text: str, names: frozenset[str]) -> bool:
     return not text.isascii() or any(name in text for name in names)
 
 
-def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> SemanticRole:
+def classify_role(segment: CodeUnit, text: str, facts: FaultFacts) -> SemanticRole:
     """First matching rule wins: schema-shaped content, then definitions the
     fault code references, then call-graph neighbours, else generic.
 
-    ``facts`` come from :func:`fault_facts`, computed once per instance and
-    shared by all of its segments.  The segment's own role facts are its
+    ``text`` is the segment's text, as ``unit_text`` gives it.  ``facts``
+    come from :func:`fault_facts`, computed once per instance and shared
+    by all of its segments.  The segment's own role facts are its
     ``facts``, which ``build_tree`` records from its file's parse.  The
     call-chain rule walks the segment's own parse for called names only
     when :func:`_may_call` allows a call to a name in ``facts.defined``;
@@ -271,13 +272,13 @@ def classify_role(segment: CodeUnit, tree: UnitTree, facts: FaultFacts) -> Seman
     if own.declaration:
         return SemanticRole.SCHEMA
 
-    # calls are handled by the call-chain rule, not the definition rule
-    if own.defined & (facts.identifiers - facts.calls):
-        return SemanticRole.DEFINITION
-
-    if own.defined & facts.calls:
-        return SemanticRole.CALL_CHAIN
-    text = unit_text(tree, segment)
+    defined = own.defined
+    if defined:
+        # calls are handled by the call-chain rule, not the definition rule
+        if (defined & facts.identifiers) - facts.calls:
+            return SemanticRole.DEFINITION
+        if defined & facts.calls:
+            return SemanticRole.CALL_CHAIN
     if _may_call(text, facts.defined) and _called_names(_parse_segment(text)) & facts.defined:
         return SemanticRole.CALL_CHAIN
 
@@ -295,7 +296,10 @@ def append_corpus(instance: DistilledInstance, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[DistilledInstance]:
+    """The corpus at ``path``; a bad line, or a repeated instance id,
+    raises ``CorpusFormatError`` naming the line(s)."""
     corpus: list[DistilledInstance] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(split_lines(read_input(path, "corpus", CorpusFormatError)), start=1):
         if not line.strip():
             continue
@@ -304,9 +308,15 @@ def load_corpus(path: str | Path) -> list[DistilledInstance]:
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"corpus {path}, line {lineno}: invalid JSON: {exc}") from exc
         try:
-            corpus.append(DistilledInstance.from_json(data))
+            record = DistilledInstance.from_json(data)
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"corpus {path}, line {lineno}: {exc!r}") from exc
+        first = first_line.setdefault(record.instance_id, lineno)
+        if first != lineno:
+            raise CorpusFormatError(
+                f"corpus {path}, line {lineno}: instance_id {record.instance_id!r} repeats line {first}"
+            )
+        corpus.append(record)
     return corpus
 
 
@@ -353,12 +363,6 @@ def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, f
         raw = (mean_density / density) if density > 0 else ROLE_WEIGHT_MAX
         role_weights[role] = min(ROLE_WEIGHT_MAX, max(ROLE_WEIGHT_MIN, raw))
     return class_weight_positive, role_weights
-
-
-def export_triples(corpus: list[DistilledInstance]) -> Iterator[TrainingTriple]:
-    """One weighted triple per (instance, segment); unminimized instances
-    are skipped."""
-    yield from _weighted_triples(corpus, *compute_weights(corpus))
 
 
 def _weighted_triples(

@@ -24,6 +24,10 @@ JSON type, as nothing is coerced; a ``?`` field may be null or absent::
 Mock-oracle runs may add ``mock_required`` / ``mock_distractors``
 (arrays?): leaf ids or ``{"path": string, "line": integer}`` locators
 resolved against the tree.
+
+The instance file, its context files, gold patch and coverage report are
+read as UTF-8.  A PEP 263 coding cookie is not honoured: a context file
+in another encoding is bad input, refused with its path.
 """
 
 from __future__ import annotations

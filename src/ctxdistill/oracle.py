@@ -22,9 +22,9 @@ import stat
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from threading import Event, Lock, Timer
+from threading import Event, Timer
 from typing import Callable, Iterable, Protocol
 
 from .code_model import UnitTree, split_lines, upward_closure
@@ -126,7 +126,7 @@ class Oracle(Protocol):
 class MockOracle:
     """Deterministic test double: sufficient iff the required leaves are
     all included and no distractor leaf is.  Monotone when there are no
-    distractors.  Safe for concurrent use."""
+    distractors."""
 
     def __init__(
         self,
@@ -136,11 +136,9 @@ class MockOracle:
         self.required = frozenset(required)
         self.distractors = frozenset(distractors)
         self.calls = 0
-        self._lock = Lock()
 
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict:
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         ok = self.required <= included_leaf_ids and not (
             included_leaf_ids & self.distractors
         )
@@ -156,7 +154,8 @@ class OracleSession:
     is keyed by the leaf-id frozenset, which hashes once per set object,
     so it keeps every evaluated set alive until the session goes: memory
     grows with evaluations times leaves, at most ``eval_budget`` sets
-    (about 10 MB for 300 sets of 860 ids).
+    (about 10 MB for 300 sets of 860 ids).  A session, like its oracle,
+    belongs to one instance and is driven from one thread.
     """
 
     def __init__(self, oracle: Oracle, instance_id: str, config: OracleConfig | None = None):
@@ -165,24 +164,22 @@ class OracleSession:
         self.config = config or OracleConfig()
         self.invocations = 0
         self._cache: dict[frozenset[str], OracleVerdict] = {}
-        self._lock = Lock()
 
     def evaluate(self, included_leaf_ids: frozenset[str], fresh: bool = False) -> OracleVerdict:
         key = frozenset(included_leaf_ids)
         if self.config.cache_enabled and not fresh:
-            with self._lock:
-                cached = self._cache.get(key)
+            cached = self._cache.get(key)
             if cached is not None:
-                return replace(cached, cache_hit=True)
-        with self._lock:
-            if self.invocations >= self.config.eval_budget:
-                raise OracleBudgetExhausted(
-                    f"oracle budget of {self.config.eval_budget} evaluations exhausted"
+                return OracleVerdict(
+                    cached.sufficient, cached.passes, cached.samples, cached.per_sample, cache_hit=True
                 )
-            self.invocations += 1
+        if self.invocations >= self.config.eval_budget:
+            raise OracleBudgetExhausted(
+                f"oracle budget of {self.config.eval_budget} evaluations exhausted"
+            )
+        self.invocations += 1
         verdict = self.oracle.evaluate(included_leaf_ids)
-        with self._lock:
-            self._cache[key] = verdict
+        self._cache[key] = verdict
         return verdict
 
 
@@ -481,7 +478,6 @@ class LLMOracle:
             raise ValueError("instance has no test_command; required for the LLM oracle")
         self.query = build_query(instance.issue_text, instance.fault_locations).rendered
         self._outcomes: dict[str, SampleOutcome] = {}
-        self._lock = Lock()
 
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict:
         rendered = render(self.tree, upward_closure(self.tree, included_leaf_ids))
@@ -527,14 +523,13 @@ class LLMOracle:
             return SampleOutcome(False, None, time.perf_counter() - start)
         if not self.config.cache_enabled:
             return self._test_patch(patch, start, repo)
-        with self._lock:
-            known = self._outcomes.get(patch)
+        known = self._outcomes.get(patch)
         if known is not None:
-            return replace(known, duration_seconds=time.perf_counter() - start, reused=True)
+            duration = time.perf_counter() - start
+            return SampleOutcome(known.applied, known.test_exit_status, duration, known.timed_out, reused=True)
         outcome = self._test_patch(patch, start, repo)
         if not outcome.timed_out:
-            with self._lock:
-                self._outcomes[patch] = outcome
+            self._outcomes[patch] = outcome
         return outcome
 
     def _test_patch(self, patch: str, start: float, repo: _ScratchCopy) -> SampleOutcome:

@@ -137,18 +137,12 @@ def distill_instance(
 
     facts = fault_facts(tree, instance.fault_locations)
     segments = []
-    for seg in leaf_segments(tree):
+    for seg in tree.leaves:
+        # one text per leaf, for its record and its role
+        text = unit_text(tree, seg)
+        kind, span, role = seg.kind.value, seg.span, classify_role(seg, text, facts).value
         segments.append(
-            SegmentRecord(
-                id=seg.id,
-                path=seg.path,
-                kind=seg.kind.value if seg.kind else "",
-                start_line=seg.span.start_line,
-                end_line=seg.span.end_line,
-                line_count=seg.span.line_count,
-                text=unit_text(tree, seg),
-                role=classify_role(seg, tree, facts).value,
-            )
+            SegmentRecord(seg.id, seg.path, kind, span.start_line, span.end_line, span.line_count, text, role)
         )
 
     minimized = min_result is not None

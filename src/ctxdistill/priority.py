@@ -14,6 +14,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from .code_model import CodeUnit, UnitTree, split_lines, unit_text
@@ -307,18 +308,34 @@ def priority_map(
 ) -> dict[str, float]:
     """Priority for every unit in the tree.
 
-    Each leaf is lexed once.  A unit's leaves partition its lines and no
-    identifier spans a line break, so the patch identifiers a unit's
-    text mentions are exactly the union of those its leaves mention (an
-    empty file's unit has no leaves and mentions none)."""
+    No identifier spans a line break, so each file is searched once for
+    the patch identifiers, and only the leaves that hold one as a
+    substring are lexed: no other leaf can lex to one.  A unit's leaves
+    partition its lines, so the patch identifiers a unit's text mentions
+    are the union of those its leaves mention (an empty file's unit has
+    no leaves and mentions none)."""
     targets = patch.identifiers - _KEYWORDS
-    if targets:
-        leaf_matched = [identifiers_in(unit_text(tree, leaf), targets) for leaf in tree.leaves]
-    else:
-        leaf_matched = [frozenset()] * len(tree.leaves)
+    none: frozenset[str] = frozenset()
+    leaf_matched = [none] * len(tree.leaves)
+    for path, source in tree.sources.items() if targets else ():
+        present = [t for t in targets if t in source]
+        if not present:
+            continue
+        text = "\n".join(tree.lines[path])  # as unit_text joins lines
+        offsets = sorted(m.start() for t in present for m in re.finditer(re.escape(t), text))
+        found = {}
+        line, prev = 1, 0
+        for pos in offsets:
+            line += text.count("\n", prev, pos)
+            prev = pos
+            leaf = tree.innermost_unit(path, line)
+            found[leaf.id] = leaf
+        for leaf in found.values():
+            leaf_matched[tree.leaf_slice[leaf.id][0]] = identifiers_in(unit_text(tree, leaf), targets)
+    hits = [0, *accumulate(map(bool, leaf_matched))]
     scores = {}
     for uid in tree.unit_order:
         lo, hi = tree.leaf_slice[uid]
-        matched = frozenset().union(*leaf_matched[lo:hi])
-        scores[uid] = _score(tree.unit(uid), matched, patch, coverage, weights)
+        matched = frozenset().union(*leaf_matched[lo:hi]) if hits[hi] != hits[lo] else none
+        scores[uid] = _score(tree.index[uid], matched, patch, coverage, weights)
     return scores

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ctxdistill import dataset
-from ctxdistill.code_model import SegmentKind, build_tree, leaf_segments
+from ctxdistill.code_model import SegmentKind, build_tree, leaf_segments, unit_text
 from ctxdistill.dataset import (
     CorpusFormatError,
     DistilledInstance,
@@ -19,7 +19,6 @@ from ctxdistill.dataset import (
     classify_role,
     compute_stats,
     compute_weights,
-    export_triples,
     fault_facts,
     load_corpus,
     write_triples,
@@ -101,31 +100,29 @@ def test_classify_class_header_is_schema():
     header = next(
         s for s in leaf_segments(tree) if s.kind is SegmentKind.CLASS_HEADER
     )
-    assert classify_role(header, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
+    assert classify_role(header, unit_text(tree, header), fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
 
 
 def test_classify_declaration_block_is_schema():
     tree, instance, segs = _role_fixture()
     top = next(s for s in leaf_segments(tree) if s.kind is SegmentKind.FILE)
-    assert classify_role(top, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
+    assert classify_role(top, unit_text(tree, top), fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
 
 
 def _leaf_containing(tree, needle):
-    from ctxdistill.code_model import unit_text
-
     return next(s for s in leaf_segments(tree) if needle in unit_text(tree, s))
 
 
 def test_classify_called_function_is_call_chain():
     tree, instance, _ = _role_fixture()
     download = _leaf_containing(tree, "def download")
-    assert classify_role(download, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.CALL_CHAIN
+    assert classify_role(download, unit_text(tree, download), fault_facts(tree, instance.fault_locations)) is SemanticRole.CALL_CHAIN
 
 
 def test_classify_unrelated_helper_is_generic():
     tree, instance, _ = _role_fixture()
     tidy = _leaf_containing(tree, "def tidy")
-    assert classify_role(tidy, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.GENERIC_UTILITY
+    assert classify_role(tidy, unit_text(tree, tidy), fault_facts(tree, instance.fault_locations)) is SemanticRole.GENERIC_UTILITY
 
 
 def test_classify_definition_referenced_by_fault():
@@ -145,7 +142,7 @@ def test_classify_definition_referenced_by_fault():
     )
     frag = next(s for s in leaf_segments(tree) if s.kind is SegmentKind.FILE)
     # the fragment defines THRESHOLD, which check() references (not calls)
-    assert classify_role(frag, tree, fault_facts(tree, instance.fault_locations)) is SemanticRole.DEFINITION
+    assert classify_role(frag, unit_text(tree, frag), fault_facts(tree, instance.fault_locations)) is SemanticRole.DEFINITION
 
 
 def test_classify_role_total_and_deterministic():
@@ -153,8 +150,8 @@ def test_classify_role_total_and_deterministic():
     tree, instance, _ = _role_fixture()
     facts = fault_facts(tree, instance.fault_locations)
     for seg in leaf_segments(tree):
-        first = classify_role(seg, tree, facts)
-        second = classify_role(seg, tree, facts)
+        first = classify_role(seg, unit_text(tree, seg), facts)
+        second = classify_role(seg, unit_text(tree, seg), facts)
         assert first is second
         assert isinstance(first, SemanticRole)
 
@@ -261,41 +258,48 @@ def test_role_weights_clamped():
     assert role_w[SemanticRole.GENERIC_UTILITY.value] == 3.0
 
 
-def test_export_triples_labels_and_weights():
+def _written_triples(corpus, tmp_path):
+    """The triples ``write_triples`` writes for ``corpus``, read back."""
+    out = tmp_path / "triples.jsonl"
+    write_triples(corpus, out)
+    return [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+
+
+def test_export_triples_labels_and_weights(tmp_path):
     corpus = [_instance("i1", 4, 1)]
-    triples = list(export_triples(corpus))
+    triples = _written_triples(corpus, tmp_path)
     assert len(triples) == 4
-    positives = [t for t in triples if t.label == 1]
+    positives = [t for t in triples if t["label"] == 1]
     assert len(positives) == 1
-    assert positives[0].segment_id == "i1-s0"
+    assert positives[0]["segment_id"] == "i1-s0"
     class_w, role_w = compute_weights(corpus)
-    assert positives[0].weight == pytest.approx(
+    assert positives[0]["weight"] == pytest.approx(
         class_w * role_w[SemanticRole.GENERIC_UTILITY.value]
     )
-    negative = next(t for t in triples if t.label == 0)
-    assert negative.weight == pytest.approx(1.0 * role_w[SemanticRole.GENERIC_UTILITY.value])
-    assert triples[0].query_text.startswith("ISSUE:\n")
+    negative = next(t for t in triples if t["label"] == 0)
+    assert negative["weight"] == pytest.approx(1.0 * role_w[SemanticRole.GENERIC_UTILITY.value])
+    assert triples[0]["query"].startswith("ISSUE:\n")
 
 
-def test_export_skips_unminimized_instances():
+def test_export_skips_unminimized_instances(tmp_path):
     ok = _instance("ok", 3, 1)
     failed = _instance("failed", 3, 0)
     failed.status = STATUS_UNMINIMIZED
     failed.minimal_leaf_ids = frozenset()
-    triples = list(export_triples([ok, failed]))
-    assert {t.instance_id for t in triples} == {"ok"}
+    triples = _written_triples([ok, failed], tmp_path)
+    assert {t["instance_id"] for t in triples} == {"ok"}
 
 
-def test_export_total_positive_count_invariant():
+def test_export_total_positive_count_invariant(tmp_path):
     corpus = [_instance("i1", 5, 2), _instance("i2", 7, 3)]
-    triples = list(export_triples(corpus))
-    assert sum(t.label for t in triples) == sum(len(i.minimal_leaf_ids) for i in corpus)
+    triples = _written_triples(corpus, tmp_path)
+    assert sum(t["label"] for t in triples) == sum(len(i.minimal_leaf_ids) for i in corpus)
 
 
-def test_export_zero_positives_errors():
+def test_export_zero_positives_errors(tmp_path):
     inst = _instance("i1", 3, 0)
     with pytest.raises(ZeroPositivesError):
-        list(export_triples([inst]))
+        _written_triples([inst], tmp_path)
 
 
 def test_write_triples_files(tmp_path):

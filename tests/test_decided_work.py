@@ -20,7 +20,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ctxdistill.code_model import SegmentKind, _declaration_ratio, _defined_names, build_tree, unit_text
+from ctxdistill.code_model import SegmentKind, build_tree, unit_text
 from ctxdistill.dataset import (
     SemanticRole,
     _called_names,
@@ -56,7 +56,7 @@ from ctxdistill.priority import (
     priority_map,
 )
 
-from test_indexes import NAMES, SETTINGS, module_source
+from test_indexes import NAMES, SETTINGS, declaration_ratio, defined_names, module_source
 from test_indexes import trees as module_trees
 from test_score_once import trees as scoring_trees
 
@@ -69,10 +69,10 @@ def frozen_classify_role(segment, tree, facts):
         return SemanticRole.SCHEMA
     module = _parse_segment(unit_text(tree, segment))
     stmts = [] if module is None else module.body
-    if _declaration_ratio(stmts) >= 0.5:
+    if declaration_ratio(stmts) >= 0.5:
         return SemanticRole.SCHEMA
 
-    defined = _defined_names(stmts)
+    defined = defined_names(stmts)
     # calls are handled by the call-chain rule, not the definition rule
     if defined & (facts.identifiers - facts.calls):
         return SemanticRole.DEFINITION
@@ -190,6 +190,10 @@ def role_cases(draw):
     return tree, faults
 
 
+def _classify_role(segment, tree, facts):
+    return classify_role(segment, unit_text(tree, segment), facts)
+
+
 def _roles(case, classify):
     tree, faults = case
     facts = fault_facts(tree, faults)
@@ -199,7 +203,7 @@ def _roles(case, classify):
 @SETTINGS
 @given(role_cases())
 def test_classify_role_matches_the_full_walk(case):
-    assert _roles(case, classify_role) == _roles(case, frozen_classify_role)
+    assert _roles(case, _classify_role) == _roles(case, frozen_classify_role)
 
 
 @pytest.mark.parametrize("role", list(SemanticRole))
@@ -218,7 +222,7 @@ def test_a_non_ascii_call_to_the_fault_function_is_a_call_chain():
     assert facts.defined == {"file"}
     fault, opener = tree.leaves
     assert "file" not in unit_text(tree, opener)
-    assert classify_role(opener, tree, facts) is SemanticRole.CALL_CHAIN
+    assert classify_role(opener, unit_text(tree, opener), facts) is SemanticRole.CALL_CHAIN
     assert frozen_classify_role(opener, tree, facts) is SemanticRole.CALL_CHAIN
 
 

@@ -6,7 +6,8 @@ purpose: a linear scan over the whole tree, a re-split of the whole
 file, fault facts recomputed for every segment, a per-line count, a
 scan of every unit for ddmin's units of a level, and frozen copies of
 the parent-and-child walks that the tree's leaf table replaced (subtree
-leaves, render placeholders, GA genome governors).
+leaves, render placeholders, GA genome governors) and of the two
+passes over a segment's statements that ``role_facts`` replaced.
 Random modules mix functions, classes, nested definitions, compound
 blocks, decorators, comments and blank lines, plus empty, blank-only,
 comment-only and unparseable files.
@@ -14,6 +15,7 @@ comment-only and unparseable files.
 
 from __future__ import annotations
 
+import ast
 from functools import cache
 
 from hypothesis import HealthCheck, given, settings
@@ -24,8 +26,6 @@ from ctxdistill.code_model import (
     Level,
     SegmentKind,
     Span,
-    _declaration_ratio,
-    _defined_names,
     build_tree,
     enclosing_leaf,
     enclosing_unit,
@@ -196,6 +196,41 @@ def scan_enclosing_leaf(tree, path, line):
     return None
 
 
+# the two passes ``role_facts`` replaced
+LITERALISH = (ast.Constant, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.Name, ast.Attribute, ast.UnaryOp)
+
+
+def declaration_ratio(stmts):
+    """Fraction of top-level statements that look like field/attribute/type
+    declarations: annotated assignments, or plain assignments of literal-ish
+    values to simple targets."""
+    if not stmts:
+        return 0.0
+    decls = 0
+    for stmt in stmts:
+        if isinstance(stmt, ast.AnnAssign):
+            decls += 1
+        elif isinstance(stmt, ast.Assign):
+            simple = all(isinstance(t, (ast.Name, ast.Attribute)) for t in stmt.targets)
+            if simple and isinstance(stmt.value, LITERALISH):
+                decls += 1
+    return decls / len(stmts)
+
+
+def defined_names(stmts):
+    names = set()
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return frozenset(names)
+
+
 def resplit_unit_text(tree, unit):
     lines = tree.sources[unit.path].splitlines()
     return "\n".join(lines[unit.span.start_line - 1 : unit.span.end_line])
@@ -207,7 +242,7 @@ def per_segment_role(segment, faults, tree):
         return SemanticRole.SCHEMA
     module = _parse_segment(resplit_unit_text(tree, segment))
     stmts = [] if module is None else module.body
-    if _declaration_ratio(stmts) >= 0.5:
+    if declaration_ratio(stmts) >= 0.5:
         return SemanticRole.SCHEMA
 
     fault_units, seen = [], set()
@@ -222,9 +257,9 @@ def per_segment_role(segment, faults, tree):
     fault_modules = [_parse_segment(t) for t in fault_texts]
     fault_calls = frozenset().union(*(_called_names(m) for m in fault_modules))
     fault_ids = frozenset().union(*(lex_identifiers(t) for t in fault_texts))
-    fault_defs = frozenset().union(*(_defined_names(m.body) for m in fault_modules if m is not None))
+    fault_defs = frozenset().union(*(defined_names(m.body) for m in fault_modules if m is not None))
 
-    defined = _defined_names(stmts)
+    defined = defined_names(stmts)
     if defined & (fault_ids - fault_calls):
         return SemanticRole.DEFINITION
     if _called_names(module) & fault_defs or defined & fault_calls:
@@ -383,7 +418,7 @@ def test_hoisted_fault_facts_give_per_segment_roles(tree, picks):
     faults = [FaultLocation(paths[i % len(paths)], line) for i, line in picks]
     facts = fault_facts(tree, faults)
     for seg in leaf_segments(tree):
-        assert classify_role(seg, tree, facts) is per_segment_role(seg, faults, tree)
+        assert classify_role(seg, unit_text(tree, seg), facts) is per_segment_role(seg, faults, tree)
 
 
 @SETTINGS

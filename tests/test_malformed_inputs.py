@@ -13,7 +13,9 @@ exits 2 naming its key or flag.  A corpus record
 whose ids, flags, counts, lines, kept ids, status, provenance, fault
 locations or segment fields have the wrong JSON type is a corpus format
 error (exit 2): ``bool("false")`` is ``True`` and ``int(2.7)`` is 2, so
-a coerced record would drop out of ``stats`` or name another line.
+a coerced record would drop out of ``stats`` or name another line, and
+so is a record whose instance id an earlier line holds.  A context file
+is read as UTF-8, whatever coding cookie it declares.
 """
 
 from __future__ import annotations
@@ -314,3 +316,36 @@ def test_a_corpus_field_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
     assert _run([command, corpus, "--out", tmp_path / "out.json"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(corpus) in err and "line 1" in err and field in err
+
+
+@pytest.mark.parametrize("command", ["export", "stats"])
+def test_a_corpus_that_repeats_an_instance_id_exits_2(tmp_path, monkeypatch, capsys, command):
+    """A batch run twice into one corpus would export every triple twice
+    and skew the role weights."""
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    for i in range(2):
+        instance = _write(tmp_path / f"inst{i}.json", tmp_path / f"repo{i}", f"inst-{i}")
+        assert _run(["--no-trace", "distill", instance, "--out", corpus]) == EXIT_OK
+    assert _run(["--no-trace", "distill", tmp_path / "inst0.json", "--out", corpus]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert _run([command, corpus, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"corpus {corpus}, line 3: instance_id 'inst-0' repeats line 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "compress", "distill"])
+def test_a_context_file_with_a_coding_cookie_is_read_as_utf8(tmp_path, monkeypatch, capsys, command):
+    """Context files are UTF-8 whatever their PEP 263 cookie declares."""
+    monkeypatch.chdir(tmp_path)
+    instance = _write(tmp_path / "inst.json", tmp_path / "repo")
+    bad = tmp_path / "repo" / "pkg" / "core.py"
+    bad.write_bytes(b"# -*- coding: latin-1 -*-\nname = '\xe9t\xe9'\n")
+    out = tmp_path / "out"
+    args = {"segment": ["--out", out], "compress": ["--rate", 2.0, "--out", out], "distill": ["--out", out]}
+    assert _run(["--no-trace", command, instance, *args[command]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"context file {bad} is not UTF-8" in err
+    assert not out.exists()

@@ -23,7 +23,6 @@ from ctxdistill.code_model import (
     CodeUnit,
     Level,
     UnitTree,
-    _defined_names,
     build_tree,
     enclosing_unit,
     leaf_segments,
@@ -34,7 +33,7 @@ from ctxdistill.dataset import FaultFacts, _called_names, _parse_segment, fault_
 from ctxdistill.instance import FaultLocation, build_query, fault_units
 from ctxdistill.priority import lex_identifiers
 
-from test_indexes import NAMES, SETTINGS
+from test_indexes import NAMES, SETTINGS, defined_names
 from test_role_facts import any_tree
 
 # --- frozen references ------------------------------------------------------------
@@ -80,7 +79,7 @@ def frozen_fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> Fault
     return FaultFacts(
         calls=frozenset().union(*(_called_names(m) for m in modules)),
         identifiers=frozenset().union(*(lex_identifiers(t) for t in texts)),
-        defined=frozenset().union(*(_defined_names(m.body) for m in modules if m is not None)),
+        defined=frozenset().union(*(defined_names(m.body) for m in modules if m is not None)),
     )
 
 

@@ -202,7 +202,7 @@ def test_roles_match_a_standalone_parse_where_the_parses_agree(case):
     facts = fault_facts(tree, faults)
     for leaf in tree.leaves:
         if parses_alike(tree, leaf):
-            assert classify_role(leaf, tree, facts) is frozen_classify_role(leaf, tree, facts)
+            assert classify_role(leaf, unit_text(tree, leaf), facts) is frozen_classify_role(leaf, tree, facts)
 
 
 # each source's leaf at the line given parses on its own unlike in its file,
@@ -225,7 +225,7 @@ def test_a_leaf_that_parses_unlike_its_file_gets_the_file_s_role(source, line, r
     leaf = tree.innermost_unit("m.py", line)
     assert not parses_alike(tree, leaf)
     facts = fault_facts(tree, [FaultLocation("m.py", 1)])
-    assert classify_role(leaf, tree, facts) is role
+    assert classify_role(leaf, unit_text(tree, leaf), facts) is role
     assert frozen_classify_role(leaf, tree, facts) is not role
 
 
@@ -267,7 +267,7 @@ def test_classify_role_reads_the_tree_a_caller_builds(tmp_path):
     instance = _instance(tmp_path)
     tree = build_instance_tree(instance)
     facts = fault_facts(tree, instance.fault_locations)
-    roles = {leaf.id: classify_role(leaf, tree, facts).value for leaf in tree.leaves}
+    roles = {leaf.id: classify_role(leaf, unit_text(tree, leaf), facts).value for leaf in tree.leaves}
     record = distill_instance(instance, RunConfig()).record
     assert roles == {seg.id: seg.role for seg in record.context_segments}
     assert set(roles.values()) == {role.value for role in SemanticRole}
@@ -301,5 +301,5 @@ def test_distill_parses_only_the_fault_units_and_the_leaves_that_may_call(tmp_pa
         record = distill_instance(instance, RunConfig()).record
     assert sorted(parsed) == sorted(expected)
     roles = {seg.id: seg.role for seg in record.context_segments}
-    assert roles == {leaf.id: classify_role(leaf, tree, facts).value for leaf in tree.leaves}
+    assert roles == {leaf.id: classify_role(leaf, unit_text(tree, leaf), facts).value for leaf in tree.leaves}
     assert SemanticRole.CALL_CHAIN.value in roles.values()

@@ -124,6 +124,7 @@ def windowed_compress_hash() -> tuple[int, int, str]:
 
 def role_priority_hash() -> tuple[int, str]:
     import gen
+    from ctxdistill.code_model import unit_text
     from ctxdistill.config import RunConfig
     from ctxdistill.dataset import classify_role, fault_facts
     from ctxdistill.instance import build_instance_tree, load_instance
@@ -139,7 +140,7 @@ def role_priority_hash() -> tuple[int, str]:
                 instance = load_instance(planted.instance_path)
                 tree = build_instance_tree(instance)
                 facts = fault_facts(tree, instance.fault_locations)
-                roles = [[leaf.id, classify_role(leaf, tree, facts).value] for leaf in tree.leaves]
+                roles = [[leaf.id, classify_role(leaf, unit_text(tree, leaf), facts).value] for leaf in tree.leaves]
                 phi = priority_map(tree, *load_priority_inputs(instance), weights)
                 segments += len(roles)
                 h.update(json.dumps([roles, [[uid, p.hex()] for uid, p in phi.items()]]).encode())
