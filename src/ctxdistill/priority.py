@@ -322,14 +322,14 @@ def priority_map(
         if not present:
             continue
         text = "\n".join(tree.lines[path])  # as unit_text joins lines
-        offsets = sorted(m.start() for t in present for m in re.finditer(re.escape(t), text))
         found = {}
-        line, prev = 1, 0
-        for pos in offsets:
-            line += text.count("\n", prev, pos)
-            prev = pos
-            leaf = tree.innermost_unit(path, line)
-            found[leaf.id] = leaf
+        for target in present:
+            line, prev, pos = 1, 0, text.find(target)
+            while pos != -1:
+                line += text.count("\n", prev, pos)
+                leaf = tree.innermost_unit(path, line)
+                found[leaf.id] = leaf
+                prev, pos = pos, text.find(target, pos + len(target))
         for leaf in found.values():
             leaf_matched[tree.leaf_slice[leaf.id][0]] = identifiers_in(unit_text(tree, leaf), targets)
     hits = [0, *accumulate(map(bool, leaf_matched))]
