@@ -22,7 +22,7 @@ import stat
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from threading import Event, Timer
 from typing import Callable, Iterable, Protocol
@@ -170,9 +170,7 @@ class OracleSession:
         if self.config.cache_enabled and not fresh:
             cached = self._cache.get(key)
             if cached is not None:
-                return OracleVerdict(
-                    cached.sufficient, cached.passes, cached.samples, cached.per_sample, cache_hit=True
-                )
+                return replace(cached, cache_hit=True)
         if self.invocations >= self.config.eval_budget:
             raise OracleBudgetExhausted(
                 f"oracle budget of {self.config.eval_budget} evaluations exhausted"
@@ -525,8 +523,7 @@ class LLMOracle:
             return self._test_patch(patch, start, repo)
         known = self._outcomes.get(patch)
         if known is not None:
-            duration = time.perf_counter() - start
-            return SampleOutcome(known.applied, known.test_exit_status, duration, known.timed_out, reused=True)
+            return replace(known, duration_seconds=time.perf_counter() - start, reused=True)
         outcome = self._test_patch(patch, start, repo)
         if not outcome.timed_out:
             self._outcomes[patch] = outcome

@@ -140,9 +140,17 @@ def distill_instance(
     for seg in tree.leaves:
         # one text per leaf, for its record and its role
         text = unit_text(tree, seg)
-        kind, span, role = seg.kind.value, seg.span, classify_role(seg, text, facts).value
         segments.append(
-            SegmentRecord(seg.id, seg.path, kind, span.start_line, span.end_line, span.line_count, text, role)
+            SegmentRecord(
+                id=seg.id,
+                path=seg.path,
+                kind=seg.kind.value,
+                start_line=seg.span.start_line,
+                end_line=seg.span.end_line,
+                line_count=seg.span.line_count,
+                text=text,
+                role=classify_role(seg, text, facts).value,
+            )
         )
 
     minimized = min_result is not None

@@ -14,7 +14,6 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
 
 from .code_model import CodeUnit, UnitTree, split_lines, unit_text
@@ -308,34 +307,26 @@ def priority_map(
 ) -> dict[str, float]:
     """Priority for every unit in the tree.
 
-    No identifier spans a line break, so each file is searched once for
-    the patch identifiers, and only the leaves that hold one as a
-    substring are lexed: no other leaf can lex to one.  A unit's leaves
-    partition its lines, so the patch identifiers a unit's text mentions
-    are the union of those its leaves mention (an empty file's unit has
-    no leaves and mentions none)."""
+    A leaf is lexed only if its text holds, as a substring, a patch
+    identifier that its file holds: no other leaf can lex to one.  The
+    test costs at most one substring search per leaf and identifier,
+    however often an identifier occurs.  A unit's leaves partition its lines and no identifier spans a
+    line break, so the patch identifiers a unit's text mentions are the
+    union of those its leaves mention (an empty file's unit has no
+    leaves and mentions none)."""
     targets = patch.identifiers - _KEYWORDS
-    none: frozenset[str] = frozenset()
-    leaf_matched = [none] * len(tree.leaves)
-    for path, source in tree.sources.items() if targets else ():
-        present = [t for t in targets if t in source]
-        if not present:
-            continue
-        text = "\n".join(tree.lines[path])  # as unit_text joins lines
-        found = {}
-        for target in present:
-            line, prev, pos = 1, 0, text.find(target)
-            while pos != -1:
-                line += text.count("\n", prev, pos)
-                leaf = tree.innermost_unit(path, line)
-                found[leaf.id] = leaf
-                prev, pos = pos, text.find(target, pos + len(target))
-        for leaf in found.values():
-            leaf_matched[tree.leaf_slice[leaf.id][0]] = identifiers_in(unit_text(tree, leaf), targets)
-    hits = [0, *accumulate(map(bool, leaf_matched))]
+    present = {path: [t for t in targets if t in source] for path, source in tree.sources.items()}
+    leaf_matched = [frozenset()] * len(tree.leaves)
+    for i, leaf in enumerate(tree.leaves):
+        if found := present[leaf.path]:
+            text = unit_text(tree, leaf)
+            for target in found:
+                if target in text:
+                    leaf_matched[i] = identifiers_in(text, targets)
+                    break
     scores = {}
     for uid in tree.unit_order:
         lo, hi = tree.leaf_slice[uid]
-        matched = frozenset().union(*leaf_matched[lo:hi]) if hits[hi] != hits[lo] else none
-        scores[uid] = _score(tree.index[uid], matched, patch, coverage, weights)
+        matched = frozenset().union(*leaf_matched[lo:hi])
+        scores[uid] = _score(tree.unit(uid), matched, patch, coverage, weights)
     return scores

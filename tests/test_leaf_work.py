@@ -1,8 +1,8 @@
 """Property tests: the per-leaf work after the parse gives exactly the
 answers of the work it replaced.
 
-- ``priority_map`` finds the patch identifiers once per file and lexes
-  only the leaves that hold one as a substring.  The reference is a
+- ``priority_map`` checks which patch identifiers each file holds and
+  lexes only the leaves that hold one of those as a substring.  The reference is a
   frozen copy of the ``priority_map`` that lexed every leaf.  The random
   sources hold targets inside longer identifiers (``get`` in
   ``budget``), digit-led runs (``1get`` lexes to ``get``), ``\\r\\n`` and
@@ -119,6 +119,7 @@ def _case(sources, identifiers):
 @example(_case(["# éget getß\n\ndef f():\n    return naïve_get\n"], ["get", "éget"]))
 @example(_case(["def f():\n    return None\n\nif x:\n    pass\n"], ["return", "None", "if", "x"]))
 @example(_case(["", "def broken(:\n    get put\n", "\n\n"], ["get", "put"]))
+@example(_case(["get = 1\n", "x = put"], ["get", "put"]))
 def test_priority_map_matches_lexing_every_leaf(case):
     tree, patch, coverage = case
     weights = PriorityWeights()
