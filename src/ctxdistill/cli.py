@@ -33,7 +33,7 @@ from .dataset import (
     load_corpus,
     write_triples,
 )
-from .instance import InstanceError, build_instance_tree, load_instance
+from .instance import Instance, InstanceError, build_instance_tree, load_instance
 from .oracle import OracleEndpointError
 from .pipeline import distill_instance
 
@@ -132,15 +132,35 @@ def _cmd_distill(args, config: RunConfig) -> int:
 
     trace_dir = None if args.no_trace else Path(config.paths.traces)
 
-    def run(path):
-        """The instance's id and outcome.  In a batch the outcome may be the
-        input error that stopped the instance, a bad instance file's
-        included, so one bad instance does not lose the others; an
-        instance file that did not load is named by its path."""
-        label = path
+    # every instance loads first, in input order, so an id that repeats an
+    # earlier one fails alike at any parallelism: its traces would overwrite
+    # the first's, and the corpus could not be read back
+    jobs: list[tuple[str, Instance | Exception]] = []
+    first_paths: dict[str, str] = {}
+    for path in paths:
         try:
             instance = load_instance(path)
-            label = instance.instance_id
+        except _INPUT_ERRORS as exc:
+            if not args.batch:
+                raise
+            jobs.append((path, exc))
+            continue
+        first = first_paths.setdefault(instance.instance_id, path)
+        if first != path:
+            error = InstanceError(f"instance_id {instance.instance_id!r} repeats {first}")
+            jobs.append((path, error))
+        else:
+            jobs.append((instance.instance_id, instance))
+
+    def run(job):
+        """The instance's label and outcome.  In a batch the outcome may be
+        the input error that stopped the instance, a bad or repeating
+        instance file's included, so one bad instance does not lose the
+        others; an instance file that did not load is named by its path."""
+        label, instance = job
+        if isinstance(instance, Exception):
+            return job
+        try:
             return label, distill_instance(
                 instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
             )
@@ -154,7 +174,7 @@ def _cmd_distill(args, config: RunConfig) -> int:
     partial = False
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         serial = config.parallelism == 1 or len(paths) == 1
-        for label, outcome in (map if serial else pool.map)(run, paths):
+        for label, outcome in (map if serial else pool.map)(run, jobs):
             if isinstance(outcome, Exception):
                 print(f"{label}: failed: {outcome}")
                 partial = True

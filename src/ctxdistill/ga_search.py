@@ -10,13 +10,12 @@ among failing candidates.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from .code_model import Level, UnitTree
-from .oracle import OracleBudgetExhausted, OracleSession, OracleVerdict, TraceWriter
+from .oracle import OracleBudgetExhausted, OracleSession
 from .priority import PatchInfo
 
 
@@ -48,9 +47,6 @@ class GAConfig:
 class Genome:
     bits: tuple[int, ...]
     fitness: float | None = None
-
-    def hash(self) -> str:
-        return hashlib.sha1(bytes(self.bits)).hexdigest()[:16]
 
 
 class GenomeSpace:
@@ -197,30 +193,12 @@ class GAResult:
     retained_leaf_ids: frozenset[str] | None = None
 
 
-def _trace_candidate(
-    trace: TraceWriter | None, generation: int, genome: Genome, verdict: OracleVerdict
-) -> None:
-    if trace:
-        trace(
-            {
-                "generation": generation,
-                "genome_hash": genome.hash(),
-                "fitness": genome.fitness,
-                "sufficient": verdict.sufficient,
-                "passes": verdict.passes,
-                "samples": verdict.samples,
-                "cache_hit": verdict.cache_hit,
-            }
-        )
-
-
 def run_ga(
     tree: UnitTree,
     phi: dict[str, float],
     patch: PatchInfo,
     session: OracleSession,
     config: GAConfig,
-    trace: TraceWriter | None = None,
 ) -> GAResult:
     """Evolve genomes until the oracle accepts one; stop immediately on
     the first success.  Fully deterministic given the seed and a
@@ -233,7 +211,7 @@ def run_ga(
     ties go to the lower index.  So it is judged before the rest of
     generation 0 is drawn, and when the oracle accepts it, that draw and
     those fitness sums are skipped.  Nothing else draws from the RNG in
-    between, so the evaluations and trace records are those of judging
+    between, so the evaluations and probe records are those of judging
     generation 0 in rank order."""
     if not all(p >= 0 for p in phi.values()):
         raise ValueError("priorities must be non-negative")
@@ -242,13 +220,11 @@ def run_ga(
 
     if not space.unit_ids:
         try:
-            verdict = session.evaluate(frozenset())
+            verdict = session.evaluate(frozenset(), pass_level="ga", generation=0, fitness=0.0)
         except OracleBudgetExhausted:
             return GAResult(None, None, 0, budget_exhausted=True)
-        empty = Genome((), fitness=0.0)
-        _trace_candidate(trace, 0, empty, verdict)
         if verdict.sufficient:
-            return GAResult(empty, 0, 1, retained_leaf_ids=frozenset())
+            return GAResult(Genome((), fitness=0.0), 0, 1, retained_leaf_ids=frozenset())
         return GAResult(None, None, 1)
 
     def judge(genome: Genome, generation: int) -> GAResult | None:
@@ -256,10 +232,11 @@ def run_ga(
         assert is_upward_consistent(genome, space) and any(genome.bits)
         kept = retained_leaf_ids(genome, space)
         try:
-            verdict = session.evaluate(kept)
+            verdict = session.evaluate(
+                kept, pass_level="ga", generation=generation, fitness=genome.fitness
+            )
         except OracleBudgetExhausted:
             return GAResult(None, None, generation + 1, budget_exhausted=True)
-        _trace_candidate(trace, generation, genome, verdict)
         if verdict.sufficient:
             return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
         return None

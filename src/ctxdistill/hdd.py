@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code_model import Level, UnitTree
-from .oracle import OracleBudgetExhausted, OracleSession, TraceWriter, verdict_cache_key
+from .oracle import OracleBudgetExhausted, OracleSession
 
 PASS_LEVELS = (Level.FILE, Level.FUNCTION, Level.BLOCK)
 
@@ -49,56 +49,25 @@ def _chunks(units: list[str], n: int) -> list[list[str]]:
     return [units[bounds[i] : bounds[i + 1]] for i in range(n)]
 
 
-def _probe(
-    session: OracleSession,
-    candidate: frozenset[str],
-    trace: TraceWriter | None,
-    pass_level: str,
-    step: int,
-    removed_count: int,
-    fresh: bool = False,
-) -> bool:
-    """Evaluate one candidate, write its trace record, return sufficiency."""
-    sufficient = session.evaluate(candidate, fresh=fresh).sufficient
-    if trace:
-        trace(
-            {
-                "pass_level": pass_level,
-                "step": step,
-                "candidate_hash": verdict_cache_key(session.instance_id, candidate),
-                "removed_count": removed_count,
-                "sufficient": sufficient,
-            }
-        )
-    return sufficient
-
-
 def ddmin_level(
     retained: frozenset[str],
     level: Level,
     tree: UnitTree,
     session: OracleSession,
     phi: dict[str, float],
-    trace: TraceWriter | None = None,
-    verified: bool = False,
 ) -> frozenset[str]:
-    """Remove every removable unit of one level from the retained leaf set.
+    """Remove every removable unit of one level from the retained leaf set,
+    which the oracle is taken to accept.
 
     Terminates when no single remaining unit of the level can be dropped
     without the oracle rejecting the result.
     """
-    if not verified and not _probe(session, retained, trace, "verify", 0, 0):
-        raise InsufficientContextError(
-            f"initial context rejected before {level.value}-level reduction"
-        )
-
     # ascending priority, document order on ties: low-value units go first
     order_pos = tree.order_pos
     units = sorted(
         _level_units(tree, level, retained),
         key=lambda uid: (phi.get(uid, 0.0), order_pos[uid]),
     )
-    step = 0
     n = min(2, len(units))
     while units and n >= 1:
         n = min(n, len(units))
@@ -106,11 +75,10 @@ def ddmin_level(
         for chunk in _chunks(units, n):
             dropped = {leaf.id for uid in chunk for leaf in tree.leaves_under(uid)}
             candidate = retained - dropped
-            sufficient = _probe(
-                session, candidate, trace, level.value, step, len(retained) - len(candidate)
+            verdict = session.evaluate(
+                candidate, pass_level=level.value, removed_count=len(retained) - len(candidate)
             )
-            step += 1
-            if sufficient:
+            if verdict.sufficient:
                 retained = candidate
                 chunk_set = set(chunk)
                 units = [uid for uid in units if uid not in chunk_set]
@@ -129,12 +97,14 @@ def minimize(
     tree: UnitTree,
     session: OracleSession,
     phi: dict[str, float],
-    trace: TraceWriter | None = None,
 ) -> MinimizationResult:
-    """File, function, then block reduction plus a certification sweep.
+    """Verify the starting context, then file, function and block
+    reduction plus a certification sweep.
 
-    If the oracle budget runs out mid-pass the best retained set so far
-    is returned uncertified, with ``budget_exhausted`` set.
+    ``InsufficientContextError`` is raised when the oracle rejects the
+    starting context.  If the oracle budget runs out mid-pass the best
+    retained set so far is returned uncertified, with
+    ``budget_exhausted`` set.
     """
     retained = frozenset(initial_leaf_ids)
     per_level_removed: dict[str, int] = {}
@@ -142,21 +112,22 @@ def minimize(
     budget_exhausted = False
 
     try:
-        # the first pass verifies the starting context
+        if not session.evaluate(retained, pass_level="verify", removed_count=0).sufficient:
+            raise InsufficientContextError("initial context rejected before file-level reduction")
         for level in PASS_LEVELS:
             before = len(retained)
-            verified = level is not PASS_LEVELS[0]
-            retained = ddmin_level(
-                retained, level, tree, session, phi, trace=trace, verified=verified
-            )
+            retained = ddmin_level(retained, level, tree, session, phi)
             per_level_removed[level.value] = before - len(retained)
 
         # certification: every remaining leaf must be individually necessary,
         # judged by fresh evaluations rather than cached verdicts
         certified = True
         order_pos = tree.order_pos
-        for step, leaf_id in enumerate(sorted(retained, key=lambda uid: order_pos[uid])):
-            if _probe(session, retained - {leaf_id}, trace, "certify", step, 1, fresh=True):
+        for leaf_id in sorted(retained, key=lambda uid: order_pos[uid]):
+            verdict = session.evaluate(
+                retained - {leaf_id}, fresh=True, pass_level="certify", removed_count=1
+            )
+            if verdict.sufficient:
                 certified = False
     except OracleBudgetExhausted:
         certified = False

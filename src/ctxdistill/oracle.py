@@ -7,7 +7,8 @@ distractors) and an LLM-backed oracle that samples repair patches from a
 chat-completion endpoint, applies each to a scratch copy of the repo
 (one copy per evaluation, reset between patches), and majority-votes on
 test outcomes.  ``OracleSession`` wraps either one with a verdict cache
-and a hard evaluation budget shared across search phases.
+and a hard evaluation budget shared across search phases, and is the one
+writer of trace records: one probe record per candidate judged.
 """
 
 from __future__ import annotations
@@ -110,13 +111,14 @@ def make_verdict(
 
 def verdict_cache_key(instance_id: str, included_leaf_ids: Iterable[str]) -> str:
     """Deterministic key over the instance and the sorted leaf-id set: a
-    candidate's ``candidate_hash`` in the ddmin trace."""
+    candidate's ``candidate_hash`` in its probe record."""
     payload = instance_id + "\x00" + "\n".join(sorted(included_leaf_ids))
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
-# a trace sink takes one JSON-serializable record per evaluated candidate
+# a trace sink takes one JSON-serializable probe record per judged candidate
 TraceWriter = Callable[[dict], None]
+TRACE_SCHEMA_VERSION = 2
 
 
 class Oracle(Protocol):
@@ -146,7 +148,8 @@ class MockOracle:
 
 
 class OracleSession:
-    """Budgeted, cached front door to an oracle.
+    """Budgeted, cached front door to an oracle, and the one writer of
+    probe records.
 
     ``fresh=True`` bypasses the cache lookup (the verdict is still
     stored), which the certification sweep uses to re-test with new
@@ -156,28 +159,70 @@ class OracleSession:
     grows with evaluations times leaves, at most ``eval_budget`` sets
     (about 10 MB for 300 sets of 860 ids).  A session, like its oracle,
     belongs to one instance and is driven from one thread.
+
+    With a ``trace`` writer, every ``evaluate`` call given a
+    ``pass_level`` writes one probe record, cache hits included; a call
+    the budget stops writes none.  The record is flat:
+
+    - ``schema_version`` (``TRACE_SCHEMA_VERSION``), ``seq`` (the
+      record's 0-based index in the session), ``pass_level`` (``ga``,
+      ``verify``, ``file``, ``function``, ``block`` or ``certify``),
+      ``candidate_hash`` (``verdict_cache_key``), ``size`` in leaves,
+      ``cache_hit``, ``sufficient``, ``passes`` and ``samples``
+    - the caller's phase fields: ``generation`` and ``fitness`` for the
+      GA, ``removed_count`` for verify, the ddmin levels and certify
     """
 
-    def __init__(self, oracle: Oracle, instance_id: str, config: OracleConfig | None = None):
+    def __init__(
+        self,
+        oracle: Oracle,
+        instance_id: str,
+        config: OracleConfig | None = None,
+        trace: TraceWriter | None = None,
+    ):
         self.oracle = oracle
         self.instance_id = instance_id
         self.config = config or OracleConfig()
+        self.trace = trace
         self.invocations = 0
+        self._records = 0
         self._cache: dict[frozenset[str], OracleVerdict] = {}
 
-    def evaluate(self, included_leaf_ids: frozenset[str], fresh: bool = False) -> OracleVerdict:
+    def evaluate(
+        self,
+        included_leaf_ids: frozenset[str],
+        fresh: bool = False,
+        *,
+        pass_level: str | None = None,
+        **phase_fields: object,
+    ) -> OracleVerdict:
         key = frozenset(included_leaf_ids)
-        if self.config.cache_enabled and not fresh:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return replace(cached, cache_hit=True)
-        if self.invocations >= self.config.eval_budget:
+        cached = self._cache.get(key) if self.config.cache_enabled and not fresh else None
+        if cached is not None:
+            verdict = replace(cached, cache_hit=True)
+        elif self.invocations >= self.config.eval_budget:
             raise OracleBudgetExhausted(
                 f"oracle budget of {self.config.eval_budget} evaluations exhausted"
             )
-        self.invocations += 1
-        verdict = self.oracle.evaluate(included_leaf_ids)
-        self._cache[key] = verdict
+        else:
+            self.invocations += 1
+            verdict = self._cache[key] = self.oracle.evaluate(included_leaf_ids)
+        if self.trace is not None and pass_level is not None:
+            self.trace(
+                {
+                    "schema_version": TRACE_SCHEMA_VERSION,
+                    "seq": self._records,
+                    "pass_level": pass_level,
+                    "candidate_hash": verdict_cache_key(self.instance_id, key),
+                    "size": len(key),
+                    "cache_hit": verdict.cache_hit,
+                    "sufficient": verdict.sufficient,
+                    "passes": verdict.passes,
+                    "samples": verdict.samples,
+                    **phase_fields,
+                }
+            )
+            self._records += 1
         return verdict
 
 

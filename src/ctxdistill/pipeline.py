@@ -35,14 +35,20 @@ class DistillOutcome:
     ga: GAResult | None
 
 
-def _open_trace(stack: ExitStack, trace_dir: Path | None, name: str) -> TraceWriter | None:
-    """A JSONL writer for ``trace_dir / name``, closed with ``stack``;
-    ``None`` when tracing is off."""
+def _open_trace(stack: ExitStack, trace_dir: Path | None, instance_id: str) -> TraceWriter | None:
+    """The session's trace writer, closed with ``stack``; ``None`` when
+    tracing is off.  GA probe records go to ``<id>.ga.jsonl``, all others
+    to ``<id>.hdd.jsonl``; both files are written, even when empty."""
     if trace_dir is None:
         return None
     trace_dir.mkdir(parents=True, exist_ok=True)
-    fh = stack.enter_context(open(trace_dir / name, "w", encoding="utf-8"))
-    return lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
+    ga, hdd = (
+        stack.enter_context(open(trace_dir / f"{instance_id}.{name}.jsonl", "w", encoding="utf-8"))
+        for name in ("ga", "hdd")
+    )
+    return lambda record: (ga if record["pass_level"] == "ga" else hdd).write(
+        json.dumps(record, sort_keys=True) + "\n"
+    )
 
 
 def build_mock_oracle(instance: Instance, tree: UnitTree) -> MockOracle:
@@ -98,6 +104,18 @@ def distill_instance(
     use_ga: bool = True,
     trace_dir: str | Path | None = None,
 ) -> DistillOutcome:
+    """Distill one instance into its corpus record.
+
+    Phase I (``run_ga``, unless ``use_ga`` is off) looks for a sufficient
+    subset, and Phase II (``minimize``) shrinks it to a certified
+    1-minimal one.  Without an ``oracle`` one is built: the mock from
+    the instance's planted locators, or ``LLMOracle`` for
+    ``oracle_kind="llm"``.  With a ``trace_dir``, the oracle session
+    writes one probe record per judged candidate: GA probes to
+    ``<instance_id>.ga.jsonl``, verify, ddmin and certify probes to
+    ``<instance_id>.hdd.jsonl``.  ``OracleSession`` documents the record
+    shape.
+    """
     tree = build_instance_tree(instance)
     if oracle is None and oracle_kind == "llm":
         _require_llm_inputs(instance)
@@ -117,21 +135,20 @@ def distill_instance(
             )
         else:
             raise ValueError(f"unknown oracle kind: {oracle_kind}")
-    session = OracleSession(oracle, instance.instance_id, config.oracle)
 
     ga_result: GAResult | None = None
     min_result = None
     with ExitStack() as traces:
-        ga_trace = _open_trace(traces, trace_dir, f"{instance.instance_id}.ga.jsonl")
-        hdd_trace = _open_trace(traces, trace_dir, f"{instance.instance_id}.hdd.jsonl")
+        trace = _open_trace(traces, trace_dir, instance.instance_id)
+        session = OracleSession(oracle, instance.instance_id, config.oracle, trace)
         if use_ga:
-            ga_result = run_ga(tree, phi, patch, session, config.ga, trace=ga_trace)
+            ga_result = run_ga(tree, phi, patch, session, config.ga)
             start_leaves = ga_result.retained_leaf_ids
         else:
             start_leaves = frozenset(seg.id for seg in leaf_segments(tree))
         if start_leaves is not None:
             try:
-                min_result = minimize(start_leaves, tree, session, phi, trace=hdd_trace)
+                min_result = minimize(start_leaves, tree, session, phi)
             except InsufficientContextError:
                 pass  # the oracle rejects the start context: left unminimized
 

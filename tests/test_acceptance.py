@@ -61,9 +61,9 @@ def _ok(n: int, text: str) -> None:
     print(f"ACCEPTANCE {n} PASS: {text}")
 
 
-def _session(required, distractors=(), budget=100_000):
+def _session(required, distractors=(), budget=100_000, trace=None):
     oracle = MockOracle(required, distractors)
-    return OracleSession(oracle, "acc", OracleConfig(eval_budget=budget))
+    return OracleSession(oracle, "acc", OracleConfig(eval_budget=budget), trace)
 
 
 def _zero_phi(tree):
@@ -119,16 +119,10 @@ def test_c02_ddmin_probe_bound_from_trace(tmp_path):
             assert len(leaves) == n
             k = (trial * max(1, n // 3)) % (n + 1)
             required = frozenset(rng.sample(leaves, k))
-            session = _session(required)
             trace_path = tmp_path / f"trace-{n}-{trial}.jsonl"
             with open(trace_path, "w", encoding="utf-8") as fh:
-                minimize(
-                    frozenset(leaves),
-                    tree,
-                    session,
-                    _zero_phi(tree),
-                    trace=lambda rec: fh.write(json.dumps(rec) + "\n"),
-                )
+                session = _session(required, trace=lambda rec: fh.write(json.dumps(rec) + "\n"))
+                minimize(frozenset(leaves), tree, session, _zero_phi(tree))
             per_level = {}
             for line in trace_path.read_text().splitlines():
                 record = json.loads(line)

@@ -163,6 +163,47 @@ def test_distill_batch_survives_a_bad_instance(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_distill_batch_fails_an_instance_id_that_repeats(tmp_path, monkeypatch, capsys):
+    """The later file with an id already seen, in input order, fails as bad
+    input: no record, no trace file, and the corpus still exports."""
+    batch = tmp_path / "batch"
+    for name, instance_id, line in (("a", "same-id", 2), ("b", "other", 2), ("c", "same-id", 6)):
+        write_instance(
+            batch / f"{name}.json",
+            tmp_path / f"repo-{name}",
+            FILES,
+            instance_id=instance_id,
+            fault_locations=[{"path": "pkg/core.py", "line": line}],
+            mock_required=[{"path": "pkg/core.py", "line": line}],
+        )
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    monkeypatch.chdir(alone)
+    assert _run(["--seed", 5, "distill", batch / "a.json", "--out", alone / "corpus.jsonl"]) == EXIT_OK
+    first_traces = {p.name: p.read_bytes() for p in (alone / "traces").iterdir()}
+    capsys.readouterr()
+
+    outputs = []
+    for workers in (1, 2):
+        run_dir = tmp_path / f"run{workers}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        corpus = run_dir / "corpus.jsonl"
+        args = ["--seed", 5, "--parallelism", workers, "distill", "--batch", batch, "--out", corpus]
+        assert _run(args) == EXIT_PARTIAL
+        assert {p.name: p.read_bytes() for p in (run_dir / "traces").glob("same-id.*")} == first_traces
+        assert _run(["export", corpus, "--out", run_dir / "triples.jsonl"]) == EXIT_OK
+        outputs.append((corpus.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    records = [json.loads(line) for line in outputs[0][0].decode().splitlines()]
+    assert [r["instance_id"] for r in records] == ["same-id", "other"]
+    assert outputs[0][1].splitlines() == [
+        "same-id: minimized",
+        "other: minimized",
+        f"{batch / 'c.json'}: failed: instance_id 'same-id' repeats {batch / 'a.json'}",
+    ]
+
+
 def test_distill_single_bad_instance_still_exits_2(tmp_path, instance_path, capsys):
     (tmp_path / "repo" / "pkg" / "util.py").unlink()
     corpus = tmp_path / "corpus.jsonl"

@@ -33,7 +33,6 @@ from ctxdistill.ga_search import (
     GAResult,
     Genome,
     GenomeSpace,
-    _trace_candidate,
     _tournament,
     crossover,
     fitness,
@@ -105,17 +104,16 @@ def frozen_priority_map(tree, patch, coverage, weights):
     }
 
 
-def frozen_run_ga(tree, phi, patch, session, config, trace=None):
+def frozen_run_ga(tree, phi, patch, session, config):
     space = GenomeSpace(tree)
     rng = random.Random(config.rng_seed)
 
     if not space.unit_ids:
         try:
-            verdict = session.evaluate(frozenset())
+            verdict = session.evaluate(frozenset(), pass_level="ga", generation=0, fitness=0.0)
         except OracleBudgetExhausted:
             return GAResult(None, None, 0, budget_exhausted=True)
         empty = Genome((), fitness=0.0)
-        _trace_candidate(trace, 0, empty, verdict)
         if verdict.sufficient:
             return GAResult(empty, 0, 1, retained_leaf_ids=frozenset())
         return GAResult(None, None, 1)
@@ -134,10 +132,11 @@ def frozen_run_ga(tree, phi, patch, session, config, trace=None):
             assert is_upward_consistent(genome, space) and any(genome.bits)
             kept = retained_leaf_ids(genome, space)
             try:
-                verdict = session.evaluate(kept)
+                verdict = session.evaluate(
+                    kept, pass_level="ga", generation=generation, fitness=genome.fitness
+                )
             except OracleBudgetExhausted:
                 return GAResult(None, None, generation + 1, budget_exhausted=True)
-            _trace_candidate(trace, generation, genome, verdict)
             if verdict.sufficient:
                 return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
 
@@ -304,9 +303,9 @@ def ga_cases(draw):
 def _search(run, case):
     tree, phi, patch, config, (required, distractors), budget = case
     oracle = RecordingOracle(required, distractors)
-    session = OracleSession(oracle, "t", OracleConfig(eval_budget=budget))
     trace = []
-    result = run(tree, phi, patch, session, config, trace=trace.append)
+    session = OracleSession(oracle, "t", OracleConfig(eval_budget=budget), trace.append)
+    result = run(tree, phi, patch, session, config)
     genome = (result.genome.bits, result.genome.fitness) if result.genome else None
     return (
         genome,

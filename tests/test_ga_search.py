@@ -178,9 +178,9 @@ def test_crossover_single_file_children_are_parents():
         assert {c1.bits, c2.bits} == {a.bits, b.bits}
 
 
-def _session(required, distractors=(), budget=10_000):
+def _session(required, distractors=(), budget=10_000, trace=None):
     oracle = MockOracle(required, distractors)
-    return OracleSession(oracle, "t", OracleConfig(eval_budget=budget)), oracle
+    return OracleSession(oracle, "t", OracleConfig(eval_budget=budget), trace), oracle
 
 
 def test_run_ga_succeeds_via_all_on_seed():
@@ -235,10 +235,10 @@ def test_run_ga_reproducible_trace():
     config = GAConfig(population_size=6, max_generations=4, rng_seed=11)
 
     def run_once():
-        session, _ = _session(required=frozenset({"unsatisfiable"}))
         trace = []
-        run_ga(tree, phi, PatchInfo.empty(), session, config, trace=trace.append)
-        return [(r["generation"], r["genome_hash"]) for r in trace]
+        session, _ = _session(required=frozenset({"unsatisfiable"}), trace=trace.append)
+        run_ga(tree, phi, PatchInfo.empty(), session, config)
+        return [(r["generation"], r["candidate_hash"]) for r in trace]
 
     assert run_once() == run_once()
 
@@ -278,16 +278,10 @@ def test_elitism_keeps_best_failed_fitness_non_decreasing():
     phi = {uid: 0.0 for uid in tree.unit_order}
     for i, lid in enumerate(space.leaf_ids):
         phi[lid] = float(i + 1)
-    session, _ = _session(required=frozenset({"unsatisfiable"}))
     trace = []
-    run_ga(
-        tree,
-        phi,
-        PatchInfo.empty(),
-        session,
-        GAConfig(population_size=8, max_generations=5, rng_seed=13),
-        trace=trace.append,
-    )
+    session, _ = _session(required=frozenset({"unsatisfiable"}), trace=trace.append)
+    config = GAConfig(population_size=8, max_generations=5, rng_seed=13)
+    run_ga(tree, phi, PatchInfo.empty(), session, config)
     best_by_generation = {}
     for record in trace:
         gen = record["generation"]

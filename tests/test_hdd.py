@@ -23,9 +23,9 @@ MULTI_FILE = [
 ]
 
 
-def _session(required, budget=10_000):
+def _session(required, budget=10_000, trace=None):
     oracle = MockOracle(required)
-    return OracleSession(oracle, "t", OracleConfig(eval_budget=budget))
+    return OracleSession(oracle, "t", OracleConfig(eval_budget=budget), trace)
 
 
 def _zero_phi(tree):
@@ -80,12 +80,14 @@ def test_ddmin_level_fixpoint_on_minimal_input():
     assert second == required
 
 
-def test_ddmin_level_errors_on_insufficient_input():
+def test_minimize_errors_on_insufficient_input():
     tree = build_tree("t", [("m.py", module_with_functions(3))])
     required = frozenset({"phantom-leaf"})
     session = _session(required)
     with pytest.raises(InsufficientContextError):
-        ddmin_level(_all_leaves(tree), Level.FUNCTION, tree, session, _zero_phi(tree))
+        minimize(_all_leaves(tree), tree, session, _zero_phi(tree))
+    # only the verify probe ran
+    assert session.invocations == 1
 
 
 def test_minimize_drops_irrelevant_files():
@@ -182,9 +184,9 @@ def test_minimize_low_priority_removed_first_in_trace():
     required = frozenset({leaves[3].id})
     for i, leaf in enumerate(leaves):
         phi[leaf.id] = 1.0 if leaf.id in required else 0.0
-    session = _session(required)
     trace = []
-    minimize(_all_leaves(tree), tree, session, phi, trace=trace.append)
+    session = _session(required, trace=trace.append)
+    minimize(_all_leaves(tree), tree, session, phi)
     func_steps = [r for r in trace if r["pass_level"] == "function"]
     # the first complement probe drops the low-priority half and passes
     assert func_steps[0]["sufficient"]

@@ -164,17 +164,17 @@ def test_a_fresh_evaluation_bypasses_the_cache_and_stores_its_verdict():
 def test_minimize_traces_each_candidate_by_its_verdict_cache_key():
     tree = build_tree("t", [("m.py", module_with_functions(4))])
     leaves = [seg.id for seg in leaf_segments(tree)]
-    session = OracleSession(MockOracle(leaves[2:4]), "inst-7")
+    trace = []
+    session = OracleSession(MockOracle(leaves[2:4]), "inst-7", trace=trace.append)
     candidates = []
     evaluate = session.evaluate
 
-    def recording(candidate, fresh=False):
+    def recording(candidate, fresh=False, **fields):
         candidates.append(candidate)
-        return evaluate(candidate, fresh=fresh)
+        return evaluate(candidate, fresh, **fields)
 
     session.evaluate = recording
-    trace = []
-    minimize(frozenset(leaves), tree, session, dict.fromkeys(tree.unit_order, 0.0), trace=trace.append)
+    minimize(frozenset(leaves), tree, session, dict.fromkeys(tree.unit_order, 0.0))
     assert len(trace) == len(candidates) > 3
     for record, candidate in zip(trace, candidates):
         assert record["candidate_hash"] == verdict_cache_key("inst-7", candidate)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxdistill import ga_search, hdd
+from ctxdistill import oracle as oracle_module
 from ctxdistill.code_model import build_tree, leaf_segments
 from ctxdistill.config import RunConfig
 from ctxdistill.dataset import STATUS_MINIMIZED, STATUS_UNMINIMIZED
@@ -249,24 +249,22 @@ def test_distill_without_trace_dir_builds_no_trace_records(tmp_path, monkeypatch
         mock_distractors=[{"path": "pkg/util.py", "line": 2}],
     )
     instance = load_instance(instance_path)
-    calls = {"verdict_cache_key": 0, "genome_hash": 0}
-    cache_key = hdd.verdict_cache_key
-    genome_hash = ga_search.Genome.hash
+    calls = 0
+    cache_key = oracle_module.verdict_cache_key
 
     def counting_cache_key(*args):
-        calls["verdict_cache_key"] += 1
+        nonlocal calls
+        calls += 1
         return cache_key(*args)
 
-    def counting_genome_hash(genome):
-        calls["genome_hash"] += 1
-        return genome_hash(genome)
-
-    monkeypatch.setattr(hdd, "verdict_cache_key", counting_cache_key)
-    monkeypatch.setattr(ga_search.Genome, "hash", counting_genome_hash)
+    monkeypatch.setattr(oracle_module, "verdict_cache_key", counting_cache_key)
     outcome = distill_instance(instance, _config(seed=3), trace_dir=None)
     assert outcome.record.status == STATUS_MINIMIZED
     assert outcome.record.provenance["ga_generations"] >= 1
-    assert calls == {"verdict_cache_key": 0, "genome_hash": 0}
+    assert calls == 0
+    # a traced run hashes through the counted function
+    distill_instance(instance, _config(seed=3), trace_dir=tmp_path / "traces")
+    assert calls > 0
 
 
 # Distills one instance and prints what must not depend on hash order:

@@ -5,17 +5,17 @@ Run from anywhere, with the checkout that holds this file as the subject:
     python3 tools/same_outputs.py
 
 It prints the Python version it runs under (``sys.version``'s first
-word), then six things; compare them with the same command run on the
+word), then seven things; compare them with the same command run on the
 parent commit's checkout, or under another Python.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
    ``perfbench/run.py --workload all --seed 7 --seconds 2 --trace 0``.
-2. The hash of the GA and ddmin trace files of 60 ``distill_paper`` and 3
+2. The hash of the probe records of 60 ``distill_paper`` and 3
    ``distill_large`` instances (``perfbench/gen.py``, seed 7), distilled
    with the mock oracle and ``RunConfig()``: SHA-256 over each
-   ``*.ga.jsonl`` and ``*.hdd.jsonl`` file's name and bytes, in name
-   order.  The script re-runs itself under ``PYTHONHASHSEED=7`` so the
-   hash repeats.
+   ``*.ga.jsonl`` (GA probes) and ``*.hdd.jsonl`` (verify, ddmin and
+   certify probes) file's name and bytes, in name order.  The script
+   re-runs itself under ``PYTHONHASHSEED=7`` so the hash repeats.
 3. A hash of windowed scoring: 30 seed-7 ``compress_scatter`` instances
    compressed by ``HeuristicScorer`` at rate 5 with
    ``WindowConfig(16, 8)``, so that many leaves are scored in windows
@@ -37,6 +37,13 @@ parent commit's checkout, or under another Python.
    instance's ``build_query(...).rendered``, with ``build_query``
    imported from ``ctxdistill.instance``, its home; the line also counts
    the instances.
+7. A hash of the decomposition and roles of every ``.py`` file of the
+   standard library the script runs under (``sysconfig``'s ``stdlib``
+   path, outside ``site-packages``), in sorted path order: SHA-256 over
+   each unit's id, level, kind and span, and each leaf's
+   ``classify_role`` value with ``fault_facts(tree, [])``.  The line also
+   counts the files, the units and the files skipped as not UTF-8.  It
+   compares only under the same Python.
 """
 
 from __future__ import annotations
@@ -185,6 +192,39 @@ def query_hash() -> tuple[int, str]:
     return instances, h.hexdigest()
 
 
+def stdlib_hash() -> tuple[int, int, int, str]:
+    import sysconfig
+
+    from ctxdistill.code_model import build_tree, unit_text
+    from ctxdistill.dataset import classify_role, fault_facts
+
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    paths = sorted(
+        p.relative_to(stdlib).as_posix()
+        for p in stdlib.rglob("*.py")
+        if "site-packages" not in p.relative_to(stdlib).parts
+    )
+    files = units = skipped = 0
+    h = hashlib.sha256()
+    for path in paths:
+        try:
+            source = (stdlib / path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError:
+            skipped += 1
+            continue
+        tree = build_tree("stdlib", [(path, source)])
+        facts = fault_facts(tree, [])
+        rows = [
+            [u.id, u.level.value, u.kind and u.kind.value, u.span.start_line, u.span.end_line]
+            for u in map(tree.index.get, tree.unit_order)
+        ]
+        roles = [classify_role(leaf, unit_text(tree, leaf), facts).value for leaf in tree.leaves]
+        files += 1
+        units += len(rows)
+        h.update(json.dumps([path, rows, roles]).encode())
+    return files, units, skipped, h.hexdigest()
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != str(SEED):
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
@@ -203,6 +243,8 @@ def main() -> int:
     print(f"decomposition: {units} units in {files} files hash={digest[:16]}")
     instances, digest = query_hash()
     print(f"queries: {instances} instances hash={digest[:16]}")
+    files, units, skipped, digest = stdlib_hash()
+    print(f"stdlib: {units} units in {files} files, {skipped} skipped as not UTF-8 hash={digest[:16]}")
     return 0
 
 
