@@ -497,22 +497,18 @@ def unit_text(tree: UnitTree, unit: CodeUnit | str) -> str:
     return "\n".join(tree.lines[unit.path][span.start_line - 1 : span.end_line])
 
 
-def ancestors(tree: UnitTree, unit_id: str) -> list[str]:
-    chain: list[str] = []
-    current = tree.unit(unit_id)
-    while current.parent_id is not None:
-        chain.append(current.parent_id)
-        current = tree.unit(current.parent_id)
-    return chain
-
-
 def upward_closure(tree: UnitTree, included: Iterable[str]) -> frozenset[str]:
-    """The included set plus every ancestor of each included unit."""
+    """The included set plus every ancestor of each included unit.  An
+    unknown id raises ``UnknownUnitError``.  Each walk up stops at the
+    first unit already closed, whose ancestors are closed with it."""
     closed: set[str] = set()
     for uid in included:
-        if uid not in closed:
-            closed.add(tree.unit(uid).id)
-            closed.update(ancestors(tree, uid))
+        unit = tree.unit(uid)
+        while unit.id not in closed:
+            closed.add(unit.id)
+            if unit.parent_id is None:
+                break
+            unit = tree.index[unit.parent_id]
     return frozenset(closed)
 
 

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .code_model import CodeUnit, UnitTree, leaf_segments, split_lines, unit_text, upward_closure
+from .code_model import CodeUnit, UnitTree, leaf_segments, split_lines, unit_text
 from .instance import Instance, StructuredQuery, build_query, fault_units
 from .priority import identifiers_in
 from .render import RenderedContext, render, render_full
@@ -111,31 +111,20 @@ def _near_fault(unit: CodeUnit, query: StructuredQuery, enclosing: Sequence[Code
 
 
 def _score(
-    query: StructuredQuery, text: str, unit: CodeUnit | None, enclosing: Sequence[CodeUnit | None]
+    query: StructuredQuery, text: str, unit: CodeUnit, enclosing: Sequence[CodeUnit | None]
 ) -> float:
     issue_ids = query.issue_identifiers  # lexed, so without keywords
     if issue_ids:
         overlap = len(identifiers_in(text, issue_ids)) / len(issue_ids)
     else:
         overlap = 0.0
-    fault = 1.0 if unit is not None and _near_fault(unit, query, enclosing) else 0.0
+    fault = 1.0 if _near_fault(unit, query, enclosing) else 0.0
     return 0.5 * overlap + 0.5 * fault
 
 
-def heuristic_score(
-    query: StructuredQuery,
-    segment_text: str,
-    unit: CodeUnit | None = None,
-    tree: UnitTree | None = None,
-) -> float:
-    """Oracle-free default score: half identifier overlap with the issue,
-    half fault-location proximity (when the unit is known)."""
-    enclosing = fault_units(tree, query.fault_locations) if tree is not None else []
-    return _score(query, segment_text, unit, enclosing)
-
-
 class HeuristicScorer:
-    """Scores segments with :func:`heuristic_score`; no model required.
+    """Oracle-free default scorer, no model required: half identifier
+    overlap with the issue, half fault-location proximity.
 
     The function units enclosing the query's faults are resolved once
     per batch, not once per segment.  Scores lie in [0, 1], so a segment
@@ -385,7 +374,7 @@ def compress(
         tiebreak_is_score=type(scorer) is HeuristicScorer and scorer.tree is tree,
     )
     chosen = select_greedy(scored, budget)
-    rendered = render(tree, upward_closure(tree, chosen))
+    rendered = render(tree, chosen)
     latency = time.perf_counter() - start
 
     compressed_tokens = rendered.total_tokens

@@ -143,28 +143,6 @@ class DistilledInstance:
         )
 
 
-@dataclass(frozen=True)
-class TrainingTriple:
-    query_text: str
-    segment_text: str
-    label: int
-    weight: float
-    role: str
-    instance_id: str
-    segment_id: str
-
-    def to_json(self) -> dict:
-        return {
-            "query": self.query_text,
-            "segment": self.segment_text,
-            "label": self.label,
-            "weight": self.weight,
-            "role": self.role,
-            "instance_id": self.instance_id,
-            "segment_id": self.segment_id,
-        }
-
-
 @dataclass
 class CorpusStats:
     instances: int
@@ -367,21 +345,21 @@ def compute_weights(corpus: list[DistilledInstance]) -> tuple[float, dict[str, f
 
 def _weighted_triples(
     corpus: list[DistilledInstance], class_weight_positive: float, role_weights: dict[str, float]
-) -> Iterator[TrainingTriple]:
+) -> Iterator[dict]:
+    """The JSON rows of the training triples, one per context segment."""
     for inst in _exportable(corpus):
         query = build_query(inst.issue_text, inst.fault_locations).rendered
         for seg in inst.context_segments:
             label = 1 if seg.id in inst.minimal_leaf_ids else 0
-            weight = (class_weight_positive if label else 1.0) * role_weights[seg.role]
-            yield TrainingTriple(
-                query_text=query,
-                segment_text=seg.text,
-                label=label,
-                weight=weight,
-                role=seg.role,
-                instance_id=inst.instance_id,
-                segment_id=seg.id,
-            )
+            yield {
+                "query": query,
+                "segment": seg.text,
+                "label": label,
+                "weight": (class_weight_positive if label else 1.0) * role_weights[seg.role],
+                "role": seg.role,
+                "instance_id": inst.instance_id,
+                "segment_id": seg.id,
+            }
 
 
 def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
@@ -392,8 +370,8 @@ def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
     class_weight_positive, role_weights = compute_weights(corpus)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for triple in _weighted_triples(corpus, class_weight_positive, role_weights):
-            fh.write(json.dumps(triple.to_json(), sort_keys=True) + "\n")
+        for row in _weighted_triples(corpus, class_weight_positive, role_weights):
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
             count += 1
     meta = {
         "role_rules_version": ROLE_RULES_VERSION,

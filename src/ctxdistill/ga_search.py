@@ -84,11 +84,16 @@ def is_upward_consistent(genome: Genome, space: GenomeSpace) -> bool:
 
 
 def repair(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> Genome:
-    """Force upward consistency; revive all-zero genomes by activating the
-    highest-priority unit (earliest in document order on ties)."""
+    """Force upward consistency; revive an all-zero genome by activating
+    its highest-priority function-level unit (earliest on ties), which
+    keeps leaves.  A file never scores below its children, so the top
+    unit of all would be a file, which keeps none.  A space without
+    function-level units revives its top file."""
     bits = list(genome.bits)
     if not any(bits):
-        bits[max(range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))] = 1
+        functions = [i for start, end in space.file_ranges for i in range(start + 1, end)]
+        best = max(functions or range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
+        bits[best] = 1
     for start, end in space.file_ranges:
         if any(bits[start:end]):
             bits[start] = 1

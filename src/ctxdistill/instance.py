@@ -172,7 +172,7 @@ def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:
             unit = tree.index.get(loc)
             if unit is None:
                 raise InstanceError(f"locator {loc} names no unit of the context")
-            if not unit.is_leaf:
+            if not unit.is_leaf or unit.level is Level.FILE:
                 raise InstanceError(f"locator {loc} names a non-leaf unit")
             resolved.add(loc)
         elif isinstance(loc, dict):

@@ -28,7 +28,7 @@ from pathlib import Path
 from threading import Event, Timer
 from typing import Callable, Iterable, Protocol
 
-from .code_model import UnitTree, split_lines, upward_closure
+from .code_model import UnitTree, split_lines
 from .instance import build_query
 from .priority import PatchFormatError, parse_diff
 from .render import render
@@ -157,7 +157,8 @@ class OracleSession:
     is keyed by the leaf-id frozenset, which hashes once per set object,
     so it keeps every evaluated set alive until the session goes: memory
     grows with evaluations times leaves, at most ``eval_budget`` sets
-    (about 10 MB for 300 sets of 860 ids).  A session, like its oracle,
+    (about 10 MB for 300 sets of 860 ids).  With ``cache_enabled`` off
+    nothing is stored.  A session, like its oracle,
     belongs to one instance and is driven from one thread.
 
     With a ``trace`` writer, every ``evaluate`` call given a
@@ -206,7 +207,9 @@ class OracleSession:
             )
         else:
             self.invocations += 1
-            verdict = self._cache[key] = self.oracle.evaluate(included_leaf_ids)
+            verdict = self.oracle.evaluate(included_leaf_ids)
+            if self.config.cache_enabled:
+                self._cache[key] = verdict
         if self.trace is not None and pass_level is not None:
             self.trace(
                 {
@@ -523,7 +526,7 @@ class LLMOracle:
         self._outcomes: dict[str, SampleOutcome] = {}
 
     def evaluate(self, included_leaf_ids: frozenset[str]) -> OracleVerdict:
-        rendered = render(self.tree, upward_closure(self.tree, included_leaf_ids))
+        rendered = render(self.tree, included_leaf_ids)
         prompt = REPAIR_PROMPT.format(query=self.query, context=rendered.dump_text())
         completions = self._request_completions(prompt)
         with _ScratchCopy(self.instance.repo_root) as repo:

@@ -32,7 +32,6 @@ from .priority import CoverageReport, PatchFormatError, PatchInfo, parse_patch, 
 @dataclass
 class DistillOutcome:
     record: DistilledInstance
-    ga: GAResult | None
 
 
 def _open_trace(stack: ExitStack, trace_dir: Path | None, instance_id: str) -> TraceWriter | None:
@@ -187,4 +186,4 @@ def distill_instance(
         status=STATUS_MINIMIZED if minimized else STATUS_UNMINIMIZED,
         budget_exhausted=any(r is not None and r.budget_exhausted for r in (ga_result, min_result)),
     )
-    return DistillOutcome(record=record, ga=ga_result)
+    return DistillOutcome(record=record)

@@ -96,17 +96,15 @@ class PatchInfo:
 
 @dataclass
 class CoverageReport:
-    """Covered line numbers per repo-relative path.
+    """Covered line numbers per repo-relative path, each path's numbers
+    ascending and distinct, so the covered lines inside a span are
+    counted by bisection.  Any iterable of numbers is accepted and
+    normalised."""
 
-    ``sorted_lines`` holds the same numbers as ascending lists, so the
-    covered lines inside a span are counted by bisection.
-    """
-
-    lines: dict[str, frozenset[int]] = field(default_factory=dict)
-    sorted_lines: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    lines: dict[str, list[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.sorted_lines = {path: sorted(nums) for path, nums in self.lines.items()}
+        self.lines = {path: sorted(set(nums)) for path, nums in self.lines.items()}
 
     @classmethod
     def empty(cls) -> "CoverageReport":
@@ -120,12 +118,10 @@ class CoverageReport:
         files = data.get("files", {}) if isinstance(data, dict) else None
         if not isinstance(files, dict):
             raise ValueError("coverage report needs a files object")
-        parsed: dict[str, frozenset[int]] = {}
         for path, nums in files.items():
             if not isinstance(nums, list) or not all(type(n) is int and n >= 1 for n in nums):
                 raise ValueError(f"coverage for {path} must be a list of integer lines >= 1")
-            parsed[path] = frozenset(nums)
-        return cls(parsed)
+        return cls(files)
 
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
@@ -266,7 +262,7 @@ def parse_patch(patch_text: str) -> PatchInfo:
 
 
 def covered_line_count(unit: CodeUnit, coverage: CoverageReport) -> int:
-    lines = coverage.sorted_lines.get(unit.path, [])
+    lines = coverage.lines.get(unit.path, [])
     return bisect_right(lines, unit.span.end_line) - bisect_left(lines, unit.span.start_line)
 
 

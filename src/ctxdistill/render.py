@@ -1,5 +1,7 @@
 """Render a candidate context, replacing omitted units with placeholders.
 
+A context is named by unit ids: it keeps those units and every unit
+above them (``upward_closure``), so callers pass leaf sets as they are.
 Included files are emitted in document order; every maximal run of
 excluded sibling subtrees collapses into one ``# ... N lines omitted``
 line at the run's indentation.  A unit's leaves partition its span and
@@ -15,21 +17,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .code_model import CodeUnit, UnitTree, split_lines
+from .code_model import CodeUnit, UnitTree, split_lines, upward_closure
 from .tokens import count_tokens
 
 PLACEHOLDER_RE = re.compile(r"^(\s*)# \.\.\. (\d+) lines omitted$")
 
 FILE_SEPARATOR = "### FILE: "
-
-
-class RenderError(ValueError):
-    """Raised when the inclusion set is not upward-closed (or names
-    unknown units); lists the violating ids."""
-
-    def __init__(self, message: str, violating_ids: list[str]):
-        super().__init__(message)
-        self.violating_ids = violating_ids
 
 
 @dataclass(frozen=True)
@@ -52,22 +45,6 @@ class RenderedContext:
             if rf.text and not rf.text.endswith("\n"):
                 parts.append("\n")
         return "".join(parts)
-
-
-def _check_closed(tree: UnitTree, included: frozenset[str]) -> None:
-    unknown = [uid for uid in sorted(included) if uid not in tree.index]
-    if unknown:
-        raise RenderError(f"unknown unit ids: {', '.join(unknown)}", unknown)
-    violating = [
-        uid
-        for uid in sorted(included)
-        if tree.index[uid].parent_id is not None and tree.index[uid].parent_id not in included
-    ]
-    if violating:
-        raise RenderError(
-            "inclusion set is not upward-closed; violating ids: " + ", ".join(violating),
-            violating,
-        )
 
 
 def _indent_of(lines: list[str], span_start: int, span_end: int) -> str:
@@ -108,10 +85,10 @@ def _emit(
         out.append(placeholder_line(indent, last.span.end_line - child.span.start_line + 1))
 
 
-def render(tree: UnitTree, included: Iterable[str]) -> RenderedContext:
-    """Render the context selected by an upward-closed inclusion set."""
-    included_set = frozenset(included)
-    _check_closed(tree, included_set)
+def render(tree: UnitTree, ids: Iterable[str]) -> RenderedContext:
+    """Render the context that keeps the units ``ids`` and every unit
+    above them.  An unknown id raises ``UnknownUnitError``."""
+    included_set = upward_closure(tree, ids)
 
     per_file: list[RenderedFile] = []
     for file_unit in tree.files:

@@ -17,7 +17,6 @@ from ctxdistill.compressor import (
     ScorerUnavailableError,
     WindowConfig,
     compress,
-    heuristic_score,
     score_segments,
     select_greedy,
     split_windows,
@@ -58,15 +57,16 @@ def test_heuristic_score_terms():
     tree = build_tree("t", [("m.py", "def compute(rate):\n    return rate * 2\n")])
     seg = leaf_segments(tree)[0]
     text = unit_text(tree, seg)
+    scorer = HeuristicScorer(tree)
     at_fault = build_query("crash somewhere else", [FaultLocation("m.py", 2)])
-    assert heuristic_score(at_fault, text, unit=seg, tree=tree) == pytest.approx(0.5)
+    assert scorer.score_batch(at_fault, [(seg, text)])[0] == pytest.approx(0.5)
     overlapping = build_query("compute rate wrong", [])
     # issue ids {compute, rate, wrong}; segment has compute and rate
-    assert heuristic_score(overlapping, text) == pytest.approx(0.5 * (2 / 3))
+    assert scorer.score_batch(overlapping, [(seg, text)])[0] == pytest.approx(0.5 * (2 / 3))
     unrelated = build_query("nothing matches here", [FaultLocation("other.py", 1)])
-    assert heuristic_score(unrelated, text, unit=seg, tree=tree) == 0.0
+    assert scorer.score_batch(unrelated, [(seg, text)])[0] == 0.0
     both = build_query("compute rate", [FaultLocation("m.py", 1)])
-    assert heuristic_score(both, text, unit=seg, tree=tree) == pytest.approx(1.0)
+    assert scorer.score_batch(both, [(seg, text)])[0] == pytest.approx(1.0)
 
 
 def test_heuristic_scores_blocks_of_fault_function():
@@ -84,10 +84,11 @@ def test_heuristic_scores_blocks_of_fault_function():
     query = build_query("trouble", [FaultLocation("m.py", 2)])
     segs = leaf_segments(tree)
     fault_blocks = [s for s in segs if s.span.start_line <= 5]
+    scorer = HeuristicScorer(tree)
     for seg in fault_blocks:
-        assert heuristic_score(query, unit_text(tree, seg), unit=seg, tree=tree) >= 0.5
+        assert scorer.score_batch(query, [(seg, unit_text(tree, seg))])[0] >= 0.5
     other = next(s for s in segs if s.span.start_line > 5)
-    assert heuristic_score(query, unit_text(tree, other), unit=other, tree=tree) == 0.0
+    assert scorer.score_batch(query, [(other, unit_text(tree, other))])[0] == 0.0
 
 
 class StubScorer:

@@ -23,7 +23,7 @@ from ctxdistill.ga_search import (
     run_ga,
 )
 from ctxdistill.oracle import MockOracle, OracleConfig, OracleSession
-from ctxdistill.priority import PatchInfo
+from ctxdistill.priority import CoverageReport, PatchInfo, PriorityWeights, priority_map
 
 from fixtures import module_with_functions, random_tree, tree_with_n_function_leaves
 
@@ -76,6 +76,20 @@ def test_repair_revives_all_zero_with_max_phi_unit():
     # tie -> earliest unit in document order
     flat = repair(Genome((0,) * len(space)), space, _zero_phi(space))
     assert flat.bits[0] == 1
+
+
+def test_repair_revives_all_zero_to_a_genome_that_keeps_a_leaf():
+    """Under ``priority_map`` a file never scores below its children, so
+    reviving the top unit of all would keep a lone file and no leaf."""
+    tree = _tree()
+    space = GenomeSpace(tree)
+    for patch in (PatchInfo.empty(), PatchInfo(frozenset({"f2.py"}), frozenset({"b1"}))):
+        phi = priority_map(tree, patch, CoverageReport.empty(), PriorityWeights())
+        repaired = repair(Genome((0,) * len(space)), space, phi)
+        assert retained_leaf_ids(repaired, space)
+    # with no function-level unit the top file is revived
+    empty = GenomeSpace(build_tree("t", [("e.py", "")]))
+    assert repair(Genome((0,)), empty, {}).bits == (1,)
 
 
 def test_repair_idempotent():

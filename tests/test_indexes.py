@@ -6,8 +6,9 @@ purpose: a linear scan over the whole tree, a re-split of the whole
 file, fault facts recomputed for every segment, a per-line count, a
 scan of every unit for ddmin's units of a level, and frozen copies of
 the parent-and-child walks that the tree's leaf table replaced (subtree
-leaves, render placeholders, GA genome governors) and of the two
-passes over a segment's statements that ``role_facts`` replaced.
+leaves, render placeholders, GA genome governors, the ancestor-list
+upward closure) and of the two passes over a segment's statements that
+``role_facts`` replaced.
 Random modules mix functions, classes, nested definitions, compound
 blocks, decorators, comments and blank lines, plus empty, blank-only,
 comment-only and unparseable files.
@@ -314,6 +315,25 @@ def summed_emit(tree, unit, included, lines, out):
         out.append(placeholder_line(indent, omitted_lines))
 
 
+def frozen_ancestors(tree, unit_id):
+    chain = []
+    current = tree.unit(unit_id)
+    while current.parent_id is not None:
+        chain.append(current.parent_id)
+        current = tree.unit(current.parent_id)
+    return chain
+
+
+def frozen_upward_closure(tree, included):
+    """The included set plus every ancestor of each included unit."""
+    closed = set()
+    for uid in included:
+        if uid not in closed:
+            closed.add(tree.unit(uid).id)
+            closed.update(frozen_ancestors(tree, uid))
+    return frozenset(closed)
+
+
 class GovernorSpace:
     """Genome ancestors and leaf governors found by walking parent links."""
 
@@ -360,7 +380,9 @@ def governor_repair(genome, space, phi):
             for a in space.ancestor_positions[i]:
                 bits[a] = 1
     if not any(bits):
-        best = max(range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
+        # revive the top unit under a file, else the top file
+        below = [i for i in range(len(bits)) if space.ancestor_positions[i]] or range(len(bits))
+        best = max(below, key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
         bits[best] = 1
         for a in space.ancestor_positions[best]:
             bits[a] = 1
@@ -465,6 +487,21 @@ def test_placeholder_line_ranges_match_summed_leaf_lines(tree, rng):
                 summed_emit(tree, file_unit, included, lines, out)
                 expected.append((file_unit.path, "".join(out)))
         assert [(rf.path, rf.text) for rf in rendered.per_file] == expected
+
+
+@SETTINGS
+@given(trees, st.randoms(use_true_random=False))
+def test_render_closes_ids_as_the_ancestor_walk_did(tree, rng):
+    """Any mix of leaf and internal ids renders as its closure."""
+    for _ in range(5):
+        ids = rng.sample(tree.unit_order, rng.randint(0, len(tree.unit_order)))
+        closed = frozen_upward_closure(tree, ids)
+        assert upward_closure(tree, ids) == closed
+        rendered, expected = render(tree, ids), render(tree, closed)
+        assert [(rf.path, rf.text) for rf in rendered.per_file] == [
+            (rf.path, rf.text) for rf in expected.per_file
+        ]
+        assert rendered.total_tokens == expected.total_tokens
 
 
 @SETTINGS

@@ -109,6 +109,16 @@ def test_session_fresh_bypasses_cache():
     assert oracle.calls == 2
 
 
+def test_session_without_cache_stores_no_verdict():
+    oracle = MockOracle(required={"a"})
+    session = OracleSession(oracle, "inst", OracleConfig(cache_enabled=False))
+    for leaves in ({"a"}, {"a", "b"}, {"a"}):
+        assert not session.evaluate(frozenset(leaves)).cache_hit
+    session.evaluate(frozenset({"c"}), fresh=True)
+    assert oracle.calls == session.invocations == 4
+    assert session._cache == {}
+
+
 def test_session_budget_exhaustion():
     oracle = MockOracle(required={"z"})
     session = OracleSession(oracle, "inst", OracleConfig(eval_budget=3))

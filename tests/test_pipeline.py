@@ -13,7 +13,7 @@ from ctxdistill.code_model import build_tree, leaf_segments
 from ctxdistill.config import RunConfig
 from ctxdistill.dataset import STATUS_MINIMIZED, STATUS_UNMINIMIZED
 from ctxdistill.ga_search import GAConfig
-from ctxdistill.instance import load_instance
+from ctxdistill.instance import InstanceError, load_instance, resolve_leaf_locators
 from ctxdistill.oracle import OracleConfig
 from ctxdistill.pipeline import build_mock_oracle, distill_instance
 
@@ -35,6 +35,16 @@ FILES = {
 
 def _leaf_for(tree, path, index=0):
     return [s for s in leaf_segments(tree) if s.path == path][index]
+
+
+def test_the_file_unit_of_an_empty_file_is_no_leaf_locator():
+    """It has no children, yet it is no leaf segment: a mock oracle that
+    required it would find every candidate insufficient."""
+    tree = build_tree("t", [("pkg/core.py", FILES["pkg/core.py"]), ("pkg/empty.py", "")])
+    empty = tree.files[1]
+    assert empty.is_leaf and empty not in leaf_segments(tree)
+    with pytest.raises(InstanceError, match="names a non-leaf unit"):
+        resolve_leaf_locators(tree, [empty.id])
 
 
 def test_distill_with_planted_required(tmp_path):
@@ -107,7 +117,6 @@ def test_distill_without_ga_on_clean_oracle(tmp_path):
     instance = load_instance(instance_path)
     outcome = distill_instance(instance, _config(), use_ga=False)
     assert outcome.record.status == STATUS_MINIMIZED
-    assert outcome.ga is None
     assert outcome.record.provenance["ga_generations"] == 0
 
 
@@ -214,7 +223,9 @@ def test_distill_budget_exhausted_flag(tmp_path):
         mock_distractors=[{"path": "pkg/util.py", "line": 2}],
     )
     instance = load_instance(instance_path)
-    outcome = distill_instance(instance, _config(budget=2))
+    # the distractor fails the all-on genome, and the budget stops the
+    # search before its next candidate
+    outcome = distill_instance(instance, _config(budget=1))
     assert outcome.record.budget_exhausted
     assert outcome.record.status == STATUS_UNMINIMIZED
 
@@ -274,7 +285,7 @@ import json, sys
 from pathlib import Path
 from ctxdistill.config import RunConfig
 from ctxdistill.ga_search import GAConfig
-from ctxdistill.instance import load_instance
+from ctxdistill.instance import InstanceError, load_instance, resolve_leaf_locators
 from ctxdistill.pipeline import distill_instance
 instance = load_instance(sys.argv[1])
 config = RunConfig(ga=GAConfig(population_size=10, max_generations=10, rng_seed=2))

@@ -177,7 +177,7 @@ def test_coverage_json_roundtrip(tmp_path):
     report = tmp_path / "cov.json"
     report.write_text('{"files": {"a.py": [1, 2, 9]}}', encoding="utf-8")
     cov = CoverageReport.load(report)
-    assert cov.lines == {"a.py": frozenset({1, 2, 9})}
+    assert cov.lines == {"a.py": [1, 2, 9]}
     with pytest.raises(ValueError):
         CoverageReport.from_json({"files": {"a.py": [0]}})
 

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctxdistill import compressor
 from ctxdistill.code_model import (
     CodeUnit,
     Level,
@@ -199,8 +198,7 @@ def test_heuristic_scores_match_the_frozen_resolver(case, issue_text):
     assert scorer.score_batch(query, items) == frozen_scorer.score_batch(frozen_query, items)
     for leaf, text in items:
         expected = frozen_heuristic_score(frozen_query, text, unit=leaf, tree=tree)
-        assert compressor.heuristic_score(query, text, unit=leaf, tree=tree) == expected
-        assert compressor.heuristic_score(query, text) == frozen_heuristic_score(frozen_query, text)
+        assert HeuristicScorer(tree).score_batch(query, [(leaf, text)])[0] == expected
 
 
 def test_the_dropped_fallback_read_only_the_empty_text_of_an_empty_file():

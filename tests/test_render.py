@@ -5,13 +5,13 @@ import random
 import pytest
 
 from ctxdistill.code_model import (
-    Level,
+    UnknownUnitError,
     build_tree,
     leaf_segments,
     subtree_leaf_ids,
     upward_closure,
 )
-from ctxdistill.render import PLACEHOLDER_RE, RenderError, render, render_full
+from ctxdistill.render import PLACEHOLDER_RE, render, render_full
 
 from fixtures import CLASS_SOURCE, MULTI_BLOCK_SOURCE, NESTED_SOURCE, random_module
 
@@ -134,14 +134,14 @@ def test_placeholder_count_equals_maximal_excluded_runs():
         assert placeholders == _expected_placeholder_runs(tree, included)
 
 
-def test_non_closed_inclusion_raises_listing_ids():
+def test_unknown_id_raises_naming_the_id():
     tree = build_tree("t", [("m.py", MULTI_BLOCK_SOURCE)])
-    block = next(s for s in leaf_segments(tree) if s.level is Level.BLOCK)
-    with pytest.raises(RenderError) as err:
-        render(tree, {block.id})
-    assert block.id in err.value.violating_ids
-    with pytest.raises(RenderError):
-        render(tree, {"bogus-id"})
+    leaf = leaf_segments(tree)[0]
+    for ids in ({"bogus-id"}, [leaf.id, "bogus-id"]):
+        with pytest.raises(UnknownUnitError) as err:
+            render(tree, ids)
+        assert err.value.unit_id == "bogus-id"
+        assert "bogus-id" in str(err.value)
 
 
 def test_total_tokens_counts_separator():

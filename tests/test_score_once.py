@@ -294,9 +294,8 @@ def test_heuristic_score_matches_frozen_score(case):
     for leaf in leaf_segments(tree):
         text = unit_text(tree, leaf)
         expected = frozen_heuristic_score(query, text, unit=leaf, tree=tree)
-        assert compressor.heuristic_score(query, text, unit=leaf, tree=tree) == expected
+        assert HeuristicScorer(tree).score_batch(query, [(leaf, text)])[0] == expected
         assert scorer.score_batch(query, [(leaf, text)]) == [expected]
-        assert compressor.heuristic_score(query, text) == frozen_heuristic_score(query, text)
 
 
 @SETTINGS
