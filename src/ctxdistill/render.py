@@ -88,15 +88,15 @@ def _emit(
 def render(tree: UnitTree, ids: Iterable[str]) -> RenderedContext:
     """Render the context that keeps the units ``ids`` and every unit
     above them.  An unknown id raises ``UnknownUnitError``."""
-    included_set = upward_closure(tree, ids)
+    included = upward_closure(tree, ids)
 
     per_file: list[RenderedFile] = []
     for file_unit in tree.files:
-        if file_unit.id not in included_set:
+        if file_unit.id not in included:
             continue
         lines = split_lines(tree.sources[file_unit.path], keepends=True)
         out: list[str] = []
-        _emit(tree, file_unit, included_set, lines, out)
+        _emit(tree, file_unit, included, lines, out)
         per_file.append(RenderedFile(file_unit.path, "".join(out)))
 
     rendered = RenderedContext(per_file, 0)
