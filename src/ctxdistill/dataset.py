@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
@@ -267,10 +268,20 @@ def classify_role(segment: CodeUnit, text: str, facts: FaultFacts) -> SemanticRo
 
 
 def append_corpus(instance: DistilledInstance, path: str | Path) -> None:
+    """Append ``instance`` to the corpus at ``path`` as one JSON line,
+    written by one ``os.write`` on an ``O_APPEND`` descriptor, so the
+    records of two appenders never interleave.  A short write raises
+    ``OSError`` naming the corpus."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(instance.to_json(), sort_keys=True) + "\n")
+    line = (json.dumps(instance.to_json(), sort_keys=True) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, line)
+    finally:
+        os.close(fd)
+    if written != len(line):
+        raise OSError(f"corpus {path}: wrote {written} of the {len(line)} bytes of a record")
 
 
 def load_corpus(path: str | Path) -> list[DistilledInstance]:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .code_model import Level, UnitTree
+from .code_model import UnitTree
 from .oracle import OracleBudgetExhausted, OracleSession
 from .priority import PatchInfo
 
@@ -54,22 +54,15 @@ class GenomeSpace:
 
     def __init__(self, tree: UnitTree):
         self.tree = tree
-        self.unit_ids = [
-            uid
-            for uid in tree.unit_order
-            if tree.index[uid].level in (Level.FILE, Level.FUNCTION)
-        ]
-
-        # contiguous genome ranges per file: the file's own position, then
-        # its function-level units; used for crossover and consistency
+        # each file's contiguous genome range: the file's own position, then
+        # its function-level units, its children; used for crossover and
+        # consistency
+        self.unit_ids: list[str] = []
         self.file_ranges: list[tuple[int, int]] = []
-        start = None
-        for i, uid in enumerate(self.unit_ids):
-            if tree.index[uid].level is Level.FILE:
-                if start is not None:
-                    self.file_ranges.append((start, i))
-                start = i
-        if start is not None:
+        for file_unit in tree.files:
+            start = len(self.unit_ids)
+            self.unit_ids.append(file_unit.id)
+            self.unit_ids += file_unit.child_ids
             self.file_ranges.append((start, len(self.unit_ids)))
 
         self.leaf_ids = [leaf.id for leaf in tree.leaves]
@@ -136,7 +129,12 @@ def init_population(
     rng: random.Random,
 ) -> list[Genome]:
     """Seed individuals: all-on, gold-patch files only, then
-    priority-biased random genomes."""
+    priority-biased random genomes.
+
+    A position's inclusion probability depends only on its unit, so it
+    is computed once per population.  Each random genome then draws one
+    ``rng.random()`` per position, in position order, genome after
+    genome: the draws, and so the population, depend on that order."""
     n = len(space)
     population = [repair(Genome((1,) * n), space, phi)]
 
@@ -146,15 +144,14 @@ def init_population(
     population.append(repair(Genome(patch_bits), space, phi))
 
     max_phi = max((phi.get(uid, 0.0) for uid in space.unit_ids), default=0.0)
+    if max_phi <= 0:
+        odds = [0.5] * n
+    else:
+        odds = [min(0.9, max(0.1, phi.get(uid, 0.0) / max_phi)) for uid in space.unit_ids]
+    draw = rng.random
     for _ in range(config.population_size - 2):
-        bits = []
-        for uid in space.unit_ids:
-            if max_phi <= 0:
-                p = 0.5
-            else:
-                p = min(0.9, max(0.1, phi.get(uid, 0.0) / max_phi))
-            bits.append(1 if rng.random() < p else 0)
-        population.append(repair(Genome(tuple(bits)), space, phi))
+        bits = tuple([1 if draw() < p else 0 for p in odds])
+        population.append(repair(Genome(bits), space, phi))
     return population[: config.population_size]
 
 

@@ -582,31 +582,34 @@ class LLMOracle:
         repository, which ``repo.checkout`` makes or resets to the
         original, and run the test command there.
 
-        The verdict is the shell's exit status.  Output goes to files, not
-        pipes, so a background child that keeps them open cannot hold the
-        run past the shell's exit; the files are read only when a log is
-        written.  The wait blocks in ``waitpid`` until the shell exits, so
-        the run ends when the shell does (a timed ``Popen.wait`` polls,
-        and sees the exit only at its next tick, up to 50 ms later).  A
-        watchdog timer enforces ``timeout_seconds``: if the wait is still
-        going when it fires, it marks the run as timed out and kills the
-        process group, which ends the wait.  Once the wait returns, the
-        watchdog is cancelled and what is left of the process group is
-        killed, so no process of this run writes to the copy while the
-        next patch's reset reads it.  A process that leaves the process
-        group, as ``setsid`` does, stays out of reach and out of scope."""
+        The verdict is the shell's exit status.  Without a log, output goes
+        to ``os.devnull``; with one, to temporary files, read once the run
+        ends.  Never to pipes, so a background child that keeps them open
+        cannot hold the run past the shell's exit.  The wait blocks in
+        ``waitpid`` until the shell exits, so the run ends when the shell
+        does (a timed ``Popen.wait`` polls, and sees the exit only at its
+        next tick, up to 50 ms later).  A watchdog timer enforces
+        ``timeout_seconds``: if the wait is still going when it fires, it
+        marks the run as timed out and kills the process group, which ends
+        the wait.  Once the wait returns, the watchdog is cancelled and
+        what is left of the process group is killed, so no process of this
+        run writes to the copy while the next patch's reset reads it.  A
+        process that leaves the process group, as ``setsid`` does, stays
+        out of reach and out of scope."""
         repo_copy = repo.checkout()
         try:
             apply_patch_text(repo_copy, patch)
         except PatchApplyError as exc:
             self._write_log(patch, f"patch not applied: {exc}\n")
             return SampleOutcome(False, None, time.perf_counter() - start)
-        with (
-            tempfile.TemporaryFile("w+", errors="replace") as out,
-            tempfile.TemporaryFile("w+", errors="replace") as err,
-        ):
-            status = self._run_test(repo_copy, out, err)
-            if self.log_dir is not None:
+        if self.log_dir is None:
+            status = self._run_test(repo_copy, subprocess.DEVNULL, subprocess.DEVNULL)
+        else:
+            with (
+                tempfile.TemporaryFile("w+", errors="replace") as out,
+                tempfile.TemporaryFile("w+", errors="replace") as err,
+            ):
+                status = self._run_test(repo_copy, out, err)
                 out.seek(0)
                 err.seek(0)
                 head = (

@@ -12,13 +12,14 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
-from .code_model import UnitTree, leaf_segments, unit_text
+from .code_model import SegmentKind, UnitTree, leaf_segments, unit_text
 from .config import RunConfig
 from .dataset import (
     STATUS_MINIMIZED,
     STATUS_UNMINIMIZED,
     DistilledInstance,
     SegmentRecord,
+    SemanticRole,
     classify_role,
     fault_facts,
 )
@@ -27,6 +28,12 @@ from .hdd import InsufficientContextError, minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
 from .oracle import LLMOracle, MockOracle, Oracle, OracleSession, TraceWriter
 from .priority import CoverageReport, PatchFormatError, PatchInfo, parse_patch, priority_map, read_input
+
+
+# a record's kind and role strings, read without ``Enum.value``'s
+# descriptor call per leaf
+_KIND_TEXT = {kind: kind.value for kind in SegmentKind}
+_ROLE_TEXT = {role: role.value for role in SemanticRole}
 
 
 @dataclass
@@ -160,12 +167,12 @@ def distill_instance(
             SegmentRecord(
                 id=seg.id,
                 path=seg.path,
-                kind=seg.kind.value,
+                kind=_KIND_TEXT[seg.kind],
                 start_line=seg.span.start_line,
                 end_line=seg.span.end_line,
                 line_count=seg.span.line_count,
                 text=text,
-                role=classify_role(seg, text, facts).value,
+                role=_ROLE_TEXT[classify_role(seg, text, facts)],
             )
         )
 

@@ -262,25 +262,29 @@ def parse_patch(patch_text: str) -> PatchInfo:
 
 
 def covered_line_count(unit: CodeUnit, coverage: CoverageReport) -> int:
-    lines = coverage.lines.get(unit.path, [])
-    return bisect_right(lines, unit.span.end_line) - bisect_left(lines, unit.span.start_line)
+    lines = coverage.lines.get(unit.path)
+    if not lines:
+        return 0
+    span = unit.span
+    return bisect_right(lines, span.end_line) - bisect_left(lines, span.start_line)
 
 
-def _score(
-    unit: CodeUnit,
-    matched: frozenset[str],
-    patch: PatchInfo,
-    coverage: CoverageReport,
-    weights: PriorityWeights,
-) -> float:
-    """Composite priority of a unit whose text mentions the patch
-    identifiers ``matched``."""
-    score = 0.0
-    if unit.path in patch.files:
-        score += weights.w_p
-    score += weights.w_c * math.log(1 + covered_line_count(unit, coverage))
-    sym = len(matched) / len(patch.identifiers) if patch.identifiers else 0.0
-    score += weights.w_s * sym
+def _scorer(patch: PatchInfo, coverage: CoverageReport, weights: PriorityWeights):
+    """The composite priority of a unit whose text mentions the patch
+    identifiers ``matched``, as ``score(unit, matched)``: the one score
+    formula, with the weights and the vocabulary size read once."""
+    files = patch.files
+    w_p, w_c, w_s = weights.w_p, weights.w_c, weights.w_s
+    vocabulary = len(patch.identifiers)
+
+    def score(unit: CodeUnit, matched: frozenset[str]) -> float:
+        score = 0.0
+        if unit.path in files:
+            score += w_p
+        score += w_c * math.log(1 + covered_line_count(unit, coverage))
+        score += w_s * (len(matched) / vocabulary if vocabulary else 0.0)
+        return score
+
     return score
 
 
@@ -292,7 +296,7 @@ def priority(
     weights: PriorityWeights,
 ) -> float:
     """Composite priority of one unit (natural log dampens coverage)."""
-    return _score(unit, lex_identifiers(text) & patch.identifiers, patch, coverage, weights)
+    return _scorer(patch, coverage, weights)(unit, lex_identifiers(text) & patch.identifiers)
 
 
 def priority_map(
@@ -301,15 +305,16 @@ def priority_map(
     coverage: CoverageReport,
     weights: PriorityWeights,
 ) -> dict[str, float]:
-    """Priority for every unit in the tree.
+    """Priority for every unit in the tree, each score computed by the
+    same float operations, in the same order, as :func:`priority`'s.
 
     A leaf is lexed only if its text holds, as a substring, a patch
     identifier that its file holds: no other leaf can lex to one.  The
     test costs at most one substring search per leaf and identifier,
-    however often an identifier occurs.  A unit's leaves partition its lines and no identifier spans a
-    line break, so the patch identifiers a unit's text mentions are the
-    union of those its leaves mention (an empty file's unit has no
-    leaves and mentions none)."""
+    however often an identifier occurs.  A unit's leaves partition its
+    lines and no identifier spans a line break, so the patch identifiers
+    a unit's text mentions are the union of those its leaves mention (an
+    empty file's unit has no leaves and mentions none)."""
     targets = patch.identifiers - _KEYWORDS
     present = {path: [t for t in targets if t in source] for path, source in tree.sources.items()}
     leaf_matched = [frozenset()] * len(tree.leaves)
@@ -320,9 +325,11 @@ def priority_map(
                 if target in text:
                     leaf_matched[i] = identifiers_in(text, targets)
                     break
+    score = _scorer(patch, coverage, weights)
+    index, leaf_slice = tree.index, tree.leaf_slice
     scores = {}
     for uid in tree.unit_order:
-        lo, hi = tree.leaf_slice[uid]
-        matched = frozenset().union(*leaf_matched[lo:hi])
-        scores[uid] = _score(tree.unit(uid), matched, patch, coverage, weights)
+        lo, hi = leaf_slice[uid]
+        matched = leaf_matched[lo] if hi - lo == 1 else frozenset().union(*leaf_matched[lo:hi])
+        scores[uid] = score(index[uid], matched)
     return scores

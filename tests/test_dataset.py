@@ -1,7 +1,10 @@
 """Corpus persistence, role classification, triple export, statistics."""
 
+import fcntl
 import json
+import os
 import random
+import re
 
 import pytest
 
@@ -168,6 +171,32 @@ def test_corpus_roundtrip(tmp_path):
     assert loaded == corpus
     # densities recomputed after the roundtrip agree
     assert compute_stats(loaded).relevance_density == compute_stats(corpus).relevance_density
+
+
+def test_each_corpus_record_is_one_append_write(tmp_path, monkeypatch):
+    writes = []
+    real_write = os.write
+
+    def recording(fd, data):
+        writes.append((os.fstat(fd).st_ino, bool(fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND), bytes(data)))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", recording)
+    corpus = [_instance("i1", 4, 1), _instance("é2", 3, 2)]
+    path = tmp_path / "corpus.jsonl"
+    for inst in corpus:
+        append_corpus(inst, path)
+    inode = path.stat().st_ino
+    lines = [(json.dumps(inst.to_json(), sort_keys=True) + "\n").encode("utf-8") for inst in corpus]
+    assert writes == [(inode, True, line) for line in lines]
+    assert path.read_bytes() == b"".join(lines)
+
+
+def test_a_short_corpus_write_names_the_corpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "write", lambda fd, data: len(data) - 1)
+    path = tmp_path / "corpus.jsonl"
+    with pytest.raises(OSError, match=re.escape(f"corpus {path}: wrote ")):
+        append_corpus(_instance("i1", 4, 1), path)
 
 
 def test_corpus_record_without_budget_flag_loads_as_not_exhausted(tmp_path):

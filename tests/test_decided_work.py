@@ -4,8 +4,10 @@ decided, and gives exactly the answers of the path it replaced.
 The references below are verbatim frozen copies of the earlier code,
 kept here on purpose: a ``classify_role`` that walks every segment's AST
 for called names, a ``priority_map`` that lexes every unit's whole text,
-and a ``run_ga`` that draws and ranks all of generation 0 before it
-judges the all-on genome.  Random module trees come from
+a ``run_ga`` that draws and ranks all of generation 0 before it
+judges the all-on genome, and the ``GenomeSpace`` and
+``init_population`` that filtered the unit order by level and computed
+each position's inclusion probability once per genome.  Random module trees come from
 ``tests/test_indexes.py`` and ``tests/test_score_once.py``; callers of
 the trees' function names, a non-ASCII caller and random oracles with
 distractors make every role and every GA outcome occur.
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ctxdistill.code_model import SegmentKind, build_tree, unit_text
+from ctxdistill.code_model import Level, SegmentKind, build_tree, unit_text
 from ctxdistill.dataset import (
     SemanticRole,
     _called_names,
@@ -156,6 +158,55 @@ def frozen_run_ga(tree, phi, patch, session, config):
         population = elites + offspring[: config.population_size - elite_count]
 
     return GAResult(None, None, config.max_generations)
+
+
+class FrozenGenomeSpace:
+    def __init__(self, tree):
+        self.tree = tree
+        self.unit_ids = [
+            uid
+            for uid in tree.unit_order
+            if tree.index[uid].level in (Level.FILE, Level.FUNCTION)
+        ]
+
+        # contiguous genome ranges per file: the file's own position, then
+        # its function-level units; used for crossover and consistency
+        self.file_ranges = []
+        start = None
+        for i, uid in enumerate(self.unit_ids):
+            if tree.index[uid].level is Level.FILE:
+                if start is not None:
+                    self.file_ranges.append((start, i))
+                start = i
+        if start is not None:
+            self.file_ranges.append((start, len(self.unit_ids)))
+
+        self.leaf_ids = [leaf.id for leaf in tree.leaves]
+
+    def __len__(self):
+        return len(self.unit_ids)
+
+
+def frozen_init_population(space, phi, patch, config, rng):
+    n = len(space)
+    population = [repair(Genome((1,) * n), space, phi)]
+
+    patch_bits = tuple(
+        1 if space.tree.index[uid].path in patch.files else 0 for uid in space.unit_ids
+    )
+    population.append(repair(Genome(patch_bits), space, phi))
+
+    max_phi = max((phi.get(uid, 0.0) for uid in space.unit_ids), default=0.0)
+    for _ in range(config.population_size - 2):
+        bits = []
+        for uid in space.unit_ids:
+            if max_phi <= 0:
+                p = 0.5
+            else:
+                p = min(0.9, max(0.1, phi.get(uid, 0.0) / max_phi))
+            bits.append(1 if rng.random() < p else 0)
+        population.append(repair(Genome(tuple(bits)), space, phi))
+    return population[: config.population_size]
 
 
 # --- roles ----------------------------------------------------------------------------
@@ -334,3 +385,82 @@ def test_run_ga_rejects_negative_and_nan_priorities(bad):
     with pytest.raises(ValueError, match="non-negative"):
         run_ga(tree, phi, PatchInfo.empty(), OracleSession(oracle, "t"), GAConfig())
     assert oracle.calls == 0
+
+
+# --- the population draw ------------------------------------------------------------------
+
+# files without a line have no function-level unit, so their genome
+# positions are all files
+empty_trees = st.integers(1, 3).map(
+    lambda n: build_tree("t", [(f"pkg/e{i}.py", "") for i in range(n)])
+)
+
+
+@st.composite
+def population_cases(draw):
+    tree = draw(st.one_of(module_trees, scoring_trees, empty_trees))
+    rng = draw(st.randoms(use_true_random=False))
+    # some units go without a priority, which reads as 0.0
+    phi = {
+        uid: rng.choice([0.0, 0.1, 1 / 3, rng.random(), rng.uniform(0, 50)])
+        for uid in tree.unit_order
+        if rng.random() < 0.9
+    }
+    if draw(st.booleans()):
+        phi = dict.fromkeys(phi, 0.0)
+    paths = list(tree.sources)
+    patch = PatchInfo(draw(st.frozensets(st.sampled_from(paths))), frozenset())
+    config = GAConfig(population_size=draw(st.integers(2, 12)), rng_seed=draw(st.integers(0, 1000)))
+    return tree, phi, patch, config
+
+
+def _spaces_and_populations(case):
+    tree, phi, patch, config = case
+    drawn = []
+    for space_of, init in ((GenomeSpace, init_population), (FrozenGenomeSpace, frozen_init_population)):
+        space = space_of(tree)
+        rng = random.Random(config.rng_seed)
+        population = init(space, phi, patch, config, rng)
+        drawn.append(
+            (space.unit_ids, space.file_ranges, space.leaf_ids, [g.bits for g in population], rng.getstate())
+        )
+    return drawn
+
+
+@SETTINGS
+@given(population_cases())
+def test_population_draw_matches_the_per_genome_odds(case):
+    live, frozen = _spaces_and_populations(case)
+    assert live == frozen
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+@SETTINGS
+@given(population_cases())
+def test_one_population_draws_once_per_random_genome_and_position(case):
+    tree, phi, patch, config = case
+    space = GenomeSpace(tree)
+    rng = CountingRandom(config.rng_seed)
+    population = init_population(space, phi, patch, config, rng)
+    assert len(population) == config.population_size
+    assert rng.calls == (config.population_size - 2) * len(space)
+
+
+@pytest.mark.parametrize("sources", [["", ""], ["def f(a):\n    return a\n", ""]])
+def test_population_draw_matches_for_zero_priorities(sources):
+    tree = build_tree("t", [(f"pkg/m{i}.py", src) for i, src in enumerate(sources)])
+    phi = dict.fromkeys(tree.unit_order, 0.0)
+    case = (tree, phi, PatchInfo(frozenset({"pkg/m1.py"}), frozenset()), GAConfig(population_size=9))
+    live, frozen = _spaces_and_populations(case)
+    assert live == frozen
+    if not any(sources):  # no function-level position
+        assert live[0] == [unit.id for unit in tree.files]

@@ -2,12 +2,13 @@
 answers of the work it replaced.
 
 - ``priority_map`` checks which patch identifiers each file holds and
-  lexes only the leaves that hold one of those as a substring.  The reference is a
-  frozen copy of the ``priority_map`` that lexed every leaf.  The random
-  sources hold targets inside longer identifiers (``get`` in
-  ``budget``), digit-led runs (``1get`` lexes to ``get``), ``\\r\\n`` and
-  ``\\r`` line breaks, non-ASCII letters next to a target, keywords among
-  the patch identifiers, and empty and unparseable files.
+  lexes only the leaves that hold one of those as a substring.  The
+  reference is a frozen copy of the ``priority_map`` that lexed every
+  leaf, with the score formula it used.  The random sources hold targets
+  inside longer identifiers (``get`` in ``budget``), digit-led runs
+  (``1get`` lexes to ``get``), ``\\r\\n`` and ``\\r`` line breaks,
+  non-ASCII letters next to a target, keywords among the patch
+  identifiers, and empty and unparseable files.
 - ``role_facts`` reads a statement list in one pass; the references are
   the two passes it replaced, kept in ``tests/test_indexes.py``.
 - The records made once per unit or segment carry no ``__dict__``.
@@ -16,6 +17,7 @@ answers of the work it replaced.
 from __future__ import annotations
 
 import ast
+import math
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from ctxdistill.priority import (
     CoverageReport,
     PatchInfo,
     PriorityWeights,
-    _score,
+    covered_line_count,
     identifiers_in,
     priority_map,
 )
@@ -36,6 +38,16 @@ from test_indexes import SETTINGS, declaration_ratio, defined_names
 from test_indexes import module_source
 
 # --- priority_map ------------------------------------------------------------------
+
+
+def frozen_score(unit, matched, patch, coverage, weights):
+    score = 0.0
+    if unit.path in patch.files:
+        score += weights.w_p
+    score += weights.w_c * math.log(1 + covered_line_count(unit, coverage))
+    sym = len(matched) / len(patch.identifiers) if patch.identifiers else 0.0
+    score += weights.w_s * sym
+    return score
 
 
 def leaf_lexing_priority_map(tree, patch, coverage, weights):
@@ -49,7 +61,7 @@ def leaf_lexing_priority_map(tree, patch, coverage, weights):
     for uid in tree.unit_order:
         lo, hi = tree.leaf_slice[uid]
         matched = frozenset().union(*leaf_matched[lo:hi])
-        scores[uid] = _score(tree.unit(uid), matched, patch, coverage, weights)
+        scores[uid] = frozen_score(tree.unit(uid), matched, patch, coverage, weights)
     return scores
 
 

@@ -765,6 +765,33 @@ def test_llm_oracle_logs_each_distinct_patch_once(tmp_path):
     assert heads[2] == "patch not applied: removed-line mismatch at mod.py:1"
 
 
+def test_an_unlogged_test_run_opens_no_temporary_file(tmp_path, monkeypatch):
+    opened = []
+    real = tempfile.TemporaryFile
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counting)
+    judged = {}
+    for name, log_dir in (("unlogged", None), ("logged", tmp_path / "logs")):
+        (tmp_path / name).mkdir()
+        opened.clear()
+        oracle, leaves = _counting_oracle(tmp_path / name, MIXED, log_dir=log_dir)
+        verdict = oracle.evaluate(leaves)
+        judged[name] = (
+            verdict.sufficient,
+            verdict.passes,
+            [(o.applied, o.test_exit_status, o.timed_out) for o in verdict.per_sample],
+            len(opened),
+        )
+    # two distinct applied patches: two test runs, each with two files when logged
+    assert judged["unlogged"] == (True, 2, [(True, 0, False)] * 2 + [(True, 1, False), (False, None, False)], 0)
+    assert judged["logged"] == (*judged["unlogged"][:3], 4)
+    assert _runs(tmp_path / "unlogged") == _runs(tmp_path / "logged") == 2
+
+
 # --- LLM oracle sandbox: one scratch copy per evaluation ----------------------
 
 

@@ -16,8 +16,10 @@ The result, ``BENCH_<label>.json`` at the repository root, holds every
 run's report (end-to-end and quality metrics, digest, failures, the
 median wall time and host scale behind the rescaled timings) and,
 per workload and end-to-end metric, each side's median and quartiles, the
-number of pairs the change won (ties count for neither side) and the
-change of the median.  Which way is better comes from ``BENCHMARK.json``.
+number of pairs the change won (ties count for neither side), the
+change of the median and a verdict: ``worse``, ``gain``, ``unresolved``
+or ``within bound``, as ``verdict`` defines them.  Which way is better,
+and each metric's bound, come from ``BENCHMARK.json``.
 The summary it prints ends, per workload, with whether the two sides'
 digests agree and how many runs and instances failed on each side.
 ``host`` records ``sys.flags.dont_write_bytecode``: with it set, every
@@ -104,10 +106,39 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric over paired runs, ``parent[i]`` and
+    ``change[i]`` from pair ``i``; ``better`` and the relative ``bound``
+    come from ``BENCHMARK.json``.  The first that holds of:
+
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median.
+    - ``gain``: the change won at least 9 of every 10 pairs, and its
+      median is better than the parent's by more than the parent's
+      quartile distance.
+    - ``unresolved``: the parent's quartile distance is wider than
+      ``bound`` times its median, and not every change run beats every
+      parent run.
+    - ``within bound``."""
+    sign = 1 if better == "lower" else -1
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = sign * (median - statistics.median(change))  # > 0: the change is better
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    if -gap > bound * abs(median):
+        return "worse"
+    if 10 * wins >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(median) and not all(sign * (c - p) < 0 for p in parent for c in change):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     """Per workload: each end-to-end metric's spread per side, the pairs
-    the change won and the relative change of the median; the digests,
-    failed runs (a non-zero exit) and failed instances each side saw."""
+    the change won, the relative change of the median and the
+    :func:`verdict`; the digests, failed runs (a non-zero exit) and
+    failed instances each side saw.  ``metrics`` maps each metric to its
+    ``BENCHMARK.json`` entry."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -116,16 +147,19 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r
         complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
         row: dict = {"pairs": len(complete), "metrics": {}}
-        for metric, better in metrics.items():
+        for metric, declared in metrics.items():
+            better = declared["better"]
             values = {side: [p[side]["end_to_end"][metric] for p in complete] for side in SIDES}
             sign = 1 if better == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             stats = {side: spread(values[side]) for side in SIDES}
             row["metrics"][metric] = {
                 "better": better,
+                "bound": declared["bound"],
                 **stats,
                 "change_wins": wins,
                 "median_change": stats["change"]["median"] / stats["parent"]["median"] - 1,
+                "verdict": verdict(values["parent"], values["change"], better, declared["bound"]),
             }
         for side in SIDES:
             side_runs = [p[side] for p in complete]
@@ -151,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
     out = ROOT / f"BENCH_{args.label}.json"
     result = {
         "label": args.label,
@@ -192,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{workload} {metric}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
                 f"{m['parent']['q3']:.6g}]  change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
                 f"{m['change']['q3']:.6g}]  {m['median_change']:+.1%}  change won {m['change_wins']}/{row['pairs']}"
+                f"  {m['verdict']}"
             )
         agree = "agree" if row["parent_digests"] == row["change_digests"] else "differ"
         failures = "  ".join(
