@@ -8,13 +8,21 @@ longer than the scoring window are scored in overlapping line-aligned
 windows and aggregated by max.
 
 Ties in score break by the heuristic score of the segment's whole text,
-then by document order.  ``compress`` does each piece of per-query work
-once: the query (``instance.build_query``) lexes the issue text when it
-is built, and a segment that the heuristic scorer saw whole takes its
-score as its tiebreak.  Only windowed segments, and every segment under
-another scorer, compute the whole-text tiebreak separately.  The fault
-units (``instance.fault_units``) are resolved once per scoring batch
-and once for the tiebreaks.
+then by document order.  ``compress`` does each piece of work once at
+its level:
+
+- per query: the query (``instance.build_query``) lexes the issue text
+  when it is built, and ``_heuristic`` binds the issue identifiers, the
+  lexer and the fault spans per path (``instance.fault_units``) into one
+  scoring closure.  ``HeuristicScorer`` keeps its closure while the
+  batches name the same query, and ``compress`` builds one more for the
+  whole-text tiebreaks.
+- per batch: one call to the scorer, retried once, and one pass that
+  clamps its scores.
+- per leaf: its text and token count, once each, and one score.  A
+  segment the heuristic scorer saw whole takes its score as its
+  tiebreak; only windowed segments, and every segment under another
+  scorer, call the tiebreak closure on their whole text.
 """
 
 from __future__ import annotations
@@ -24,11 +32,13 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter
 from typing import Callable, Protocol, Sequence
 
-from .code_model import CodeUnit, UnitTree, leaf_segments, split_lines, unit_text
+from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 from .instance import Instance, StructuredQuery, build_query, fault_units
-from .priority import identifiers_in
+from .priority import _IDENT_RE, json_field, json_value
 from .render import RenderedContext, render, render_full
 from .tokens import count_tokens
 
@@ -69,7 +79,7 @@ class CompressionBudget:
         return cls(target_rate, math.floor(initial_tokens / target_rate))
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredSegment:
     """One leaf's score and tiebreaks.  Per-leaf records (this one,
     ``SegmentRecord``, ``RoleFacts``) are not frozen: a frozen dataclass
@@ -96,52 +106,62 @@ class SegmentScorer(Protocol):
 # --- heuristic scorer ----------------------------------------------------
 
 
-def _near_fault(unit: CodeUnit, query: StructuredQuery, enclosing: Sequence[CodeUnit | None]) -> bool:
-    """``enclosing`` is ``fault_units`` of the query's fault locations."""
-    for fl, fault_unit in zip(query.fault_locations, enclosing):
-        if fl.path != unit.path:
-            continue
-        if unit.span.contains_line(fl.line):
-            return True
-        if fault_unit is not None and (
-            fault_unit.span.contains(unit.span) or unit.span.contains(fault_unit.span)
-        ):
-            return True
-    return False
+def _heuristic(tree: UnitTree, query: StructuredQuery) -> Callable[[CodeUnit, str], float]:
+    """The heuristic score of ``(unit, text)`` under ``query``: half the
+    share of the issue's identifiers that ``text`` names, half whether
+    ``unit`` lies near a fault: its span contains the fault's line or lies
+    inside the function-level unit enclosing it (``fault_units``; a unit
+    containing that function contains the line).  The faults are keyed
+    by path, so a unit outside every fault's file costs one lookup."""
+    issue_ids = query.issue_identifiers
+    named = issue_ids.intersection
+    lex = _IDENT_RE.findall
+    count = len(issue_ids)
+    faults: dict[str, list[tuple[int, int, int]]] = {}
+    for fl, fault_unit in zip(query.fault_locations, fault_units(tree, query.fault_locations)):
+        # no enclosing function: an empty range, which contains no span
+        lo, hi = (fault_unit.span.start_line, fault_unit.span.end_line) if fault_unit else (1, 0)
+        faults.setdefault(fl.path, []).append((fl.line, lo, hi))
 
+    def score(unit: CodeUnit, text: str) -> float:
+        overlap = len(named(lex(text))) / count if count else 0.0
+        fault = 0.0
+        near = faults.get(unit.path)
+        if near:
+            start, end = unit.span.start_line, unit.span.end_line
+            for line, lo, hi in near:
+                if start <= line <= end or (lo <= start and end <= hi):
+                    fault = 1.0
+                    break
+        return 0.5 * overlap + 0.5 * fault
 
-def _score(
-    query: StructuredQuery, text: str, unit: CodeUnit, enclosing: Sequence[CodeUnit | None]
-) -> float:
-    issue_ids = query.issue_identifiers  # lexed, so without keywords
-    if issue_ids:
-        overlap = len(identifiers_in(text, issue_ids)) / len(issue_ids)
-    else:
-        overlap = 0.0
-    fault = 1.0 if _near_fault(unit, query, enclosing) else 0.0
-    return 0.5 * overlap + 0.5 * fault
+    return score
 
 
 class HeuristicScorer:
     """Oracle-free default scorer, no model required: half identifier
     overlap with the issue, half fault-location proximity.
 
-    The function units enclosing the query's faults are resolved once
-    per batch, not once per segment.  Scores lie in [0, 1], so a segment
-    scored whole already has its whole-text tiebreak: ``compress`` reuses
-    it and computes a separate tiebreak only for windowed segments.
+    A batch is scored through one ``_heuristic`` closure, built when the
+    scorer first sees a query and kept while the batches name that
+    query.  Scores lie in [0, 1], so a segment scored whole already has
+    its whole-text tiebreak: ``compress`` reuses it and computes a
+    separate tiebreak only for windowed segments.
     """
 
     max_batch_size = 256
 
     def __init__(self, tree: UnitTree):
         self.tree = tree
+        self._last: tuple[StructuredQuery, Callable[[CodeUnit, str], float]] | None = None
 
     def score_batch(
         self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
     ) -> list[float]:
-        enclosing = fault_units(self.tree, query.fault_locations)
-        return [_score(query, text, unit, enclosing) for unit, text in items]
+        last = self._last
+        if last is None or last[0] is not query:
+            last = self._last = (query, _heuristic(self.tree, query))
+        return list(starmap(last[1], items))
 
 
 # --- remote scorer --------------------------------------------------------
@@ -152,7 +172,11 @@ class RemoteScorer:
 
     Wire contract: ``POST /score`` with ``{"query": str, "segments":
     [str]}`` returning ``{"scores": [float]}``; ``GET /capabilities``
-    advertises ``{"max_batch_size": int}``.
+    advertises ``{"max_batch_size": int}``, 32 if missing.  Replies are
+    read with ``priority.json_value``: scores that are not one finite JSON
+    number per segment raise ``ScorerError``, which ``score_segments``
+    retries, and a batch size that is not an integer >= 1 raises
+    ``ScorerUnavailableError``.
     """
 
     def __init__(self, base_url: str | None = None, timeout: int = 60, http=None):
@@ -168,7 +192,9 @@ class RemoteScorer:
         try:
             response = self.http.get(f"{self.base_url}/capabilities", timeout=self.timeout)
             response.raise_for_status()
-            self.max_batch_size = int(response.json().get("max_batch_size", 32))
+            self.max_batch_size = json_field(response.json(), "max_batch_size", int, 32)
+            if self.max_batch_size < 1:
+                raise ValueError(f"max_batch_size must be at least 1, not {self.max_batch_size}")
         except Exception as exc:  # noqa: BLE001
             raise ScorerUnavailableError(f"scorer endpoint unreachable: {exc}") from exc
 
@@ -182,12 +208,13 @@ class RemoteScorer:
                 timeout=self.timeout,
             )
             response.raise_for_status()
-            scores = response.json()["scores"]
+            reply = json_field(response.json(), "scores", list)
+            scores = [float(json_value(s, float, "score")) for s in reply]
         except Exception as exc:  # noqa: BLE001
             raise ScorerError(f"scoring batch failed: {exc}") from exc
         if len(scores) != len(items):
             raise ScorerError("scorer returned a mismatched number of scores")
-        return [float(s) for s in scores]
+        return scores
 
 
 # --- sliding-window scoring ----------------------------------------------
@@ -220,10 +247,6 @@ def split_windows(text: str, cfg: WindowConfig) -> list[str]:
     return windows
 
 
-def _clamp01(value: float) -> float:
-    return min(1.0, max(0.0, float(value)))
-
-
 def score_segments(
     query: StructuredQuery,
     segments: Sequence[tuple[CodeUnit, str]],
@@ -240,59 +263,62 @@ def score_segments(
     With ``tiebreak_is_score`` the scorer computes that same value, so a
     segment scored whole takes its score as its tiebreak and
     ``tiebreak`` runs only for windowed segments.
+
+    The scorer items are the segments themselves when none is longer
+    than the window, else each segment whole or as its windows, in
+    order.  Per batch of ``scorer.max_batch_size`` items the scorer is
+    called, once more if it raises ``ScorerError`` or returns the wrong
+    number of scores, else the batch scores 0; scores are clamped to
+    [0, 1], NaN to 0.  Per segment its token count is taken once, and
+    the max over windows is taken only when some segment was windowed.
     """
     window_cfg = window_cfg or WindowConfig()
+    limit = window_cfg.window_tokens
 
-    pieces: list[tuple[int, CodeUnit, str]] = []
-    token_costs: list[int] = []
-    for idx, (unit, text) in enumerate(segments):
-        cost = count_tokens(text)
-        token_costs.append(cost)
-        if cost <= window_cfg.window_tokens:
-            pieces.append((idx, unit, text))
-        else:
-            for window in split_windows(text, window_cfg):
-                pieces.append((idx, unit, window))
+    costs = [count_tokens(text) for _, text in segments]
+    owners: list[int] | None = None  # each item's segment, when some are windowed
+    items: Sequence[tuple[CodeUnit, str]] = segments
+    if max(costs, default=0) > limit:
+        items, owners = [], []
+        for idx, ((unit, text), cost) in enumerate(zip(segments, costs)):
+            pieces = [text] if cost <= limit else split_windows(text, window_cfg)
+            items += [(unit, piece) for piece in pieces]
+            owners += [idx] * len(pieces)
 
     batch_size = max(1, scorer.max_batch_size)
-    piece_scores: list[float] = []
-    for offset in range(0, len(pieces), batch_size):
-        batch = pieces[offset : offset + batch_size]
-        items = [(unit, text) for _, unit, text in batch]
-        scores: list[float] | None = None
+    item_scores: list[float] = []
+    for offset in range(0, len(items), batch_size):
+        batch = items[offset : offset + batch_size]
+        scores: Sequence[float] = [0.0] * len(batch)
         for attempt in range(2):
             try:
-                scores = scorer.score_batch(query, items)
+                reply = scorer.score_batch(query, batch)
+                if len(reply) != len(batch):
+                    raise ScorerError(f"{len(reply)} scores for {len(batch)} items")
+                scores = reply
                 break
             except ScorerError as exc:
-                if attempt == 0:
-                    continue
-                log.warning("scoring batch failed twice, assigning zeros: %s", exc)
-        if scores is None:
-            scores = [0.0] * len(batch)
-        piece_scores.extend(_clamp01(s) for s in scores)
+                if attempt == 1:
+                    log.warning("scoring batch failed twice, assigning zeros: %s", exc)
+        item_scores += [v if 0.0 < v < 1.0 else 1.0 if v >= 1.0 else 0.0 for v in map(float, scores)]
 
-    best: dict[int, float] = {}
-    for (idx, _unit, _text), score in zip(pieces, piece_scores):
-        best[idx] = max(best.get(idx, 0.0), score)
+    if owners is None:
+        best = item_scores
+    else:
+        best = [0.0] * len(segments)
+        for idx, value in zip(owners, item_scores):
+            if value > best[idx]:
+                best[idx] = value
 
-    results = []
-    for idx, (unit, text) in enumerate(segments):
-        score = best.get(idx, 0.0)
-        if tiebreak_is_score and token_costs[idx] <= window_cfg.window_tokens:
-            priority_tiebreak = score
-        else:
-            priority_tiebreak = tiebreak(unit, text) if tiebreak else 0.0
-        results.append(
-            ScoredSegment(
-                unit_id=unit.id,
-                score=score,
-                token_cost=token_costs[idx],
-                priority_tiebreak=priority_tiebreak,
-                order_tiebreak=idx,
-            )
-        )
-    return results
+    if tiebreak_is_score and owners is None:
+        ties = best
+    else:
+        ties = [
+            score if tiebreak_is_score and cost <= limit else tiebreak(unit, text) if tiebreak else 0.0
+            for (unit, text), score, cost in zip(segments, best, costs)
+        ]
+    ids = [unit.id for unit, _ in segments]
+    return list(map(ScoredSegment, ids, best, costs, ties, range(len(segments))))
 
 
 # --- selection and the full pipeline ---------------------------------------
@@ -303,11 +329,13 @@ def select_greedy(scored: Sequence[ScoredSegment], budget: CompressionBudget) ->
 
     Ties break by priority then document order.  The single
     highest-ranked segment is always taken, even over budget; in that
-    case it is the only selection.
+    case it is the only selection.  Each sort takes one plain key and
+    is stable, reversed too, so each later key ranks first and ties keep
+    the order the earlier sorts gave.
     """
-    ordered = sorted(
-        scored, key=lambda s: (-s.score, -s.priority_tiebreak, s.order_tiebreak)
-    )
+    ordered = sorted(scored, key=attrgetter("order_tiebreak"))
+    ordered.sort(key=attrgetter("priority_tiebreak"), reverse=True)
+    ordered.sort(key=attrgetter("score"), reverse=True)
     selected: set[str] = set()
     remaining = budget.budget_tokens
     for i, seg in enumerate(ordered):
@@ -363,14 +391,13 @@ def compress(
     budget = CompressionBudget.from_rate(initial.total_tokens, rate)
     query = build_query(instance.issue_text, instance.fault_locations)
 
-    segments = [(leaf, unit_text(tree, leaf)) for leaf in leaf_segments(tree)]
-    enclosing = fault_units(tree, query.fault_locations)
+    segments = [(leaf, unit_text(tree, leaf)) for leaf in tree.leaves]
     scored = score_segments(
         query,
         segments,
         scorer,
         window_cfg=window_cfg,
-        tiebreak=lambda unit, text: _score(query, text, unit, enclosing),
+        tiebreak=_heuristic(tree, query),
         tiebreak_is_score=type(scorer) is HeuristicScorer and scorer.tree is tree,
     )
     chosen = select_greedy(scored, budget)

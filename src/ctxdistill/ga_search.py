@@ -66,6 +66,8 @@ class GenomeSpace:
             self.file_ranges.append((start, len(self.unit_ids)))
 
         self.leaf_ids = [leaf.id for leaf in tree.leaves]
+        # each position's (lo, hi) slice of ``leaf_ids``
+        self.leaf_slices = [tree.leaf_slice[uid] for uid in self.unit_ids]
 
     def __len__(self) -> int:
         return len(self.unit_ids)
@@ -93,31 +95,39 @@ def repair(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> Genome:
     return Genome(tuple(bits))
 
 
-def _kept_leaves(genome: Genome, space: GenomeSpace) -> Iterator[str]:
-    """Leaves kept by a genome, in document order: the slices of the
-    function-level units whose own bit and whose file's bit are on."""
-    bits = genome.bits
+def _kept_slices(genome: Genome, space: GenomeSpace) -> Iterator[tuple[int, int]]:
+    """The ``leaf_ids`` slices a genome keeps, in document order: those of
+    the function-level units whose own bit and whose file's bit are on."""
+    bits, slices = genome.bits, space.leaf_slices
     for start, end in space.file_ranges:
         if bits[start]:
             for i in range(start + 1, end):
                 if bits[i]:
-                    lo, hi = space.tree.leaf_slice[space.unit_ids[i]]
-                    yield from space.leaf_ids[lo:hi]
+                    yield slices[i]
 
 
 def retained_leaf_ids(genome: Genome, space: GenomeSpace) -> frozenset[str]:
-    return frozenset(_kept_leaves(genome, space))
+    leaf_ids = space.leaf_ids
+    return frozenset(uid for lo, hi in _kept_slices(genome, space) for uid in leaf_ids[lo:hi])
 
 
-def fitness(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> float:
-    """Summed priority of the kept leaves.  The sum adds left to right in
-    document order: float addition is not associative, so summing in set
-    order would make the value, and the GA's ranking, depend on the hash
-    seed, and ``sum`` itself adds floats with compensation from Python
-    3.12 on, which moves the value in its last bits between versions."""
+def leaf_priorities(space: GenomeSpace, phi: dict[str, float]) -> list[float]:
+    """Each leaf's priority, in ``space.leaf_ids`` order; 0 for a leaf
+    ``phi`` does not name.  Built once per run for :func:`fitness`."""
+    return [phi.get(uid, 0.0) for uid in space.leaf_ids]
+
+
+def fitness(genome: Genome, space: GenomeSpace, leaf_phi: list[float]) -> float:
+    """Summed priority of the kept leaves, read from ``leaf_phi``
+    (:func:`leaf_priorities`).  The sum adds left to right in document
+    order: float addition is not associative, so summing in set order
+    would make the value, and the GA's ranking, depend on the hash seed,
+    and ``sum`` itself adds floats with compensation from Python 3.12 on,
+    which moves the value in its last bits between versions."""
     total = 0.0
-    for leaf_id in _kept_leaves(genome, space):
-        total += phi.get(leaf_id, 0.0)
+    for lo, hi in _kept_slices(genome, space):
+        for value in leaf_phi[lo:hi]:
+            total += value
     return total
 
 
@@ -243,8 +253,9 @@ def run_ga(
             return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
         return None
 
+    leaf_phi = leaf_priorities(space, phi)
     seed = Genome((1,) * len(space))
-    seed.fitness = fitness(seed, space, phi)
+    seed.fitness = fitness(seed, space, leaf_phi)
     result = judge(seed, 0)
     if result is not None:
         return result
@@ -253,7 +264,7 @@ def run_ga(
     for generation in range(config.max_generations):
         for genome in population:
             if genome.fitness is None:
-                genome.fitness = fitness(genome, space, phi)
+                genome.fitness = fitness(genome, space, leaf_phi)
         ordered = sorted(
             range(len(population)), key=lambda i: (-population[i].fitness, i)
         )

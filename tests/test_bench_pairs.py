@@ -68,7 +68,7 @@ def test_worse_comes_before_unresolved():
 def test_summary_carries_the_verdict_and_bound():
     runs = [
         {"workload": "w", "pair": i, "side": side, "end_to_end": {"m": value}, "digest": "d" * 16,
-         "failed": 0, "exit": 0, "attempted": 1}
+         "failed": 0, "exit": 0, "attempted": 1, "instances": 1}
         for i, (p, c) in enumerate(zip(PARENT, shifted(-2.0)))
         for side, value in (("parent", p), ("change", c))
     ]
@@ -76,3 +76,18 @@ def test_summary_carries_the_verdict_and_bound():
     assert row["metrics"]["m"]["verdict"] == "gain"
     assert row["metrics"]["m"]["bound"] == 0.25
     assert row["metrics"]["m"]["change_wins"] == 10
+
+
+def test_summary_gives_each_side_its_median_passes_per_run():
+    """A faster change fits more passes into a run; the summary shows it."""
+    attempted = {"parent": [480, 480, 600, 480, 720], "change": [600, 720, 720, 600, 840]}
+    runs = [
+        {"workload": "w", "pair": i, "side": side, "end_to_end": {"m": 1.0}, "digest": "d" * 16,
+         "failed": 0, "exit": 0, "attempted": attempted[side][i], "instances": 120}
+        for i in range(5)
+        for side in ("parent", "change")
+    ]
+    row = bench_pairs.summarize(runs, {"m": {"name": "m", "better": "lower", "bound": 0.25}})["w"]
+    assert row["parent_passes"] == 4
+    assert row["change_passes"] == 6
+    assert row["parent_attempted"] == 2760

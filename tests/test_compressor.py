@@ -374,18 +374,24 @@ class _Response:
 
 
 class _StubHTTP:
-    def __init__(self, scores=None, capabilities=True):
+    """``replies``, when given, are the ``/score`` reply bodies in turn."""
+
+    def __init__(self, scores=None, capabilities=True, advertised=None, replies=None):
         self.scores = scores
         self.capabilities = capabilities
+        self.advertised = {"max_batch_size": 2} if advertised is None else advertised
+        self.replies = replies
         self.posts = []
 
     def get(self, url, timeout=None):
         if not self.capabilities:
             raise ConnectionError("refused")
-        return _Response({"max_batch_size": 2})
+        return _Response(self.advertised)
 
     def post(self, url, json=None, timeout=None):
         self.posts.append((url, json))
+        if self.replies is not None:
+            return _Response(self.replies.pop(0))
         return _Response({"scores": self.scores(json["segments"])})
 
 
@@ -414,3 +420,69 @@ def test_remote_scorer_mismatched_scores_is_error():
     scorer = RemoteScorer(base_url="http://scorer.local", http=http)
     with pytest.raises(ScorerError):
         scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"scores": None},
+        {"scores": 5},
+        {"scores": ["x", "y"]},
+        {"scores": [math.nan, 0.5]},
+        {"scores": [0.5, math.inf]},
+        {"scores": ["0.5", 0.5]},
+        {"scores": [True, 0.5]},
+        {"scores": [[0.5], 0.5]},
+        {},
+        [0.5, 0.5],
+        None,
+    ],
+)
+def test_remote_scorer_refuses_a_malformed_reply(reply):
+    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[reply]))
+    with pytest.raises(ScorerError):
+        scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
+
+
+def test_remote_scorer_takes_integer_scores_as_numbers():
+    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[{"scores": [1, 0]}]))
+    out = scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
+    assert out == [1.0, 0.0] and all(type(v) is float for v in out)
+
+
+def test_a_malformed_reply_is_retried_then_zeroed_not_raised():
+    tree = build_tree("t", [("m.py", module_with_functions(2))])
+    segments = _segments(tree)
+    assert len(segments) == 2
+    bad, good = {"scores": None}, {"scores": [0.25, 0.75]}
+    # one bad reply, then a good one: the retry's scores count
+    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[bad, good]))
+    assert [s.score for s in score_segments(build_query("q", []), segments, scorer)] == [0.25, 0.75]
+    # two bad replies: the batch scores 0, and compress still returns
+    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[bad, {"scores": ["x", "y"]}]))
+    assert [s.score for s in score_segments(build_query("q", []), segments, scorer)] == [0.0, 0.0]
+    instance = Instance("t", "q", [], ["m.py"], repo_root="repo")
+    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[bad, {"scores": 5}]))
+    result = compress(instance, tree, scorer, rate=2.0)
+    assert len(result.selected_segment_ids) >= 1
+
+
+@pytest.mark.parametrize(
+    "advertised",
+    [
+        {"max_batch_size": 0},
+        {"max_batch_size": -3},
+        {"max_batch_size": "8"},
+        {"max_batch_size": 2.5},
+        {"max_batch_size": True},
+        {"max_batch_size": None},
+        [],
+    ],
+)
+def test_remote_scorer_refuses_a_batch_size_that_is_not_an_integer_of_at_least_1(advertised):
+    with pytest.raises(ScorerUnavailableError):
+        RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(advertised=advertised))
+
+
+def test_remote_scorer_reads_a_missing_batch_size_as_32():
+    assert RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(advertised={})).max_batch_size == 32

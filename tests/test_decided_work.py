@@ -5,7 +5,8 @@ The references below are verbatim frozen copies of the earlier code,
 kept here on purpose: a ``classify_role`` that walks every segment's AST
 for called names, a ``priority_map`` that lexes every unit's whole text,
 a ``run_ga`` that draws and ranks all of generation 0 before it
-judges the all-on genome, and the ``GenomeSpace`` and
+judges the all-on genome (ranked by ``tests/test_one_pass.py``'s frozen
+``fitness``), and the ``GenomeSpace`` and
 ``init_population`` that filtered the unit order by level and computed
 each position's inclusion probability once per genome.  Random module trees come from
 ``tests/test_indexes.py`` and ``tests/test_score_once.py``; callers of
@@ -37,7 +38,6 @@ from ctxdistill.ga_search import (
     GenomeSpace,
     _tournament,
     crossover,
-    fitness,
     init_population,
     is_upward_consistent,
     mutate,
@@ -58,6 +58,7 @@ from ctxdistill.priority import (
 )
 
 from test_indexes import NAMES, SETTINGS, declaration_ratio, defined_names, module_source
+from test_one_pass import frozen_fitness
 from test_indexes import trees as module_trees
 from test_score_once import trees as scoring_trees
 
@@ -125,7 +126,7 @@ def frozen_run_ga(tree, phi, patch, session, config):
     for generation in range(config.max_generations):
         for genome in population:
             if genome.fitness is None:
-                genome.fitness = fitness(genome, space, phi)
+                genome.fitness = frozen_fitness(genome, space, phi)
         ordered = sorted(
             range(len(population)), key=lambda i: (-population[i].fitness, i)
         )

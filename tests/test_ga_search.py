@@ -17,6 +17,7 @@ from ctxdistill.ga_search import (
     fitness,
     init_population,
     is_upward_consistent,
+    leaf_priorities,
     mutate,
     repair,
     retained_leaf_ids,
@@ -113,12 +114,12 @@ def test_fitness_sums_retained_leaf_priorities():
     phi[space.leaf_ids[0]] = 1.0
     phi[space.leaf_ids[1]] = 2.5
     all_on = repair(Genome((1,) * len(space)), space, phi)
-    assert fitness(all_on, space, phi) == pytest.approx(3.5)
+    assert fitness(all_on, space, leaf_priorities(space, phi)) == pytest.approx(3.5)
     # switch off the second function of f1.py only
     bits = list(all_on.bits)
     bits[2] = 0
     partial = Genome(tuple(bits))
-    assert fitness(partial, space, phi) == pytest.approx(1.0)
+    assert fitness(partial, space, leaf_priorities(space, phi)) == pytest.approx(1.0)
 
 
 def test_fitness_adds_left_to_right_in_document_order():
@@ -129,7 +130,7 @@ def test_fitness_adds_left_to_right_in_document_order():
     assert math.fsum(priorities) != functools.reduce(operator.add, priorities)
     phi = {**_zero_phi(space), **dict(zip(space.leaf_ids, priorities))}
     all_on = Genome((1,) * len(space))
-    assert fitness(all_on, space, phi) == functools.reduce(operator.add, priorities)
+    assert fitness(all_on, space, leaf_priorities(space, phi)) == functools.reduce(operator.add, priorities)
 
 
 def test_init_population_seeds():

@@ -21,7 +21,8 @@ change of the median and a verdict: ``worse``, ``gain``, ``unresolved``
 or ``within bound``, as ``verdict`` defines them.  Which way is better,
 and each metric's bound, come from ``BENCHMARK.json``.
 The summary it prints ends, per workload, with whether the two sides'
-digests agree and how many runs and instances failed on each side.
+digests agree, how many runs and instances failed on each side, and each
+side's median passes per run over the generated instances.
 ``host`` records ``sys.flags.dont_write_bytecode``: with it set, every
 ``setup_s`` probe compiles the package from source.
 
@@ -82,6 +83,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "quality": report["quality"],
         "digest": report["digest"],
         "attempted": report["attempted"],
+        "instances": report["instances"],
         "failed": report["failed"],
         "wall_p50_s": report["wall_p50_s"],
         "host_scale": report["host_scale"],
@@ -137,8 +139,11 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     """Per workload: each end-to-end metric's spread per side, the pairs
     the change won, the relative change of the median and the
     :func:`verdict`; the digests, failed runs (a non-zero exit) and
-    failed instances each side saw.  ``metrics`` maps each metric to its
-    ``BENCHMARK.json`` entry."""
+    failed instances each side saw, and each side's median passes per
+    run (instances run over instances generated): a faster side fits more
+    passes into a run, and on ``compress_scatter`` its ``instance_s.p50``
+    and ``peak_rss_mb`` rise with the pass count.  ``metrics`` maps each
+    metric to its ``BENCHMARK.json`` entry."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -167,6 +172,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             row[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
             row[f"{side}_failed_runs"] = sum(r["exit"] != 0 for r in side_runs)
             row[f"{side}_attempted"] = sum(r["attempted"] for r in side_runs)
+            row[f"{side}_passes"] = statistics.median(r["attempted"] / r["instances"] for r in side_runs)
         summary[workload] = row
     return summary
 
@@ -235,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             for side in SIDES
         )
         print(f"{workload} digests {agree} (parent {row['parent_digests']}, change {row['change_digests']})  {failures}")
+        print(f"{workload} median passes per run: parent {row['parent_passes']:g}, change {row['change_passes']:g}")
     for run in result["traced"]:
         failures = "".join(f"\n    {line}" for line in run["failures"])
         print(f"traced {run['workload']} {run['side']}: exit {run['exit']}{failures}")
