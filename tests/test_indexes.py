@@ -398,7 +398,11 @@ def governor_kept_leaves(genome, space):
 
 
 def governor_fitness(genome, space, phi):
-    return sum(phi.get(leaf_id, 0.0) for leaf_id in governor_kept_leaves(genome, space))
+    # left to right, as ``fitness`` adds: ``sum`` compensates from Python 3.12 on
+    total = 0.0
+    for leaf_id in governor_kept_leaves(genome, space):
+        total += phi.get(leaf_id, 0.0)
+    return total
 
 
 def probe_lines(tree, path):
