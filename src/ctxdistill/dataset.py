@@ -313,9 +313,14 @@ def load_corpus(path: str | Path) -> list[DistilledInstance]:
 
 
 def _distilled(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
-    """Records minimized without running out of oracle budget."""
+    """Records minimized without running out of oracle budget and
+    certified 1-minimal: an uncertified record's minimal set may hold a
+    leaf the certify sweep found removable, which would be a false
+    positive label."""
     return [
-        inst for inst in corpus if inst.status == STATUS_MINIMIZED and not inst.budget_exhausted
+        inst
+        for inst in corpus
+        if inst.status == STATUS_MINIMIZED and inst.one_minimal_certified and not inst.budget_exhausted
     ]
 
 
@@ -411,8 +416,8 @@ def _bucket(segment_count: int) -> str:
 
 def compute_stats(corpus: list[DistilledInstance]) -> CorpusStats:
     """Exact counts over the records ``export`` can write from: those
-    minimized without running out of oracle budget.  A minimized record
-    with no positives still counts."""
+    minimized and certified without running out of oracle budget.  Such
+    a record with no positives still counts."""
     corpus = _distilled(corpus)
     instances = len(corpus)
     segments = sum(len(inst.context_segments) for inst in corpus)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .code_model import UnitTree
@@ -162,7 +163,7 @@ def init_population(
     for _ in range(config.population_size - 2):
         bits = tuple([1 if draw() < p else 0 for p in odds])
         population.append(repair(Genome(bits), space, phi))
-    return population[: config.population_size]
+    return population
 
 
 def crossover(
@@ -189,11 +190,7 @@ def _tournament(
     population: list[Genome], size: int, rng: random.Random
 ) -> Genome:
     picks = [population[rng.randrange(len(population))] for _ in range(size)]
-    best = picks[0]
-    for g in picks[1:]:
-        if (g.fitness or 0.0) > (best.fitness or 0.0):
-            best = g
-    return best
+    return max(picks, key=attrgetter("fitness"))
 
 
 @dataclass
@@ -230,18 +227,9 @@ def run_ga(
     space = GenomeSpace(tree)
     rng = random.Random(config.rng_seed)
 
-    if not space.unit_ids:
-        try:
-            verdict = session.evaluate(frozenset(), pass_level="ga", generation=0, fitness=0.0)
-        except OracleBudgetExhausted:
-            return GAResult(None, None, 0, budget_exhausted=True)
-        if verdict.sufficient:
-            return GAResult(Genome((), fitness=0.0), 0, 1, retained_leaf_ids=frozenset())
-        return GAResult(None, None, 1)
-
     def judge(genome: Genome, generation: int) -> GAResult | None:
         """The search's result if it ends at ``genome``, else ``None``."""
-        assert is_upward_consistent(genome, space) and any(genome.bits)
+        assert is_upward_consistent(genome, space) and (any(genome.bits) or not space.unit_ids)
         kept = retained_leaf_ids(genome, space)
         try:
             verdict = session.evaluate(
@@ -257,8 +245,9 @@ def run_ga(
     seed = Genome((1,) * len(space))
     seed.fitness = fitness(seed, space, leaf_phi)
     result = judge(seed, 0)
-    if result is not None:
-        return result
+    if result is not None or not space.unit_ids:
+        # an empty space has no other genome: its seed keeps no leaf
+        return result or GAResult(None, None, 1)
     population = [seed, *init_population(space, phi, patch, config, rng)[1:]]
 
     for generation in range(config.max_generations):

@@ -18,10 +18,6 @@ from .oracle import OracleBudgetExhausted, OracleSession
 PASS_LEVELS = (Level.FILE, Level.FUNCTION, Level.BLOCK)
 
 
-class InsufficientContextError(ValueError):
-    """ddmin was handed a context the oracle already rejects."""
-
-
 @dataclass
 class MinimizationResult:
     retained_leaf_ids: frozenset[str]
@@ -98,13 +94,12 @@ def minimize(
     session: OracleSession,
     phi: dict[str, float],
 ) -> MinimizationResult:
-    """Verify the starting context, then file, function and block
-    reduction plus a certification sweep.
+    """File, function and block reduction plus a certification sweep.
 
-    ``InsufficientContextError`` is raised when the oracle rejects the
-    starting context.  If the oracle budget runs out mid-pass the best
-    retained set so far is returned uncertified, with
-    ``budget_exhausted`` set.
+    ``initial_leaf_ids`` must be a set the session has accepted, as for
+    :func:`ddmin_level`: the GA's accepted set, or the whole context the
+    pipeline judged.  If the oracle budget runs out mid-pass, the best
+    retained set so far is returned uncertified, ``budget_exhausted`` set.
     """
     retained = frozenset(initial_leaf_ids)
     per_level_removed: dict[str, int] = {}
@@ -112,8 +107,6 @@ def minimize(
     budget_exhausted = False
 
     try:
-        if not session.evaluate(retained, pass_level="verify", removed_count=0).sufficient:
-            raise InsufficientContextError("initial context rejected before file-level reduction")
         for level in PASS_LEVELS:
             before = len(retained)
             retained = ddmin_level(retained, level, tree, session, phi)

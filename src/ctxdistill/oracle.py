@@ -172,6 +172,10 @@ class OracleSession:
       ``cache_hit``, ``sufficient``, ``passes`` and ``samples``
     - the caller's phase fields: ``generation`` and ``fitness`` for the
       GA, ``removed_count`` for verify, the ddmin levels and certify
+
+    Only a distill without the GA writes a ``verify`` record: its one
+    judgment of the whole context, before Phase II.  With the GA, Phase
+    II starts from the set the GA's last record accepted.
     """
 
     def __init__(
@@ -562,9 +566,11 @@ class LLMOracle:
                     time.sleep(self.retry_sleep * (2**attempt))
         raise OracleEndpointError(f"LLM endpoint gave no usable reply in 3 attempts: {last_error}")
 
-    def _run_sample(self, completion: str, repo: _ScratchCopy) -> SampleOutcome:
+    def _run_sample(self, completion: object, repo: _ScratchCopy) -> SampleOutcome:
+        """A completion that is not a string (a refusal's ``null``) holds
+        no patch, like one that holds no diff."""
         start = time.perf_counter()
-        patch = extract_patch(completion)
+        patch = extract_patch(completion) if isinstance(completion, str) else None
         if patch is None:
             return SampleOutcome(False, None, time.perf_counter() - start)
         if not self.config.cache_enabled:

@@ -1,8 +1,8 @@
 """End-to-end distillation of one instance: search for a sufficient
 subset, minimize it, classify segment roles, and build the corpus record.
 
-``use_ga=False`` is the ablation path: the initial context goes straight
-to minimization, whose verify probe judges it.
+Phase II starts from the set the GA accepted.  ``use_ga=False`` is the
+ablation path: one ``verify`` probe judges the whole context instead.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
-from .code_model import SegmentKind, UnitTree, leaf_segments, unit_text
+from .code_model import SegmentKind, UnitTree, unit_text
 from .config import RunConfig
 from .dataset import (
     STATUS_MINIMIZED,
@@ -24,7 +24,7 @@ from .dataset import (
     fault_facts,
 )
 from .ga_search import GAResult, run_ga
-from .hdd import InsufficientContextError, minimize
+from .hdd import minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
 from .oracle import LLMOracle, MockOracle, Oracle, OracleSession, TraceWriter
 from .priority import CoverageReport, PatchFormatError, PatchInfo, parse_patch, priority_map, read_input
@@ -112,15 +112,16 @@ def distill_instance(
 ) -> DistillOutcome:
     """Distill one instance into its corpus record.
 
-    Phase I (``run_ga``, unless ``use_ga`` is off) looks for a sufficient
-    subset, and Phase II (``minimize``) shrinks it to a certified
-    1-minimal one.  Without an ``oracle`` one is built: the mock from
-    the instance's planted locators, or ``LLMOracle`` for
-    ``oracle_kind="llm"``.  With a ``trace_dir``, the oracle session
-    writes one probe record per judged candidate: GA probes to
-    ``<instance_id>.ga.jsonl``, verify, ddmin and certify probes to
-    ``<instance_id>.hdd.jsonl``.  ``OracleSession`` documents the record
-    shape.
+    Phase I (``run_ga``) looks for a sufficient subset, and Phase II
+    (``minimize``) shrinks the set it accepted to a certified 1-minimal
+    one.  With ``use_ga`` off, a ``verify`` probe judges the whole
+    context, and a rejected one is left unminimized.  Without an
+    ``oracle`` one is built: the mock from the instance's planted
+    locators, or ``LLMOracle`` for ``oracle_kind="llm"``.  With a
+    ``trace_dir``, the oracle session writes one probe record per judged
+    candidate: GA probes to ``<instance_id>.ga.jsonl``, verify, ddmin and
+    certify probes to ``<instance_id>.hdd.jsonl``.  ``OracleSession``
+    documents the record shape.
     """
     tree = build_instance_tree(instance)
     if oracle is None and oracle_kind == "llm":
@@ -143,7 +144,6 @@ def distill_instance(
             raise ValueError(f"unknown oracle kind: {oracle_kind}")
 
     ga_result: GAResult | None = None
-    min_result = None
     with ExitStack() as traces:
         trace = _open_trace(traces, trace_dir, instance.instance_id)
         session = OracleSession(oracle, instance.instance_id, config.oracle, trace)
@@ -151,12 +151,11 @@ def distill_instance(
             ga_result = run_ga(tree, phi, patch, session, config.ga)
             start_leaves = ga_result.retained_leaf_ids
         else:
-            start_leaves = frozenset(seg.id for seg in leaf_segments(tree))
-        if start_leaves is not None:
-            try:
-                min_result = minimize(start_leaves, tree, session, phi)
-            except InsufficientContextError:
-                pass  # the oracle rejects the start context: left unminimized
+            start_leaves = frozenset(seg.id for seg in tree.leaves)
+            # the session's first call, so within any budget
+            if not session.evaluate(start_leaves, pass_level="verify", removed_count=0).sufficient:
+                start_leaves = None
+        min_result = None if start_leaves is None else minimize(start_leaves, tree, session, phi)
 
     facts = fault_facts(tree, instance.fault_locations)
     segments = []

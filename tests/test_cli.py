@@ -486,6 +486,25 @@ def test_stats_counts_only_what_export_writes(tmp_path, instance_path, monkeypat
     assert stats["positives"] == sum(row["label"] for row in rows)
 
 
+def test_export_and_stats_skip_an_uncertified_record(tmp_path, instance_path, monkeypatch):
+    """A record the certify sweep did not certify may keep a leaf it
+    found removable, so its labels are not exported or counted."""
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance_path, "--out", corpus]) == EXIT_OK
+    certified = json.loads(corpus.read_text())
+    uncertified = {**certified, "instance_id": "inst-uncertified", "one_minimal_certified": False}
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(uncertified) + "\n")
+    triples = tmp_path / "triples.jsonl"
+    assert _run(["export", corpus, "--out", triples]) == EXIT_OK
+    rows = [json.loads(line) for line in triples.read_text().splitlines()]
+    assert [row["instance_id"] for row in rows] == ["inst-0"] * len(certified["context_segments"])
+    stats_out = tmp_path / "stats.json"
+    assert _run(["stats", corpus, "--out", stats_out]) == EXIT_OK
+    assert json.loads(stats_out.read_text())["instances"] == 1
+
+
 def test_export_zero_positive_corpus_exits_3(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_instance(

@@ -4,14 +4,8 @@ budget cutoffs, and brute-force agreement on small instances."""
 import itertools
 import random
 
-import pytest
-
 from ctxdistill.code_model import Level, build_tree, leaf_segments
-from ctxdistill.hdd import (
-    InsufficientContextError,
-    ddmin_level,
-    minimize,
-)
+from ctxdistill.hdd import ddmin_level, minimize
 from ctxdistill.oracle import MockOracle, OracleConfig, OracleSession
 
 from fixtures import module_with_functions, random_tree, pick_leaves
@@ -78,16 +72,6 @@ def test_ddmin_level_fixpoint_on_minimal_input():
     # the final sweep re-probes each remaining unit exactly once (all cached
     # complements aside, singleton removals must all fail)
     assert second == required
-
-
-def test_minimize_errors_on_insufficient_input():
-    tree = build_tree("t", [("m.py", module_with_functions(3))])
-    required = frozenset({"phantom-leaf"})
-    session = _session(required)
-    with pytest.raises(InsufficientContextError):
-        minimize(_all_leaves(tree), tree, session, _zero_phi(tree))
-    # only the verify probe ran
-    assert session.invocations == 1
 
 
 def test_minimize_drops_irrelevant_files():

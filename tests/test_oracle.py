@@ -459,6 +459,25 @@ def test_llm_oracle_below_majority_fails(tmp_path):
     assert not verdict.sufficient
 
 
+def test_a_null_completion_is_a_sample_without_a_patch(tmp_path):
+    """Chat endpoints send ``null`` content for a refusal: that sample
+    applies nothing and fails, and the evaluation still returns."""
+    instance = _instance(tmp_path)
+    tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])
+    good = _completion(_diff(GOOD_OLD, GOOD_NEW, "mod.py"))
+    oracle = LLMOracle(
+        instance,
+        tree,
+        OracleConfig(samples_n=4, timeout_seconds=60),
+        endpoint="http://stub.local/v1/chat",
+        model="stub-model",
+        transport=_transport_returning([good, None, good, None]),
+    )
+    verdict = oracle.evaluate(frozenset(s.id for s in leaf_segments(tree)))
+    assert (verdict.passes, verdict.samples) == (2, 4)
+    assert [o.applied for o in verdict.per_sample] == [True, False, True, False]
+
+
 def test_llm_oracle_retries_then_raises(tmp_path):
     instance = _instance(tmp_path)
     tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])

@@ -145,8 +145,9 @@ def _hdd_records(trace_dir, instance_id):
 
 
 def test_distill_without_ga_traces_an_insufficient_full_context(tmp_path):
-    """Minimization's verify probe judges the full context, so a rejected
-    one leaves exactly one traced verdict and one oracle call."""
+    """Without the GA, the pipeline's verify probe judges the full
+    context, so a rejected one leaves exactly one traced verdict and one
+    oracle call."""
     instance_path = write_instance(
         tmp_path / "inst.json",
         tmp_path / "repo",

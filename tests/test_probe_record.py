@@ -106,7 +106,10 @@ def test_minimize_writes_one_record_per_probe_and_none_when_stopped(budget, stop
     assert result.budget_exhausted == stopped
     assert counts["exhausted"] == stopped
     _check_records(records, session.invocations, counts["returned"])
-    assert (records[0]["pass_level"], records[0]["size"]) == ("verify", len(leaves))
+    # the start set is taken as accepted: the first probe is file-level,
+    # drawn from all of it
+    first = records[0]
+    assert (first["pass_level"], first["size"] + first["removed_count"]) == ("file", len(leaves))
     if not stopped:
         assert any(r["cache_hit"] for r in records)
         assert records[-1]["pass_level"] == "certify"

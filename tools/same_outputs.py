@@ -5,7 +5,7 @@ Run from anywhere, with the checkout that holds this file as the subject:
     python3 tools/same_outputs.py
 
 It prints the Python version it runs under (``sys.version``'s first
-word), then seven things; compare them with the same command run on the
+word), then eight things; compare them with the same command run on the
 parent commit's checkout, or under another Python.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
@@ -13,31 +13,37 @@ parent commit's checkout, or under another Python.
 2. The hash of the probe records of 60 ``distill_paper`` and 3
    ``distill_large`` instances (``perfbench/gen.py``, seed 7), distilled
    with the mock oracle and ``RunConfig()``: SHA-256 over each
-   ``*.ga.jsonl`` (GA probes) and ``*.hdd.jsonl`` (verify, ddmin and
-   certify probes) file's name and bytes, in name order.  The script
-   re-runs itself under ``PYTHONHASHSEED=7`` so the hash repeats.
-3. A hash of windowed scoring: 30 seed-7 ``compress_scatter`` instances
+   ``*.ga.jsonl`` (GA probes) and ``*.hdd.jsonl`` (ddmin and certify
+   probes) file's name and bytes, in name order.  Phase II starts from
+   the set the GA accepted, so these traces hold no ``verify`` probe.
+   The script re-runs itself under ``PYTHONHASHSEED=7`` so the hash
+   repeats.
+3. The same hash over the same instances distilled with
+   ``use_ga=False`` into their own directory: each ``*.hdd.jsonl`` opens
+   with the ``verify`` probe that judges the whole context, and each
+   ``*.ga.jsonl`` is empty.
+4. A hash of windowed scoring: 30 seed-7 ``compress_scatter`` instances
    compressed by ``HeuristicScorer`` at rate 5 with
    ``WindowConfig(16, 8)``, so that many leaves are scored in windows
    (the benchmark's 512-token window windows none).  SHA-256 over each
    instance's rendered text and selected segment ids; the line also
    counts the windowed leaves.
-4. A hash of segment roles and unit priorities over every seed-7 instance
+5. A hash of segment roles and unit priorities over every seed-7 instance
    of the four workloads, which the digests above see only through the
    search order: SHA-256 over each leaf's ``classify_role`` value and
    each unit's ``priority_map`` value (with ``RunConfig()``'s weights) as
    ``float.hex``; the line also counts the segments.
-5. A hash of the decomposition of every seed-7 context file of the four
+6. A hash of the decomposition of every seed-7 context file of the four
    workloads, which the role/priority hash sees only through unit ids:
    SHA-256 over each unit of ``decompose``'s output as its id, level,
    kind, span, parent id, child ids and ``meta``; the line also counts
    the files and units.
-6. A hash of the structured query of every seed-7 instance of the four
+7. A hash of the structured query of every seed-7 instance of the four
    workloads, which no value above sees as text: SHA-256 over each
    instance's ``build_query(...).rendered``, with ``build_query``
    imported from ``ctxdistill.instance``, its home; the line also counts
    the instances.
-7. A hash of the decomposition and roles of every ``.py`` file of the
+8. A hash of the decomposition and roles of every ``.py`` file of the
    standard library the script runs under (``sysconfig``'s ``stdlib``
    path, outside ``site-packages``), in sorted path order: SHA-256 over
    each unit's id, level, kind and span, and each leaf's
@@ -86,7 +92,7 @@ def benchmark_digests() -> list[str]:
     return rows
 
 
-def trace_hash() -> tuple[int, str]:
+def trace_hash(use_ga: bool) -> tuple[int, str]:
     import gen
     from ctxdistill.config import RunConfig
     from ctxdistill.instance import load_instance
@@ -96,7 +102,8 @@ def trace_hash() -> tuple[int, str]:
         traces = Path(work) / "traces"
         for workload, count in TRACE_INSTANCES:
             for planted in gen.generate(workload, SEED, Path(work) / workload, count=count):
-                distill_instance(load_instance(planted.instance_path), RunConfig(), trace_dir=traces)
+                instance = load_instance(planted.instance_path)
+                distill_instance(instance, RunConfig(), use_ga=use_ga, trace_dir=traces)
         files = sorted(
             [*traces.glob("*.ga.jsonl"), *traces.glob("*.hdd.jsonl")], key=lambda p: p.name
         )
@@ -233,8 +240,10 @@ def main() -> int:
     print(f"python {sys.version.split()[0]}")
     for line in benchmark_digests():
         print(line)
-    count, digest = trace_hash()
+    count, digest = trace_hash(use_ga=True)
     print(f"trace files: {count} hash={digest[:16]}")
+    count, digest = trace_hash(use_ga=False)
+    print(f"trace files without the GA: {count} hash={digest[:16]}")
     leaves, windowed, digest = windowed_compress_hash()
     print(f"windowed compress: {windowed} of {leaves} leaves windowed hash={digest[:16]}")
     segments, digest = role_priority_hash()
