@@ -197,7 +197,7 @@ def _cmd_compress(args, config: RunConfig) -> int:
     instance = load_instance(args.instance)
     tree = build_instance_tree(instance)
     scorer = HeuristicScorer(tree) if args.scorer == "heuristic" else RemoteScorer()
-    result = compress(instance, tree, scorer, rate, window_cfg=config.compression.window_config())
+    result = compress(instance, tree, scorer, rate, window_cfg=config.compression)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(result.rendered.dump_text(), encoding="utf-8")

@@ -18,6 +18,8 @@ import ast
 import gc
 import hashlib
 import re
+import threading
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -328,6 +330,38 @@ def _block(stmt: ast.stmt) -> list[tuple] | None:
     return None if kind is None else [(_definition_start(stmt), stmt.end_lineno, kind, None, [stmt])]
 
 
+def _place(add, entries: list[tuple], level: Level, first: int, last: int, parent: CodeUnit) -> None:
+    """The units of ``entries`` over lines ``first..last``, made by ``add``
+    in preorder, by the partition rule.  A module-level function, so that
+    no closure of ``_decompose`` refers to itself: a tree is then freed
+    by reference counting alone."""
+    final = len(entries) - 1
+    for i, (_, end, kind, stmt, stmts) in enumerate(entries):
+        if i == final:
+            end = last
+        parts = ()
+        if stmt is not None:
+            parts = _signed(stmt, _group(stmt.body, SegmentKind.BLOCK, _block), SegmentKind.BLOCK)
+        if len(parts) > 1:
+            _place(add, parts, Level.BLOCK, first, end, add(Level.FUNCTION, None, first, end, parent))
+        else:
+            add(level, kind, first, end, parent, stmts)
+        first = end + 1
+
+
+_PARSE_LOCK = threading.Lock()
+
+
+def parse_source(source: str) -> ast.Module:
+    """``ast.parse`` with warnings suppressed, so that an ``error`` filter
+    cannot turn an invalid escape sequence into a ``SyntaxError``, nor
+    Python 3.12 print it.  ``catch_warnings`` swaps the process-wide
+    filters, which is not thread-safe, so a lock serialises the parses."""
+    with _PARSE_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ast.parse(source)
+
+
 def decompose(path: str, source: str) -> list[CodeUnit]:
     """Decompose one source file into its unit tree (preorder list).
 
@@ -392,34 +426,18 @@ def _decompose(path: str, source: str) -> tuple[list[CodeUnit], list[str]]:
             unit.facts = role_facts(stmts)
         return unit
 
-    def place(entries: list[tuple], level: Level, first: int, last: int, parent: CodeUnit) -> None:
-        """The units of ``entries`` over lines ``first..last``, in preorder,
-        by the partition rule."""
-        final = len(entries) - 1
-        for i, (_, end, kind, stmt, stmts) in enumerate(entries):
-            if i == final:
-                end = last
-            parts = ()
-            if stmt is not None:
-                parts = _signed(stmt, _group(stmt.body, SegmentKind.BLOCK, _block), SegmentKind.BLOCK)
-            if len(parts) > 1:
-                place(parts, Level.BLOCK, first, end, add(Level.FUNCTION, None, first, end, parent))
-            else:
-                add(level, kind, first, end, parent, stmts)
-            first = end + 1
-
     if not lines:
         add(Level.FILE, None, 1, 1, None)
         return units, lines
     try:
-        body = ast.parse(source).body
+        body = parse_source(source).body
     except (SyntaxError, ValueError):
         body = None
     # TODO: split import runs into their own fragments so imports can be
     # retained or dropped independently of neighbouring top-level code
     last = len(lines)
     entries = _group(body or [], SegmentKind.FILE, _top_level) or [(1, last, SegmentKind.FILE, None, ())]
-    place(entries, Level.FUNCTION, 1, last, add(Level.FILE, None, 1, last, None))
+    _place(add, entries, Level.FUNCTION, 1, last, add(Level.FILE, None, 1, last, None))
     if body is None:
         units[1].meta["fallback"] = True
     return units, lines
@@ -450,13 +468,14 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
 
     The cyclic garbage collector is paused while the tree is built, as
     its passes over the parses' many young objects would find nothing to
-    free: AST nodes hold no reference to their parents, and units name
-    each other by id, so reference counting frees all of it.  The pause
-    defers a collection, it does not save one: the objects the tree keeps
-    still count towards the next young-generation collection, which comes
-    soon after ``build_tree`` returns and scans the new tree.  When
-    ``build_tree`` returns or raises, the collector is enabled again if
-    it was enabled on entry."""
+    free: AST nodes hold no reference to their parents, units name each
+    other by id, and no function that builds them refers to itself, so
+    reference counting frees all of it.  The pause defers a collection,
+    it does not save one: the objects the tree keeps still count towards
+    the next young-generation collection, which comes soon after
+    ``build_tree`` returns and scans the new tree.  When ``build_tree``
+    returns or raises, the collector is enabled again if it was enabled
+    on entry."""
     roots: list[CodeUnit] = []
     index: dict[str, CodeUnit] = {}
     order: list[str] = []
@@ -485,11 +504,6 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
 # --- queries -----------------------------------------------------------
 
 
-def leaf_segments(tree: UnitTree) -> list[CodeUnit]:
-    """All leaf segments in document order (file units never count)."""
-    return list(tree.leaves)
-
-
 def unit_text(tree: UnitTree, unit: CodeUnit | str) -> str:
     if isinstance(unit, str):
         unit = tree.unit(unit)
@@ -512,11 +526,6 @@ def upward_closure(tree: UnitTree, included: Iterable[str]) -> frozenset[str]:
     return frozenset(closed)
 
 
-def subtree_leaf_ids(tree: UnitTree, unit_id: str) -> frozenset[str]:
-    """Leaf segments under (or at) the given unit."""
-    return frozenset(u.id for u in tree.leaves_under(unit_id))
-
-
 def enclosing_unit(tree: UnitTree, path: str, line: int, level: Level | None = None) -> CodeUnit | None:
     """Smallest unit at ``path`` containing ``line``; optionally pinned to a level."""
     unit = tree.innermost_unit(path, line)
@@ -525,16 +534,10 @@ def enclosing_unit(tree: UnitTree, path: str, line: int, level: Level | None = N
     return unit
 
 
-def enclosing_leaf(tree: UnitTree, path: str, line: int) -> CodeUnit | None:
-    """The leaf segment containing ``line`` at ``path``, if any."""
-    unit = tree.innermost_unit(path, line)
-    return unit if unit is not None and unit.level is not Level.FILE else None
-
-
 def segment_records(tree: UnitTree) -> list[dict]:
     """JSON-ready dump rows for every leaf segment, in document order."""
     rows = []
-    for seg in leaf_segments(tree):
+    for seg in tree.leaves:
         rows.append(
             {
                 "id": seg.id,

@@ -23,20 +23,17 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class CompressionConfig:
+class CompressionConfig(WindowConfig):
+    """``WindowConfig``'s scoring window plus the target rate."""
+
     rate: float = 5.0
-    window_tokens: int = 512
-    stride_tokens: int = 256
 
     def __post_init__(self) -> None:
         try:
             CompressionBudget.from_rate(0, self.rate)  # from_rate owns the rate rule
         except ValueError as exc:
             raise ConfigError(f"compression.rate: {exc}") from None
-        self.window_config()  # WindowConfig owns the window rule
-
-    def window_config(self) -> WindowConfig:
-        return WindowConfig(self.window_tokens, self.stride_tokens)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

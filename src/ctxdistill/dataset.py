@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import textwrap
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .code_model import CodeUnit, SegmentKind, UnitTree, role_facts, split_lines, unit_text
+from .code_model import CodeUnit, SegmentKind, UnitTree, parse_source, role_facts, split_lines, unit_text
 from .instance import FaultLocation, build_query, fault_units
 from .priority import json_field, lex_identifiers, read_input
 
@@ -27,7 +28,8 @@ ROLE_RULES_VERSION = "2"
 STATUS_MINIMIZED = "minimized"
 STATUS_UNMINIMIZED = "unminimized"
 
-SIZE_BUCKETS = ("1-20", "21-50", "51-100", "101-200", "200+")
+# (largest segment count, label) per size bucket, smallest first
+SIZE_BUCKETS = ((20, "1-20"), (50, "21-50"), (100, "51-100"), (200, "101-200"), (math.inf, "200+"))
 
 # per-role weights are clamped to this range
 ROLE_WEIGHT_MIN = 0.5
@@ -172,14 +174,14 @@ class CorpusStats:
 def _parse_segment(text: str) -> ast.Module | None:
     dedented = textwrap.dedent(text)
     try:
-        return ast.parse(dedented)
+        return parse_source(dedented)
     except SyntaxError:
         pass
     # blocks lifted from a function body may contain return/yield/await;
     # re-parse wrapped in a dummy function
     wrapped = "def _wrap():\n" + textwrap.indent(dedented, "    ")
     try:
-        module = ast.parse(wrapped)
+        module = parse_source(wrapped)
     except SyntaxError:
         return None
     inner = module.body[0]
@@ -402,18 +404,6 @@ def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
     return count
 
 
-def _bucket(segment_count: int) -> str:
-    if segment_count <= 20:
-        return "1-20"
-    if segment_count <= 50:
-        return "21-50"
-    if segment_count <= 100:
-        return "51-100"
-    if segment_count <= 200:
-        return "101-200"
-    return "200+"
-
-
 def compute_stats(corpus: list[DistilledInstance]) -> CorpusStats:
     """Exact counts over the records ``export`` can write from: those
     minimized and certified without running out of oracle budget.  Such
@@ -424,10 +414,10 @@ def compute_stats(corpus: list[DistilledInstance]) -> CorpusStats:
     positives = sum(len(inst.minimal_leaf_ids) for inst in corpus)
 
     roles = {role.value: (0, 0) for role in SemanticRole} | _role_tally(corpus)
-    bucket_segments = {bucket: 0 for bucket in SIZE_BUCKETS}
-    bucket_positives = {bucket: 0 for bucket in SIZE_BUCKETS}
+    bucket_segments = {bucket: 0 for _, bucket in SIZE_BUCKETS}
+    bucket_positives = {bucket: 0 for _, bucket in SIZE_BUCKETS}
     for inst in corpus:
-        bucket = _bucket(len(inst.context_segments))
+        bucket = next(label for most, label in SIZE_BUCKETS if len(inst.context_segments) <= most)
         bucket_segments[bucket] += len(inst.context_segments)
         bucket_positives[bucket] += len(inst.minimal_leaf_ids)
 

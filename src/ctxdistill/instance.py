@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .code_model import CodeUnit, Level, UnitTree, build_tree, enclosing_leaf, enclosing_unit
+from .code_model import CodeUnit, Level, UnitTree, build_tree, enclosing_unit
 from .priority import json_field, json_value, lex_identifiers, read_input, read_json
 
 
@@ -180,8 +180,8 @@ def resolve_leaf_locators(tree: UnitTree, locators: list) -> frozenset[str]:
                 path, line = json_field(loc, "path", str), json_field(loc, "line", int)
             except ValueError:
                 raise InstanceError(f"locator {loc!r} needs a path and a line number") from None
-            leaf = enclosing_leaf(tree, path, line)
-            if leaf is None:
+            leaf = tree.innermost_unit(path, line)
+            if leaf is None or leaf.level is Level.FILE:
                 raise InstanceError(f"no leaf segment contains {path}:{line}")
             resolved.add(leaf.id)
         else:

@@ -541,7 +541,10 @@ class LLMOracle:
     def _request_completions(self, prompt: str) -> list[str]:
         """The endpoint's completions, in up to 3 attempts.  A reply with
         no completions is a failed attempt: it would give a verdict of 0
-        passes in 0 samples, which the pass threshold calls sufficient."""
+        passes in 0 samples, which the pass threshold calls sufficient.
+        A refusal that a retry cannot change, an error whose
+        ``response.status_code`` (as on ``requests.HTTPError``) is a 4xx
+        other than 408 and 429, ends the attempts at once."""
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -562,6 +565,9 @@ class LLMOracle:
                 return completions
             except Exception as exc:  # noqa: BLE001 - endpoint errors vary by client
                 last_error = exc
+                status = getattr(getattr(exc, "response", None), "status_code", None)
+                if isinstance(status, int) and 400 <= status < 500 and status not in (408, 429):
+                    raise OracleEndpointError(f"LLM endpoint refused the request: {exc}") from exc
                 if attempt < 2:
                     time.sleep(self.retry_sleep * (2**attempt))
         raise OracleEndpointError(f"LLM endpoint gave no usable reply in 3 attempts: {last_error}")

@@ -6,7 +6,7 @@ import json
 import random
 from pathlib import Path
 
-from ctxdistill.code_model import UnitTree, build_tree, leaf_segments
+from ctxdistill.code_model import UnitTree, build_tree
 
 CLASS_SOURCE = """\
 class Shape(Base):
@@ -114,7 +114,7 @@ def tree_with_n_function_leaves(n: int, instance_id: str = "flat") -> UnitTree:
 
 
 def pick_leaves(rng: random.Random, tree: UnitTree, k: int) -> frozenset[str]:
-    leaves = [seg.id for seg in leaf_segments(tree)]
+    leaves = [seg.id for seg in tree.leaves]
     k = min(k, len(leaves))
     return frozenset(rng.sample(leaves, k))
 

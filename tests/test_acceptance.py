@@ -20,8 +20,6 @@ from ctxdistill.code_model import (
     SegmentKind,
     Span,
     build_tree,
-    leaf_segments,
-    subtree_leaf_ids,
     upward_closure,
 )
 from ctxdistill.compressor import CompressionBudget, ScoredSegment, select_greedy
@@ -82,7 +80,7 @@ def test_c01_one_minimality_on_randomized_instances():
     trials = 0
     while trials < 200:
         tree = build_tree("acc", [("m.py", random_module(rng))])
-        leaves = sorted(s.id for s in leaf_segments(tree))
+        leaves = sorted(s.id for s in tree.leaves)
         if not leaves or len(leaves) > 12:
             continue
         trials += 1
@@ -115,7 +113,7 @@ def test_c02_ddmin_probe_bound_from_trace(tmp_path):
         bound = n * n + 3 * n
         for trial in range(12):
             tree = build_tree("acc", [("flat.py", module_with_functions(n))])
-            leaves = sorted(s.id for s in leaf_segments(tree))
+            leaves = sorted(s.id for s in tree.leaves)
             assert len(leaves) == n
             k = (trial * max(1, n // 3)) % (n + 1)
             required = frozenset(rng.sample(leaves, k))
@@ -149,13 +147,13 @@ def test_c03_ga_seeding_guarantee():
         patch_files = frozenset(
             path for path, _ in rng.sample(files, rng.randint(1, n_files))
         )
-        eligible = [s.id for s in leaf_segments(tree) if s.path in patch_files]
+        eligible = [s.id for s in tree.leaves if s.path in patch_files]
         required = frozenset(rng.sample(eligible, rng.randint(1, min(4, len(eligible)))))
         # distractors outside the patch files make the all-on seed fail on
         # half the trials, so success must come through the patch-file seed
         distractors = frozenset()
         if trial % 2 == 0:
-            outside = [s.id for s in leaf_segments(tree) if s.path not in patch_files]
+            outside = [s.id for s in tree.leaves if s.path not in patch_files]
             if outside:
                 distractors = frozenset(rng.sample(outside, 1))
 
@@ -250,14 +248,14 @@ def test_c05_render_identity_and_conservation():
     for trial in range(500):
         source = RENDER_FIXTURES[trial % len(RENDER_FIXTURES)] if trial % 3 == 0 else random_module(rng)
         tree = build_tree("acc", [("m.py", source)])
-        leaves = [s.id for s in leaf_segments(tree)]
+        leaves = [s.id for s in tree.leaves]
         chosen = rng.sample(leaves, rng.randint(0, len(leaves)))
         rendered = render(tree, upward_closure(tree, chosen))
         for rf in rendered.per_file:
             file_unit = next(u for u in tree.files if u.path == rf.path)
             segmented = sum(
-                tree.index[lid].span.line_count
-                for lid in subtree_leaf_ids(tree, file_unit.id)
+                leaf.span.line_count
+                for leaf in tree.leaves_under(file_unit.id)
             )
             emitted = 0
             placeholder_total = 0

@@ -14,11 +14,8 @@ from ctxdistill.code_model import (
     UnknownUnitError,
     build_tree,
     decompose,
-    enclosing_leaf,
     enclosing_unit,
-    leaf_segments,
     split_lines,
-    subtree_leaf_ids,
     unit_text,
     upward_closure,
 )
@@ -59,14 +56,14 @@ def test_empty_file_has_zero_segments():
     assert len(units) == 1
     assert units[0].level is Level.FILE
     tree = build_tree("t", [("empty.py", "")])
-    assert leaf_segments(tree) == []
+    assert tree.leaves == []
 
 
 def test_class_decomposes_to_header_and_methods():
     tree = build_tree("t", [("shape.py", CLASS_SOURCE)])
-    kinds = [seg.kind for seg in leaf_segments(tree)]
+    kinds = [seg.kind for seg in tree.leaves]
     assert kinds == [SegmentKind.CLASS_HEADER, SegmentKind.METHOD, SegmentKind.METHOD]
-    header = leaf_segments(tree)[0]
+    header = tree.leaves[0]
     # header owns the signature plus the class-level statements
     assert header.span.start_line == 1
     assert "sides = 4" in unit_text(tree, header)
@@ -75,7 +72,7 @@ def test_class_decomposes_to_header_and_methods():
 
 def test_multi_block_function_splits_at_compound_boundaries():
     tree = build_tree("t", [("m.py", MULTI_BLOCK_SOURCE)])
-    segs = leaf_segments(tree)
+    segs = tree.leaves
     kinds = [s.kind.value for s in segs]
     # import fragment, locate's blocks, flatten's blocks, trailing fragment
     assert kinds[0] == "file"
@@ -95,7 +92,7 @@ def test_multi_block_function_splits_at_compound_boundaries():
 
 def test_nested_function_is_a_function_kind_leaf():
     tree = build_tree("t", [("n.py", NESTED_SOURCE)])
-    segs = leaf_segments(tree)
+    segs = tree.leaves
     nested = [s for s in segs if s.kind is SegmentKind.FUNCTION and s.level is Level.BLOCK]
     assert len(nested) == 1
     assert "def inner" in unit_text(tree, nested[0])
@@ -131,7 +128,7 @@ def test_leaf_spans_partition_each_file():
         source = random_module(rng)
         tree = build_tree("t", [("m.py", source)])
         covered = []
-        for seg in leaf_segments(tree):
+        for seg in tree.leaves:
             covered.extend(range(seg.span.start_line, seg.span.end_line + 1))
         assert sorted(covered) == list(range(1, len(source.splitlines()) + 1))
         assert len(set(covered)) == len(covered)
@@ -154,7 +151,7 @@ def test_every_leaf_chain_ends_at_one_file_unit():
     rng = random.Random(13)
     for trial in range(20):
         tree = build_tree("t", [("a.py", random_module(rng)), ("b.py", random_module(rng))])
-        for seg in leaf_segments(tree):
+        for seg in tree.leaves:
             unit = seg
             while unit.parent_id is not None:
                 unit = tree.index[unit.parent_id]
@@ -170,14 +167,14 @@ def test_leaf_segments_document_order_across_files():
             ("b.py", "def g1(x):\n    return x\n\ndef g2(x):\n    return x\n\ndef g3(x):\n    return x\n"),
         ],
     )
-    segs = leaf_segments(tree)
+    segs = tree.leaves
     assert len(segs) == 5
     assert [s.path for s in segs] == ["a.py", "a.py", "b.py", "b.py", "b.py"]
 
 
 def test_upward_closure_chain_and_idempotence():
     tree = build_tree("t", [("m.py", MULTI_BLOCK_SOURCE)])
-    block = next(s for s in leaf_segments(tree) if s.level is Level.BLOCK)
+    block = next(s for s in tree.leaves if s.level is Level.BLOCK)
     closed = upward_closure(tree, {block.id})
     assert block.id in closed
     assert block.parent_id in closed
@@ -207,27 +204,25 @@ def test_upward_closure_unknown_id_names_the_id():
 
 def test_enclosing_queries():
     tree = build_tree("t", [("m.py", MULTI_BLOCK_SOURCE)])
-    leaf = enclosing_leaf(tree, "m.py", 5)  # inside locate()
+    leaf = tree.innermost_unit("m.py", 5)  # inside locate()
     assert leaf is not None and leaf.span.contains_line(5)
     func = enclosing_unit(tree, "m.py", 5, level=Level.FUNCTION)
     assert func is not None and not func.is_leaf
-    assert enclosing_leaf(tree, "m.py", 10_000) is None
-    assert enclosing_leaf(tree, "other.py", 1) is None
+    assert tree.innermost_unit("m.py", 10_000) is None
+    assert tree.innermost_unit("other.py", 1) is None
 
 
 def test_subtree_leaf_ids():
     tree = build_tree("t", [("m.py", MULTI_BLOCK_SOURCE)])
     file_unit = tree.files[0]
-    assert subtree_leaf_ids(tree, file_unit.id) == frozenset(
-        s.id for s in leaf_segments(tree)
-    )
-    leaf = leaf_segments(tree)[0]
-    assert subtree_leaf_ids(tree, leaf.id) == frozenset({leaf.id})
+    assert tree.leaves_under(file_unit.id) == tree.leaves
+    leaf = tree.leaves[0]
+    assert tree.leaves_under(leaf.id) == [leaf]
 
 
 def test_form_feed_does_not_shift_spans():
     tree = build_tree("t", [("m.py", FORM_FEED_SOURCE)])
-    a, b = leaf_segments(tree)
+    a, b = tree.leaves
     assert (a.span.start_line, a.span.end_line) == (1, 4)
     assert unit_text(tree, a).endswith("    return x")
     assert unit_text(tree, b).lstrip("\n").startswith("def b")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxdistill.code_model import build_tree, leaf_segments, split_lines, unit_text
+from ctxdistill.code_model import build_tree, split_lines, unit_text
 from ctxdistill.compressor import (
     CompressionBudget,
     HeuristicScorer,
@@ -55,7 +55,7 @@ def test_build_query_deterministic_and_validates():
 
 def test_heuristic_score_terms():
     tree = build_tree("t", [("m.py", "def compute(rate):\n    return rate * 2\n")])
-    seg = leaf_segments(tree)[0]
+    seg = tree.leaves[0]
     text = unit_text(tree, seg)
     scorer = HeuristicScorer(tree)
     at_fault = build_query("crash somewhere else", [FaultLocation("m.py", 2)])
@@ -82,7 +82,7 @@ def test_heuristic_scores_blocks_of_fault_function():
     )
     tree = build_tree("t", [("m.py", source)])
     query = build_query("trouble", [FaultLocation("m.py", 2)])
-    segs = leaf_segments(tree)
+    segs = tree.leaves
     fault_blocks = [s for s in segs if s.span.start_line <= 5]
     scorer = HeuristicScorer(tree)
     for seg in fault_blocks:
@@ -109,7 +109,7 @@ class StubScorer:
 
 
 def _segments(tree):
-    return [(seg, unit_text(tree, seg)) for seg in leaf_segments(tree)]
+    return [(seg, unit_text(tree, seg)) for seg in tree.leaves]
 
 
 def test_score_segments_whole_and_clamped():
@@ -327,7 +327,7 @@ def test_compress_end_to_end_with_heuristic(tmp_path):
     positions = [order[uid] for uid in result.selected_segment_ids]
     assert positions == sorted(positions)
     # the compressed context never invents segments
-    initial_leaves = {s.id for s in leaf_segments(tree)}
+    initial_leaves = {s.id for s in tree.leaves}
     assert set(result.selected_segment_ids) <= initial_leaves
 
 
@@ -346,7 +346,7 @@ def test_compress_rate_near_one_keeps_everything(tmp_path):
     tree = build_tree("t", [(p, (tmp_path / "repo" / p).read_text()) for p in files])
     result = compress(instance, tree, HeuristicScorer(tree), rate=1.000001)
     assert result.achieved_rate == pytest.approx(1.0, rel=0.05)
-    assert set(result.selected_segment_ids) == {s.id for s in leaf_segments(tree)}
+    assert set(result.selected_segment_ids) == {s.id for s in tree.leaves}
 
 
 def test_compress_rejects_rate_at_most_one(tmp_path):

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from ctxdistill import dataset
-from ctxdistill.code_model import SegmentKind, build_tree, leaf_segments, unit_text
+from ctxdistill.code_model import SegmentKind, build_tree, unit_text
 from ctxdistill.dataset import (
     CorpusFormatError,
     DistilledInstance,
@@ -94,26 +94,26 @@ def _role_fixture():
         context_files=["m.py"],
         repo_root="/nonexistent",
     )
-    segs = {s.kind.value + ":" + str(s.span.start_line): s for s in leaf_segments(tree)}
+    segs = {s.kind.value + ":" + str(s.span.start_line): s for s in tree.leaves}
     return tree, instance, segs
 
 
 def test_classify_class_header_is_schema():
     tree, instance, segs = _role_fixture()
     header = next(
-        s for s in leaf_segments(tree) if s.kind is SegmentKind.CLASS_HEADER
+        s for s in tree.leaves if s.kind is SegmentKind.CLASS_HEADER
     )
     assert classify_role(header, unit_text(tree, header), fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
 
 
 def test_classify_declaration_block_is_schema():
     tree, instance, segs = _role_fixture()
-    top = next(s for s in leaf_segments(tree) if s.kind is SegmentKind.FILE)
+    top = next(s for s in tree.leaves if s.kind is SegmentKind.FILE)
     assert classify_role(top, unit_text(tree, top), fault_facts(tree, instance.fault_locations)) is SemanticRole.SCHEMA
 
 
 def _leaf_containing(tree, needle):
-    return next(s for s in leaf_segments(tree) if needle in unit_text(tree, s))
+    return next(s for s in tree.leaves if needle in unit_text(tree, s))
 
 
 def test_classify_called_function_is_call_chain():
@@ -143,7 +143,7 @@ def test_classify_definition_referenced_by_fault():
         context_files=["m.py"],
         repo_root="/nonexistent",
     )
-    frag = next(s for s in leaf_segments(tree) if s.kind is SegmentKind.FILE)
+    frag = next(s for s in tree.leaves if s.kind is SegmentKind.FILE)
     # the fragment defines THRESHOLD, which check() references (not calls)
     assert classify_role(frag, unit_text(tree, frag), fault_facts(tree, instance.fault_locations)) is SemanticRole.DEFINITION
 
@@ -152,7 +152,7 @@ def test_classify_role_total_and_deterministic():
     rng = random.Random(3)
     tree, instance, _ = _role_fixture()
     facts = fault_facts(tree, instance.fault_locations)
-    for seg in leaf_segments(tree):
+    for seg in tree.leaves:
         first = classify_role(seg, unit_text(tree, seg), facts)
         second = classify_role(seg, unit_text(tree, seg), facts)
         assert first is second

@@ -4,7 +4,7 @@ budget cutoffs, and brute-force agreement on small instances."""
 import itertools
 import random
 
-from ctxdistill.code_model import Level, build_tree, leaf_segments
+from ctxdistill.code_model import Level, build_tree
 from ctxdistill.hdd import ddmin_level, minimize
 from ctxdistill.oracle import MockOracle, OracleConfig, OracleSession
 
@@ -27,7 +27,7 @@ def _zero_phi(tree):
 
 
 def _all_leaves(tree):
-    return frozenset(s.id for s in leaf_segments(tree))
+    return frozenset(s.id for s in tree.leaves)
 
 
 def brute_force_minimum(universe, required):
@@ -43,7 +43,7 @@ def brute_force_minimum(universe, required):
 
 def test_ddmin_level_keeps_only_required_function():
     tree = build_tree("t", [("m.py", module_with_functions(4))])
-    leaves = leaf_segments(tree)
+    leaves = tree.leaves
     required = frozenset({leaves[0].id})
     session = _session(required)
     result = ddmin_level(_all_leaves(tree), Level.FUNCTION, tree, session, _zero_phi(tree))
@@ -53,7 +53,7 @@ def test_ddmin_level_keeps_only_required_function():
 
 def test_ddmin_level_two_required_among_three():
     tree = build_tree("t", [("m.py", module_with_functions(3))])
-    leaves = leaf_segments(tree)
+    leaves = tree.leaves
     required = frozenset({leaves[0].id, leaves[2].id})
     session = _session(required)
     result = ddmin_level(_all_leaves(tree), Level.FUNCTION, tree, session, _zero_phi(tree))
@@ -62,7 +62,7 @@ def test_ddmin_level_two_required_among_three():
 
 def test_ddmin_level_fixpoint_on_minimal_input():
     tree = build_tree("t", [("m.py", module_with_functions(4))])
-    leaves = leaf_segments(tree)
+    leaves = tree.leaves
     required = frozenset({leaves[1].id, leaves[3].id})
     session = _session(required)
     first = ddmin_level(_all_leaves(tree), Level.FUNCTION, tree, session, _zero_phi(tree))
@@ -76,7 +76,7 @@ def test_ddmin_level_fixpoint_on_minimal_input():
 
 def test_minimize_drops_irrelevant_files():
     tree = build_tree("t", MULTI_FILE)
-    f1_leaves = frozenset(s.id for s in leaf_segments(tree) if s.path == "f1.py")
+    f1_leaves = frozenset(s.id for s in tree.leaves if s.path == "f1.py")
     required = frozenset(sorted(f1_leaves)[:1])
     session = _session(required)
     result = minimize(_all_leaves(tree), tree, session, _zero_phi(tree))
@@ -96,7 +96,7 @@ def test_minimize_block_level_fixture():
         "    return a\n"
     )
     tree = build_tree("t", [("m.py", source)])
-    blocks = [s for s in leaf_segments(tree) if s.level is Level.BLOCK]
+    blocks = [s for s in tree.leaves if s.level is Level.BLOCK]
     assert len(blocks) >= 3
     required = frozenset({blocks[1].id})
     session = _session(required)
@@ -162,7 +162,7 @@ def test_minimize_empty_required_reduces_to_empty():
 
 def test_minimize_low_priority_removed_first_in_trace():
     tree = build_tree("t", [("m.py", module_with_functions(4))])
-    leaves = leaf_segments(tree)
+    leaves = tree.leaves
     phi = _zero_phi(tree)
     # make the required leaf the highest priority, everything else low
     required = frozenset({leaves[3].id})

@@ -28,11 +28,8 @@ from ctxdistill.code_model import (
     SegmentKind,
     Span,
     build_tree,
-    enclosing_leaf,
     enclosing_unit,
-    leaf_segments,
     split_lines,
-    subtree_leaf_ids,
     unit_text,
     upward_closure,
 )
@@ -192,7 +189,7 @@ def scan_enclosing_unit(tree, path, line, level=None):
 
 
 def scan_enclosing_leaf(tree, path, line):
-    for unit in leaf_segments(tree):
+    for unit in tree.leaves:
         if unit.path == path and unit.span.contains_line(line):
             return unit
     return None
@@ -421,7 +418,9 @@ def test_indexed_lookups_match_linear_scans(tree):
         for line in lines:
             for level in (None, Level.FILE, Level.FUNCTION, Level.BLOCK):
                 assert enclosing_unit(tree, path, line, level) is scan_enclosing_unit(tree, path, line, level)
-            assert enclosing_leaf(tree, path, line) is scan_enclosing_leaf(tree, path, line)
+            unit = tree.innermost_unit(path, line)
+            leaf = None if unit is None or unit.level is Level.FILE else unit
+            assert leaf is scan_enclosing_leaf(tree, path, line)
     for uid in tree.unit_order:
         assert unit_text(tree, uid) == resplit_unit_text(tree, tree.index[uid])
 
@@ -444,7 +443,7 @@ def test_hoisted_fault_facts_give_per_segment_roles(tree, picks):
     paths = list(tree.sources)
     faults = [FaultLocation(paths[i % len(paths)], line) for i, line in picks]
     facts = fault_facts(tree, faults)
-    for seg in leaf_segments(tree):
+    for seg in tree.leaves:
         assert classify_role(seg, unit_text(tree, seg), facts) is per_segment_role(seg, faults, tree)
 
 
@@ -465,13 +464,12 @@ def test_bisect_covered_line_count_matches_plain_count(covered, spans):
 @SETTINGS
 @given(trees)
 def test_leaf_table_matches_subtree_walks(tree):
-    assert leaf_segments(tree) == [
+    assert tree.leaves == [
         tree.index[uid]
         for uid in tree.unit_order
         if tree.index[uid].is_leaf and tree.index[uid].level is not Level.FILE
     ]
     for uid in tree.unit_order:
-        assert subtree_leaf_ids(tree, uid) == walk_subtree_leaf_ids(tree, uid)
         assert [u.id for u in tree.leaves_under(uid)] == [
             u.id for u in walk_subtree(tree, uid) if u.is_leaf and u.level is not Level.FILE
         ]
@@ -480,7 +478,7 @@ def test_leaf_table_matches_subtree_walks(tree):
 @SETTINGS
 @given(trees, st.randoms(use_true_random=False))
 def test_placeholder_line_ranges_match_summed_leaf_lines(tree, rng):
-    leaves = [u.id for u in leaf_segments(tree)]
+    leaves = [u.id for u in tree.leaves]
     for _ in range(5):
         included = upward_closure(tree, rng.sample(leaves, rng.randint(0, len(leaves))))
         rendered = render(tree, included)
@@ -530,7 +528,7 @@ def test_genome_slices_match_governor_walks(tree, rng):
 @SETTINGS
 @given(trees, st.randoms(use_true_random=False))
 def test_level_units_match_the_tree_scan(tree, rng):
-    leaves = [u.id for u in leaf_segments(tree)]
+    leaves = [u.id for u in tree.leaves]
     for _ in range(5):
         retained = frozenset(rng.sample(leaves, rng.randint(0, len(leaves))))
         for level in Level:

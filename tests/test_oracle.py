@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdistill.instance import FaultLocation, Instance
-from ctxdistill.code_model import build_tree, leaf_segments, split_lines, upward_closure
+from ctxdistill.code_model import build_tree, split_lines, upward_closure
 from ctxdistill.hdd import minimize
 from ctxdistill.oracle import (
     LLMOracle,
@@ -173,7 +173,7 @@ def test_a_fresh_evaluation_bypasses_the_cache_and_stores_its_verdict():
 
 def test_minimize_traces_each_candidate_by_its_verdict_cache_key():
     tree = build_tree("t", [("m.py", module_with_functions(4))])
-    leaves = [seg.id for seg in leaf_segments(tree)]
+    leaves = [seg.id for seg in tree.leaves]
     trace = []
     session = OracleSession(MockOracle(leaves[2:4]), "inst-7", trace=trace.append)
     candidates = []
@@ -434,7 +434,7 @@ def test_llm_oracle_majority_pass(tmp_path):
         model="stub-model",
         transport=_transport_returning(completions),
     )
-    verdict = oracle.evaluate(frozenset(s.id for s in leaf_segments(tree)))
+    verdict = oracle.evaluate(frozenset(s.id for s in tree.leaves))
     assert verdict.samples == 4
     assert verdict.passes == 2
     assert verdict.sufficient  # 2 >= ceil(0.5 * 4)
@@ -454,7 +454,7 @@ def test_llm_oracle_below_majority_fails(tmp_path):
         model="stub-model",
         transport=_transport_returning(completions),
     )
-    verdict = oracle.evaluate(frozenset(s.id for s in leaf_segments(tree)))
+    verdict = oracle.evaluate(frozenset(s.id for s in tree.leaves))
     assert verdict.passes == 1
     assert not verdict.sufficient
 
@@ -473,7 +473,7 @@ def test_a_null_completion_is_a_sample_without_a_patch(tmp_path):
         model="stub-model",
         transport=_transport_returning([good, None, good, None]),
     )
-    verdict = oracle.evaluate(frozenset(s.id for s in leaf_segments(tree)))
+    verdict = oracle.evaluate(frozenset(s.id for s in tree.leaves))
     assert (verdict.passes, verdict.samples) == (2, 4)
     assert [o.applied for o in verdict.per_sample] == [True, False, True, False]
 
@@ -499,6 +499,34 @@ def test_llm_oracle_retries_then_raises(tmp_path):
     with pytest.raises(OracleEndpointError):
         oracle.evaluate(frozenset())
     assert len(attempts) == 3
+
+
+@pytest.mark.parametrize("status, attempts, sleeps", [(400, 1, []), (429, 3, [1.0, 2.0])])
+def test_a_refusal_that_cannot_succeed_is_not_retried(tmp_path, monkeypatch, status, attempts, sleeps):
+    """A 4xx other than 408 and 429, as ``requests.HTTPError`` carries it,
+    fails on its first attempt; a rate limit is still retried."""
+    instance = _instance(tmp_path)
+    tree = build_tree(instance.instance_id, [("mod.py", GOOD_OLD)])
+    calls, slept = [], []
+    monkeypatch.setattr(time, "sleep", slept.append)
+
+    def refusing_transport(url, payload, headers, timeout):
+        calls.append(url)
+        error = RuntimeError(f"{status} Client Error")
+        error.response = SimpleNamespace(status_code=status)
+        raise error
+
+    oracle = LLMOracle(
+        instance,
+        tree,
+        OracleConfig(samples_n=1, timeout_seconds=60),
+        endpoint="http://stub.local/v1/chat",
+        model="stub-model",
+        transport=refusing_transport,
+    )
+    with pytest.raises(OracleEndpointError, match=f"{status} Client Error"):
+        oracle.evaluate(frozenset())
+    assert (len(calls), slept) == (attempts, sleeps)
 
 
 def test_a_reply_without_completions_is_a_failed_attempt(tmp_path):
@@ -572,7 +600,7 @@ def test_llm_oracle_prompt_matches_old_template(tmp_path, faults):
         endpoint="http://stub.local/v1/chat",
         transport=transport,
     )
-    leaves = frozenset(s.id for s in leaf_segments(tree))
+    leaves = frozenset(s.id for s in tree.leaves)
     oracle.evaluate(leaves)
     context = render(tree, upward_closure(tree, leaves)).dump_text()
     assert prompts == [OLD_REPAIR_PROMPT.format(query=_old_query_text(instance), context=context)]
@@ -598,7 +626,7 @@ def _counting_oracle(tmp_path, completions, test_command=None, log_dir=None, **c
         transport=_transport_returning(completions),
         log_dir=log_dir,
     )
-    return oracle, frozenset(s.id for s in leaf_segments(tree))
+    return oracle, frozenset(s.id for s in tree.leaves)
 
 
 def _runs(tmp_path) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ctxdistill import oracle as oracle_module
-from ctxdistill.code_model import build_tree, leaf_segments
+from ctxdistill.code_model import build_tree
 from ctxdistill.config import RunConfig
 from ctxdistill.dataset import STATUS_MINIMIZED, STATUS_UNMINIMIZED
 from ctxdistill.ga_search import GAConfig
@@ -34,7 +34,7 @@ FILES = {
 
 
 def _leaf_for(tree, path, index=0):
-    return [s for s in leaf_segments(tree) if s.path == path][index]
+    return [s for s in tree.leaves if s.path == path][index]
 
 
 def test_the_file_unit_of_an_empty_file_is_no_leaf_locator():
@@ -42,7 +42,7 @@ def test_the_file_unit_of_an_empty_file_is_no_leaf_locator():
     required it would find every candidate insufficient."""
     tree = build_tree("t", [("pkg/core.py", FILES["pkg/core.py"]), ("pkg/empty.py", "")])
     empty = tree.files[1]
-    assert empty.is_leaf and empty not in leaf_segments(tree)
+    assert empty.is_leaf and empty not in tree.leaves
     with pytest.raises(InstanceError, match="names a non-leaf unit"):
         resolve_leaf_locators(tree, [empty.id])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxdistill.code_model import build_tree, leaf_segments, unit_text
+from ctxdistill.code_model import build_tree, unit_text
 from ctxdistill.priority import (
     CoverageReport,
     PatchFormatError,
@@ -74,7 +74,7 @@ def test_lex_identifiers_excludes_keywords():
 def unit_and_tree():
     source = "def f(x):\n    val = x + 1\n    count = val\n    return count\n"
     tree = build_tree("t", [("figure.py", source)])
-    return leaf_segments(tree)[0], tree
+    return tree.leaves[0], tree
 
 
 def test_priority_hand_value(unit_and_tree):
@@ -125,7 +125,7 @@ def test_priority_missing_coverage_file_means_zero_term(unit_and_tree):
 def test_priority_monotone_in_each_signal():
     source = "def f(x):\n    alpha = x\n    beta = alpha\n    return beta\n"
     tree = build_tree("t", [("m.py", source)])
-    unit = leaf_segments(tree)[0]
+    unit = tree.leaves[0]
     text = unit_text(tree, unit)
     w = PriorityWeights(1.0, 1.0, 1.0)
     rng = random.Random(5)

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from ctxdistill.code_model import build_tree, leaf_segments
+from ctxdistill.code_model import build_tree
 from ctxdistill.config import RunConfig
 from ctxdistill.ga_search import GAConfig
 from ctxdistill.hdd import minimize
@@ -95,7 +95,7 @@ def test_distill_with_the_ga_writes_one_record_per_probe(tmp_path, monkeypatch):
 @pytest.mark.parametrize("budget,stopped", [(10_000, False), (9, True), (4, True), (1, True)])
 def test_minimize_writes_one_record_per_probe_and_none_when_stopped(budget, stopped, monkeypatch):
     tree = build_tree("t", [("a.py", module_with_functions(4, "a")), ("b.py", module_with_functions(3, "b"))])
-    leaves = [seg.id for seg in leaf_segments(tree)]
+    leaves = [seg.id for seg in tree.leaves]
     records = []
     session = OracleSession(
         MockOracle(leaves[1:3]), "inst-1", OracleConfig(eval_budget=budget), records.append

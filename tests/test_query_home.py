@@ -24,7 +24,6 @@ from ctxdistill.code_model import (
     UnitTree,
     build_tree,
     enclosing_unit,
-    leaf_segments,
     unit_text,
 )
 from ctxdistill.compressor import HeuristicScorer
@@ -194,7 +193,7 @@ def test_heuristic_scores_match_the_frozen_resolver(case, issue_text):
     query = build_query(issue_text, faults)
     frozen_query = frozen_build_query(issue_text, faults)
     scorer, frozen_scorer = HeuristicScorer(tree), FrozenHeuristicScorer(tree)
-    items = [(leaf, unit_text(tree, leaf)) for leaf in leaf_segments(tree)]
+    items = [(leaf, unit_text(tree, leaf)) for leaf in tree.leaves]
     assert scorer.score_batch(query, items) == frozen_scorer.score_batch(frozen_query, items)
     for leaf, text in items:
         expected = frozen_heuristic_score(frozen_query, text, unit=leaf, tree=tree)

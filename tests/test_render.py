@@ -7,8 +7,6 @@ import pytest
 from ctxdistill.code_model import (
     UnknownUnitError,
     build_tree,
-    leaf_segments,
-    subtree_leaf_ids,
     upward_closure,
 )
 from ctxdistill.render import PLACEHOLDER_RE, render, render_full
@@ -34,8 +32,8 @@ def _conservation_check(tree, included):
     for rf in rendered.per_file:
         file_unit = next(u for u in tree.files if u.path == rf.path)
         segmented = sum(
-            tree.index[lid].span.line_count
-            for lid in subtree_leaf_ids(tree, file_unit.id)
+            leaf.span.line_count
+            for leaf in tree.leaves_under(file_unit.id)
         )
         emitted = 0
         placeholder_total = 0
@@ -57,7 +55,7 @@ def test_full_inclusion_is_byte_identical():
 
 def test_excluded_method_becomes_placeholder_line():
     tree = build_tree("t", [("tool.py", METHOD_SOURCE)])
-    segs = leaf_segments(tree)
+    segs = tree.leaves
     long_method = segs[-1]
     assert long_method.span.line_count == 5
     included = set(tree.unit_order) - {long_method.id}
@@ -90,8 +88,8 @@ def test_file_on_all_segments_off_collapses_to_one_placeholder():
     assert all(matches)
     total = sum(int(m.group(2)) for m in matches)
     assert total == sum(
-        tree.index[lid].span.line_count
-        for lid in subtree_leaf_ids(tree, file_unit.id)
+        leaf.span.line_count
+        for leaf in tree.leaves_under(file_unit.id)
     )
     # adjacent excluded siblings merge into a single placeholder
     assert len(lines) == 1
@@ -119,7 +117,7 @@ def test_placeholder_count_equals_maximal_excluded_runs():
     rng = random.Random(19)
     for trial in range(100):
         tree = build_tree("t", [("m.py", random_module(rng))])
-        leaves = [s.id for s in leaf_segments(tree)]
+        leaves = [s.id for s in tree.leaves]
         chosen = rng.sample(leaves, rng.randint(0, len(leaves)))
         included = upward_closure(tree, chosen)
         if not included:
@@ -136,7 +134,7 @@ def test_placeholder_count_equals_maximal_excluded_runs():
 
 def test_unknown_id_raises_naming_the_id():
     tree = build_tree("t", [("m.py", MULTI_BLOCK_SOURCE)])
-    leaf = leaf_segments(tree)[0]
+    leaf = tree.leaves[0]
     for ids in ({"bogus-id"}, [leaf.id, "bogus-id"]):
         with pytest.raises(UnknownUnitError) as err:
             render(tree, ids)
@@ -157,7 +155,7 @@ def test_conservation_on_random_inclusion_sets():
     for trial in range(60):
         files = [(f"m{i}.py", random_module(rng)) for i in range(rng.randint(1, 3))]
         tree = build_tree("t", files)
-        leaves = [s.id for s in leaf_segments(tree)]
+        leaves = [s.id for s in tree.leaves]
         chosen = rng.sample(leaves, rng.randint(0, len(leaves)))
         included = upward_closure(tree, chosen)
         _conservation_check(tree, included)
@@ -165,7 +163,7 @@ def test_conservation_on_random_inclusion_sets():
 
 def test_placeholder_indent_matches_method_indent():
     tree = build_tree("t", [("tool.py", METHOD_SOURCE)])
-    segs = leaf_segments(tree)
+    segs = tree.leaves
     short_method = segs[1]
     included = set(tree.unit_order) - {short_method.id}
     text = render(tree, included).per_file[0].text

@@ -27,7 +27,6 @@ from ctxdistill.code_model import (
     Level,
     build_tree,
     enclosing_unit,
-    leaf_segments,
     unit_text,
     upward_closure,
 )
@@ -164,7 +163,7 @@ def frozen_compress(instance, tree, scorer, rate, window_cfg=None):
     budget = CompressionBudget.from_rate(initial.total_tokens, rate)
     query = build_query(instance.issue_text, instance.fault_locations)
 
-    segments = [(leaf, unit_text(tree, leaf)) for leaf in leaf_segments(tree)]
+    segments = [(leaf, unit_text(tree, leaf)) for leaf in tree.leaves]
     scored = frozen_score_segments(
         query,
         segments,
@@ -291,7 +290,7 @@ def test_heuristic_score_matches_frozen_score(case):
     query = build_query(instance.issue_text, instance.fault_locations)
     scorer = HeuristicScorer(tree)
     scorer.score_batch(build_query("an earlier query", []), [])  # one scorer, query after query
-    for leaf in leaf_segments(tree):
+    for leaf in tree.leaves:
         text = unit_text(tree, leaf)
         expected = frozen_heuristic_score(query, text, unit=leaf, tree=tree)
         assert HeuristicScorer(tree).score_batch(query, [(leaf, text)])[0] == expected

@@ -116,7 +116,7 @@ def trace_hash(use_ga: bool) -> tuple[int, str]:
 
 def windowed_compress_hash() -> tuple[int, int, str]:
     import gen
-    from ctxdistill.code_model import leaf_segments, unit_text
+    from ctxdistill.code_model import unit_text
     from ctxdistill.compressor import HeuristicScorer, WindowConfig, compress
     from ctxdistill.instance import build_instance_tree, load_instance
     from ctxdistill.tokens import count_tokens
@@ -128,7 +128,7 @@ def windowed_compress_hash() -> tuple[int, int, str]:
         for planted in gen.generate("compress_scatter", SEED, work, count=WINDOWED_INSTANCES):
             instance = load_instance(planted.instance_path)
             tree = build_instance_tree(instance)
-            texts = [unit_text(tree, leaf) for leaf in leaf_segments(tree)]
+            texts = [unit_text(tree, leaf) for leaf in tree.leaves]
             leaves += len(texts)
             windowed += sum(count_tokens(t) > window_cfg.window_tokens for t in texts)
             result = compress(instance, tree, HeuristicScorer(tree), 5, window_cfg)
