@@ -2,9 +2,15 @@
 
 Commands: ``segment``, ``distill``, ``compress``, ``export``, ``stats``.
 Exit codes: 0 success, 2 usage/validation error (a bad instance file,
-config, patch or corpus line), 3 partial or degraded result (a batch
-instance failed, or an oracle budget ran out), 4 external service
-failure.
+config, patch or corpus line, or an output file that cannot be written),
+3 partial or degraded result (a batch instance failed, or an oracle
+budget ran out), 4 external service failure.
+
+In a batch, an instance whose endpoint fails is one failed instance.
+Once ``ENDPOINT_FAILURE_LIMIT`` (2) instances in a row, in input order,
+have failed at the endpoint, the batch stops with exit 4: an outage
+would fail every instance.  No further instance starts, and no later
+record is appended.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .dataset import (
 from .instance import Instance, InstanceError, build_instance_tree, load_instance
 from .oracle import OracleEndpointError
 from .pipeline import distill_instance
+from .priority import OutputError, writing
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,6 +51,8 @@ EXIT_EXTERNAL = 4
 
 # bad input: a usage error for one instance, a failed instance in a batch
 _INPUT_ERRORS = (InstanceError, FileNotFoundError)
+# endpoint failures in a row that stop a batch, as the module docstring says
+ENDPOINT_FAILURE_LIMIT = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,9 +116,7 @@ def _load_config(args) -> RunConfig:
 def _cmd_segment(args, config: RunConfig) -> int:
     instance = load_instance(args.instance)
     tree = build_instance_tree(instance)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with writing(args.out, "segment file") as out, open(out, "w", encoding="utf-8") as fh:
         for row in segment_records(tree):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     return EXIT_OK
@@ -154,9 +161,10 @@ def _cmd_distill(args, config: RunConfig) -> int:
 
     def run(job):
         """The instance's label and outcome.  In a batch the outcome may be
-        the input error that stopped the instance, a bad or repeating
-        instance file's included, so one bad instance does not lose the
-        others; an instance file that did not load is named by its path."""
+        the input or endpoint error that stopped the instance, a bad or
+        repeating instance file's included, so one bad instance does not
+        lose the others; an instance file that did not load is named by
+        its path."""
         label, instance = job
         if isinstance(instance, Exception):
             return job
@@ -164,7 +172,7 @@ def _cmd_distill(args, config: RunConfig) -> int:
             return label, distill_instance(
                 instance, config, oracle_kind=args.oracle, use_ga=not args.no_ga, trace_dir=trace_dir
             )
-        except _INPUT_ERRORS as exc:
+        except (*_INPUT_ERRORS, OracleEndpointError) as exc:
             if not args.batch:
                 raise
             return label, exc
@@ -172,12 +180,19 @@ def _cmd_distill(args, config: RunConfig) -> int:
     # map yields in input order, so records append in instance order; a
     # serial run stays on this thread, so Ctrl-C or an error stops it at once
     partial = False
+    endpoint_failures = 0  # in a row
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         serial = config.parallelism == 1 or len(paths) == 1
         for label, outcome in (map if serial else pool.map)(run, jobs):
+            endpoint_failures = endpoint_failures + 1 if isinstance(outcome, OracleEndpointError) else 0
             if isinstance(outcome, Exception):
                 print(f"{label}: failed: {outcome}")
                 partial = True
+                if endpoint_failures == ENDPOINT_FAILURE_LIMIT:
+                    pool.shutdown(cancel_futures=True)
+                    raise OracleEndpointError(
+                        f"the endpoint failed for {endpoint_failures} instances in a row; batch stopped"
+                    )
                 continue
             record = outcome.record
             append_corpus(record, args.out)
@@ -198,12 +213,11 @@ def _cmd_compress(args, config: RunConfig) -> int:
     tree = build_instance_tree(instance)
     scorer = HeuristicScorer(tree) if args.scorer == "heuristic" else RemoteScorer()
     result = compress(instance, tree, scorer, rate, window_cfg=config.compression)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(result.rendered.dump_text(), encoding="utf-8")
-    Path(str(out) + ".stats.json").write_text(
-        json.dumps(result.stats(), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    with writing(args.out, "compressed context") as out:
+        out.write_text(result.rendered.dump_text(), encoding="utf-8")
+    stats = json.dumps(result.stats(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with writing(f"{args.out}.stats.json", "stats sidecar") as sidecar:
+        sidecar.write_text(stats, encoding="utf-8")
     return EXIT_OK
 
 
@@ -215,10 +229,9 @@ def _cmd_export(args, config: RunConfig) -> int:
 
 def _cmd_stats(args, config: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
-    stats = compute_stats(corpus)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report = json.dumps(dataclasses.asdict(compute_stats(corpus)), indent=2, sort_keys=True) + "\n"
+    with writing(args.out, "stats report") as out:
+        out.write_text(report, encoding="utf-8")
     return EXIT_OK
 
 
@@ -237,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](args, config)
-    except (ConfigError, CorpusFormatError, *_INPUT_ERRORS) as exc:
+    except (ConfigError, CorpusFormatError, OutputError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroPositivesError as exc:

@@ -12,13 +12,12 @@ then by document order.  ``compress`` does each piece of work once at
 its level:
 
 - per query: the query (``instance.build_query``) lexes the issue text
-  when it is built, and ``_heuristic`` binds the issue identifiers, the
+  when it is built.  ``_heuristic`` binds the issue identifiers, the
   lexer and the fault spans per path (``instance.fault_units``) into one
-  scoring closure.  ``HeuristicScorer`` keeps its closure while the
-  batches name the same query, and ``compress`` builds one more for the
+  scoring closure, which ``score_segments`` builds once if it needs
   whole-text tiebreaks.
 - per batch: one call to the scorer, retried once, and one pass that
-  clamps its scores.
+  clamps its scores.  ``HeuristicScorer`` builds one closure per batch.
 - per leaf: its text and token count, once each, and one score.  A
   segment the heuristic scorer saw whole takes its score as its
   tiebreak; only windowed segments, and every segment under another
@@ -142,26 +141,20 @@ class HeuristicScorer:
     """Oracle-free default scorer, no model required: half identifier
     overlap with the issue, half fault-location proximity.
 
-    A batch is scored through one ``_heuristic`` closure, built when the
-    scorer first sees a query and kept while the batches name that
-    query.  Scores lie in [0, 1], so a segment scored whole already has
-    its whole-text tiebreak: ``compress`` reuses it and computes a
-    separate tiebreak only for windowed segments.
+    A batch is scored through one ``_heuristic`` closure.  Scores lie in
+    [0, 1], so a segment scored whole already has its whole-text
+    tiebreak, which ``score_segments`` reuses.
     """
 
     max_batch_size = 256
 
     def __init__(self, tree: UnitTree):
         self.tree = tree
-        self._last: tuple[StructuredQuery, Callable[[CodeUnit, str], float]] | None = None
 
     def score_batch(
         self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
     ) -> list[float]:
-        last = self._last
-        if last is None or last[0] is not query:
-            last = self._last = (query, _heuristic(self.tree, query))
-        return list(starmap(last[1], items))
+        return list(starmap(_heuristic(self.tree, query), items))
 
 
 # --- remote scorer --------------------------------------------------------
@@ -252,17 +245,16 @@ def score_segments(
     segments: Sequence[tuple[CodeUnit, str]],
     scorer: SegmentScorer,
     window_cfg: WindowConfig | None = None,
-    tiebreak: Callable[[CodeUnit, str], float] | None = None,
-    *,
-    tiebreak_is_score: bool = False,
+    tree: UnitTree | None = None,
 ) -> list[ScoredSegment]:
     """Score each segment, windowing the ones longer than the scorer
     window and taking the max over window scores.
 
-    ``tiebreak`` gives a segment's priority tiebreak from its whole text.
-    With ``tiebreak_is_score`` the scorer computes that same value, so a
-    segment scored whole takes its score as its tiebreak and
-    ``tiebreak`` runs only for windowed segments.
+    A segment's priority tiebreak is the heuristic score of its whole
+    text over ``tree``, 0 without one.  A ``HeuristicScorer`` over the
+    same tree computes that same value, so a segment it scored whole
+    takes its score as its tiebreak, and the heuristic runs only for
+    windowed segments.
 
     The scorer items are the segments themselves when none is longer
     than the window, else each segment whole or as its windows, in
@@ -310,11 +302,15 @@ def score_segments(
             if value > best[idx]:
                 best[idx] = value
 
-    if tiebreak_is_score and owners is None:
+    scored_whole = type(scorer) is HeuristicScorer and scorer.tree is tree
+    if scored_whole and owners is None:
         ties = best
+    elif tree is None:
+        ties = [0.0] * len(segments)
     else:
+        tiebreak = _heuristic(tree, query)
         ties = [
-            score if tiebreak_is_score and cost <= limit else tiebreak(unit, text) if tiebreak else 0.0
+            score if scored_whole and cost <= limit else tiebreak(unit, text)
             for (unit, text), score, cost in zip(segments, best, costs)
         ]
     ids = [unit.id for unit, _ in segments]
@@ -392,14 +388,7 @@ def compress(
     query = build_query(instance.issue_text, instance.fault_locations)
 
     segments = [(leaf, unit_text(tree, leaf)) for leaf in tree.leaves]
-    scored = score_segments(
-        query,
-        segments,
-        scorer,
-        window_cfg=window_cfg,
-        tiebreak=_heuristic(tree, query),
-        tiebreak_is_score=type(scorer) is HeuristicScorer and scorer.tree is tree,
-    )
+    scored = score_segments(query, segments, scorer, window_cfg=window_cfg, tree=tree)
     chosen = select_greedy(scored, budget)
     rendered = render(tree, chosen)
     latency = time.perf_counter() - start

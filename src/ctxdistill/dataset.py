@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .code_model import CodeUnit, SegmentKind, UnitTree, parse_source, role_facts, split_lines, unit_text
 from .instance import FaultLocation, build_query, fault_units
-from .priority import json_field, lex_identifiers, read_input
+from .priority import json_field, lex_identifiers, read_input, writing
 
 ROLE_RULES_VERSION = "2"
 
@@ -156,17 +156,6 @@ class CorpusStats:
     per_role_density: dict[str, float]
     density_by_size_bucket: dict[str, float]
 
-    def to_json(self) -> dict:
-        return {
-            "instances": self.instances,
-            "segments": self.segments,
-            "positives": self.positives,
-            "relevance_density": self.relevance_density,
-            "avg_segments_per_instance": self.avg_segments_per_instance,
-            "per_role_density": self.per_role_density,
-            "density_by_size_bucket": self.density_by_size_bucket,
-        }
-
 
 # --- semantic role classification ------------------------------------------
 
@@ -272,18 +261,17 @@ def classify_role(segment: CodeUnit, text: str, facts: FaultFacts) -> SemanticRo
 def append_corpus(instance: DistilledInstance, path: str | Path) -> None:
     """Append ``instance`` to the corpus at ``path`` as one JSON line,
     written by one ``os.write`` on an ``O_APPEND`` descriptor, so the
-    records of two appenders never interleave.  A short write raises
-    ``OSError`` naming the corpus."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    records of two appenders never interleave.  A failed or short write
+    raises ``OutputError`` naming the corpus."""
     line = (json.dumps(instance.to_json(), sort_keys=True) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        written = os.write(fd, line)
-    finally:
-        os.close(fd)
-    if written != len(line):
-        raise OSError(f"corpus {path}: wrote {written} of the {len(line)} bytes of a record")
+    with writing(path, "corpus") as path:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(f"wrote {written} of the {len(line)} bytes of a record")
 
 
 def load_corpus(path: str | Path) -> list[DistilledInstance]:
@@ -383,11 +371,9 @@ def _weighted_triples(
 def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
     """Write triples JSONL plus a ``.meta.json`` sidecar recording the
     weighting used; returns the triple count."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     class_weight_positive, role_weights = compute_weights(corpus)
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path, "triples file") as path, open(path, "w", encoding="utf-8") as fh:
         for row in _weighted_triples(corpus, class_weight_positive, role_weights):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
             count += 1
@@ -398,9 +384,8 @@ def write_triples(corpus: list[DistilledInstance], path: str | Path) -> int:
         "role_weights": role_weights,
         "triples": count,
     }
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with writing(f"{path}.meta.json", "meta sidecar") as meta_path:
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return count
 
 

@@ -113,13 +113,11 @@ def minimize(
             per_level_removed[level.value] = before - len(retained)
 
         # certification: every remaining leaf must be individually necessary,
-        # judged by fresh evaluations rather than cached verdicts
+        # judged afresh, as the session judges every certify probe
         certified = True
         order_pos = tree.order_pos
         for leaf_id in sorted(retained, key=lambda uid: order_pos[uid]):
-            verdict = session.evaluate(
-                retained - {leaf_id}, fresh=True, pass_level="certify", removed_count=1
-            )
+            verdict = session.evaluate(retained - {leaf_id}, pass_level="certify", removed_count=1)
             if verdict.sufficient:
                 certified = False
     except OracleBudgetExhausted:

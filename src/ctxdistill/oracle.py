@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Protocol
 
 from .code_model import UnitTree, split_lines
 from .instance import build_query
-from .priority import PatchFormatError, parse_diff
+from .priority import PatchFormatError, parse_diff, writing
 from .render import render
 
 ENV_LLM_URL = "OCD_LLM_URL"
@@ -151,19 +151,19 @@ class OracleSession:
     """Budgeted, cached front door to an oracle, and the one writer of
     probe records.
 
-    ``fresh=True`` bypasses the cache lookup (the verdict is still
-    stored), which the certification sweep uses to re-test with new
-    evaluations.  Cache hits do not count against the budget.  The cache
-    is keyed by the leaf-id frozenset, which hashes once per set object,
-    so it keeps every evaluated set alive until the session goes: memory
-    grows with evaluations times leaves, at most ``eval_budget`` sets
-    (about 10 MB for 300 sets of 860 ids).  With ``cache_enabled`` off
-    nothing is stored.  A session, like its oracle,
-    belongs to one instance and is driven from one thread.
+    The ``pass_level`` decides freshness: a ``certify`` probe, which
+    proves 1-minimality only by asking the oracle afresh, skips the cache
+    lookup, and every level's verdict is stored.  Cache hits do not count
+    against the budget.  The cache is keyed by the leaf-id frozenset,
+    which hashes once per set object, so it keeps every evaluated set
+    alive until the session goes: memory grows with evaluations times
+    leaves, at most ``eval_budget`` sets (about 10 MB for 300 sets of 860
+    ids).  With ``cache_enabled`` off nothing is stored.  A session, like
+    its oracle, belongs to one instance and is driven from one thread.
 
-    With a ``trace`` writer, every ``evaluate`` call given a
-    ``pass_level`` writes one probe record, cache hits included; a call
-    the budget stops writes none.  The record is flat:
+    With a ``trace`` writer, every ``evaluate`` call writes one probe
+    record, cache hits included; a call the budget stops writes none.
+    The record is flat:
 
     - ``schema_version`` (``TRACE_SCHEMA_VERSION``), ``seq`` (the
       record's 0-based index in the session), ``pass_level`` (``ga``,
@@ -196,13 +196,11 @@ class OracleSession:
     def evaluate(
         self,
         included_leaf_ids: frozenset[str],
-        fresh: bool = False,
-        *,
-        pass_level: str | None = None,
+        pass_level: str,
         **phase_fields: object,
     ) -> OracleVerdict:
         key = frozenset(included_leaf_ids)
-        cached = self._cache.get(key) if self.config.cache_enabled and not fresh else None
+        cached = self._cache.get(key) if self.config.cache_enabled and pass_level != "certify" else None
         if cached is not None:
             verdict = replace(cached, cache_hit=True)
         elif self.invocations >= self.config.eval_budget:
@@ -214,7 +212,7 @@ class OracleSession:
             verdict = self.oracle.evaluate(included_leaf_ids)
             if self.config.cache_enabled:
                 self._cache[key] = verdict
-        if self.trace is not None and pass_level is not None:
+        if self.trace is not None:
             self.trace(
                 {
                     "schema_version": TRACE_SCHEMA_VERSION,
@@ -669,11 +667,9 @@ class LLMOracle:
         """One log per distinct patch, named by the patch's SHA-1."""
         if self.log_dir is None:
             return
-        self.log_dir.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha1(patch.encode("utf-8")).hexdigest()[:12]
-        (self.log_dir / f"{self.instance.instance_id}.{digest}.log").write_text(
-            text, encoding="utf-8"
-        )
+        with writing(self.log_dir / f"{self.instance.instance_id}.{digest}.log", "oracle log") as path:
+            path.write_text(text, encoding="utf-8")
 
 
 def _kill_group(pgid: int) -> None:

@@ -8,9 +8,10 @@ ablation path: one ``verify`` probe judges the whole context instead.
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .code_model import SegmentKind, UnitTree, unit_text
 from .config import RunConfig
@@ -27,7 +28,16 @@ from .ga_search import GAResult, run_ga
 from .hdd import minimize
 from .instance import Instance, InstanceError, build_instance_tree, resolve_leaf_locators
 from .oracle import LLMOracle, MockOracle, Oracle, OracleSession, TraceWriter
-from .priority import CoverageReport, PatchFormatError, PatchInfo, parse_patch, priority_map, read_input
+from .priority import (
+    CoverageReport,
+    OutputError,
+    PatchFormatError,
+    PatchInfo,
+    parse_patch,
+    priority_map,
+    read_input,
+    writing,
+)
 
 
 # a record's kind and role strings, read without ``Enum.value``'s
@@ -44,17 +54,35 @@ class DistillOutcome:
 def _open_trace(stack: ExitStack, trace_dir: Path | None, instance_id: str) -> TraceWriter | None:
     """The session's trace writer, closed with ``stack``; ``None`` when
     tracing is off.  GA probe records go to ``<id>.ga.jsonl``, all others
-    to ``<id>.hdd.jsonl``; both files are written, even when empty."""
+    to ``<id>.hdd.jsonl``; both files are written, even when empty.  A
+    file that cannot be opened, written or closed raises ``OutputError``."""
     if trace_dir is None:
         return None
-    trace_dir.mkdir(parents=True, exist_ok=True)
     ga, hdd = (
-        stack.enter_context(open(trace_dir / f"{instance_id}.{name}.jsonl", "w", encoding="utf-8"))
+        stack.enter_context(_trace_file(trace_dir / f"{instance_id}.{name}.jsonl"))
         for name in ("ga", "hdd")
     )
-    return lambda record: (ga if record["pass_level"] == "ga" else hdd).write(
-        json.dumps(record, sort_keys=True) + "\n"
-    )
+
+    def write(record: dict) -> None:
+        fh = ga if record["pass_level"] == "ga" else hdd
+        try:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write trace file {fh.name}: {exc}") from exc
+
+    return write
+
+
+@contextmanager
+def _trace_file(path: Path) -> Iterator[TextIO]:
+    """``path`` open for writing, opened and closed under ``writing``."""
+    with writing(path, "trace file"):
+        fh = open(path, "w", encoding="utf-8")
+    try:
+        yield fh
+    finally:
+        with writing(path, "trace file"):
+            fh.close()
 
 
 def build_mock_oracle(instance: Instance, tree: UnitTree) -> MockOracle:

@@ -1,5 +1,6 @@
-"""Priority scores that bias the search toward fix-relevant units, and
-the readers every input file and JSON value goes through.
+"""Priority scores that bias the search toward fix-relevant units, the
+readers every input file and JSON value goes through, and the guard
+every output file is written under.
 
 A unit's score combines three signals: membership of its file in the
 gold patch, the (log-dampened) number of test-covered lines inside its
@@ -13,8 +14,10 @@ import keyword
 import math
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 
@@ -72,6 +75,23 @@ def read_json(path: str | Path, what: str, error: type[Exception]) -> object:
         return json.loads(read_input(path, what, error))
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+class OutputError(OSError):
+    """An output file could not be written; the message names it."""
+
+
+@contextmanager
+def writing(path: str | Path, what: str) -> Iterator[Path]:
+    """``path``, its directory made, for a block that writes it; every
+    output file is written in one.  An ``OSError`` in the block raises
+    ``OutputError`` naming the file as ``what``."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise OutputError(f"cannot write {what} {path}: {exc}") from exc
 
 
 class PatchFormatError(ValueError):

@@ -578,3 +578,37 @@ def test_unknown_config_key_exits_2(tmp_path, instance_path):
     config = tmp_path / "run.json"
     config.write_text('{"nonsense": 1}')
     assert _run(["--config", config, "segment", instance_path, "--out", tmp_path / "o.jsonl"]) == EXIT_USAGE
+
+
+
+# each case: the command's arguments, run in a directory holding a regular
+# file ``blocked``, and the output they cannot write: one under ``blocked``,
+# or a sidecar whose name a directory takes
+UNWRITABLE = {
+    "segment": (["segment", "{inst}", "--out", "blocked/s.jsonl"], "blocked/s.jsonl"),
+    "compress": (["compress", "{inst}", "--out", "blocked/c.txt"], "blocked/c.txt"),
+    "compress-stats-sidecar": (["compress", "{inst}", "--out", "c.txt"], "c.txt.stats.json"),
+    "distill-corpus": (["--no-trace", "distill", "{inst}", "--out", "blocked/c.jsonl"], "blocked/c.jsonl"),
+    "distill-trace": (
+        ["--set", "paths.traces=blocked/traces", "distill", "{inst}", "--out", "c.jsonl"],
+        "blocked/traces/inst-0.ga.jsonl",
+    ),
+    "export": (["export", "{corpus}", "--out", "blocked/t.jsonl"], "blocked/t.jsonl"),
+    "export-meta-sidecar": (["export", "{corpus}", "--out", "t.jsonl"], "t.jsonl.meta.json"),
+    "stats": (["stats", "{corpus}", "--out", "blocked/s.json"], "blocked/s.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, instance_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["--no-trace", "distill", instance_path, "--out", corpus]) == EXIT_OK
+    capsys.readouterr()
+    args, unwritable = UNWRITABLE[case]
+    (tmp_path / "blocked").write_text("")
+    if not unwritable.startswith("blocked/"):
+        (tmp_path / unwritable).mkdir()
+    assert _run([a.format(inst=instance_path, corpus=corpus) for a in args]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write ") and unwritable in line

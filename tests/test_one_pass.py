@@ -363,7 +363,7 @@ def test_score_segments_and_select_greedy_match_the_frozen_path(case, batch, fai
     segments = [(leaf, unit_text(tree, leaf)) for leaf in tree.leaves]
     tiebreak = lambda unit, text: frozen_score(query, text, unit, fault_units(tree, query.fault_locations))
     new_stub, old_stub = StubScorer(batch, frozenset(failing)), StubScorer(batch, frozenset(failing))
-    new = score_segments(query, segments, new_stub, window_cfg, tiebreak)
+    new = score_segments(query, segments, new_stub, window_cfg, tree=tree)
     old = frozen_score_segments(query, segments, old_stub, window_cfg, tiebreak)
     assert new_stub.calls == old_stub.calls
     _same_scored(new, old)

@@ -91,9 +91,9 @@ def test_verdict_cache_key_canonicalization():
 def test_session_caches_verdicts():
     oracle = MockOracle(required={"a"})
     session = OracleSession(oracle, "inst")
-    first = session.evaluate(frozenset({"a", "b"}))
+    first = session.evaluate(frozenset({"a", "b"}), pass_level="ga")
     assert not first.cache_hit
-    again = session.evaluate(frozenset({"b", "a"}))
+    again = session.evaluate(frozenset({"b", "a"}), pass_level="ga")
     assert again.cache_hit
     assert again.sufficient == first.sufficient
     assert oracle.calls == 1
@@ -103,8 +103,8 @@ def test_session_caches_verdicts():
 def test_session_fresh_bypasses_cache():
     oracle = MockOracle(required={"a"})
     session = OracleSession(oracle, "inst")
-    session.evaluate(frozenset({"a"}))
-    fresh = session.evaluate(frozenset({"a"}), fresh=True)
+    session.evaluate(frozenset({"a"}), pass_level="ga")
+    fresh = session.evaluate(frozenset({"a"}), pass_level="certify")
     assert not fresh.cache_hit
     assert oracle.calls == 2
 
@@ -113,8 +113,8 @@ def test_session_without_cache_stores_no_verdict():
     oracle = MockOracle(required={"a"})
     session = OracleSession(oracle, "inst", OracleConfig(cache_enabled=False))
     for leaves in ({"a"}, {"a", "b"}, {"a"}):
-        assert not session.evaluate(frozenset(leaves)).cache_hit
-    session.evaluate(frozenset({"c"}), fresh=True)
+        assert not session.evaluate(frozenset(leaves), pass_level="ga").cache_hit
+    session.evaluate(frozenset({"c"}), pass_level="certify")
     assert oracle.calls == session.invocations == 4
     assert session._cache == {}
 
@@ -123,11 +123,11 @@ def test_session_budget_exhaustion():
     oracle = MockOracle(required={"z"})
     session = OracleSession(oracle, "inst", OracleConfig(eval_budget=3))
     for i in range(3):
-        session.evaluate(frozenset({f"leaf{i}"}))
+        session.evaluate(frozenset({f"leaf{i}"}), pass_level="ga")
     with pytest.raises(OracleBudgetExhausted):
-        session.evaluate(frozenset({"leaf99"}))
+        session.evaluate(frozenset({"leaf99"}), pass_level="ga")
     # cache hits stay free
-    assert session.evaluate(frozenset({"leaf0"})).cache_hit
+    assert session.evaluate(frozenset({"leaf0"}), pass_level="ga").cache_hit
 
 
 def test_one_leaf_set_built_in_two_orders_is_one_cache_entry():
@@ -137,9 +137,9 @@ def test_one_leaf_set_built_in_two_orders_is_one_cache_entry():
     first = frozenset(ids)
     again = frozenset(reversed(ids))
     assert first is not again
-    assert not session.evaluate(first).cache_hit
+    assert not session.evaluate(first, pass_level="ga").cache_hit
     # the budget is spent: only a cache hit can answer now
-    verdict = session.evaluate(again)
+    verdict = session.evaluate(again, pass_level="ga")
     assert verdict.cache_hit and verdict.sufficient
     assert oracle.calls == 1 and session.invocations == 1
 
@@ -160,15 +160,31 @@ def test_a_fresh_evaluation_bypasses_the_cache_and_stores_its_verdict():
     oracle = _FlippingOracle()
     session = OracleSession(oracle, "inst")
     leaves = frozenset({"a", "b"})
-    assert not session.evaluate(leaves).sufficient
-    fresh = session.evaluate(frozenset({"b", "a"}), fresh=True)
+    assert not session.evaluate(leaves, pass_level="ga").sufficient
+    fresh = session.evaluate(frozenset({"b", "a"}), pass_level="certify")
     assert fresh.sufficient and not fresh.cache_hit
-    stored = session.evaluate(leaves)
+    stored = session.evaluate(leaves, pass_level="ga")
     assert stored.cache_hit and stored.sufficient
     # a set first seen fresh is stored too
-    session.evaluate(frozenset({"c"}), fresh=True)
-    assert session.evaluate(frozenset({"c"})).cache_hit
+    session.evaluate(frozenset({"c"}), pass_level="certify")
+    assert session.evaluate(frozenset({"c"}), pass_level="ga").cache_hit
     assert oracle.calls == session.invocations == 3
+
+
+@pytest.mark.parametrize("level", ["ga", "verify", "file", "function", "block", "certify"])
+def test_only_a_certify_probe_skips_the_cache_and_every_level_stores_its_verdict(level):
+    oracle = MockOracle(required={"a"})
+    records = []
+    session = OracleSession(oracle, "inst", trace=records.append)
+    seen = frozenset({"a", "b"})
+    session.evaluate(seen, pass_level="file")
+    assert session.evaluate(seen, pass_level=level).cache_hit == (level != "certify")
+    # a set first judged at this level is answered from the cache later
+    new = frozenset({"a"})
+    assert not session.evaluate(new, pass_level=level).cache_hit
+    assert session.evaluate(new, pass_level="file").cache_hit
+    assert oracle.calls == session.invocations == (3 if level == "certify" else 2)
+    assert [r["pass_level"] for r in records] == ["file", level, level, "file"]
 
 
 def test_minimize_traces_each_candidate_by_its_verdict_cache_key():
@@ -179,9 +195,9 @@ def test_minimize_traces_each_candidate_by_its_verdict_cache_key():
     candidates = []
     evaluate = session.evaluate
 
-    def recording(candidate, fresh=False, **fields):
+    def recording(candidate, **fields):
         candidates.append(candidate)
-        return evaluate(candidate, fresh, **fields)
+        return evaluate(candidate, **fields)
 
     session.evaluate = recording
     minimize(frozenset(leaves), tree, session, dict.fromkeys(tree.unit_order, 0.0))

@@ -113,11 +113,3 @@ def test_minimize_writes_one_record_per_probe_and_none_when_stopped(budget, stop
     if not stopped:
         assert any(r["cache_hit"] for r in records)
         assert records[-1]["pass_level"] == "certify"
-
-
-def test_a_call_without_pass_level_writes_nothing():
-    records = []
-    session = OracleSession(MockOracle({"a"}), "t", trace=records.append)
-    session.evaluate(frozenset({"a"}))
-    session.evaluate(frozenset({"a"}), pass_level="verify", removed_count=0)
-    assert [(r["seq"], r["cache_hit"]) for r in records] == [(0, True)]
