@@ -165,9 +165,10 @@ class CodeUnit:
 class UnitTree:
     """All units of one instance, indexed and totally ordered.
 
-    ``unit_order`` is document order: files in input order, each file's
-    units in preorder.  ``sources`` keeps the raw text per path so units
-    can be re-rendered without touching the filesystem.
+    ``unit_order`` is document order, the order ``index`` was filled in:
+    files in input order, each file's units in preorder.  ``sources``
+    keeps the raw text per path so units can be re-rendered without
+    touching the filesystem.
 
     Tables built once, with the tree, so queries never walk subtrees,
     rescan the tree or re-split a file:
@@ -191,14 +192,15 @@ class UnitTree:
     instance_id: str
     files: list[CodeUnit]
     index: dict[str, CodeUnit]
-    unit_order: list[str]
     sources: dict[str, str]
     lines: dict[str, list[str]] = field(repr=False, compare=False)
+    unit_order: list[str] = field(init=False)
     order_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     leaves: list[CodeUnit] = field(init=False, repr=False, compare=False)
     leaf_slice: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.unit_order = list(self.index)
         self.order_pos = {uid: i for i, uid in enumerate(self.unit_order)}
         self.leaves = []
         self.leaf_slice = {}
@@ -478,7 +480,6 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
     on entry."""
     roots: list[CodeUnit] = []
     index: dict[str, CodeUnit] = {}
-    order: list[str] = []
     sources: dict[str, str] = {}
     lines: dict[str, list[str]] = {}
     collecting = gc.isenabled()
@@ -493,9 +494,8 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
                 if unit.id in index:
                     raise ValueError(f"unit id collision: {unit.id}")
                 index[unit.id] = unit
-                order.append(unit.id)
             sources[path] = source
-        return UnitTree(instance_id, roots, index, order, sources, lines)
+        return UnitTree(instance_id, roots, index, sources, lines)
     finally:
         if collecting:
             gc.enable()
@@ -504,9 +504,7 @@ def build_tree(instance_id: str, files: Iterable[tuple[str, str]]) -> UnitTree:
 # --- queries -----------------------------------------------------------
 
 
-def unit_text(tree: UnitTree, unit: CodeUnit | str) -> str:
-    if isinstance(unit, str):
-        unit = tree.unit(unit)
+def unit_text(tree: UnitTree, unit: CodeUnit) -> str:
     span = unit.span
     return "\n".join(tree.lines[unit.path][span.start_line - 1 : span.end_line])
 
@@ -542,7 +540,7 @@ def segment_records(tree: UnitTree) -> list[dict]:
             {
                 "id": seg.id,
                 "path": seg.path,
-                "kind": seg.kind.value if seg.kind else None,
+                "kind": seg.kind.value,
                 "start_line": seg.span.start_line,
                 "end_line": seg.span.end_line,
                 "line_count": seg.span.line_count,

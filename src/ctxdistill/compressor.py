@@ -37,7 +37,7 @@ from typing import Callable, Protocol, Sequence
 
 from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 from .instance import Instance, StructuredQuery, build_query, fault_units
-from .priority import _IDENT_RE, json_field, json_value
+from .priority import identifiers_in, json_field, json_value
 from .render import RenderedContext, render, render_full
 from .tokens import count_tokens
 
@@ -113,8 +113,6 @@ def _heuristic(tree: UnitTree, query: StructuredQuery) -> Callable[[CodeUnit, st
     containing that function contains the line).  The faults are keyed
     by path, so a unit outside every fault's file costs one lookup."""
     issue_ids = query.issue_identifiers
-    named = issue_ids.intersection
-    lex = _IDENT_RE.findall
     count = len(issue_ids)
     faults: dict[str, list[tuple[int, int, int]]] = {}
     for fl, fault_unit in zip(query.fault_locations, fault_units(tree, query.fault_locations)):
@@ -123,7 +121,7 @@ def _heuristic(tree: UnitTree, query: StructuredQuery) -> Callable[[CodeUnit, st
         faults.setdefault(fl.path, []).append((fl.line, lo, hi))
 
     def score(unit: CodeUnit, text: str) -> float:
-        overlap = len(named(lex(text))) / count if count else 0.0
+        overlap = len(identifiers_in(text, issue_ids)) / count if count else 0.0
         fault = 0.0
         near = faults.get(unit.path)
         if near:

@@ -1,8 +1,8 @@
 """Run configuration: JSON file plus ``--set key=value`` overrides.
 
 Unknown keys are rejected so typos fail fast.  A field's JSON type is
-the type of its default, and a value of another type is an error, as is
-a number, in the file or an override, that is NaN or infinite.
+its annotation, and a value of another type is an error, as is a
+number, in the file or an override, that is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .compressor import CompressionBudget, WindowConfig
 from .ga_search import GAConfig
@@ -55,18 +56,8 @@ class RunConfig:
             raise ConfigError("parallelism must be >= 1")
 
 
-_SECTION_TYPES = {
-    "weights": PriorityWeights,
-    "ga": GAConfig,
-    "oracle": OracleConfig,
-    "compression": CompressionConfig,
-    "paths": PathsConfig,
-}
-
-
-def _kinds(cls) -> dict[str, type]:
-    """Each field's JSON type: the type of its default."""
-    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+# each section's name and class: the dataclass-typed fields, in field order
+_SECTION_TYPES = {name: cls for name, cls in get_type_hints(RunConfig).items() if dataclasses.is_dataclass(cls)}
 
 
 _BOOLS = {
@@ -94,7 +85,7 @@ def load_run_config(
     sections = {}
     try:
         for name, cls in _SECTION_TYPES.items():
-            raw, kinds = json_field(data, name, dict, {}), _kinds(cls)
+            raw, kinds = json_field(data, name, dict, {}), get_type_hints(cls)
             unknown = set(raw) - set(kinds)
             if unknown:
                 raise ValueError(f"unknown keys in {name}: {', '.join(sorted(unknown))}")
@@ -118,7 +109,7 @@ def load_run_config(
         if len(parts) != 2 or parts[0] not in _SECTION_TYPES:
             raise ConfigError(f"unknown override target: {dotted}")
         section, key = parts
-        kinds = _kinds(_SECTION_TYPES[section])
+        kinds = get_type_hints(_SECTION_TYPES[section])
         if key not in kinds:
             raise ConfigError(f"unknown override key: {dotted}")
         sections[section][key] = _coerce(dotted, raw_value, kinds[key])

@@ -17,7 +17,7 @@ import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 from .code_model import CodeUnit, SegmentKind, UnitTree, parse_source, role_facts, split_lines, unit_text
 from .instance import FaultLocation, build_query, fault_units
@@ -63,29 +63,15 @@ class SegmentRecord:
     role: str
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "path": self.path,
-            "kind": self.kind,
-            "start_line": self.start_line,
-            "end_line": self.end_line,
-            "line_count": self.line_count,
-            "text": self.text,
-            "role": self.role,
-        }
+        return {name: getattr(self, name) for name, _ in _SEGMENT_FIELDS}
 
     @classmethod
     def from_json(cls, data: dict) -> "SegmentRecord":
-        return cls(
-            id=json_field(data, "id", str),
-            path=json_field(data, "path", str),
-            kind=json_field(data, "kind", str),
-            start_line=json_field(data, "start_line", int),
-            end_line=json_field(data, "end_line", int),
-            line_count=json_field(data, "line_count", int),
-            text=json_field(data, "text", str),
-            role=json_field(data, "role", str),
-        )
+        return cls(*[json_field(data, name, kind) for name, kind in _SEGMENT_FIELDS])
+
+
+# each field's name and JSON type, read from its annotation once
+_SEGMENT_FIELDS = tuple(get_type_hints(SegmentRecord).items())
 
 
 @dataclass

@@ -80,15 +80,16 @@ def is_upward_consistent(genome: Genome, space: GenomeSpace) -> bool:
 
 
 def repair(genome: Genome, space: GenomeSpace, phi: dict[str, float]) -> Genome:
-    """Force upward consistency; revive an all-zero genome by activating
-    its highest-priority function-level unit (earliest on ties), which
-    keeps leaves.  A file never scores below its children, so the top
-    unit of all would be a file, which keeps none.  A space without
-    function-level units revives its top file."""
+    """Force upward consistency; revive a genome with no function-level
+    bit on, which keeps no leaf whatever its file bits, by activating its
+    highest-priority function-level unit (earliest on ties).  A file
+    never scores below its children, so the top unit of all would be a
+    file, which keeps none.  A space without function-level units
+    revives an all-zero genome at its top file."""
     bits = list(genome.bits)
-    if not any(bits):
-        functions = [i for start, end in space.file_ranges for i in range(start + 1, end)]
-        best = max(functions or range(len(bits)), key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
+    functions = [i for start, end in space.file_ranges for i in range(start + 1, end)] or range(len(bits))
+    if not any(bits[i] for i in functions):
+        best = max(functions, key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
         bits[best] = 1
     for start, end in space.file_ranges:
         if any(bits[start:end]):
@@ -198,7 +199,6 @@ class GAResult:
     genome: Genome | None
     generation_found: int | None
     generations_run: int
-    budget_exhausted: bool = False
     retained_leaf_ids: frozenset[str] | None = None
 
 
@@ -236,7 +236,7 @@ def run_ga(
                 kept, pass_level="ga", generation=generation, fitness=genome.fitness
             )
         except OracleBudgetExhausted:
-            return GAResult(None, None, generation + 1, budget_exhausted=True)
+            return GAResult(None, None, generation + 1)
         if verdict.sufficient:
             return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
         return None

@@ -23,7 +23,6 @@ class MinimizationResult:
     retained_leaf_ids: frozenset[str]
     per_level_removed: dict[str, int]
     one_minimal_certified: bool
-    budget_exhausted: bool
 
 
 def _level_units(tree: UnitTree, level: Level, retained: frozenset[str]) -> set[str]:
@@ -99,12 +98,12 @@ def minimize(
     ``initial_leaf_ids`` must be a set the session has accepted, as for
     :func:`ddmin_level`: the GA's accepted set, or the whole context the
     pipeline judged.  If the oracle budget runs out mid-pass, the best
-    retained set so far is returned uncertified, ``budget_exhausted`` set.
+    retained set so far is returned uncertified; the session records
+    that its budget ran out.
     """
     retained = frozenset(initial_leaf_ids)
     per_level_removed: dict[str, int] = {}
     certified = False
-    budget_exhausted = False
 
     try:
         for level in PASS_LEVELS:
@@ -122,11 +121,9 @@ def minimize(
                 certified = False
     except OracleBudgetExhausted:
         certified = False
-        budget_exhausted = True
 
     return MinimizationResult(
         retained_leaf_ids=retained,
         per_level_removed=per_level_removed,
         one_minimal_certified=certified,
-        budget_exhausted=budget_exhausted,
     )

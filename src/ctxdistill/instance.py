@@ -60,6 +60,8 @@ class FaultLocation:
     def from_json(cls, data: dict) -> "FaultLocation":
         try:
             path, line = json_field(data, "path", str), json_field(data, "line", int)
+            if line < 1:
+                raise ValueError(f"line must be >= 1, not {line}")
             return cls(path, line, json_field(data, "symbol", str, None))
         except ValueError as exc:
             raise InstanceError(f"fault_location entry {data!r}: {exc}") from None

@@ -154,12 +154,14 @@ class OracleSession:
     The ``pass_level`` decides freshness: a ``certify`` probe, which
     proves 1-minimality only by asking the oracle afresh, skips the cache
     lookup, and every level's verdict is stored.  Cache hits do not count
-    against the budget.  The cache is keyed by the leaf-id frozenset,
-    which hashes once per set object, so it keeps every evaluated set
-    alive until the session goes: memory grows with evaluations times
-    leaves, at most ``eval_budget`` sets (about 10 MB for 300 sets of 860
-    ids).  With ``cache_enabled`` off nothing is stored.  A session, like
-    its oracle, belongs to one instance and is driven from one thread.
+    against the budget; a call it refuses sets ``exhausted``, the one
+    record that it ran out, and raises ``OracleBudgetExhausted``.  The
+    cache is keyed by the leaf-id frozenset, which hashes once per set
+    object, so it keeps every evaluated set alive until the session goes:
+    memory grows with evaluations times leaves, at most ``eval_budget``
+    sets (about 10 MB for 300 sets of 860 ids).  With ``cache_enabled``
+    off nothing is stored.  A session, like its oracle, belongs to one
+    instance and is driven from one thread.
 
     With a ``trace`` writer, every ``evaluate`` call writes one probe
     record, cache hits included; a call the budget stops writes none.
@@ -190,6 +192,7 @@ class OracleSession:
         self.config = config or OracleConfig()
         self.trace = trace
         self.invocations = 0
+        self.exhausted = False
         self._records = 0
         self._cache: dict[frozenset[str], OracleVerdict] = {}
 
@@ -204,6 +207,7 @@ class OracleSession:
         if cached is not None:
             verdict = replace(cached, cache_hit=True)
         elif self.invocations >= self.config.eval_budget:
+            self.exhausted = True
             raise OracleBudgetExhausted(
                 f"oracle budget of {self.config.eval_budget} evaluations exhausted"
             )
@@ -238,8 +242,9 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     """Apply a unified diff under ``root``; returns the touched paths.
 
     Context lines are matched exactly, apart from their line breaks; any
-    mismatch raises ``PatchApplyError``, and so does a path that resolves
-    outside ``root`` or names a directory (checked before anything is
+    mismatch raises ``PatchApplyError``, and so does a deletion that
+    leaves a line, or a path that resolves outside ``root``, names a
+    directory or, for a new file, exists (checked before anything is
     written).  Untouched and context lines keep their own line break;
     added lines take the break of the file's first line (``\\n`` for a
     new file or one without breaks).  A file ends without a newline when
@@ -261,6 +266,8 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
                 raise PatchApplyError(f"patch path escapes the repository: {rel}")
             if (root / rel).exists() and not (root / rel).is_file():
                 raise PatchApplyError(f"patch path is not a regular file: {rel}")
+        if section.old_path is None and (root / section.new_path).exists():
+            raise PatchApplyError(f"patch creates a file that exists: {section.new_path}")
 
     touched: list[str] = []
     for section in sections:
@@ -316,6 +323,8 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
             out[-1] = out[-1].rstrip("\r\n")
 
         if new_path is None:
+            if out:
+                raise PatchApplyError(f"deletion of {source_rel} leaves lines it does not remove")
             (root / source_rel).unlink()
         else:
             target = root / target_rel

@@ -218,6 +218,6 @@ def distill_instance(
             "phase2_passes": len(min_result.per_level_removed) if min_result else 0,
         },
         status=STATUS_MINIMIZED if minimized else STATUS_UNMINIMIZED,
-        budget_exhausted=any(r is not None and r.budget_exhausted for r in (ga_result, min_result)),
+        budget_exhausted=session.exhausted,
     )
     return DistillOutcome(record=record)

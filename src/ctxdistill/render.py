@@ -80,9 +80,6 @@ def _emit(
     """Append ``unit``'s slices of ``lines`` to ``out``, and a placeholder
     ending in ``eol`` per run of excluded children; an included leaf
     child is emitted without a call."""
-    if unit.is_leaf:
-        out.extend(lines[unit.span.start_line - 1 : unit.span.end_line])
-        return
     index, child_ids = tree.index, unit.child_ids
     i = 0
     while i < len(child_ids):

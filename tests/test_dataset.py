@@ -7,6 +7,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxdistill import dataset
 from ctxdistill.code_model import SegmentKind, build_tree, unit_text
@@ -27,6 +29,7 @@ from ctxdistill.dataset import (
     write_triples,
 )
 from ctxdistill.instance import FaultLocation, Instance
+from ctxdistill.priority import json_field
 
 
 def _record(seg_id, role=SemanticRole.GENERIC_UTILITY.value, path="m.py", text="x = 1"):
@@ -401,3 +404,72 @@ def test_compute_stats_buckets():
     assert stats.density_by_size_bucket["1-20"] == pytest.approx(0.1)
     assert stats.density_by_size_bucket["200+"] == pytest.approx(5 / 250)
     assert stats.density_by_size_bucket["51-100"] == 0.0
+
+
+# --- the segment record's codec, against its literal form ------------------------
+
+
+def frozen_segment_to_json(record):
+    return {
+        "id": record.id,
+        "path": record.path,
+        "kind": record.kind,
+        "start_line": record.start_line,
+        "end_line": record.end_line,
+        "line_count": record.line_count,
+        "text": record.text,
+        "role": record.role,
+    }
+
+
+def frozen_segment_from_json(data):
+    return SegmentRecord(
+        id=json_field(data, "id", str),
+        path=json_field(data, "path", str),
+        kind=json_field(data, "kind", str),
+        start_line=json_field(data, "start_line", int),
+        end_line=json_field(data, "end_line", int),
+        line_count=json_field(data, "line_count", int),
+        text=json_field(data, "text", str),
+        role=json_field(data, "role", str),
+    )
+
+
+_SEGMENT_KINDS = {"id": str, "path": str, "kind": str, "start_line": int, "end_line": int, "line_count": int, "text": str, "role": str}
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=True), st.text(max_size=4))
+
+
+@st.composite
+def segment_json(draw):
+    """A segment record's JSON object, each value of its own type or,
+    now and then, of another type or missing; or a non-object."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.one_of(_json_scalars, st.lists(st.text(max_size=2), max_size=2)))
+    data = {}
+    for key, kind in _SEGMENT_KINDS.items():
+        choice = draw(st.integers(0, 9))
+        if choice == 0:
+            continue
+        if choice == 1:
+            data[key] = draw(_json_scalars)
+        else:
+            data[key] = draw(st.text(max_size=6) if kind is str else st.integers(-5, 10**6))
+    if draw(st.booleans()):
+        data = dict(reversed(data.items()))
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_json())
+def test_segment_record_codec_matches_its_literal_form(data):
+    try:
+        expected = frozen_segment_from_json(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            SegmentRecord.from_json(data)
+        assert str(err.value) == str(exc)
+        return
+    record = SegmentRecord.from_json(data)
+    assert record == expected
+    assert list(record.to_json().items()) == list(frozen_segment_to_json(record).items())
+    assert SegmentRecord.from_json(json.loads(json.dumps(record.to_json()))) == record

@@ -102,7 +102,7 @@ def frozen_priority(unit, text, patch, coverage, weights):
 
 def frozen_priority_map(tree, patch, coverage, weights):
     return {
-        uid: frozen_priority(tree.unit(uid), unit_text(tree, uid), patch, coverage, weights)
+        uid: frozen_priority(tree.unit(uid), unit_text(tree, tree.unit(uid)), patch, coverage, weights)
         for uid in tree.unit_order
     }
 
@@ -115,7 +115,7 @@ def frozen_run_ga(tree, phi, patch, session, config):
         try:
             verdict = session.evaluate(frozenset(), pass_level="ga", generation=0, fitness=0.0)
         except OracleBudgetExhausted:
-            return GAResult(None, None, 0, budget_exhausted=True)
+            return GAResult(None, None, 0)
         empty = Genome((), fitness=0.0)
         if verdict.sufficient:
             return GAResult(empty, 0, 1, retained_leaf_ids=frozenset())
@@ -139,7 +139,7 @@ def frozen_run_ga(tree, phi, patch, session, config):
                     kept, pass_level="ga", generation=generation, fitness=genome.fitness
                 )
             except OracleBudgetExhausted:
-                return GAResult(None, None, generation + 1, budget_exhausted=True)
+                return GAResult(None, None, generation + 1)
             if verdict.sufficient:
                 return GAResult(genome, generation, generation + 1, retained_leaf_ids=kept)
 
@@ -307,7 +307,7 @@ def test_priority_map_matches_whole_unit_lexing(case):
     assert list(got) == list(expected)
     assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
     for uid in tree.unit_order:
-        unit, text = tree.unit(uid), unit_text(tree, uid)
+        unit, text = tree.unit(uid), unit_text(tree, tree.unit(uid))
         assert priority(unit, text, patch, coverage, weights).hex() == expected[uid].hex()
 
 
@@ -363,7 +363,7 @@ def _search(run, case):
         genome,
         result.generation_found,
         result.generations_run,
-        result.budget_exhausted,
+        session.exhausted,
         result.retained_leaf_ids,
         trace,
         oracle.asked,

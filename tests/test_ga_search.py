@@ -93,6 +93,18 @@ def test_repair_revives_all_zero_to_a_genome_that_keeps_a_leaf():
     assert repair(Genome((0,)), empty, {}).bits == (1,)
 
 
+def test_repair_revives_a_genome_whose_only_bits_are_file_bits():
+    """A file bit alone keeps no leaf, so such a genome is revived too."""
+    tree = build_tree("t", [("f1.py", module_with_functions(1, "a")), ("f2.py", module_with_functions(1, "b"))])
+    space = GenomeSpace(tree)
+    for start, _ in space.file_ranges:
+        bits = [0] * len(space)
+        bits[start] = 1
+        repaired = repair(Genome(tuple(bits)), space, _zero_phi(space))
+        assert retained_leaf_ids(repaired, space)
+        assert repaired.bits[start] == 1 and is_upward_consistent(repaired, space)
+
+
 def test_repair_idempotent():
     rng = random.Random(2)
     tree = _tree()
@@ -230,7 +242,7 @@ def test_run_ga_unsatisfiable_returns_none():
     result = run_ga(tree, _zero_phi(space), PatchInfo.empty(), session, config)
     assert result.genome is None
     assert result.generations_run == 3
-    assert not result.budget_exhausted
+    assert not session.exhausted
     # oracle invocations bounded by population x generations
     assert session.invocations <= 6 * 3
 
@@ -241,7 +253,7 @@ def test_run_ga_budget_exhaustion_flagged():
     config = GAConfig(population_size=6, max_generations=3, rng_seed=3)
     result = run_ga(tree, {uid: 0.0 for uid in tree.unit_order}, PatchInfo.empty(), session, config)
     assert result.genome is None
-    assert result.budget_exhausted
+    assert session.exhausted
 
 
 def test_run_ga_reproducible_trace():

@@ -377,9 +377,10 @@ def governor_repair(genome, space, phi):
         if bit:
             for a in space.ancestor_positions[i]:
                 bits[a] = 1
-    if not any(bits):
-        # revive the top unit under a file, else the top file
-        below = [i for i in range(len(bits)) if space.ancestor_positions[i]] or range(len(bits))
+    below = [i for i in range(len(bits)) if space.ancestor_positions[i]] or range(len(bits))
+    if not any(bits[i] for i in below):
+        # nothing under a file is on, so nothing is kept: revive the top
+        # unit under a file, else the top file
         best = max(below, key=lambda i: (phi.get(space.unit_ids[i], 0.0), -i))
         bits[best] = 1
         for a in space.ancestor_positions[best]:
@@ -422,7 +423,7 @@ def test_indexed_lookups_match_linear_scans(tree):
             leaf = None if unit is None or unit.level is Level.FILE else unit
             assert leaf is scan_enclosing_leaf(tree, path, line)
     for uid in tree.unit_order:
-        assert unit_text(tree, uid) == resplit_unit_text(tree, tree.index[uid])
+        assert unit_text(tree, tree.index[uid]) == resplit_unit_text(tree, tree.index[uid])
 
 
 def test_equal_spans_resolve_to_the_later_unit():

@@ -130,6 +130,19 @@ def test_session_budget_exhaustion():
     assert session.evaluate(frozenset({"leaf0"}), pass_level="ga").cache_hit
 
 
+def test_only_a_refused_call_marks_the_session_exhausted():
+    session = OracleSession(MockOracle(required={"z"}), "inst", OracleConfig(eval_budget=3))
+    for i in range(3):
+        session.evaluate(frozenset({f"leaf{i}"}), pass_level="file")
+        assert session.evaluate(frozenset({f"leaf{i}"}), pass_level="ga").cache_hit
+    # exactly eval_budget fresh calls: the budget is spent, not exhausted
+    assert session.invocations == 3 and not session.exhausted
+    with pytest.raises(OracleBudgetExhausted):
+        session.evaluate(frozenset({"leaf0"}), pass_level="certify")
+    assert session.exhausted and session.invocations == 3
+    assert session.evaluate(frozenset({"leaf1"}), pass_level="ga").cache_hit and session.exhausted
+
+
 def test_one_leaf_set_built_in_two_orders_is_one_cache_entry():
     ids = [f"leaf{i}" for i in range(300)]
     oracle = MockOracle(required={"leaf7"})
@@ -255,6 +268,29 @@ def test_apply_patch_missing_target(tmp_path):
     patch = _diff("x = 1\n", "x = 2\n", "missing.py")
     with pytest.raises(PatchApplyError):
         apply_patch_text(tmp_path, patch)
+
+
+def test_apply_patch_refuses_a_deletion_that_leaves_lines(tmp_path):
+    # git apply: "patch does not apply"; b and c were never removed
+    write_repo(tmp_path, {"x.py": "a\nb\nc\n"})
+    with pytest.raises(PatchApplyError, match="deletion of x.py leaves lines it does not remove"):
+        apply_patch_text(tmp_path, "--- a/x.py\n+++ /dev/null\n@@ -1,1 +0,0 @@\n-a\n")
+    assert (tmp_path / "x.py").read_text() == "a\nb\nc\n"
+    assert apply_patch_text(tmp_path, "--- a/x.py\n+++ /dev/null\n@@ -1,3 +0,0 @@\n-a\n-b\n-c\n") == ["x.py"]
+    assert not (tmp_path / "x.py").exists()
+
+
+def test_apply_patch_refuses_to_create_a_file_that_exists(tmp_path):
+    # git apply: "already exists in working directory"; checked before
+    # the first section is written
+    write_repo(tmp_path, {"x.py": "a\n", "y.py": "old\n"})
+    patch = _diff("a\n", "b\n", "x.py") + "--- /dev/null\n+++ b/y.py\n@@ -0,0 +1,1 @@\n+new\n"
+    with pytest.raises(PatchApplyError, match="patch creates a file that exists: y.py"):
+        apply_patch_text(tmp_path, patch)
+    assert (tmp_path / "x.py").read_text() == "a\n" and (tmp_path / "y.py").read_text() == "old\n"
+    (tmp_path / "y.py").unlink()
+    assert apply_patch_text(tmp_path, patch) == ["x.py", "y.py"]
+    assert (tmp_path / "y.py").read_text() == "new\n"
 
 
 _file_lines = st.lists(

@@ -250,6 +250,28 @@ def test_distill_reports_budget_exhausted_in_phase2(tmp_path, use_ga):
     assert not outcome.record.one_minimal_certified
 
 
+@pytest.mark.parametrize("use_ga", [True, False])
+def test_a_distill_that_spends_exactly_its_budget_is_not_exhausted(tmp_path, use_ga):
+    """The record's flag is the session's: set by a refused call only.
+    With the GA, a distractor makes the search judge several genomes."""
+    instance_path = write_instance(
+        tmp_path / "inst.json",
+        tmp_path / "repo",
+        FILES,
+        fault_locations=[{"path": "pkg/core.py", "line": 2}],
+        mock_required=[{"path": "pkg/core.py", "line": 2}],
+        mock_distractors=[{"path": "pkg/util.py", "line": 2}] if use_ga else [],
+    )
+    instance = load_instance(instance_path)
+    free = distill_instance(instance, _config(), use_ga=use_ga).record
+    calls = free.oracle_calls
+    assert not free.budget_exhausted and free.one_minimal_certified
+    exact = distill_instance(instance, _config(budget=calls), use_ga=use_ga).record
+    assert exact.to_json() == free.to_json()
+    short = distill_instance(instance, _config(budget=calls - 1), use_ga=use_ga).record
+    assert short.budget_exhausted and short.oracle_calls == calls - 1
+
+
 def test_distill_without_trace_dir_builds_no_trace_records(tmp_path, monkeypatch):
     """With tracing off, no candidate hash is computed just to be traced."""
     instance_path = write_instance(

@@ -103,7 +103,7 @@ def test_minimize_writes_one_record_per_probe_and_none_when_stopped(budget, stop
     counts = _count_probes(session, monkeypatch)
     result = minimize(frozenset(leaves), tree, session, dict.fromkeys(tree.unit_order, 0.0))
 
-    assert result.budget_exhausted == stopped
+    assert session.exhausted == stopped
     assert counts["exhausted"] == stopped
     _check_records(records, session.invocations, counts["returned"])
     # the start set is taken as accepted: the first probe is file-level,
