@@ -291,8 +291,8 @@ def load_corpus(path: str | Path) -> list[DistilledInstance]:
 def _distilled(corpus: Iterable[DistilledInstance]) -> list[DistilledInstance]:
     """Records minimized without running out of oracle budget and
     certified 1-minimal: an uncertified record's minimal set may hold a
-    leaf the certify sweep found removable, which would be a false
-    positive label."""
+    leaf that no pass proved needed, which would be a false positive
+    label."""
     return [
         inst
         for inst in corpus

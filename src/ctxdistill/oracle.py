@@ -244,13 +244,14 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
     Context lines are matched exactly, apart from their line breaks; any
     mismatch raises ``PatchApplyError``, and so does a deletion that
     leaves a line, or a path that resolves outside ``root``, names a
-    directory or, for a new file, exists (checked before anything is
-    written).  Untouched and context lines keep their own line break;
-    added lines take the break of the file's first line (``\\n`` for a
-    new file or one without breaks).  A file ends without a newline when
-    a ``\\ No newline at end of file`` marker ends its last hunk's new
-    side; a tail no hunk reaches keeps the source's final newline or its
-    lack.
+    directory or, for a new file, exists.  Nothing is written unless
+    every section applies; sections apply in order, so a later section
+    on a path sees the earlier sections' result.  Untouched and context
+    lines keep their own line break; added lines take the break of the
+    file's first line (``\\n`` for a new file or one without breaks).  A
+    file ends without a newline when a ``\\ No newline at end of file``
+    marker ends its last hunk's new side; a tail no hunk reaches keeps
+    the source's final newline or its lack.
     """
     root = Path(root)
     try:
@@ -269,6 +270,9 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
         if section.old_path is None and (root / section.new_path).exists():
             raise PatchApplyError(f"patch creates a file that exists: {section.new_path}")
 
+    # each path's new text, or None to delete it; a later section on a
+    # planned path reads its planned text, and the disk is written last
+    planned: dict[str, str | None] = {}
     touched: list[str] = []
     for section in sections:
         source_rel, new_path = section.old_path, section.new_path
@@ -278,9 +282,12 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
         final_newline = True
         if source_rel is not None:
             source_file = root / source_rel
-            if not source_file.exists():
+            if source_rel in planned:
+                source_text = planned[source_rel]
+            else:
+                source_text = source_file.read_bytes().decode("utf-8") if source_file.exists() else None
+            if source_text is None:
                 raise PatchApplyError(f"patch target missing: {source_rel}")
-            source_text = source_file.read_bytes().decode("utf-8")
             old_lines = split_lines(source_text, keepends=True)
             final_newline = not old_lines or source_text.endswith(("\n", "\r"))
         first = old_lines[0] if old_lines else ""
@@ -322,15 +329,17 @@ def apply_patch_text(root: str | Path, patch_text: str) -> list[str]:
         if out and not final_newline:
             out[-1] = out[-1].rstrip("\r\n")
 
-        if new_path is None:
-            if out:
-                raise PatchApplyError(f"deletion of {source_rel} leaves lines it does not remove")
-            (root / source_rel).unlink()
-        else:
-            target = root / target_rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes("".join(out).encode("utf-8"))
+        if new_path is None and out:
+            raise PatchApplyError(f"deletion of {source_rel} leaves lines it does not remove")
+        planned[target_rel] = None if new_path is None else "".join(out)
         touched.append(target_rel)
+    for rel, text in planned.items():
+        target = root / rel
+        if text is None:
+            target.unlink(missing_ok=True)
+        else:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(text.encode("utf-8"))
     return touched
 
 

@@ -354,7 +354,8 @@ def test_distill_budget_exhausted_in_phase2_exits_3(tmp_path, instance_path, cap
     assert _run(args) == EXIT_PARTIAL
     assert capsys.readouterr().out == "inst-0: minimized (budget exhausted)\n"
     record = json.loads(corpus.read_text())
-    assert len(record["minimal_leaf_ids"]) == 5
+    # the third call, a file probe, accepted 3 leaves before the fourth was refused
+    assert len(record["minimal_leaf_ids"]) == 3
     assert not record["one_minimal_certified"]
 
 

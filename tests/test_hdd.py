@@ -105,6 +105,22 @@ def test_minimize_block_level_fixture():
     assert result.one_minimal_certified
 
 
+def test_minimize_stopped_by_the_budget_keeps_the_last_accepted_set():
+    # file-level ddmin over f0..f5, the required leaf in f0: call 1 drops
+    # f0-f2 (rejected), 2 drops f3-f5 (accepted, 6 leaves), 3 drops f0
+    # (rejected), 4 drops f1-f2 (accepted, 2 leaves)
+    tree = build_tree("t", [(f"f{i}.py", module_with_functions(2, f"m{i}_")) for i in range(6)])
+    assert len(tree.leaves) == 12
+    required = frozenset({tree.leaves[0].id})
+    for budget, kept in ((2, 6), (4, 2)):
+        session = _session(required, budget=budget)
+        result = minimize(_all_leaves(tree), tree, session, _zero_phi(tree))
+        assert len(result.retained_leaf_ids) == kept
+        assert required <= result.retained_leaf_ids
+        assert not result.one_minimal_certified and session.exhausted
+        assert result.per_level_removed == {"file": 12 - kept}
+
+
 def test_minimize_respects_monotone_shrinkage():
     rng = random.Random(41)
     for trial in range(30):

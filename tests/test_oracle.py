@@ -293,6 +293,40 @@ def test_apply_patch_refuses_to_create_a_file_that_exists(tmp_path):
     assert (tmp_path / "y.py").read_text() == "new\n"
 
 
+@pytest.mark.parametrize(
+    "hunk, error",
+    [
+        ("@@ -1,2 +1,2 @@\n q\n-b\n+B\n", "context mismatch at y.py:1"),
+        ("@@ -10,1 +10,1 @@\n-a\n+b\n", "hunk out of range at line 10"),
+    ],
+    ids=["a context line", "a hunk past the end"],
+)
+def test_apply_patch_refuses_a_hunk_that_does_not_fit(tmp_path, hunk, error):
+    write_repo(tmp_path, {"y.py": "a\nb\n"})
+    with pytest.raises(PatchApplyError, match=f"^{error}$"):
+        apply_patch_text(tmp_path, "--- a/y.py\n+++ b/y.py\n" + hunk)
+    assert (tmp_path / "y.py").read_text() == "a\nb\n"
+
+
+def test_apply_patch_writes_nothing_when_a_later_section_fails(tmp_path):
+    # git apply: all or nothing; a.py's section applies, b.py's does not
+    write_repo(tmp_path, {"a.py": "x = 1\n", "b.py": "y = 2\n"})
+    patch = _diff("x = 1\n", "x = 2\n", "a.py") + _diff("y = 3\n", "y = 4\n", "b.py")
+    with pytest.raises(PatchApplyError, match="^removed-line mismatch at b.py:1$"):
+        apply_patch_text(tmp_path, patch)
+    assert (tmp_path / "a.py").read_text() == "x = 1\n"
+    assert (tmp_path / "b.py").read_text() == "y = 2\n"
+
+
+def test_apply_patch_sections_on_one_file_apply_in_order(tmp_path):
+    # the second section reads the first one's result, not the disk
+    write_repo(tmp_path, {"x.py": "a\nb\nc\n"})
+    section = "--- a/x.py\n+++ b/x.py\n@@ -{0},1 +{0},1 @@\n-{1}\n+{2}\n"
+    patch = section.format(1, "a", "A") + section.format(3, "c", "C")
+    assert apply_patch_text(tmp_path, patch) == ["x.py", "x.py"]
+    assert (tmp_path / "x.py").read_text() == "A\nb\nC\n"
+
+
 _file_lines = st.lists(
     st.sampled_from(
         ["x = 1", "y = 2", "", "def f():", "    return x", "    pass", "# note", "-- note", "++ more"]

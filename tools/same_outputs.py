@@ -5,7 +5,7 @@ Run from anywhere, with the checkout that holds this file as the subject:
     python3 tools/same_outputs.py
 
 It prints the Python version it runs under (``sys.version``'s first
-word), then eight things; compare them with the same command run on the
+word), then nine things; compare them with the same command run on the
 parent commit's checkout, or under another Python.
 
 1. The seed-7 digest and ``failed_share`` of each benchmark workload, from
@@ -50,6 +50,11 @@ parent commit's checkout, or under another Python.
    ``classify_role`` value with ``fault_facts(tree, [])``.  The line also
    counts the files, the units and the files skipped as not UTF-8.  It
    compares only under the same Python.
+9. Phase II under an oracle that errs: every seed-7 ``distill_paper``
+   instance distilled with ``RunConfig()`` under :class:`NoisyMock` at
+   ``p = 0.9``, seeded by the instance id.  The line counts the records
+   whose kept set is exactly the mock's required set, the certified and
+   uncertified records, and the oracle calls of all records.
 """
 
 from __future__ import annotations
@@ -57,15 +62,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 TRACE_INSTANCES = (("distill_paper", 60), ("distill_large", 3))
 WINDOWED_INSTANCES = 30
+NOISY_P = 0.9
 
 
 def benchmark_digests() -> list[str]:
@@ -232,6 +240,48 @@ def stdlib_hash() -> tuple[int, int, int, str]:
     return files, units, skipped, h.hexdigest()
 
 
+class NoisyMock:
+    """An exact mock oracle with one-sided noise: each sufficient verdict
+    turns insufficient with probability ``1 - p``, drawn from
+    ``random.Random(seed)``, so a run repeats under any ``PYTHONHASHSEED``.
+    An insufficient verdict is never flipped, so every set it accepts is
+    sufficient."""
+
+    def __init__(self, exact, p: float, seed: str):
+        self.exact = exact
+        self.p = p
+        self.rng = random.Random(seed)
+
+    def evaluate(self, included_leaf_ids: frozenset[str]):
+        verdict = self.exact.evaluate(included_leaf_ids)
+        if verdict.sufficient and self.rng.random() >= self.p:
+            return replace(verdict, sufficient=False, passes=0)
+        return verdict
+
+
+def noisy_distill(p: float = NOISY_P) -> tuple[int, int, int, int]:
+    """Instances, exact records, certified records and oracle calls of
+    seed-7 ``distill_paper``, each instance judged by a ``NoisyMock`` at
+    ``p`` around its ``build_mock_oracle``, seeded by its id."""
+    import gen
+    from ctxdistill.config import RunConfig
+    from ctxdistill.instance import build_instance_tree, load_instance
+    from ctxdistill.pipeline import build_mock_oracle, distill_instance
+
+    instances = exact = certified = calls = 0
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        for planted in gen.generate("distill_paper", SEED, work):
+            instance = load_instance(planted.instance_path)
+            exact_mock = build_mock_oracle(instance, build_instance_tree(instance))
+            oracle = NoisyMock(exact_mock, p, instance.instance_id)
+            record = distill_instance(instance, RunConfig(), oracle=oracle).record
+            instances += 1
+            exact += record.minimal_leaf_ids == exact_mock.required
+            certified += record.one_minimal_certified
+            calls += record.oracle_calls
+    return instances, exact, certified, calls
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != str(SEED):
         env = {**os.environ, "PYTHONHASHSEED": str(SEED)}
@@ -254,6 +304,11 @@ def main() -> int:
     print(f"queries: {instances} instances hash={digest[:16]}")
     files, units, skipped, digest = stdlib_hash()
     print(f"stdlib: {units} units in {files} files, {skipped} skipped as not UTF-8 hash={digest[:16]}")
+    instances, exact, certified, calls = noisy_distill()
+    print(
+        f"noisy mock p={NOISY_P}: exact {exact}/{instances} certified {certified}/{instances} "
+        f"uncertified {instances - certified} calls {calls}"
+    )
     return 0
 
 
