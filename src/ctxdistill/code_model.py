@@ -143,7 +143,8 @@ class CodeUnit:
     ``None``.  A leaf's ``facts`` are its role facts, taken from its
     file's parse as ``build_tree`` states.  The unit spans
     ``span.line_count`` source lines, except the file unit of an empty
-    file, which has no lines and no leaves.
+    file, which has no lines and no leaves.  ``fallback`` marks the one
+    leaf of a file that does not parse.
     """
 
     id: str
@@ -153,7 +154,7 @@ class CodeUnit:
     path: str
     parent_id: str | None = None
     child_ids: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    fallback: bool = False
     facts: RoleFacts | None = None
 
     @property
@@ -369,7 +370,7 @@ def decompose(path: str, source: str) -> list[CodeUnit]:
 
     The first element is always the file unit.  A file without statements
     is one file-kind leaf over the whole file, and so is an unparseable
-    one, flagged with ``meta['fallback']``.  Empty sources yield a bare
+    one, flagged as its ``fallback``.  Empty sources yield a bare
     file unit.
 
     Grouping: in a module, class or function body each statement either
@@ -441,7 +442,7 @@ def _decompose(path: str, source: str) -> tuple[list[CodeUnit], list[str]]:
     entries = _group(body or [], SegmentKind.FILE, _top_level) or [(1, last, SegmentKind.FILE, None, ())]
     _place(add, entries, Level.FUNCTION, 1, last, add(Level.FILE, None, 1, last, None))
     if body is None:
-        units[1].meta["fallback"] = True
+        units[1].fallback = True
     return units, lines
 
 

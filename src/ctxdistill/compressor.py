@@ -37,7 +37,7 @@ from typing import Callable, Protocol, Sequence
 
 from .code_model import CodeUnit, UnitTree, split_lines, unit_text
 from .instance import Instance, StructuredQuery, build_query, fault_units
-from .priority import identifiers_in, json_field, json_value
+from .priority import http_json, identifiers_in, json_field, json_value
 from .render import RenderedContext, render, render_full
 from .tokens import count_tokens
 
@@ -163,27 +163,24 @@ class RemoteScorer:
 
     Wire contract: ``POST /score`` with ``{"query": str, "segments":
     [str]}`` returning ``{"scores": [float]}``; ``GET /capabilities``
-    advertises ``{"max_batch_size": int}``, 32 if missing.  Replies are
-    read with ``priority.json_value``: scores that are not one finite JSON
-    number per segment raise ``ScorerError``, which ``score_segments``
-    retries, and a batch size that is not an integer >= 1 raises
-    ``ScorerUnavailableError``.
+    advertises ``{"max_batch_size": int}``, 32 if missing.  Both go
+    through ``transport``, ``priority.http_json`` by default; its errors
+    are ``ScorerUnavailableError`` at ``/capabilities`` and ``ScorerError``
+    at ``/score``.  Replies are read with ``priority.json_value``: scores
+    that are not one finite JSON number per segment raise ``ScorerError``,
+    which ``score_segments`` retries, and a batch size that is not an
+    integer >= 1 raises ``ScorerUnavailableError``.
     """
 
-    def __init__(self, base_url: str | None = None, timeout: int = 60, http=None):
+    def __init__(self, base_url: str | None = None, timeout: int = 60, transport=None):
         self.base_url = (base_url or os.environ.get(ENV_SCORER_URL, "")).rstrip("/")
         if not self.base_url:
             raise ScorerUnavailableError(f"no scorer endpoint configured (set {ENV_SCORER_URL})")
         self.timeout = timeout
-        if http is None:
-            import requests
-
-            http = requests
-        self.http = http
+        self.transport = transport or http_json
         try:
-            response = self.http.get(f"{self.base_url}/capabilities", timeout=self.timeout)
-            response.raise_for_status()
-            self.max_batch_size = json_field(response.json(), "max_batch_size", int, 32)
+            reply = self.transport(f"{self.base_url}/capabilities", None, {}, self.timeout)
+            self.max_batch_size = json_field(reply, "max_batch_size", int, 32)
             if self.max_batch_size < 1:
                 raise ValueError(f"max_batch_size must be at least 1, not {self.max_batch_size}")
         except Exception as exc:  # noqa: BLE001
@@ -192,15 +189,10 @@ class RemoteScorer:
     def score_batch(
         self, query: StructuredQuery, items: Sequence[tuple[CodeUnit, str]]
     ) -> list[float]:
+        payload = {"query": query.rendered, "segments": [text for _, text in items]}
         try:
-            response = self.http.post(
-                f"{self.base_url}/score",
-                json={"query": query.rendered, "segments": [text for _, text in items]},
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            reply = json_field(response.json(), "scores", list)
-            scores = [float(json_value(s, float, "score")) for s in reply]
+            reply = self.transport(f"{self.base_url}/score", payload, {}, self.timeout)
+            scores = [float(json_value(s, float, "score")) for s in json_field(reply, "scores", list)]
         except Exception as exc:  # noqa: BLE001
             raise ScorerError(f"scoring batch failed: {exc}") from exc
         if len(scores) != len(items):

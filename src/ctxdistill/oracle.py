@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Protocol
 
 from .code_model import UnitTree, split_lines
 from .instance import build_query
-from .priority import PatchFormatError, parse_diff, writing
+from .priority import PatchFormatError, http_json, parse_diff, writing
 from .render import render
 
 ENV_LLM_URL = "OCD_LLM_URL"
@@ -484,14 +484,6 @@ def extract_patch(completion: str) -> str | None:
     return None
 
 
-def _default_transport(url: str, payload: dict, headers: dict, timeout: int) -> dict:
-    import requests
-
-    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
-
-
 REPAIR_PROMPT = (
     "You are fixing a bug in a repository. Read the issue, the fault "
     "locations, and the code context, then reply with a unified diff "
@@ -533,7 +525,7 @@ class LLMOracle:
         self.endpoint = endpoint or os.environ.get(ENV_LLM_URL, "")
         self.model = model or os.environ.get(ENV_LLM_MODEL, "")
         self.api_key = api_key or os.environ.get(ENV_LLM_KEY, "")
-        self.transport = transport or _default_transport
+        self.transport = transport or http_json
         self.log_dir = Path(log_dir) if log_dir else None
         self.retry_sleep = retry_sleep
         if not self.endpoint:
@@ -559,8 +551,8 @@ class LLMOracle:
         no completions is a failed attempt: it would give a verdict of 0
         passes in 0 samples, which the pass threshold calls sufficient.
         A refusal that a retry cannot change, an error whose
-        ``response.status_code`` (as on ``requests.HTTPError``) is a 4xx
-        other than 408 and 429, ends the attempts at once."""
+        ``response.status_code`` is a 4xx other than 408 and 429 (as
+        ``priority.http_json`` raises), ends the attempts at once."""
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -1,6 +1,7 @@
 """Priority scores that bias the search toward fix-relevant units, the
-readers every input file and JSON value goes through, and the guard
-every output file is written under.
+readers every input file and JSON value goes through, the guard every
+output file is written under, and the one HTTP exchange of the remote
+clients.
 
 A unit's score combines three signals: membership of its file in the
 gold patch, the (log-dampened) number of test-covered lines inside its
@@ -92,6 +93,19 @@ def writing(path: str | Path, what: str) -> Iterator[Path]:
         yield path
     except OSError as exc:
         raise OutputError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def http_json(url: str, payload: dict | None, headers: dict, timeout: float) -> object:
+    """The JSON reply to a ``POST`` of ``payload``, or to a ``GET`` when
+    ``payload`` is ``None``; every HTTP request is made here.  An error
+    status raises ``requests.HTTPError``, whose ``response.status_code``
+    holds it, and any other failure another ``requests.RequestException``."""
+    import requests
+
+    method = "GET" if payload is None else "POST"
+    response = requests.request(method, url, json=payload, headers=headers, timeout=timeout)
+    response.raise_for_status()
+    return response.json()
 
 
 class PatchFormatError(ValueError):

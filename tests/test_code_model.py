@@ -103,7 +103,7 @@ def test_unparseable_source_falls_back_to_file_leaf():
     assert len(units) == 2
     leaf = units[1]
     assert leaf.kind is SegmentKind.FILE
-    assert leaf.meta.get("fallback") is True
+    assert leaf.fallback is True
     assert leaf.span.line_count == len(BROKEN_SOURCE.splitlines())
 
 

@@ -360,21 +360,9 @@ def test_compress_rejects_rate_at_most_one(tmp_path):
 # --- remote scorer wire contract ---------------------------------------------
 
 
-class _Response:
-    def __init__(self, payload, status=200):
-        self._payload = payload
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"HTTP {self.status_code}")
-
-    def json(self):
-        return self._payload
-
-
-class _StubHTTP:
-    """``replies``, when given, are the ``/score`` reply bodies in turn."""
+class _StubTransport:
+    """A ``RemoteScorer`` transport; ``replies``, when given, are the
+    ``/score`` reply bodies in turn."""
 
     def __init__(self, scores=None, capabilities=True, advertised=None, replies=None):
         self.scores = scores
@@ -383,26 +371,25 @@ class _StubHTTP:
         self.replies = replies
         self.posts = []
 
-    def get(self, url, timeout=None):
-        if not self.capabilities:
-            raise ConnectionError("refused")
-        return _Response(self.advertised)
-
-    def post(self, url, json=None, timeout=None):
-        self.posts.append((url, json))
+    def __call__(self, url, payload, headers, timeout):
+        if payload is None:
+            if not self.capabilities:
+                raise ConnectionError("refused")
+            return self.advertised
+        self.posts.append((url, payload))
         if self.replies is not None:
-            return _Response(self.replies.pop(0))
-        return _Response({"scores": self.scores(json["segments"])})
+            return self.replies.pop(0)
+        return {"scores": self.scores(payload["segments"])}
 
 
 def test_remote_scorer_wire_contract():
-    http = _StubHTTP(scores=lambda segs: [0.25] * len(segs))
-    scorer = RemoteScorer(base_url="http://scorer.local", http=http)
+    transport = _StubTransport(scores=lambda segs: [0.25] * len(segs))
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=transport)
     assert scorer.max_batch_size == 2
     query = build_query("issue text", [FaultLocation("a.py", 1)])
     out = scorer.score_batch(query, [(None, "seg one"), (None, "seg two")])
     assert out == [0.25, 0.25]
-    url, payload = http.posts[0]
+    url, payload = transport.posts[0]
     assert url.endswith("/score")
     assert payload == {"query": query.rendered, "segments": ["seg one", "seg two"]}
 
@@ -412,12 +399,12 @@ def test_remote_scorer_unreachable(monkeypatch):
     with pytest.raises(ScorerUnavailableError):
         RemoteScorer(base_url="")
     with pytest.raises(ScorerUnavailableError):
-        RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(capabilities=False))
+        RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(capabilities=False))
 
 
 def test_remote_scorer_mismatched_scores_is_error():
-    http = _StubHTTP(scores=lambda segs: [0.5])
-    scorer = RemoteScorer(base_url="http://scorer.local", http=http)
+    transport = _StubTransport(scores=lambda segs: [0.5])
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=transport)
     with pytest.raises(ScorerError):
         scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
 
@@ -439,13 +426,13 @@ def test_remote_scorer_mismatched_scores_is_error():
     ],
 )
 def test_remote_scorer_refuses_a_malformed_reply(reply):
-    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[reply]))
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(replies=[reply]))
     with pytest.raises(ScorerError):
         scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
 
 
 def test_remote_scorer_takes_integer_scores_as_numbers():
-    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[{"scores": [1, 0]}]))
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(replies=[{"scores": [1, 0]}]))
     out = scorer.score_batch(build_query("q", []), [(None, "a"), (None, "b")])
     assert out == [1.0, 0.0] and all(type(v) is float for v in out)
 
@@ -456,13 +443,13 @@ def test_a_malformed_reply_is_retried_then_zeroed_not_raised():
     assert len(segments) == 2
     bad, good = {"scores": None}, {"scores": [0.25, 0.75]}
     # one bad reply, then a good one: the retry's scores count
-    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[bad, good]))
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(replies=[bad, good]))
     assert [s.score for s in score_segments(build_query("q", []), segments, scorer)] == [0.25, 0.75]
     # two bad replies: the batch scores 0, and compress still returns
-    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[bad, {"scores": ["x", "y"]}]))
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(replies=[bad, {"scores": ["x", "y"]}]))
     assert [s.score for s in score_segments(build_query("q", []), segments, scorer)] == [0.0, 0.0]
     instance = Instance("t", "q", [], ["m.py"], repo_root="repo")
-    scorer = RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(replies=[bad, {"scores": 5}]))
+    scorer = RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(replies=[bad, {"scores": 5}]))
     result = compress(instance, tree, scorer, rate=2.0)
     assert len(result.selected_segment_ids) >= 1
 
@@ -481,8 +468,8 @@ def test_a_malformed_reply_is_retried_then_zeroed_not_raised():
 )
 def test_remote_scorer_refuses_a_batch_size_that_is_not_an_integer_of_at_least_1(advertised):
     with pytest.raises(ScorerUnavailableError):
-        RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(advertised=advertised))
+        RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(advertised=advertised))
 
 
 def test_remote_scorer_reads_a_missing_batch_size_as_32():
-    assert RemoteScorer(base_url="http://scorer.local", http=_StubHTTP(advertised={})).max_batch_size == 32
+    assert RemoteScorer(base_url="http://scorer.local", transport=_StubTransport(advertised={})).max_batch_size == 32

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxdistill import dataset
+from ctxdistill import cli, dataset
 from ctxdistill.code_model import SegmentKind, build_tree, unit_text
 from ctxdistill.dataset import (
     CorpusFormatError,
@@ -226,6 +226,20 @@ def test_corpus_missing_field_reports_line(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path)
     assert "line 2" in str(err.value)
+
+
+def test_a_torn_last_record_is_bad_input_on_its_line(tmp_path, capsys):
+    """A record cut mid-line with no final newline, as a killed ``distill``
+    can leave the corpus, names its line in ``load_corpus`` and makes
+    ``export`` exit 2."""
+    lines = [json.dumps(_instance(f"i{i}", 2, 1).to_json(), sort_keys=True) for i in range(3)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([*lines[:2], lines[2][: len(lines[2]) // 2]]), encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=re.escape(f"corpus {path}, line 3: invalid JSON")):
+        load_corpus(path)
+    assert cli.main(["export", str(path), "--out", str(tmp_path / "t.jsonl")]) == cli.EXIT_USAGE
+    assert f"corpus {path}, line 3: invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_minimal_ids_must_be_subset():

@@ -7,7 +7,7 @@ rule once per body kind (module, class, function) and built unparseable
 files on a path of their own.  It computes each unit id by the original
 rule, from the unit's whole text, written out here rather than imported.
 Every unit must match it in id, level, kind, span, path, parent, child
-order and ``meta``, on random modules and on the fixed cases that
+order and ``fallback``, on random modules and on the fixed cases that
 exercise the signature rules and the unit-id rule.
 """
 
@@ -68,7 +68,7 @@ def _make_unit(
     level: Level,
     kind: SegmentKind | None,
     span: Span,
-    meta: dict | None = None,
+    fallback: bool = False,
 ) -> CodeUnit:
     text = "\n".join(lines[span.start_line - 1 : span.end_line])
     return CodeUnit(
@@ -77,7 +77,7 @@ def _make_unit(
         kind=kind,
         span=span,
         path=path,
-        meta=meta or {},
+        fallback=fallback,
     )
 
 
@@ -202,7 +202,7 @@ def reference_decompose(path: str, source: str) -> list[CodeUnit]:
     except (SyntaxError, ValueError):
         file_unit = _make_unit(path, lines, Level.FILE, None, file_span)
         frag = _make_unit(
-            path, lines, Level.FUNCTION, SegmentKind.FILE, file_span, meta={"fallback": True}
+            path, lines, Level.FUNCTION, SegmentKind.FILE, file_span, fallback=True
         )
         frag.parent_id = file_unit.id
         file_unit.child_ids.append(frag.id)

@@ -57,7 +57,7 @@ def _llm_batch(tmp_path, monkeypatch, n, refused, slow=()):
             raise Refused("context too long")
         return endpoints[i](url, payload, headers, timeout)
 
-    monkeypatch.setattr(oracle, "_default_transport", transport)
+    monkeypatch.setattr(oracle, "http_json", transport)
     monkeypatch.setenv(oracle.ENV_LLM_URL, "http://endpoint.invalid/v1/chat")
     monkeypatch.chdir(tmp_path)
     return batch, [p.instance_id for p in planted], started

@@ -1,6 +1,7 @@
 """Every module-level import in the package and in the tests is used by its
-module, the layers below the compressor do not import it, and importing a
-module loads only the package modules it uses."""
+module, the layers below the compressor do not import it, importing a
+module loads only the package modules it uses, and one function holds the
+package's HTTP client."""
 
 import ast
 import os
@@ -60,9 +61,10 @@ def test_the_query_readers_do_not_import_the_compressor(name):
     assert "ctxdistill.compressor" not in _imported_modules(module)
 
 
-def _loaded_by(module: str) -> set[str]:
-    """The package modules a fresh interpreter holds after ``import module``."""
-    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == 'ctxdistill'))"
+def _loaded_by(module: str, package: str = "ctxdistill") -> set[str]:
+    """The modules of ``package`` a fresh interpreter holds after
+    ``import module``."""
+    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -83,3 +85,28 @@ def test_the_compressor_loads_no_distillation_module():
 
 def test_ddmin_does_not_load_the_ga():
     assert "ctxdistill.ga_search" not in _loaded_by("ctxdistill.hdd")
+
+
+def _imports_requests(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+        name.split(".")[0] == "requests" for name in _imported_modules(node)
+    )
+
+
+def test_one_function_imports_requests():
+    """Both remote clients speak HTTP through ``priority.http_json``, which
+    imports ``requests`` in its own body; no other statement imports it."""
+    imports, homes = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        imports += sum(map(_imports_requests, ast.walk(module)))
+        homes += [
+            (path.name, node.name)
+            for node in ast.walk(module)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_imports_requests, node.body))
+        ]
+    assert (imports, homes) == (1, [("priority.py", "http_json")])
+
+
+def test_the_cli_starts_without_loading_requests():
+    assert _loaded_by("ctxdistill.cli", "requests") == set()

@@ -154,7 +154,7 @@ def parses_alike(tree, leaf):
     its file's parse gives the leaf."""
     lines = [line for line in unit_text(tree, leaf).split("\n") if line.strip()]
     ends_in_backslash = bool(lines) and lines[-1].endswith("\\")
-    return not (leaf.meta.get("fallback") or "\f" in tree.sources[leaf.path] or ends_in_backslash)
+    return not (leaf.fallback or "\f" in tree.sources[leaf.path] or ends_in_backslash)
 
 
 @st.composite

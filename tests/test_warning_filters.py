@@ -24,7 +24,7 @@ def _units_and_roles():
     tree = build_tree("t", [("m.py", SOURCE)])
     facts = fault_facts(tree, FAULTS)
     roles = [classify_role(leaf, unit_text(tree, leaf), facts).value for leaf in tree.leaves]
-    units = [(u.id, u.level, u.kind, u.span, dict(u.meta)) for u in decompose("m.py", SOURCE)]
+    units = [(u.id, u.level, u.kind, u.span, u.fallback) for u in decompose("m.py", SOURCE)]
     return units, roles
 
 

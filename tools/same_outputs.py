@@ -36,8 +36,9 @@ parent commit's checkout, or under another Python.
 6. A hash of the decomposition of every seed-7 context file of the four
    workloads, which the role/priority hash sees only through unit ids:
    SHA-256 over each unit of ``decompose``'s output as its id, level,
-   kind, span, parent id, child ids and ``meta``; the line also counts
-   the files and units.
+   kind, span, parent id, child ids and ``fallback`` flag, the flag
+   written as ``{"fallback": true}`` or ``{}`` so that the hash stays
+   comparable across revisions; the line also counts the files and units.
 7. A hash of the structured query of every seed-7 instance of the four
    workloads, which no value above sees as text: SHA-256 over each
    instance's ``build_query(...).rendered``, with ``build_query``
@@ -182,7 +183,7 @@ def decomposition_hash() -> tuple[int, int, str]:
                 for path, source in load_sources(load_instance(planted.instance_path)):
                     rows = [
                         [u.id, u.level.value, u.kind and u.kind.value, u.span.start_line,
-                         u.span.end_line, u.parent_id, u.child_ids, u.meta]
+                         u.span.end_line, u.parent_id, u.child_ids, {"fallback": True} if u.fallback else {}]
                         for u in decompose(path, source)
                     ]
                     files += 1
