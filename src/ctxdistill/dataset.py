@@ -166,16 +166,31 @@ def _parse_segment(text: str) -> ast.Module | None:
 
 
 def _called_names(module: ast.Module | None) -> frozenset[str]:
+    """The names called in ``module``: a call's function name, or the
+    attribute a called attribute reads.  The walk visits every node that
+    ``ast.walk`` visits, from a stack of field values that drops the ones
+    that are not nodes; ``ast.parse`` makes no subclasses of node types,
+    so exact types are checked."""
     if module is None:
         return frozenset()
     names: set[str] = set()
-    for node in ast.walk(module):
-        if isinstance(node, ast.Call):
+    stack: list = [module]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, ast.AST):
+            continue
+        if type(node) is ast.Call:
             func = node.func
-            if isinstance(func, ast.Name):
+            if type(func) is ast.Name:
                 names.add(func.id)
-            elif isinstance(func, ast.Attribute):
+            elif type(func) is ast.Attribute:
                 names.add(func.attr)
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if type(value) is list:
+                stack += value
+            else:
+                stack.append(value)
     return frozenset(names)
 
 

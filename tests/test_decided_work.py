@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from ctxdistill.code_model import Level, SegmentKind, build_tree, unit_text
 from ctxdistill.dataset import (
     SemanticRole,
-    _called_names,
     _parse_segment,
     classify_role,
     fault_facts,
@@ -57,7 +56,7 @@ from ctxdistill.priority import (
     priority_map,
 )
 
-from test_indexes import NAMES, SETTINGS, declaration_ratio, defined_names, module_source
+from test_indexes import NAMES, SETTINGS, declaration_ratio, defined_names, frozen_called_names, module_source
 from test_one_pass import frozen_fitness
 from test_indexes import trees as module_trees
 from test_score_once import trees as scoring_trees
@@ -79,7 +78,7 @@ def frozen_classify_role(segment, tree, facts):
     if defined & (facts.identifiers - facts.calls):
         return SemanticRole.DEFINITION
 
-    if _called_names(module) & facts.defined or defined & facts.calls:
+    if frozen_called_names(module) & facts.defined or defined & facts.calls:
         return SemanticRole.CALL_CHAIN
 
     return SemanticRole.GENERIC_UTILITY

@@ -7,8 +7,9 @@ file, fault facts recomputed for every segment, a per-line count, a
 scan of every unit for ddmin's units of a level, and frozen copies of
 the parent-and-child walks that the tree's leaf table replaced (subtree
 leaves, render placeholders, GA genome governors, the ancestor-list
-upward closure) and of the two passes over a segment's statements that
-``role_facts`` replaced.
+upward closure), of the two passes over a segment's statements that
+``role_facts`` replaced and of the ``ast.walk`` of called names that an
+explicit stack walk replaced.
 Random modules mix functions, classes, nested definitions, compound
 blocks, decorators, comments and blank lines, plus empty, blank-only,
 comment-only and unparseable files.
@@ -230,6 +231,20 @@ def defined_names(stmts):
     return frozenset(names)
 
 
+def frozen_called_names(module):
+    if module is None:
+        return frozenset()
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                names.add(func.attr)
+    return frozenset(names)
+
+
 def resplit_unit_text(tree, unit):
     lines = tree.sources[unit.path].splitlines()
     return "\n".join(lines[unit.span.start_line - 1 : unit.span.end_line])
@@ -254,14 +269,14 @@ def per_segment_role(segment, faults, tree):
             fault_units.append(unit)
     fault_texts = [resplit_unit_text(tree, u) for u in fault_units]
     fault_modules = [_parse_segment(t) for t in fault_texts]
-    fault_calls = frozenset().union(*(_called_names(m) for m in fault_modules))
+    fault_calls = frozenset().union(*(frozen_called_names(m) for m in fault_modules))
     fault_ids = frozenset().union(*(lex_identifiers(t) for t in fault_texts))
     fault_defs = frozenset().union(*(defined_names(m.body) for m in fault_modules if m is not None))
 
     defined = defined_names(stmts)
     if defined & (fault_ids - fault_calls):
         return SemanticRole.DEFINITION
-    if _called_names(module) & fault_defs or defined & fault_calls:
+    if frozen_called_names(module) & fault_defs or defined & fault_calls:
         return SemanticRole.CALL_CHAIN
     return SemanticRole.GENERIC_UTILITY
 
@@ -424,6 +439,14 @@ def test_indexed_lookups_match_linear_scans(tree):
             assert leaf is scan_enclosing_leaf(tree, path, line)
     for uid in tree.unit_order:
         assert unit_text(tree, tree.index[uid]) == resplit_unit_text(tree, tree.index[uid])
+
+
+@SETTINGS
+@given(trees)
+def test_called_names_match_the_ast_walk(tree):
+    for uid in tree.unit_order:
+        module = _parse_segment(unit_text(tree, tree.index[uid]))
+        assert _called_names(module) == frozen_called_names(module)
 
 
 def test_equal_spans_resolve_to_the_later_unit():

@@ -4,8 +4,9 @@ one reader for every input file.
 A value passes ``json_value`` only when its JSON type is exactly the one
 asked for; an integer also passes as a number, and a boolean never
 passes as either.  ``read_input`` and ``read_json`` raise the caller's
-error class, naming the file, for a file that is missing, is a
-directory, is not UTF-8 or is not JSON.
+error class, naming the file as the caller passed it, a ``str`` or a
+``Path``, for a file that is missing, is a directory, is not UTF-8 or
+is not JSON.
 """
 
 from __future__ import annotations
@@ -104,25 +105,33 @@ FILE_FAULTS = {
     "not-utf8": (lambda path: path.write_bytes(b'{"a": "\xff"}'), "is not UTF-8"),
     "not-json": (lambda path: path.write_text("{not json", encoding="utf-8"), "is not valid JSON"),
 }
-# read_input reads text that is not JSON as it is
-CASES = [(read_json, fault) for fault in FILE_FAULTS] + [
-    (read_input, fault) for fault in FILE_FAULTS if fault != "not-json"
+# read_input reads text that is not JSON as it is; each case is run with
+# a Path and with a str that spells the path unnormalised
+CASES = [
+    (reader, fault, as_str)
+    for as_str in (False, True)
+    for reader, fault in [(read_json, fault) for fault in FILE_FAULTS]
+    + [(read_input, fault) for fault in FILE_FAULTS if fault != "not-json"]
 ]
 
 
-@pytest.mark.parametrize("reader, fault", CASES, ids=[f"{r.__name__}-{f}" for r, f in CASES])
-def test_a_file_fault_raises_the_callers_error_naming_the_file(tmp_path, reader, fault):
+@pytest.mark.parametrize(
+    "reader, fault, as_str", CASES, ids=[f"{r.__name__}-{f}{'-str' * s}" for r, f, s in CASES]
+)
+def test_a_file_fault_raises_the_callers_error_naming_the_file(tmp_path, reader, fault, as_str):
     path = tmp_path / "input.json"
     make, message = FILE_FAULTS[fault]
     make(path)
+    passed = f"{tmp_path}/./input.json" if as_str else path
     with pytest.raises(CallerError) as err:
-        reader(path, "thing", CallerError)
-    assert str(path) in str(err.value) and message in str(err.value)
+        reader(passed, "thing", CallerError)
+    assert str(passed) in str(err.value) and message in str(err.value)
 
 
 def test_read_input_reads_universal_newlines(tmp_path):
     path = tmp_path / "input.txt"
     path.write_bytes(b"a\r\nb\rc\n")
     assert read_input(path, "thing", CallerError) == "a\nb\nc\n"
+    assert read_input(str(path), "thing", CallerError) == "a\nb\nc\n"
     path.write_bytes(b'{"a":\r\n [1, 2.5, true, null]}')
     assert read_json(path, "thing", CallerError) == {"a": [1, 2.5, True, None]}

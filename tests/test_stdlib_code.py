@@ -4,20 +4,23 @@ a fixed sample of the installed Python standard library.
 The sample is every 20th file of the sorted ``.py`` files under
 ``sysconfig.get_paths()["stdlib"]``, outside ``site-packages``.  Files
 that are not UTF-8 are skipped and counted: context files are read as
-UTF-8.  The test asserts contracts, not a hash, so it holds under any
+UTF-8.  The tests assert contracts, and that called names match a
+frozen ``ast.walk`` reference, not a hash, so they hold under any
 Python version.
 """
 
 from __future__ import annotations
 
+import ast
 import sysconfig
 from pathlib import Path
 
 import pytest
 
 from ctxdistill.code_model import build_tree, split_lines, unit_text
-from ctxdistill.dataset import classify_role, fault_facts
+from ctxdistill.dataset import _called_names, _parse_segment, classify_role, fault_facts
 from ctxdistill.render import render
+from test_indexes import frozen_called_names
 
 STDLIB = Path(sysconfig.get_paths()["stdlib"])
 SAMPLE = sorted(
@@ -47,19 +50,40 @@ def _problems(path: str, source: str) -> list[str]:
     return problems
 
 
-def test_stdlib_sample_keeps_the_tree_contracts():
+def _sources():
+    """(path, source) of each UTF-8 file of the sample, and the count of
+    files skipped as not UTF-8."""
     if not SAMPLE:
         pytest.skip(f"no .py files under {STDLIB}")
-    problems = {}
-    skipped = 0
+    sources, skipped = [], 0
     for path in SAMPLE:
         try:
-            source = (STDLIB / path).read_bytes().decode("utf-8")
+            sources.append((path, (STDLIB / path).read_bytes().decode("utf-8")))
         except UnicodeDecodeError:
             skipped += 1
-            continue
+    return sources, skipped
+
+
+def test_stdlib_sample_keeps_the_tree_contracts():
+    sources, skipped = _sources()
+    problems = {}
+    for path, source in sources:
         found = _problems(path, source)
         if found:
             problems[path] = found[:3]
     assert skipped < len(SAMPLE) // 10, f"{skipped} of {len(SAMPLE)} files are not UTF-8"
     assert not problems, problems
+
+
+def test_called_names_match_the_ast_walk_on_every_unit_of_the_sample():
+    """Every unit's ``_parse_segment`` module, the wrapped blocks among
+    them: a block lifted from a function body parses only inside the
+    ``def`` that ``_parse_segment`` wraps it in."""
+    wrapped_returns = 0
+    for path, source in _sources()[0]:
+        tree = build_tree("stdlib", [(path, source)])
+        for uid in tree.unit_order:
+            module = _parse_segment(unit_text(tree, tree.index[uid]))
+            assert _called_names(module) == frozen_called_names(module), uid
+            wrapped_returns += module is not None and any(type(s) is ast.Return for s in module.body)
+    assert wrapped_returns
