@@ -14,7 +14,6 @@ import json
 import keyword
 import math
 import re
-import threading
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -97,23 +96,15 @@ def writing(path: str | Path, what: str) -> Iterator[Path]:
         raise OutputError(f"cannot write {what} {path}: {exc}") from exc
 
 
-_HTTP = threading.local()
-
-
 def http_json(url: str, payload: dict | None, headers: dict, timeout: float) -> object:
     """The JSON reply to a ``POST`` of ``payload``, or to a ``GET`` when
     ``payload`` is ``None``; every HTTP request is made here.  An error
     status raises ``requests.HTTPError``, whose ``response.status_code``
-    holds it, and any other failure another ``requests.RequestException``.
-    Each thread sends through its own ``requests.Session``, made on its
-    first request, so its requests to one host reuse a connection."""
+    holds it, and any other failure another ``requests.RequestException``."""
     import requests
 
-    session = getattr(_HTTP, "session", None)
-    if session is None:
-        session = _HTTP.session = requests.Session()
     method = "GET" if payload is None else "POST"
-    response = session.request(method, url, json=payload, headers=headers, timeout=timeout)
+    response = requests.request(method, url, json=payload, headers=headers, timeout=timeout)
     response.raise_for_status()
     return response.json()
 

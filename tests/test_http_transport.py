@@ -1,16 +1,13 @@
 """Both remote clients over their default transport, ``priority.http_json``,
 against a real HTTP server on the loopback interface: the errors they map
-and retry are the ones ``requests`` raises, not a stand-in's, and the
-requests of one thread share a connection."""
+and retry are the ones ``requests`` raises, not a stand-in's."""
 
 import json
 import threading
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from ctxdistill import priority
 from ctxdistill.code_model import build_tree
 from ctxdistill.compressor import RemoteScorer, ScorerError
 from ctxdistill.instance import Instance, build_query
@@ -42,21 +39,11 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class _KeepAliveHandler(_Handler):
-    """A ``_Handler`` that keeps each connection open for the next request
-    and records the client address each request came from."""
-
-    protocol_version = "HTTP/1.1"
-
-    def _reply(self, body):
-        self.server.clients.append(self.client_address)
-        super()._reply(body)
-
-
-@contextmanager
-def _serving(httpd):
+@pytest.fixture
+def server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy setting must not route loopback calls away
+    httpd = HTTPServer(("127.0.0.1", 0), _Handler)
     httpd.seen = []
-    httpd.clients = []
     httpd.url = f"http://127.0.0.1:{httpd.server_port}"
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -67,24 +54,6 @@ def _serving(httpd):
         httpd.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
-
-
-@pytest.fixture
-def server(monkeypatch):
-    monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy setting must not route loopback calls away
-    with _serving(HTTPServer(("127.0.0.1", 0), _Handler)) as httpd:
-        yield httpd
-
-
-@pytest.fixture
-def keep_alive_server(monkeypatch):
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
-    with _serving(ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)) as httpd:
-        try:
-            yield httpd
-        finally:
-            # ends the handler thread that waits on the open connection
-            priority._HTTP.session.close()
 
 
 def test_the_remote_scorer_reads_its_batch_size_and_scores_over_http(server):
@@ -105,19 +74,6 @@ def test_the_remote_scorer_reads_its_batch_size_and_scores_over_http(server):
     server.answer = lambda path, body: (500, {})
     with pytest.raises(ScorerError, match="500 Server Error"):
         scorer.score_batch(query, [(None, "a")])
-
-
-def test_the_remote_scorer_sends_its_requests_over_one_connection(keep_alive_server):
-    server = keep_alive_server
-    server.answer = lambda path, body: (200, {"max_batch_size": 3} if body is None else {"scores": [0.5]})
-    scorer = RemoteScorer(base_url=server.url)
-    query = build_query("issue text", [])
-    assert (scorer.max_batch_size, scorer.score_batch(query, [(None, "a")])) == (3, [0.5])
-    assert scorer.score_batch(query, [(None, "b")]) == [0.5]
-    assert [(method, path) for method, path, _, _ in server.seen] == [
-        ("GET", "/capabilities"), ("POST", "/score"), ("POST", "/score"),
-    ]
-    assert len(set(server.clients)) == 1
 
 
 def _oracle(tmp_path, url, api_key=None):

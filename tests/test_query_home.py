@@ -27,11 +27,11 @@ from ctxdistill.code_model import (
     unit_text,
 )
 from ctxdistill.compressor import HeuristicScorer
-from ctxdistill.dataset import FaultFacts, _called_names, _parse_segment, fault_facts
+from ctxdistill.dataset import FaultFacts, _parse_segment, fault_facts
 from ctxdistill.instance import FaultLocation, build_query, fault_units
 from ctxdistill.priority import lex_identifiers
 
-from test_indexes import NAMES, SETTINGS, defined_names
+from test_indexes import NAMES, SETTINGS, defined_names, frozen_called_names
 from test_role_facts import any_tree
 
 # --- frozen references ------------------------------------------------------------
@@ -75,7 +75,7 @@ def frozen_fault_facts(tree: UnitTree, faults: Iterable[FaultLocation]) -> Fault
     texts = [unit_text(tree, u) for u in frozen_dataset_fault_units(tree, faults)]
     modules = [_parse_segment(t) for t in texts]
     return FaultFacts(
-        calls=frozenset().union(*(_called_names(m) for m in modules)),
+        calls=frozenset().union(*(frozen_called_names(m) for m in modules)),
         identifiers=frozenset().union(*(lex_identifiers(t) for t in texts)),
         defined=frozenset().union(*(defined_names(m.body) for m in modules if m is not None)),
     )

@@ -4,8 +4,8 @@ a fixed sample of the installed Python standard library.
 The sample is every 20th file of the sorted ``.py`` files under
 ``sysconfig.get_paths()["stdlib"]``, outside ``site-packages``.  Files
 that are not UTF-8 are skipped and counted: context files are read as
-UTF-8.  The tests assert contracts, and that called names match a
-frozen ``ast.walk`` reference, not a hash, so they hold under any
+UTF-8.  The test asserts contracts, and that every unit's called names
+match a frozen ``ast.walk`` reference, not a hash, so it holds under any
 Python version.
 """
 
@@ -30,7 +30,10 @@ SAMPLE = sorted(
 )[::20]
 
 
-def _problems(path: str, source: str) -> list[str]:
+def _problems(path: str, source: str) -> tuple[list[str], int]:
+    """The contracts ``source`` breaks, and how many of its units are
+    blocks that parse only wrapped in a ``def`` and hold a ``return`` at
+    their top level."""
     tree = build_tree("stdlib", [(path, source)])
     problems = []
     if render(tree, tree.unit_order).per_file[0].text != source:
@@ -47,43 +50,30 @@ def _problems(path: str, source: str) -> list[str]:
     facts = fault_facts(tree, [])
     for leaf in tree.leaves:
         classify_role(leaf, unit_text(tree, leaf), facts)
-    return problems
-
-
-def _sources():
-    """(path, source) of each UTF-8 file of the sample, and the count of
-    files skipped as not UTF-8."""
-    if not SAMPLE:
-        pytest.skip(f"no .py files under {STDLIB}")
-    sources, skipped = [], 0
-    for path in SAMPLE:
-        try:
-            sources.append((path, (STDLIB / path).read_bytes().decode("utf-8")))
-        except UnicodeDecodeError:
-            skipped += 1
-    return sources, skipped
+    wrapped_returns = 0
+    for uid in tree.unit_order:
+        module = _parse_segment(unit_text(tree, tree.index[uid]))
+        if _called_names(module) != frozen_called_names(module):
+            problems.append(f"unit {uid}'s called names differ from the ast.walk reference")
+        wrapped_returns += module is not None and any(type(s) is ast.Return for s in module.body)
+    return problems, wrapped_returns
 
 
 def test_stdlib_sample_keeps_the_tree_contracts():
-    sources, skipped = _sources()
+    if not SAMPLE:
+        pytest.skip(f"no .py files under {STDLIB}")
     problems = {}
-    for path, source in sources:
-        found = _problems(path, source)
+    skipped = wrapped_returns = 0
+    for path in SAMPLE:
+        try:
+            source = (STDLIB / path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError:
+            skipped += 1
+            continue
+        found, wrapped = _problems(path, source)
+        wrapped_returns += wrapped
         if found:
             problems[path] = found[:3]
     assert skipped < len(SAMPLE) // 10, f"{skipped} of {len(SAMPLE)} files are not UTF-8"
     assert not problems, problems
-
-
-def test_called_names_match_the_ast_walk_on_every_unit_of_the_sample():
-    """Every unit's ``_parse_segment`` module, the wrapped blocks among
-    them: a block lifted from a function body parses only inside the
-    ``def`` that ``_parse_segment`` wraps it in."""
-    wrapped_returns = 0
-    for path, source in _sources()[0]:
-        tree = build_tree("stdlib", [(path, source)])
-        for uid in tree.unit_order:
-            module = _parse_segment(unit_text(tree, tree.index[uid]))
-            assert _called_names(module) == frozen_called_names(module), uid
-            wrapped_returns += module is not None and any(type(s) is ast.Return for s in module.body)
-    assert wrapped_returns
+    assert wrapped_returns, "no unit of the sample is a wrapped block holding a return"
